@@ -3,9 +3,24 @@
 Exponential coordinates: the group element is nbar(x, z) =
 exp(z X_{-gamma} + sum_e x_e X_{-e}) over the basis of the opposite Heisenberg
 radical, so coordinate number g matches Lie algebra basis index g (the central
-coordinate z is number 0).  Polynomial coefficients live in
+coordinate z is number 0).  Coefficient functions live in
 Q[z, x_1..x_m, s]: the induced-family parameter s is the last variable and is
 never differentiated.
+
+An operator is an element of the Weyl algebra over Q[s], stored flat: one
+term per normally ordered monomial x^a s^e d^b (coefficients to the left of
+derivatives), keyed by the concatenated exponent tuple a + (e,) + b.  Values
+are integer numerators over one positive denominator per operator, reduced
+so that the gcd of all numerators and the denominator is 1; equal operators
+therefore have equal term maps.  Products are normal ordered in closed form,
+coordinate by coordinate,
+
+    d^b o x^c = sum_k C(b, k) c!/(c-k)! x^(c-k) d^(b-k),
+
+and point functionals at the identity of a commutator are read off a
+truncated product that keeps only the coordinate-free terms.  Poly is the
+boundary type: coefficients enter through from_coeffs/mult_op/scale and
+leave through at_identity/coefficients.
 
 The right regular action R sends the enveloping algebra of the opposite
 nilradical to constant-plus-linear-coefficient operators; the induced family
@@ -16,13 +31,17 @@ which terminates because W is nilpotent of depth at most four.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from math import comb
+from functools import lru_cache
+from itertools import product
+from math import comb, gcd, lcm, perm
+from operator import add, sub
 
 from .liealg import LieAlgebra
 from .pbw import Elt, Mono, mono_word
 from .poly import Poly
 
 Der = tuple[int, ...]
+Key = tuple[int, ...]          # coordinate exponents, s exponent, derivatives
 PointFunctional = dict[Der, Poly]
 
 
@@ -35,17 +54,39 @@ def eval_at_identity(a: "PolyDiffOp") -> PointFunctional:
 
 
 class PolyDiffOp:
-    """Differential operator sum_d coeff_d * (d/dcoords)^d with Poly coeffs."""
+    """Differential operator sum_key (terms[key] / den) x^a s^e d^b."""
 
-    __slots__ = ("ncoords", "terms")
+    __slots__ = ("ncoords", "terms", "den")
 
-    def __init__(self, ncoords: int, terms: dict[Der, Poly] | None = None):
+    def __init__(self, ncoords: int, terms: dict[Key, int] | None = None,
+                 den: int = 1):
+        if den <= 0:
+            raise ValueError("denominator must be positive")
         self.ncoords = ncoords
-        self.terms: dict[Der, Poly] = {}
-        if terms:
-            for d, c in terms.items():
-                if not c.is_zero():
-                    self.terms[d] = c
+        terms = {k: v for k, v in terms.items() if v} if terms else {}
+        g = gcd(den, *terms.values())
+        if g != 1:
+            terms = {k: v // g for k, v in terms.items()}
+            den //= g
+        self.terms: dict[Key, int] = terms
+        self.den = den
+
+    @classmethod
+    def from_coeffs(cls, ncoords: int, coeffs: dict[Der, Poly]) -> "PolyDiffOp":
+        """The operator sum_d coeffs[d] * d^d, coefficients in Q[coords, s]."""
+        den = lcm(*(c.denominator for p in coeffs.values()
+                    for c in p.terms.values()))
+        return cls(ncoords, {e + d: c.numerator * (den // c.denominator)
+                             for d, p in coeffs.items()
+                             for e, c in p.terms.items()}, den)
+
+    def coefficients(self) -> dict[Der, Poly]:
+        """Inverse of from_coeffs: the Poly coefficient of each derivative."""
+        n, den = self.ncoords, self.den
+        out: dict[Der, dict] = {}
+        for k, v in self.terms.items():
+            out.setdefault(k[n + 1:], {})[k[:n + 1]] = Q(v, den)
+        return {d: Poly(n + 1, t) for d, t in out.items()}
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -54,131 +95,185 @@ class PolyDiffOp:
         return bool(self.terms)
 
     def order(self) -> int:
-        return max((sum(d) for d in self.terms), default=-1)
+        n = self.ncoords
+        return max((sum(k[n + 1:]) for k in self.terms), default=-1)
 
     def _check(self, other: "PolyDiffOp") -> None:
         if self.ncoords != other.ncoords:
             raise ValueError("coordinate count mismatch")
 
-    def __add__(self, other: "PolyDiffOp") -> "PolyDiffOp":
+    def _combine(self, other: "PolyDiffOp", sign: int) -> "PolyDiffOp":
         self._check(other)
-        out = dict(self.terms)
-        for d, c in other.terms.items():
-            v = out.get(d)
-            v = c if v is None else v + c
-            if v.is_zero():
-                out.pop(d, None)
-            else:
-                out[d] = v
-        return PolyDiffOp(self.ncoords, out)
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        out = {k: v * fa for k, v in self.terms.items()}
+        for k, v in other.terms.items():
+            out[k] = out.get(k, 0) + v * fb
+        return PolyDiffOp(self.ncoords, out, den)
 
-    def __neg__(self) -> "PolyDiffOp":
-        return PolyDiffOp(self.ncoords, {d: -c for d, c in self.terms.items()})
+    def __add__(self, other: "PolyDiffOp") -> "PolyDiffOp":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "PolyDiffOp") -> "PolyDiffOp":
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def __neg__(self) -> "PolyDiffOp":
+        return PolyDiffOp(self.ncoords,
+                          {k: -v for k, v in self.terms.items()}, self.den)
 
     def scale(self, c: Poly | Q | int) -> "PolyDiffOp":
         """Left multiplication by a function (or scalar)."""
-        return PolyDiffOp(self.ncoords,
-                          {d: v * c for d, v in self.terms.items()})
+        n = self.ncoords
+        if not isinstance(c, Poly):
+            c = Q(c)
+            return PolyDiffOp(n, {k: v * c.numerator
+                                  for k, v in self.terms.items()},
+                              self.den * c.denominator)
+        den = lcm(*(v.denominator for v in c.terms.values()))
+        pad = (0,) * n
+        out: dict[Key, int] = {}
+        for e, pv in c.terms.items():
+            e = e + pad
+            pv = pv.numerator * (den // pv.denominator)
+            for k, v in self.terms.items():
+                key = tuple(map(add, e, k))
+                out[key] = out.get(key, 0) + pv * v
+        return PolyDiffOp(n, out, self.den * den)
 
     def compose(self, other: "PolyDiffOp") -> "PolyDiffOp":
-        """self applied after other, as operators (Leibniz expansion)."""
+        """self applied after other, as operators (normal ordered)."""
         self._check(other)
-        out: dict[Der, Poly] = {}
-        for da, ca in self.terms.items():
-            for db, cb in other.terms.items():
-                # distribute each partial of da over cb or past it
-                for dk, mult, cb_k in _leibniz(da, cb):
-                    d = tuple(x + y for x, y in zip(dk, db))
-                    c = ca * cb_k if mult == 1 else ca * cb_k * mult
-                    v = out.get(d)
-                    v = c if v is None else v + c
-                    if v.is_zero():
-                        out.pop(d, None)
-                    else:
-                        out[d] = v
-        return PolyDiffOp(self.ncoords, out)
+        out: dict[Key, int] = {}
+        _compose_into(out, self.terms, other.terms, self.ncoords, 1)
+        return PolyDiffOp(self.ncoords, out, self.den * other.den)
 
     def commutator(self, other: "PolyDiffOp") -> "PolyDiffOp":
-        return self.compose(other) - other.compose(self)
+        self._check(other)
+        n = self.ncoords
+        out: dict[Key, int] = {}
+        _compose_into(out, self.terms, other.terms, n, 1)
+        _compose_into(out, other.terms, self.terms, n, -1)
+        return PolyDiffOp(n, out, self.den * other.den)
 
     def apply(self, f: Poly) -> Poly:
+        """D f, differentiating f directly (independent of compose)."""
         out = Poly(f.nvars)
-        for d, c in self.terms.items():
+        for d, c in self.coefficients().items():
             g = f
             for i, k in enumerate(d):
                 for _ in range(k):
                     g = g.diff(i)
-                if g.is_zero():
-                    break
-            if not g.is_zero():
-                out = out + c * g
+            out = out + c * g
         return out
 
     def subs_param(self, i: int, value: Q) -> "PolyDiffOp":
-        return PolyDiffOp(self.ncoords,
-                          {d: c.subs(i, value) for d, c in self.terms.items()})
+        """Substitute a rational for coefficient variable i (normally s)."""
+        if not 0 <= i <= self.ncoords:
+            raise ValueError(f"variable index {i} is not a coefficient variable")
+        value = Q(value)
+        p, q = value.numerator, value.denominator
+        top = max((k[i] for k in self.terms), default=0)
+        out: dict[Key, int] = {}
+        for k, v in self.terms.items():
+            e = k[i]
+            key = k[:i] + (0,) + k[i + 1:]
+            out[key] = out.get(key, 0) + v * p ** e * q ** (top - e)
+        return PolyDiffOp(self.ncoords, out, self.den * q ** top)
 
-    def at_identity(self) -> dict[Der, Poly]:
+    def at_identity(self) -> PointFunctional:
         """The functional f -> (D f)(e) as derivative-coefficients at 0.
 
         Coefficients keep only the parameter variable (coords are set to 0);
         they are returned as univariate polynomials in s.
         """
-        out: dict[Der, Poly] = {}
-        for d, c in self.terms.items():
-            for i in range(self.ncoords):
-                c = c.subs(i, 0)
-            if not c.is_zero():
-                out[d] = _compress_to_param(c, self.ncoords)
-        return out
+        n = self.ncoords
+        zero = (0,) * n
+        acc = {(k[n], k[n + 1:]): v for k, v in self.terms.items()
+               if k[:n] == zero}
+        return _functional(acc, self.den)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, PolyDiffOp) and self.ncoords == other.ncoords
-                and self.terms == other.terms)
-
-    def format(self, names: list[str]) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for d in sorted(self.terms, key=lambda t: (sum(t), t)):
-            ds = "".join(
-                (f"D{names[i]}" if k == 1 else f"D{names[i]}^{k}")
-                for i, k in enumerate(d) if k
-            )
-            cs = self.terms[d].format(names + ["s"])
-            pieces.append(f"({cs})" + (f"*{ds}" if ds else ""))
-        return " + ".join(pieces)
+                and self.den == other.den and self.terms == other.terms)
 
 
-def _leibniz(da: Der, cb: Poly):
-    """Expand (d^da) o (cb * .) = sum over splits: (partials of cb) * d^rest.
+def commutator_at_identity(a: PolyDiffOp, b: PolyDiffOp) -> PointFunctional:
+    """[a, b].at_identity() without forming the commutator.
 
-    Yields (rest_der, multinomial, derived_cb) triples with derived_cb nonzero.
+    A product term x^a d^b o x^c d^d is coordinate-free only for a = 0 and
+    k = c in the normal-ordering sum, which needs c <= b componentwise and
+    leaves b!/(b-c)! d^(b-c+d).
     """
-    items: list[tuple[Der, int, Poly]] = [(da, 1, cb)]
-    for i in range(len(da)):
-        nxt: list[tuple[Der, int, Poly]] = []
-        for d, mult, c in items:
-            k = d[i]
-            g = c
-            for j in range(k + 1):
-                if g.is_zero():
-                    break
-                nxt.append((d[:i] + (k - j,) + d[i + 1:], mult * comb(k, j), g))
-                g = g.diff(i)
-        items = nxt
-    return items
+    a._check(b)
+    n = a.ncoords
+    zero = (0,) * n
+    acc: dict[tuple[int, Der], int] = {}
+    for left, right, sign in ((a.terms, b.terms, 1), (b.terms, a.terms, -1)):
+        rights = [(k[:n], k[n], k[n + 1:], v) for k, v in right.items()]
+        for ka, ca in left.items():
+            if ka[:n] != zero:
+                continue
+            sa, beta = ka[n], ka[n + 1:]
+            for gamma, sb, delta, cb in rights:
+                factor = sign * ca * cb
+                for bi, gi in zip(beta, gamma):
+                    if gi > bi:
+                        break
+                    if gi:
+                        factor *= perm(bi, gi)
+                else:
+                    key = (sa + sb, tuple(map(add, map(sub, beta, gamma), delta)))
+                    acc[key] = acc.get(key, 0) + factor
+    return _functional(acc, a.den * b.den)
 
 
-def _compress_to_param(c: Poly, ncoords: int) -> Poly:
-    out: dict[tuple[int, ...], Q] = {}
-    for e, v in c.terms.items():
-        assert all(x == 0 for x in e[:ncoords])
-        out[(e[ncoords],)] = v
-    return Poly(1, out)
+def _functional(acc: dict[tuple[int, Der], int], den: int) -> PointFunctional:
+    """{(s exponent, derivative): numerator} over den -> {Der: Poly in s}."""
+    out: dict[Der, dict] = {}
+    for (e, d), v in acc.items():
+        if v:
+            out.setdefault(d, {})[(e,)] = Q(v, den)
+    return {d: Poly(1, t) for d, t in out.items()}
+
+
+@lru_cache(maxsize=None)
+def _reorderings(n: int, overlap: tuple[tuple[int, int, int], ...]):
+    """Normal-ordering expansion of d^b o x^c on the overlapping coordinates.
+
+    overlap lists (coordinate, b_i, c_i) with both exponents positive.
+    Returns (key decrement, factor) pairs: the product of the per-coordinate
+    terms C(b_i, k_i) c_i!/(c_i-k_i)! x^(c_i-k_i) d^(b_i-k_i).
+    """
+    per_coord = [[(i, k, comb(b, k) * perm(c, k)) for k in range(min(b, c) + 1)]
+                 for i, b, c in overlap]
+    out = []
+    for choice in product(*per_coord):
+        dec = [0] * (2 * n + 1)
+        factor = 1
+        for i, k, f in choice:
+            dec[i] = dec[n + 1 + i] = k
+            factor *= f
+        out.append((tuple(dec), factor))
+    return tuple(out)
+
+
+def _compose_into(out: dict[Key, int], left: dict[Key, int],
+                  right: dict[Key, int], n: int, sign: int) -> None:
+    """Add sign * (left o right), as numerators, into out."""
+    rights = list(right.items())
+    for ka, ca in left.items():
+        ca *= sign
+        ders = [(i, b) for i, b in enumerate(ka[n + 1:]) if b]
+        for kb, cb in rights:
+            base = tuple(map(add, ka, kb))
+            overlap = tuple((i, b, kb[i]) for i, b in ders if kb[i])
+            if not overlap:
+                out[base] = out.get(base, 0) + ca * cb
+                continue
+            c = ca * cb
+            for dec, factor in _reorderings(n, overlap):
+                key = tuple(map(sub, base, dec))
+                out[key] = out.get(key, 0) + c * factor
 
 
 class OperatorCalculus:
@@ -209,10 +304,10 @@ class OperatorCalculus:
         return PolyDiffOp(self.ncoords)
 
     def identity_op(self) -> PolyDiffOp:
-        return PolyDiffOp(self.ncoords, {(0,) * self.ncoords: self.const(1)})
+        return self.mult_op(self.const(1))
 
     def mult_op(self, f: Poly) -> PolyDiffOp:
-        return PolyDiffOp(self.ncoords, {(0,) * self.ncoords: f})
+        return PolyDiffOp.from_coeffs(self.ncoords, {(0,) * self.ncoords: f})
 
     def _der(self, i: int) -> Der:
         return tuple(1 if j == i else 0 for j in range(self.ncoords))
@@ -281,7 +376,7 @@ class OperatorCalculus:
             n = br[alg.x_minus_gamma]
             zder = self._der(alg.x_minus_gamma)
             terms[zder] = terms.get(zder, self.const(0)) + self.var(j) * (n / 2)
-        op = PolyDiffOp(self.ncoords, terms)
+        op = PolyDiffOp.from_coeffs(self.ncoords, terms)
         self._r_gen[g] = op
         return op
 
@@ -338,10 +433,3 @@ class OperatorCalculus:
             (nbar_part if i < self.ncoords else q_part)[i] = c
         out = self.mult_op(-(self.s_poly() * self.dchi_ext(q_part)))
         return out - self.r_ext(nbar_part)
-
-    def pi_word(self, idxs: list[int]) -> PolyDiffOp:
-        """pi of a product of basis vectors (left factor applied last)."""
-        out = self.identity_op()
-        for i in idxs:
-            out = out.compose(self.pi_basis(i))
-        return out

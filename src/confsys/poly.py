@@ -29,6 +29,14 @@ class Poly:
                 if c:
                     self.terms[e] = Q(c)
 
+    @classmethod
+    def _wrap(cls, nvars: int, terms: dict[Exponents, Q]) -> "Poly":
+        """Adopt terms as-is: nonzero, normalized Fractions (internal results)."""
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        return p
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -82,15 +90,16 @@ class Poly:
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            v = out.get(e, Q(0)) + c
+            v = out.get(e)
+            v = c if v is None else v + c
             if v:
                 out[e] = v
             else:
-                out.pop(e, None)
-        return Poly(self.nvars, out)
+                del out[e]
+        return Poly._wrap(self.nvars, out)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Poly._wrap(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -103,12 +112,13 @@ class Poly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(e, Q(0)) + c1 * c2
+                v = out.get(e)
+                v = c1 * c2 if v is None else v + c1 * c2
                 if v:
                     out[e] = v
                 else:
                     del out[e]
-        return Poly(self.nvars, out)
+        return Poly._wrap(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -116,7 +126,7 @@ class Poly:
         c = Q(c)
         if not c:
             return Poly(self.nvars)
-        return Poly(self.nvars, {e: c * v for e, v in self.terms.items()})
+        return Poly._wrap(self.nvars, {e: c * v for e, v in self.terms.items()})
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -139,12 +149,8 @@ class Poly:
         for e, c in self.terms.items():
             if e[i]:
                 e2 = e[:i] + (e[i] - 1,) + e[i + 1:]
-                v = out.get(e2, Q(0)) + c * e[i]
-                if v:
-                    out[e2] = v
-                else:
-                    del out[e2]
-        return Poly(self.nvars, out)
+                out[e2] = c * e[i]     # distinct e give distinct e2
+        return Poly._wrap(self.nvars, out)
 
     def subs(self, i: int, value: Scalar) -> "Poly":
         """Substitute a rational for variable i (arity is preserved)."""
@@ -152,12 +158,14 @@ class Poly:
         out: dict[Exponents, Q] = {}
         for e, c in self.terms.items():
             e2 = e[:i] + (0,) + e[i + 1:]
-            v = out.get(e2, Q(0)) + c * value ** e[i]
+            t = c * value ** e[i]
+            v = out.get(e2)
+            v = t if v is None else v + t
             if v:
                 out[e2] = v
             else:
                 out.pop(e2, None)
-        return Poly(self.nvars, out)
+        return Poly._wrap(self.nvars, out)
 
     def eval_all(self, values: Iterable[Scalar]) -> Q:
         vals = [Q(v) for v in values]
@@ -177,7 +185,7 @@ class Poly:
             raise ValueError("embedding does not fit")
         pre = (0,) * offset
         post = (0,) * (nvars - offset - self.nvars)
-        return Poly(nvars, {pre + e + post: c for e, c in self.terms.items()})
+        return Poly._wrap(nvars, {pre + e + post: c for e, c in self.terms.items()})
 
     # -- display -----------------------------------------------------------
 

@@ -23,7 +23,8 @@ from time import perf_counter
 from typing import Callable
 
 from . import cache as algcache
-from .diffops import OperatorCalculus, PolyDiffOp, eval_at_identity, op_commutator
+from .diffops import (OperatorCalculus, PolyDiffOp, commutator_at_identity,
+                      eval_at_identity, op_commutator)
 from .liealg import LieAlgebra
 from .linalg import inverse, rank, solve
 from .omega import OmegaSystem, negate
@@ -165,7 +166,7 @@ class Session:
         for xi in self.plus_and_center:
             pi_x = self.calc.pi_basis(xi)
             for k, op in enumerate(self.omega3_ops):
-                out[(xi, k)] = eval_at_identity(op_commutator(pi_x, op))
+                out[(xi, k)] = commutator_at_identity(pi_x, op)
         return out
 
     def pi_special(self, i: int) -> PolyDiffOp:

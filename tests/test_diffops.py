@@ -3,7 +3,10 @@
 import random
 from fractions import Fraction as Q
 
-from confsys.diffops import eval_at_identity, op_commutator
+import pytest
+
+from confsys.diffops import (PolyDiffOp, commutator_at_identity,
+                             eval_at_identity, op_commutator)
 from confsys.linalg import matmul
 from confsys.poly import Poly
 
@@ -129,3 +132,138 @@ def test_subs_param_freezes_s(calc_d4):
     frozen = op.subs_param(calc_d4.s_var, Q(-1))
     refrozen = frozen.subs_param(calc_d4.s_var, Q(17))
     assert frozen == refrozen  # no s left after the first substitution
+
+
+# -- oracles for the flat Weyl-algebra kernel ---------------------------------
+
+
+def _random_poly(rng, nvars, terms=4, degree=4):
+    out = Poly(nvars)
+    for _ in range(terms):
+        e = [0] * nvars
+        for _ in range(rng.randint(0, degree)):
+            e[rng.randrange(nvars)] += 1
+        out = out + Poly(nvars, {tuple(e): Q(rng.randint(-5, 5),
+                                             rng.randint(1, 3))})
+    return out
+
+
+@pytest.fixture(scope="module")
+def cubic_ops_d4(calc_d4, omega_d4):
+    return [calc_d4.r_op(g) for g in omega_d4.omega3_system()]
+
+
+def test_normal_ordering_hand_case(calc_d4):
+    # d_z^2 o z^3 = z^3 d_z^2 + 6 z^2 d_z + 6 z
+    n = calc_d4.ncoords
+    dz = calc_d4.r_gen(calc_d4.alg.x_minus_gamma)
+    z = calc_d4.var(0)
+    got = dz.compose(dz).compose(calc_d4.mult_op(z ** 3))
+    d1 = tuple(1 if i == 0 else 0 for i in range(n))
+    d2 = tuple(2 if i == 0 else 0 for i in range(n))
+    expected = PolyDiffOp.from_coeffs(n, {d2: z ** 3, d1: z * z * 6,
+                                          (0,) * n: z * 6})
+    assert got == expected
+
+
+def test_composition_matches_applying_in_turn(calc_d4, env_d4, cubic_ops_d4):
+    """(A o B) f == A(B f), with apply differentiating f directly."""
+    alg = calc_d4.alg
+    rng = random.Random(17)
+    pis = [calc_d4.pi_basis(i) for i in range(alg.dim)]
+    nbar = [alg.x_minus_gamma] + list(alg.v_minus)
+    monos = [env_d4.normal_order([rng.choice(nbar) for _ in range(k)])
+             for k in (1, 2, 3)]
+    rs = [calc_d4.r_mono(m) for u in monos for m in u]
+    mults = [calc_d4.mult_op(_random_poly(rng, calc_d4.nvars, degree=6))
+             for _ in range(4)]
+    pool = pis + rs + cubic_ops_d4 + mults
+    pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(12)]
+    # higher-order operators after polynomial multipliers reorder k >= 2
+    pairs += [(rng.choice(cubic_ops_d4 + rs), b) for b in mults]
+    for a, b in pairs:
+        f = _random_poly(rng, calc_d4.nvars)
+        assert a.compose(b).apply(f) == a.apply(b.apply(f))
+
+
+def test_flat_form_is_canonical(calc_d4):
+    n = calc_d4.ncoords
+    key = (0,) * (2 * n + 1)
+    assert PolyDiffOp(n, {key: 2}, 4) == PolyDiffOp(n, {key: 1}, 2)
+    assert PolyDiffOp(n, {key: 0}, 5) == calc_d4.zero_op()
+    with pytest.raises(ValueError):
+        PolyDiffOp(n, {key: 1}, -2)
+    op = calc_d4.pi_basis(calc_d4.alg.v_plus[2]).scale(Q(3, 7))
+    assert PolyDiffOp.from_coeffs(n, op.coefficients()) == op
+    assert (op - op).den == 1
+
+
+def test_subs_param_matches_coefficientwise_substitution(calc_d4):
+    n, s = calc_d4.ncoords, calc_d4.s_var
+    for i in (calc_d4.alg.x_gamma, calc_d4.alg.v_plus[1]):
+        op = calc_d4.pi_basis(i)
+        got = op.subs_param(s, Q(-5, 3))
+        expected = PolyDiffOp.from_coeffs(
+            n, {d: c.subs(s, Q(-5, 3)) for d, c in op.coefficients().items()})
+        assert got == expected
+
+
+def test_commutator_at_identity_symbolic_pairs(calc_d4, cubic_ops_d4):
+    alg = calc_d4.alg
+    pairs = 0
+    for x in list(alg.v_plus) + [alg.x_gamma]:
+        pi_x = calc_d4.pi_basis(x)
+        for op in cubic_ops_d4:
+            assert commutator_at_identity(pi_x, op) == \
+                pi_x.commutator(op).at_identity()
+            pairs += 1
+    assert pairs == 72
+
+
+def test_commutator_at_identity_at_special_value(calc_d4, cubic_ops_d4):
+    rng = random.Random(19)
+    for _ in range(12):
+        y = rng.randrange(calc_d4.alg.dim)
+        pi_y = calc_d4.pi_basis(y).subs_param(calc_d4.s_var, Q(-1))
+        op = rng.choice(cubic_ops_d4)
+        assert commutator_at_identity(pi_y, op) == \
+            pi_y.commutator(op).at_identity()
+        assert commutator_at_identity(op, pi_y) == \
+            op.commutator(pi_y).at_identity()
+
+
+def test_compose_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(23)
+    n = 2
+    xs = sympy.symbols("x0 x1")
+    s = sympy.Symbol("s")
+    f = sympy.Function("f")(*xs)
+
+    def random_op():
+        coeffs = {}
+        for _ in range(3):
+            d = (rng.randint(0, 2), rng.randint(0, 2))
+            coeffs[d] = _random_poly(rng, n + 1, terms=2, degree=3)
+        return PolyDiffOp.from_coeffs(n, coeffs)
+
+    def to_sympy(p):
+        return sum(sympy.Rational(c.numerator, c.denominator)
+                   * sympy.prod([v ** k for v, k in zip(xs + (s,), e)])
+                   for e, c in p.terms.items())
+
+    def act(op, g):
+        out = 0
+        for d, c in op.coefficients().items():
+            h = g
+            for v, k in zip(xs, d):
+                if k:
+                    h = sympy.diff(h, v, k)
+            out += to_sympy(c) * h
+        return out
+
+    for _ in range(5):
+        a, b = random_op(), random_op()
+        lhs = act(a.compose(b), f)
+        rhs = act(a, act(b, f))
+        assert sympy.expand(lhs - rhs) == 0

@@ -1,0 +1,45 @@
+"""Golden reports: D4, A3 and D5 verdicts frozen apart from timings.
+
+The frozen view of a report is its graded dimensions, deleted components,
+special-value findings and each check's (name, status, witness), at the
+default seed.  Any change to the engine must leave these identical.
+
+Regenerate (only for a reviewed change of verdicts or witnesses) with
+
+    PYTHONPATH=src python tests/test_golden_reports.py
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from confsys.verify import SuiteConfig, run_suite
+
+GOLDEN = Path(__file__).parent / "data" / "golden_reports.json"
+RUNS = {"D4": True, "A3": False, "D5": False}   # type -> expect_system
+
+
+def golden_view(type_label: str, expect_system: bool) -> dict:
+    report = run_suite(SuiteConfig(type_label=type_label,
+                                   expect_system=expect_system))
+    body = json.loads(report.dumps())
+    return {
+        "graded_dims": body["graded_dims"],
+        "deleted_components": body["deleted_components"],
+        "special_values": body["special_values"],
+        "checks": [[c["name"], c["status"], c["witness"]]
+                   for c in body["checks"]],
+    }
+
+
+@pytest.mark.parametrize("type_label", list(RUNS))
+def test_report_matches_golden(type_label):
+    expected = json.loads(GOLDEN.read_text())[type_label]
+    assert golden_view(type_label, RUNS[type_label]) == expected
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    views = {t: golden_view(t, system) for t, system in RUNS.items()}
+    GOLDEN.write_text(json.dumps(views, indent=1, sort_keys=True) + "\n")

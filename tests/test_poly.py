@@ -139,3 +139,15 @@ def test_gcd_divides_inputs(a, b):
         for r in rational_roots(g):
             assert a.subs(0, r).is_zero()
             assert b.subs(0, r).is_zero()
+
+
+def test_internal_results_hold_normalized_fractions():
+    # results skip the public constructor's re-wrapping: check what they hold
+    a = x(0) * Q(2, 3) + x(1) * x(1) - p_const(Q(1, 2))
+    b = x(0) * Q(-2, 3) + p_const(4)
+    results = [a + b, a - b, -a, a * b, a * 3, a.scale(Q(3, 4)), a.diff(0),
+               a.diff(1), a.subs(1, Q(2, 5)), a.extend(4, 1)]
+    for p in results:
+        assert all(type(c) is Q and c for c in p.terms.values())
+        assert p == Poly(p.nvars, dict(p.terms))
+    assert (a + b).terms.keys() == {(0, 2), (0, 0)}
