@@ -27,7 +27,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default="reports", metavar="DIR",
                         help="directory for JSON reports (default: reports)")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--full-text", action="store_true",
                         help="print the full text report of every run")
     args = parser.parse_args(argv)
@@ -39,8 +38,7 @@ def main(argv: list[str] | None = None) -> int:
     for label, expect_system in RUNS:
         t0 = time.perf_counter()
         report = run_suite(SuiteConfig(label, seed=args.seed,
-                                       expect_system=expect_system,
-                                       jobs=args.jobs))
+                                       expect_system=expect_system))
         dt = time.perf_counter() - t0
         path = out / f"verify-{label}.json"
         path.write_text(report.dumps())

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 import warnings
 from fractions import Fraction as Q
 from pathlib import Path
@@ -59,9 +60,17 @@ def dump(alg: LieAlgebra, path: Path) -> None:
     body = _payload_body(alg)
     body["digest"] = _digest({k: v for k, v in body.items() if k != "digest"})
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(body))
-    tmp.replace(path)
+    # a temp file of our own, so concurrent writers of one entry never share
+    # it; its name does not match algebra-*.json, so loaders and clear()
+    # never see it
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".part")
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(json.dumps(body))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _reconstruct(body: dict) -> LieAlgebra:

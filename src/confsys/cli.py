@@ -44,8 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--cache-dir", metavar="PATH", default=None,
                           help="algebra cache directory (default: "
                                "$CONFSYS_CACHE_DIR or ~/.cache/confsys)")
-    p_verify.add_argument("--jobs", type=int, default=1, metavar="N",
-                          help="run checks in N parallel processes")
     p_verify.set_defaults(func=cmd_verify)
 
     p_cache = sub.add_parser("cache", help="manage the algebra cache")
@@ -107,7 +105,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         type_label=args.type,
         seed=args.seed,
         expect_system=not args.expect_no_omega3,
-        jobs=max(1, args.jobs),
         cache_dir=args.cache_dir,
     )
     report = run_suite(config)

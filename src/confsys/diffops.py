@@ -45,14 +45,6 @@ Key = tuple[int, ...]          # coordinate exponents, s exponent, derivatives
 PointFunctional = dict[Der, Poly]
 
 
-def op_commutator(a: "PolyDiffOp", b: "PolyDiffOp") -> "PolyDiffOp":
-    return a.commutator(b)
-
-
-def eval_at_identity(a: "PolyDiffOp") -> PointFunctional:
-    return a.at_identity()
-
-
 class PolyDiffOp:
     """Differential operator sum_key (terms[key] / den) x^a s^e d^b."""
 

@@ -266,11 +266,6 @@ class LieAlgebra:
                     if any(c for c in acc.values()):
                         raise AssertionError(f"Jacobi fails at triple {i},{j},{k}")
 
-    def format_elem(self, elem: dict[int, object]) -> str:
-        if not elem:
-            return "0"
-        return " + ".join(f"({elem[i]})*{self.names[i]}" for i in sorted(elem))
-
 
 def build_lie_algebra(rs: RootSystem, *, check: bool = True) -> LieAlgebra:
     """Construct the algebra with its bracket table from a root system."""

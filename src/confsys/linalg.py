@@ -8,13 +8,9 @@ Matrix = list[list[Q]]
 Vector = list[Q]
 
 
-def _copy(m: Matrix) -> Matrix:
-    return [list(row) for row in m]
-
-
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot column indices."""
-    a = _copy(m)
+    a = [list(row) for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     pivots: list[int] = []
@@ -89,27 +85,6 @@ def inverse(m: Matrix) -> Matrix | None:
     if pivots != list(range(n)):
         return None
     return [row[n:] for row in red[:n]]
-
-
-def det(m: Matrix) -> Q:
-    a = _copy(m)
-    n = len(a)
-    sign = 1
-    result = Q(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if a[i][c]), None)
-        if pivot is None:
-            return Q(0)
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            sign = -sign
-        result *= a[c][c]
-        inv = Q(1) / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c]:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return result * sign
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:

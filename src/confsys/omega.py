@@ -59,15 +59,6 @@ class OmegaSystem:
             if i not in allowed:
                 raise ValueError(f"basis index {i} is not in the Levi factor")
 
-    def dchi(self, z: dict[int, Q]) -> Q:
-        out = Q(0)
-        for i, c in z.items():
-            v = self.alg.dchi_index(i)
-            if v is None:
-                raise ValueError(f"basis index {i} is outside the parabolic")
-            out += c * v
-        return out
-
     def omega2_basis(self, i: int) -> Elt:
         """Quadratic element for the i-th Lie algebra basis vector (in l)."""
         cached = self._omega2_cache.get(i)
@@ -87,7 +78,7 @@ class OmegaSystem:
 
     def _omega2(self, z: dict[int, Q]) -> Elt:
         env, alg = self.env, self.alg
-        half_dchi = self.dchi(z) / 2
+        half_dchi = alg.dchi(z) / 2
         out: Elt = {}
         for _, mcomp_idx, mb_idx, pair_n in self._legs:
             # twisted action of Z on the complementary V- vector

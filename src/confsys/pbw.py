@@ -166,12 +166,6 @@ class Enveloping:
         """Normal-ordered product X_g * a."""
         return self.mul(self.gen(g), a)
 
-    def lie_lmul(self, x: dict[int, Q], a: Elt) -> Elt:
-        out: Elt = {}
-        for i, c in x.items():
-            out = elt_add(out, elt_scale(self.gen_lmul(i, a), c))
-        return out
-
     # -- misc ----------------------------------------------------------------
 
     def weight(self, m: Mono) -> tuple[Q, ...]:

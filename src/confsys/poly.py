@@ -10,6 +10,7 @@ differential operators are polynomials in the nilpotent-group coordinates plus
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from math import lcm
 from typing import Iterable, Union
 
 Exponents = tuple[int, ...]
@@ -268,9 +269,7 @@ def rational_roots(p: Poly) -> list[Q]:
         mult_of_zero += 1
     roots = set([Q(0)] if mult_of_zero else [])
     if len(coeffs) > 1:
-        denom_lcm = 1
-        for c in coeffs:
-            denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
+        denom_lcm = lcm(*(c.denominator for c in coeffs))
         ints = [int(c * denom_lcm) for c in coeffs]
         a0, an = abs(ints[0]), abs(ints[-1])
         for p_div in _divisors(a0):
@@ -279,12 +278,6 @@ def rational_roots(p: Poly) -> list[Q]:
                     if sum(c * cand ** i for i, c in enumerate(ints)) == 0:
                         roots.add(cand)
     return sorted(roots)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a) if a else 1
 
 
 def _divisors(n: int) -> list[int]:

@@ -14,8 +14,7 @@ A run executes core checks plus the scope selected by ``expect_system``.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
 from pathlib import Path
@@ -23,8 +22,7 @@ from time import perf_counter
 from typing import Callable
 
 from . import cache as algcache
-from .diffops import (OperatorCalculus, PolyDiffOp, commutator_at_identity,
-                      eval_at_identity, op_commutator)
+from .diffops import OperatorCalculus, PolyDiffOp, commutator_at_identity
 from .liealg import LieAlgebra
 from .linalg import inverse, rank, solve
 from .omega import OmegaSystem, negate
@@ -70,7 +68,6 @@ class SuiteConfig:
     type_label: str = "D4"
     seed: int = 0xD4
     expect_system: bool = True
-    jobs: int = 1
     cache_dir: str | None = None
 
 
@@ -181,7 +178,7 @@ class Session:
         """[pi(X_y), R(w3_k)] at the special parameter value, memoized."""
         op = self._cubic_comms.get((y_idx, k))
         if op is None:
-            op = op_commutator(self.pi_special(y_idx), self.omega3_ops[k])
+            op = self.pi_special(y_idx).commutator(self.omega3_ops[k])
             self._cubic_comms[(y_idx, k)] = op
         return op
 
@@ -267,7 +264,7 @@ def _functional_matrix(funcs: list[dict], ders: list) -> list[list[Q]]:
 
 
 def _base_functionals(s: Session) -> tuple[list[dict], list]:
-    funcs = [eval_at_identity(op) for op in s.omega3_ops]
+    funcs = [op.at_identity() for op in s.omega3_ops]
     ders = sorted({d for f in funcs for d in f})
     return funcs, ders
 
@@ -305,37 +302,45 @@ def _identity_matrix(n: int, c: Q) -> list[list[Q]]:
     return [[c if i == j else Q(0) for j in range(n)] for i in range(n)]
 
 
-def _mat_eq(a: list[list[Q]], b: list[list[Q]]) -> bool:
-    return a == b
+def _structure_mismatches(s: Session, y: int, ops: list[PolyDiffOp],
+                          comms: list[PolyDiffOp],
+                          mats: dict[int, list[list[Q]]],
+                          shift: Q = Q(0)) -> list[int]:
+    """Columns i at which comms[i] = [pi_s(Y), D_i] differs from
 
+        sum_r C_ri D_r,  C = sum_g AdInv(Y)_g mats[g] + shift dchi(AdInv(Y)_q),
 
-def _operator_bridge_mismatch(s: Session, gens: list[Elt],
-                              ops: list[PolyDiffOp], s0: Q,
-                              y: int, action: dict[int, list[list[Q]]],
-                              comms: list[PolyDiffOp] | None = None) -> int:
-    """Count failures of the induced-picture commutator formula
-
-        [pi_s(Y), D_i] = sum_r a_{ri}(AdInv(Y)_q) D_r - s dchi(AdInv(Y)_q) D_i
-
-    where a(.) is the parabolic action matrix on the spanning set, extended
-    linearly over coefficient functions, and AdInv is the adjoint series of
-    the opposite-radical exponential coordinates."""
+    the matrix-valued structure function: constant matrices extended
+    linearly over the coefficient functions of the inverse adjoint series
+    AdInv(Y) = Ad(nbar^{-1}) Y (only basis vectors with a matrix contribute),
+    with the character term on the diagonal.  The b matrices without a shift
+    give the structure identity; the parabolic action matrices with shift -s
+    give the induced-picture commutator formula."""
     calc, alg = s.calc, s.alg
+    m = len(ops)
     adinv = calc.ad_exp_inverse({y: Q(1)})
-    qpart = {i: c for i, c in adinv.items() if alg.grade[i] >= 0}
-    dch = calc.dchi_ext(qpart)
-    pi_y = calc.pi_basis(y).subs_param(calc.s_var, s0)
-    bad = 0
-    for i, op in enumerate(ops):
-        lhs = comms[i] if comms is not None else op_commutator(pi_y, op)
-        rhs = op.scale(dch * (-s0))
-        for g, cg in qpart.items():
-            a = action[g]
-            for r in range(len(ops)):
-                if a[r][i]:
-                    rhs = rhs + ops[r].scale(cg * a[r][i])
-        if lhs != rhs:
-            bad += 1
+    c = [[Poly.constant(calc.nvars, 0) for _ in range(m)] for _ in range(m)]
+    for g, cg in adinv.items():
+        mat = mats.get(g)
+        if mat is None:
+            continue
+        for r in range(m):
+            for i in range(m):
+                if mat[r][i]:
+                    c[r][i] = c[r][i] + cg * mat[r][i]
+    if shift:
+        dch = calc.dchi_ext({g: cg for g, cg in adinv.items()
+                             if alg.grade[g] >= 0}) * shift
+        for i in range(m):
+            c[i][i] = c[i][i] + dch
+    bad = []
+    for i in range(m):
+        rhs = calc.zero_op()
+        for r in range(m):
+            if not c[r][i].is_zero():
+                rhs = rhs + ops[r].scale(c[r][i])
+        if comms[i] != rhs:
+            bad.append(i)
     return bad
 
 
@@ -620,7 +625,7 @@ def _chk_quadratic_equivariance(s: Session) -> dict:
     alg, om, vm = s.alg, s.omega, s.verma
     pairs = 0
     for z in alg.l_indices:
-        dz = om.dchi({z: Q(1)})
+        dz = alg.dchi({z: Q(1)})
         for w in alg.l_indices:
             w2 = om.omega2_basis(w)
             lhs = elt_subs(vm.act({z: Q(1)}, w2), Q(0))
@@ -724,7 +729,7 @@ def _chk_quad_equiv_special(s: Session) -> dict:
     alg, om, vm = s.alg, s.omega, s.verma
     pairs = 0
     for z in alg.l_indices:
-        dz = om.dchi({z: Q(1)})
+        dz = alg.dchi({z: Q(1)})
         for w in alg.l_indices:
             w2 = om.omega2_basis(w)
             lhs = om.omega2(alg.bracket_elem({z: Q(1)}, {w: Q(1)}))
@@ -773,7 +778,7 @@ def _chk_cubic_equiv(s: Session) -> dict:
     alg, om, vm = s.alg, s.omega, s.verma
     pairs = 0
     for z in alg.l_indices:
-        dz = om.dchi({z: Q(1)})
+        dz = alg.dchi({z: Q(1)})
         for k, y in enumerate(alg.v_minus):
             w3 = s.omega3_gens[k]
             br = {i: c for i, c in alg.bracket(z, y)}
@@ -826,7 +831,7 @@ def _chk_pi_first_order(s: Session) -> dict:
         op = calc.pi_basis(i)
         _ensure(op.order() <= 1, index=alg.names[i], order=op.order())
     for u in alg.n_indices:
-        func = eval_at_identity(calc.pi_basis(u))
+        func = calc.pi_basis(u).at_identity()
         _ensure(all(p.is_zero() for p in func.values()), nil=alg.names[u])
     return {"operators": alg.dim, "nil_vanishing": len(alg.n_indices)}
 
@@ -841,7 +846,7 @@ def _chk_pi_hom(s: Session) -> dict:
     for i in range(alg.dim):
         pi_i = calc.pi_basis(i)
         for j in range(i + 1, alg.dim):
-            lhs = op_commutator(pi_i, calc.pi_basis(j))
+            lhs = pi_i.commutator(calc.pi_basis(j))
             rhs = calc.zero_op()
             for k, c in alg.bracket(i, j):
                 rhs = rhs + calc.pi_basis(k).scale(c)
@@ -863,7 +868,7 @@ def _chk_nbar_commutant(s: Session) -> dict:
         pi_x = calc.pi_basis(xb)
         for m in monos:
             r_u = calc.r_mono(m)
-            _ensure(not op_commutator(pi_x, r_u),
+            _ensure(not pi_x.commutator(r_u),
                     vector=alg.names[xb], monomial=env.format({m: spoly(1)}))
             count += 1
     return {"commutators": count, "monomials": len(monos)}
@@ -907,7 +912,7 @@ def _chk_first_order_formula(s: Session) -> dict:
         pi_x = s.pi_special(x)
         adinv = calc.ad_exp_inverse({x: Q(1)})
         for yb in nbar:
-            lhs = op_commutator(pi_x, calc.r_gen(yb))
+            lhs = pi_x.commutator(calc.r_gen(yb))
             t = alg.bracket_elem(adinv, {yb: Poly.constant(calc.nvars, 1)})
             q_part = {i: c for i, c in t.items() if alg.grade[i] >= 0}
             if yb == alg.x_minus_gamma:
@@ -939,7 +944,7 @@ def _chk_quadratic_formula(s: Session) -> dict:
         for w in alg.l_indices:
             w2 = om.omega2_basis(w)
             r_w2 = calc.r_op(w2)
-            lhs = op_commutator(pi_x, r_w2)
+            lhs = pi_x.commutator(r_w2)
             t = alg.bracket_elem(adinv, {w: one})
             rhs = calc.zero_op() - r_w2.scale(dch)
             for z, cz in t.items():
@@ -1033,21 +1038,21 @@ def _chk_b_matrix(s: Session) -> dict:
     bmats = s.b_matrices
     zero = _identity_matrix(m, Q(0))
     for xb in [alg.x_minus_gamma] + list(alg.v_minus):
-        _ensure(_mat_eq(bmats[xb], zero), vector=alg.names[xb],
+        _ensure(bmats[xb] == zero, vector=alg.names[xb],
                 reason="opposite radical must act by zero")
     for u in alg.n_indices:
-        _ensure(_mat_eq(bmats[u], zero), vector=alg.names[u],
+        _ensure(bmats[u] == zero, vector=alg.names[u],
                 reason="nilradical must act by zero")
     b_h = [[sum(c * bmats[i][r][k] for i, c in alg.h_gamma.items())
             for k in range(m)] for r in range(m)]
-    _ensure(_mat_eq(b_h, _identity_matrix(m, Q(-3))),
+    _ensure(b_h == _identity_matrix(m, Q(-3)),
             reason="grading coroot must act by -3")
     action = s.action_matrices_special
     for g in alg.q_indices:
         dg = alg.dchi({g: Q(1)}, on_q=True)
         expected = [[action[g][r][k] - (sstar * dg if r == k else Q(0))
                      for k in range(m)] for r in range(m)]
-        _ensure(_mat_eq(bmats[g], expected), vector=alg.names[g],
+        _ensure(bmats[g] == expected, vector=alg.names[g],
                 reason="parabolic entry mismatch against module action")
     return {"basis_vectors": alg.dim, "size": m,
             "coroot_scalar": "-3", "at": qstr(sstar)}
@@ -1061,29 +1066,14 @@ def _chk_b_matrix(s: Session) -> dict:
        "the inverse adjoint transport")
 def _chk_structure_operator(s: Session) -> dict:
     sstar = s.require_sstar()
-    alg, calc = s.alg, s.calc
+    alg = s.alg
     m = len(s.omega3_ops)
     bmats = s.b_matrices
-    count = 0
     for y in range(alg.dim):
-        adinv = calc.ad_exp_inverse({y: Q(1)})
-        c_entries = [[Poly.constant(calc.nvars, 0) for _ in range(m)]
-                     for _ in range(m)]
-        for g, cg in adinv.items():
-            bg = bmats[g]
-            for r in range(m):
-                for i in range(m):
-                    if bg[r][i]:
-                        c_entries[r][i] = c_entries[r][i] + cg * bg[r][i]
-        for i in range(m):
-            lhs = s.cubic_commutator(y, i)
-            rhs = calc.zero_op()
-            for r in range(m):
-                if not c_entries[r][i].is_zero():
-                    rhs = rhs + s.omega3_ops[r].scale(c_entries[r][i])
-            _ensure(lhs == rhs, vector=alg.names[y], column=i)
-            count += 1
-    return {"identities": count, "at": qstr(sstar)}
+        comms = [s.cubic_commutator(y, i) for i in range(m)]
+        bad = _structure_mismatches(s, y, s.omega3_ops, comms, bmats)
+        _ensure(not bad, vector=alg.names[y], column=bad[0] if bad else None)
+    return {"identities": alg.dim * m, "at": qstr(sstar)}
 
 
 @check("induced_bridge_small", "system",
@@ -1102,7 +1092,9 @@ def _chk_bridge_small(s: Session) -> dict:
         action = {g: vm.module_action_matrix(gens, {g: Q(1)}, s0)
                   for g in alg.q_indices}
         for y in range(alg.dim):
-            bad = _operator_bridge_mismatch(s, gens, ops, s0, y, action)
+            pi_y = calc.pi_basis(y).subs_param(calc.s_var, s0)
+            comms = [pi_y.commutator(op) for op in ops]
+            bad = len(_structure_mismatches(s, y, ops, comms, action, -s0))
             _ensure(bad == 0, vector=alg.names[y], s=qstr(s0), mismatches=bad)
             total += len(ops)
     return {"identities": total, "parameter_values": [qstr(v) for v in svalues]}
@@ -1120,8 +1112,8 @@ def _chk_bridge_cubic(s: Session) -> dict:
     total = 0
     for y in range(alg.dim):
         comms = [s.cubic_commutator(y, i) for i in range(m)]
-        bad = _operator_bridge_mismatch(s, s.omega3_gens, s.omega3_ops,
-                                        sstar, y, action, comms)
+        bad = len(_structure_mismatches(s, y, s.omega3_ops, comms, action,
+                                        -sstar))
         _ensure(bad == 0, vector=alg.names[y], mismatches=bad)
         total += m
     return {"identities": total, "at": qstr(sstar)}
@@ -1190,6 +1182,18 @@ def _chk_reducibility(s: Session) -> dict:
 # --------------------------------------------------------------- control scope
 
 
+def _failure_mode(s: Session) -> str | None:
+    """Why the cubic span carries no special value; None if it carries one."""
+    res = s.stability
+    if res.values or res.all_s:
+        return None
+    if not all(s.omega3_gens):
+        return "omega3_degenerate"
+    if not res.levi_stable_all_s:
+        return "span_not_l_stable"
+    return "empty_special_values"
+
+
 @check("contraction_not_uniform", "control",
        "No single constant makes the contracted double-bracket sum "
        "proportional to the quadratic element of the single bracket across "
@@ -1214,13 +1218,8 @@ def _chk_no_special_value(s: Session) -> dict:
     _ensure(len(res.values) == 0, values=[qstr(v) for v in res.values])
     degenerate = [s.alg.names[y] for k, y in enumerate(s.alg.v_minus)
                   if not s.omega3_gens[k]]
-    if degenerate:
-        mode = "omega3_degenerate"
-    elif not res.levi_stable_all_s:
-        mode = "span_not_l_stable"
-    else:
-        mode = "empty_special_values"
-    return {"failure_mode": mode, "constraints": res.constraint_count,
+    return {"failure_mode": _failure_mode(s),
+            "constraints": res.constraint_count,
             "degenerate_elements": degenerate,
             "levi_stable_all_s": res.levi_stable_all_s}
 
@@ -1250,38 +1249,14 @@ def run_single(session: Session, name: str) -> CheckResult:
                        round(perf_counter() - t0, 4))
 
 
-_WORKER_SESSION: Session | None = None
-
-
-def _worker_init(type_label: str, seed: int, expect_system: bool,
-                 cache_dir: str | None) -> None:
-    global _WORKER_SESSION
-    _WORKER_SESSION = Session(SuiteConfig(type_label, seed, expect_system,
-                                          1, cache_dir))
-
-
-def _worker_run(name: str) -> dict:
-    assert _WORKER_SESSION is not None
-    return run_single(_WORKER_SESSION, name).to_json()
-
-
 def _special_value_findings(session: Session) -> SpecialValueFindings:
     res = session.stability
-    mode = None
-    if not res.values and not res.all_s:
-        degenerate = any(not g for g in session.omega3_gens)
-        if degenerate:
-            mode = "omega3_degenerate"
-        elif not res.levi_stable_all_s:
-            mode = "span_not_l_stable"
-        else:
-            mode = "empty_special_values"
-    unique = session.sstar if len(res.values) == 1 else None
+    unique = session.sstar
     return SpecialValueFindings(
         values=[qstr(v) for v in res.values],
         all_s=res.all_s,
         levi_stable_all_s=res.levi_stable_all_s,
-        failure_mode=mode,
+        failure_mode=_failure_mode(session),
         module_parameter=qstr(unique) if unique is not None else None,
         bundle_parameter=qstr(-unique) if unique is not None else None,
     )
@@ -1289,19 +1264,8 @@ def _special_value_findings(session: Session) -> SpecialValueFindings:
 
 def run_suite(config: SuiteConfig) -> VerificationReport:
     session = Session(config)
-    names = available_checks(config.expect_system)
-    if config.jobs > 1:
-        # contiguous chunks keep checks that share expensive session caches
-        # (symbolic functionals, commutator tables) on the same worker
-        chunk = max(1, -(-len(names) // config.jobs))
-        with ProcessPoolExecutor(
-                max_workers=config.jobs, initializer=_worker_init,
-                initargs=(config.type_label, config.seed,
-                          config.expect_system, config.cache_dir)) as pool:
-            results = [CheckResult.from_json(d)
-                       for d in pool.map(_worker_run, names, chunksize=chunk)]
-    else:
-        results = [run_single(session, name) for name in names]
+    results = [run_single(session, name)
+               for name in available_checks(config.expect_system)]
     alg = session.alg
     return VerificationReport(
         schema_version=SCHEMA_VERSION,

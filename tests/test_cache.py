@@ -1,6 +1,10 @@
 """On-disk algebra cache: determinism, integrity guard, CLI-facing helpers."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -72,3 +76,56 @@ def test_env_var_selects_cache_dir(tmp_path, monkeypatch):
     assert cache.default_cache_dir() == tmp_path / "envdir"
     path = cache.build(A3)
     assert path.parent == tmp_path / "envdir"
+
+
+def test_interleaved_dumps_of_one_entry_do_not_collide(tmp_path, monkeypatch):
+    alg = cache.load_or_build(A3, tmp_path / "source", check=False)
+    path = cache.cache_path(A3, tmp_path / "shared")
+    real_replace = os.replace
+    interleaved = []
+
+    def replace(src, dst):
+        # a second writer of the same entry runs between this writer's
+        # write and its rename
+        if not interleaved:
+            interleaved.append(src)
+            cache.dump(alg, path)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    cache.dump(alg, path)
+    assert interleaved
+    assert cache.load(path).names == alg.names
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+
+_DUMP_LOOP = """
+import sys
+from pathlib import Path
+from confsys import cache
+from confsys.roots import RootSystemSpec
+spec = RootSystemSpec.parse("A3")
+alg = cache.load(Path(sys.argv[1]))
+path = cache.cache_path(spec, Path(sys.argv[2]))
+for _ in range(200):
+    cache.dump(alg, path)
+"""
+
+
+def test_two_processes_dumping_one_entry(tmp_path):
+    source = cache.build(A3, tmp_path / "source")
+    shared = tmp_path / "shared"
+    src = str(Path(cache.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    procs = [subprocess.Popen([sys.executable, "-c", _DUMP_LOOP, str(source),
+                               str(shared)], env=env, stderr=subprocess.PIPE,
+                              text=True)
+             for _ in range(2)]
+    try:
+        errors = [p.communicate(timeout=120)[1] for p in procs]
+    finally:
+        for p in procs:
+            p.kill()
+    assert [p.returncode for p in procs] == [0, 0], errors
+    assert [p.name for p in shared.iterdir()] == [source.name]
+    assert cache.load(shared / source.name).names == cache.load(source).names

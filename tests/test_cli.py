@@ -71,6 +71,14 @@ def test_unknown_type_is_a_usage_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_jobs_flag_is_a_usage_error(tmp_path, capsys):
+    # checks always run serially in one process; there is no --jobs
+    with pytest.raises(SystemExit) as exc:
+        _verify_a3(tmp_path, "--jobs", "2")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+
 def test_cache_build_and_clear(tmp_path, capsys):
     cdir = str(tmp_path / "cache")
     assert main(["cache", "build", "--type", "A3", "--cache-dir", cdir]) == 0

@@ -56,7 +56,7 @@ def test_quadratic_equivariance_holds_exactly_at_special(omega_d4, alg_d4,
                                                          verma_d4):
     om, vm, alg = omega_d4, verma_d4, alg_d4
     for z in alg.l_indices:
-        dz = om.dchi({z: Q(1)})
+        dz = alg.dchi({z: Q(1)})
         for w in alg.l_indices:
             w2 = om.omega2_basis(w)
             lhs = om.omega2(alg.bracket_elem({z: Q(1)}, {w: Q(1)}))
@@ -74,7 +74,7 @@ def test_quadratic_equivariance_fails_off_special(omega_d4, alg_d4, verma_d4):
     w2 = omega_d4.omega2_basis(w)
     assert not alg.bracket_elem(z, {w: Q(1)})
     rhs = elt_add(elt_subs(verma_d4.act(z, w2), Q(0)),
-                  elt_scale(w2, 2 * omega_d4.dchi(z)))
+                  elt_scale(w2, 2 * alg.dchi(z)))
     assert rhs != {}
 
 
@@ -150,7 +150,7 @@ def test_cubic_weight_at_special(omega_d4, alg_d4, verma_d4):
 def test_cubic_equivariance_at_special(omega_d4, alg_d4, verma_d4):
     om, vm, alg = omega_d4, verma_d4, alg_d4
     for z in alg.l_indices:
-        dz = om.dchi({z: Q(1)})
+        dz = alg.dchi({z: Q(1)})
         for y in alg.v_minus:
             w3 = om.omega3_basis(y)
             br = dict(alg.bracket(z, y))
