@@ -8,7 +8,6 @@ Writes one JSON report per type into the output directory (default:
 from __future__ import annotations
 
 import argparse
-import sys
 import time
 from pathlib import Path
 

@@ -53,31 +53,6 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
     return x
 
 
-def left_nullspace(m: Matrix) -> list[Vector]:
-    """Basis of {u : u^T m = 0} for an n x k matrix, vectors of length n."""
-    n = len(m)
-    if n == 0:
-        return []
-    transposed = [[m[i][j] for i in range(n)] for j in range(len(m[0]))]
-    return nullspace(transposed)
-
-
-def nullspace(m: Matrix) -> list[Vector]:
-    """Basis of the right kernel {x : m @ x = 0}."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    red, pivots = rref(m)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Q(0)] * cols
-        v[f] = Q(1)
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][f]
-        basis.append(v)
-    return basis
-
-
 def inverse(m: Matrix) -> Matrix | None:
     n = len(m)
     aug = [list(m[i]) + [Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]

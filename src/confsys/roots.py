@@ -8,6 +8,7 @@ roots equals the Cartan matrix, so all pairings are exact integers.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,7 +35,7 @@ class RootSystemSpec:
     @classmethod
     def parse(cls, label: str) -> "RootSystemSpec":
         label = label.strip()
-        if len(label) < 2:
+        if not re.fullmatch(r".[1-9][0-9]*", label):
             raise ValueError(f"cannot parse algebra label {label!r}")
         return cls(label[0].upper(), int(label[1:]))
 

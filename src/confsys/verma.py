@@ -100,54 +100,24 @@ class VermaModule:
 
     # -- exact stability analysis ---------------------------------------------
 
-    def _span_matrix(self, gens: list[Elt]) -> tuple[list[Mono], list[list[Q]]]:
-        """Rational span matrix (rows = monomials, cols = generators)."""
-        rows: list[Mono] = sorted({m for g in gens for m in g},
-                                  key=lambda t: (mono_degree(t), t))
-        index = {m: k for k, m in enumerate(rows)}
-        mat = [[Q(0)] * len(gens) for _ in rows]
-        for j, g in enumerate(gens):
-            for m, c in g.items():
-                if not c.is_constant():
-                    raise NotImplementedError("span generators must not depend on s")
-                mat[index[m]][j] = c.constant_value()
-        return rows, mat
-
     def stability_constraints(self, gens: list[Elt]) -> tuple[list[Poly], list[Poly]]:
         """Polynomial conditions in s for q-stability of the span of gens.
 
         Returns (levi_constraints, nilradical_constraints): the span is stable
         under a basis element x at s = s0 iff every constraint from x vanishes
-        at s0.  Constraints are inner products of the acted generators with a
-        basis of the orthogonal complement of the span, plus any coefficient
-        landing outside the span's monomial support.
+        at s0.  The constraints from x are the coefficients each acted
+        generator leaves outside the span (see _Span.reduce).
         """
         for g in gens:
             if not g:
                 raise ValueError("zero generator in candidate span")
-        rows, mat = self._span_matrix(gens)
-        index = {m: k for k, m in enumerate(rows)}
-        complement = linalg.left_nullspace(mat)
+        span = _Span(gens)
         levi: list[Poly] = []
         nil: list[Poly] = []
         for part, out in ((self.alg.l_indices, levi), (self.alg.n_indices, nil)):
             for x in part:
                 for g in gens:
-                    w = self.act_basis(x, g)
-                    inside: dict[int, Poly] = {}
-                    for m, c in w.items():
-                        k = index.get(m)
-                        if k is None:
-                            out.append(c)  # support outside the span: must vanish
-                        else:
-                            inside[k] = c
-                    for u in complement:
-                        dot = Poly(1)
-                        for k, c in inside.items():
-                            if u[k]:
-                                dot = dot + c * u[k]
-                        if not dot.is_zero():
-                            out.append(dot)
+                    out.extend(span.reduce(self.act_basis(x, g))[1])
         return levi, nil
 
     def singular_values(self, gens: list[Elt]) -> StabilityResult:
@@ -167,44 +137,67 @@ class VermaModule:
     def module_action_matrix(self, gens: list[Elt], x: dict[int, Q], s0: Q) -> list[list[Q]]:
         """Matrix a with act(x, gens[i]) = sum_j a[j][i] gens[j] at s = s0.
 
-        Raises ValueError with a residual witness when the span is not
-        stable under x at s0.
+        Raises ValueError when the span is not stable under x at s0.
         """
-        rows, mat = self._span_matrix(gens)
-        index = {m: k for k, m in enumerate(rows)}
-        cols: list[list[Q]] = []
+        span = _Span(gens)
+        cols = []
         for i, g in enumerate(gens):
-            w = self.act(x, g)
-            vec = [Q(0)] * len(rows)
-            bad: Elt = {}
-            for m, c in w.items():
-                val = c.subs(0, s0).constant_value()
-                k = index.get(m)
-                if k is None:
-                    if val:
-                        bad[m] = Poly.constant(1, val)
-                else:
-                    vec[k] = val
-            if bad:
-                raise ValueError(
-                    f"span is not stable: generator {i} leaves support; "
-                    f"residual {self.env.format(bad)}")
-            sol = linalg.solve(mat, vec)
-            if sol is None:
-                raise ValueError(f"span is not stable under x={x} at s={s0} "
-                                 f"(generator {i} has residual outside the span)")
-            cols.append(sol)
-        return [[cols[i][j] for i in range(len(gens))] for j in range(len(gens))]
+            w = {m: c.subs(0, s0).constant_value() for m, c in self.act(x, g).items()}
+            coords, left = span.reduce(w)
+            if left:
+                raise ValueError(f"span is not stable under x={x} at s={s0} (generator {i})")
+            cols.append(coords)
+        return [[cols[i].get(j, Q(0)) for i in range(len(gens))] for j in range(len(gens))]
 
-    def generic_rank(self, gens: list[Elt], samples: tuple[Q, ...] = (Q(7, 3), Q(-5, 2))) -> int:
-        """Rank of the span at generic s, via random rational substitutions."""
-        ranks = []
-        for s0 in samples:
-            rows = sorted({m for g in gens for m in g})
-            index = {m: k for k, m in enumerate(rows)}
-            mat = [[Q(0)] * len(gens) for _ in rows]
-            for j, g in enumerate(gens):
-                for m, c in g.items():
-                    mat[index[m]][j] = c.subs(0, s0).constant_value()
-            ranks.append(linalg.rank(mat))
-        return max(ranks)
+    def generic_rank(self, gens: list[Elt]) -> int:
+        """Rank of the span of s-free generators."""
+        return _Span(gens).rank
+
+
+class _Span:
+    """Row-reduced span of s-free module elements.
+
+    The generators are the rows of one matrix over their monomials, each
+    augmented with a unit vector, so that every echelon row of its rref also
+    records its combination of the generators.
+    """
+
+    def __init__(self, gens: list[Elt]):
+        mons = sorted({m for g in gens for m in g}, key=lambda t: (mono_degree(t), t))
+        self.col = {m: k for k, m in enumerate(mons)}
+        n, k = len(mons), len(gens)
+        mat = [[Q(0)] * n + [Q(int(i == j)) for i in range(k)] for j in range(k)]
+        for j, g in enumerate(gens):
+            for m, c in g.items():
+                if not c.is_constant():
+                    raise NotImplementedError("span generators must not depend on s")
+                mat[j][self.col[m]] = c.constant_value()
+        red, pivots = linalg.rref(mat)
+        self.rank = sum(p < n for p in pivots)
+        # per echelon row: pivot monomial, entries on non-pivot monomials, combination
+        self.rows = [(p, [(f, a) for f, a in enumerate(red[r][:n]) if a and f != p],
+                      [(j, a) for j, a in enumerate(red[r][n:]) if a])
+                     for r, p in enumerate(pivots[:self.rank])]
+
+    def reduce(self, w: dict) -> tuple[dict, list]:
+        """(coordinates of w in the generators, coefficients left outside the span).
+
+        Coefficients may be Polys or rationals.  The leftover lists the nonzero
+        entries of w off the span's monomials, in w's order, then those of
+        w - sum_r w[pivot r] * (row r) on the non-pivot monomials, in order.
+        """
+        leftover = [c for m, c in w.items() if m not in self.col and c]
+        rest = {self.col[m]: c for m, c in w.items() if m in self.col}
+        coords: dict = {}
+        for p, tail, combo in self.rows:
+            c = rest.pop(p, None)
+            if not c:
+                continue
+            for f, a in tail:
+                v = rest.get(f)
+                rest[f] = -(c * a) if v is None else v - c * a
+            for j, a in combo:
+                v = coords.get(j)
+                coords[j] = c * a if v is None else v + c * a
+        leftover.extend(c for _, c in sorted(rest.items()) if c)
+        return coords, leftover

@@ -19,7 +19,7 @@ from confsys.linalg import inverse, rank
 from confsys.omega import negate
 from confsys.pbw import (elt_add, elt_equal, elt_scale, elt_sub,
                          monomials_up_to)
-from confsys.poly import Poly, poly_gcd, rational_roots
+from confsys.poly import Poly
 from confsys.verify import Session, SuiteConfig, elt_subs, weighted_degree
 
 SPECIAL = Q(-1)

@@ -71,6 +71,13 @@ def test_unknown_type_is_a_usage_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_signed_rank_is_a_usage_error(tmp_path, capsys):
+    code = main(["verify", "--type", "D+4",
+                 "--cache-dir", str(tmp_path / "cache")])
+    assert code == 2
+    assert "cannot parse algebra label 'D+4'" in capsys.readouterr().err
+
+
 def test_jobs_flag_is_a_usage_error(tmp_path, capsys):
     # checks always run serially in one process; there is no --jobs
     with pytest.raises(SystemExit) as exc:

@@ -5,8 +5,8 @@ from fractions import Fraction as Q
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confsys.pbw import (Enveloping, elt_add, elt_degree, elt_scale, elt_sub,
-                         mono_degree, mono_word, monomials_up_to, spoly)
+from confsys.pbw import (elt_add, elt_degree, elt_scale, elt_sub, mono_degree,
+                         mono_word, monomials_up_to, spoly)
 
 
 def test_monomial_count_degree_three(alg_d4):

@@ -5,7 +5,6 @@ the sum-zero hyperplane of R^{r+1}, type D as +-e_i +- e_j in R^r), converts
 simple-root coordinates to Euclidean ones, and compares the full root sets.
 """
 
-from fractions import Fraction as Q
 from itertools import combinations
 
 import pytest
@@ -120,6 +119,10 @@ def test_spec_parse_and_validation():
         RootSystemSpec.parse("D2")
     with pytest.raises(ValueError):
         RootSystemSpec.parse("E9")
+    # the rank is plain ASCII digits: no sign, inner space or other numerals
+    for label in ("D+4", "A 3", "D\u0664"):
+        with pytest.raises(ValueError):
+            RootSystemSpec.parse(label)
 
 
 def test_root_system_json_round_trip():

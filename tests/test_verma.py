@@ -4,7 +4,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from confsys.pbw import S, elt_scale, elt_sub, spoly
+from confsys.linalg import rref
+from confsys.omega import OmegaSystem
+from confsys.pbw import Enveloping, S, elt_add, elt_scale, elt_sub, mono_degree
 from confsys.poly import Poly
 from confsys.verma import VermaModule
 
@@ -104,6 +106,81 @@ def test_module_action_matrix_rejects_unstable(verma_d4):
         verma_d4.module_action_matrix(gens, {x: Q(1)}, Q(-1))
 
 
+def test_module_action_matrix_rejects_residual_inside_support(verma_d4):
+    env = verma_d4.env
+    alg = env.alg
+
+    def weight(h, i):
+        return dict(alg.bracket(h, i))[i]
+
+    # X_a + X_b is an eigenvector of no Cartan vector H that weighs a and b
+    # differently: H maps it onto the same two monomials, outside its span
+    a = alg.v_minus[0]
+    h, b = next((h, b) for h in alg.cartan_index for b in alg.v_minus
+                if weight(h, a) != weight(h, b))
+    gens = [elt_add(env.gen(a), env.gen(b))]
+    assert set(verma_d4.act({h: Q(1)}, gens[0])) == set(gens[0])
+    with pytest.raises(ValueError):
+        verma_d4.module_action_matrix(gens, {h: Q(1)}, Q(-1))
+
+
+def _complement_constraints(vm, gens):
+    """The stability constraints by the dense complement: a reference.
+
+    Each acted generator contributes its coefficients off the span's
+    monomials, then its nonzero inner products with a basis of the span's
+    left nullspace, taken from the rref of the span matrix.
+    """
+    mons = sorted({m for g in gens for m in g}, key=lambda t: (mono_degree(t), t))
+    index = {m: k for k, m in enumerate(mons)}
+    red, pivots = rref([[g[m].constant_value() if m in g else Q(0) for m in mons]
+                        for g in gens])
+    complement = []
+    for f in range(len(mons)):
+        if f not in pivots:
+            u = [Q(0)] * len(mons)
+            u[f] = Q(1)
+            for r, p in enumerate(pivots):
+                u[p] = -red[r][f]
+            complement.append(u)
+    levi, nil = [], []
+    for part, out in ((vm.alg.l_indices, levi), (vm.alg.n_indices, nil)):
+        for x in part:
+            for g in gens:
+                w = vm.act_basis(x, g)
+                out += [c for m, c in w.items() if m not in index]
+                for u in complement:
+                    dot = Poly(1)
+                    for m, c in w.items():
+                        if m in index and u[index[m]]:
+                            dot = dot + c * u[index[m]]
+                    if dot:
+                        out.append(dot)
+    return levi, nil
+
+
+@pytest.mark.parametrize("label,count", [("a3", 28), ("d4", 128), ("d5", 300)])
+def test_stability_constraints_match_complement_reference(request, label, count):
+    env = Enveloping(request.getfixturevalue(f"alg_{label}"))
+    vm = VermaModule(env)
+    gens = OmegaSystem(env).omega3_system()
+    levi, nil = vm.stability_constraints(gens)
+    assert (levi, nil) == _complement_constraints(vm, gens)
+    assert len(levi) + len(nil) == count
+
+
+def test_stability_constraints_match_complement_reference_inside_support(verma_d4):
+    # the cubic spans above leave coefficients only off their monomials; sums
+    # of grade -1 vectors keep the Levi action on their monomials, where it
+    # leaves several non-pivot coefficients per acted generator
+    env = verma_d4.env
+    v = env.alg.v_minus
+    gens = [elt_add(elt_add(env.gen(v[0]), elt_scale(env.gen(v[1]), Q(2))),
+                    elt_scale(env.gen(v[2]), Q(5))),
+            elt_add(env.gen(v[3]), elt_scale(env.gen(v[4]), Q(3)))]
+    assert verma_d4.stability_constraints(gens) == _complement_constraints(verma_d4, gens)
+
+
 def test_parameter_dependent_generators_rejected(verma_d4):
     gens = [elt_scale(verma_d4.env.gen(1), S)]
     with pytest.raises(NotImplementedError):
@@ -113,6 +190,12 @@ def test_parameter_dependent_generators_rejected(verma_d4):
 def test_generic_rank(verma_d4, omega_d4):
     gens = omega_d4.omega3_system()
     assert verma_d4.generic_rank(gens) == len(gens)
+
+
+def test_generic_rank_of_dependent_generators(verma_d4):
+    env = verma_d4.env
+    g1, g2 = (env.gen(i) for i in env.alg.v_minus[:2])
+    assert verma_d4.generic_rank([g1, g2, elt_add(g1, g2)]) == 2
 
 
 def test_control_solvers_empty():
