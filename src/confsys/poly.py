@@ -257,6 +257,18 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return Poly(1, {(i,): c for i, c in enumerate(pa)})
 
 
+def poly_gcd_all(polys: Iterable[Poly]) -> Poly:
+    """Monic gcd of univariate polynomials over Q; zero for none.
+
+    Folds poly_gcd in order and stops once the gcd is constant."""
+    g = Poly.constant(1, 0)
+    for p in polys:
+        g = poly_gcd(g, p)
+        if g.degree() == 0:
+            break
+    return g
+
+
 def rational_roots(p: Poly) -> list[Q]:
     """All rational roots of a nonzero univariate polynomial, sorted."""
     coeffs = univariate_coeffs(p)

@@ -24,41 +24,29 @@ from typing import Callable
 from . import cache as algcache
 from .diffops import OperatorCalculus, PolyDiffOp, commutator_at_identity
 from .liealg import LieAlgebra
-from .linalg import inverse, rank, solve
+from .linalg import inverse, rank
 from .omega import OmegaSystem, negate
 from .pbw import (Elt, Enveloping, S, elt_add, elt_scale, elt_sub, mono_degree,
                   monomials_up_to, spoly)
-from .poly import Poly, poly_gcd, rational_roots
+from .poly import Poly, poly_gcd_all, rational_roots
 from .report import (SCHEMA_VERSION, CheckResult, SpecialValueFindings,
                      VerificationReport, qstr)
 from .roots import RootSystemSpec
-from .verma import StabilityResult, VermaModule
+from .verma import Span, StabilityResult, VermaModule
 
-# frozen expectations for the supported families, keyed by (family, rank)
-EXPECTED_GRADED_DIMS = {
-    ("A", 3): (1, 4, 5, 4, 1),
-    ("D", 4): (1, 8, 10, 8, 1),
-    ("D", 5): (1, 12, 19, 12, 1),
-}
-EXPECTED_DELETED = {
-    ("A", 3): ((1,),),
-    ("D", 4): ((0,), (2,), (3,)),
-    ("D", 5): ((0,), (2, 3, 4)),
-}
-# number of irreducible Levi constituents of the grade +-1 spaces (type A
-# splits into a module and its dual; types D/E are irreducible)
-EXPECTED_LEVI_COMPONENTS = {
-    ("A", 3): 2,
-    ("D", 4): 1,
-    ("D", 5): 1,
-}
-# dimension of the family of characters vanishing on the derived Levi and
-# normalized on the grading coroot (type A keeps one free direction from the
-# two-dimensional Levi center)
-EXPECTED_CHARACTER_FREEDOM = {
-    ("A", 3): 1,
-    ("D", 4): 0,
-    ("D", 5): 0,
+# frozen expectations for the supported families, keyed by (family, rank):
+# graded dimensions; deleted-diagram components (0-based nodes); number of
+# irreducible Levi constituents of the grade +-1 spaces (type A splits into a
+# module and its dual; types D/E are irreducible); dimension of the family of
+# characters vanishing on the derived Levi and normalized on the grading
+# coroot (type A keeps one free direction from the two-dimensional Levi center)
+EXPECTED = {
+    ("A", 3): {"graded_dims": (1, 4, 5, 4, 1), "deleted": ((1,),),
+               "levi_components": 2, "character_freedom": 1},
+    ("D", 4): {"graded_dims": (1, 8, 10, 8, 1), "deleted": ((0,), (2,), (3,)),
+               "levi_components": 1, "character_freedom": 0},
+    ("D", 5): {"graded_dims": (1, 12, 19, 12, 1), "deleted": ((0,), (2, 3, 4)),
+               "levi_components": 1, "character_freedom": 0},
 }
 CONTRACTION_CONSTANT = Q(2)   # uniform contraction ratio in the D4 system
 
@@ -183,10 +171,20 @@ class Session:
         return op
 
     @cached_property
+    def cubic_span(self) -> Span:
+        """The span of the cubic elements in the module."""
+        return Span(self.omega3_gens)
+
+    @cached_property
+    def functional_span(self) -> Span:
+        """The span of the cubic operators' point functionals at the identity."""
+        return Span([_keyed(op.at_identity()) for op in self.omega3_ops])
+
+    @cached_property
     def action_matrices_special(self) -> dict[int, list[list[Q]]]:
         """Action matrix of each parabolic basis vector on the cubic span."""
         sstar = self.require_sstar()
-        return {g: self.verma.module_action_matrix(self.omega3_gens,
+        return {g: self.verma.module_action_matrix(self.cubic_span,
                                                    {g: Q(1)}, sstar)
                 for g in self.alg.q_indices}
 
@@ -210,6 +208,12 @@ def elt_subs(v: Elt, s0: Q) -> Elt:
 def weighted_degree(alg: LieAlgebra, m) -> int:
     """PBW degree where the central generator counts twice."""
     return sum(e * (2 if i == alg.x_minus_gamma else 1) for i, e in m)
+
+
+def _expected(alg: LieAlgebra, column: str):
+    """alg's frozen expectation in one EXPECTED column; None for a type
+    without a row."""
+    return EXPECTED.get((alg.rs.spec.family, alg.rs.spec.rank), {}).get(column)
 
 
 def _minus_index(alg: LieAlgebra, i: int) -> int:
@@ -251,49 +255,30 @@ def _contraction_data(s: Session):
     return ratios, nonzero_pairs, zero_anomalies, proportional
 
 
-def _functional_matrix(funcs: list[dict], ders: list) -> list[list[Q]]:
-    """Rows indexed by derivative multi-indices, columns by functionals."""
-    out = []
-    for der in ders:
-        row = []
-        for f in funcs:
-            c = f.get(der)
-            row.append(Q(0) if c is None else c.constant_value())
-        out.append(row)
-    return out
-
-
-def _base_functionals(s: Session) -> tuple[list[dict], list]:
-    funcs = [op.at_identity() for op in s.omega3_ops]
-    ders = sorted({d for f in funcs for d in f})
-    return funcs, ders
+def _keyed(func: dict) -> dict:
+    """A point functional with each derivative multi-index d keyed as the PBW
+    monomial with exponents d, the keys of a Span."""
+    return {tuple((i, e) for i, e in enumerate(d) if e): p
+            for d, p in func.items()}
 
 
 def _solve_b_matrices(s: Session) -> dict[int, list[list[Q]]]:
     """For every basis vector Y solve the matrix b(Y) with
     [pi(Y), D_i] = sum_j b(Y)_{ji} D_j as point functionals at the identity."""
-    sstar = s.require_sstar()
+    span = s.functional_span
     m = len(s.omega3_ops)
-    funcs, ders = _base_functionals(s)
     out: dict[int, list[list[Q]]] = {}
     for y in range(s.alg.dim):
-        comm_funcs = [s.cubic_commutator(y, k).at_identity()
-                      for k in range(m)]
-        all_ders = sorted(set(ders) | {d for f in comm_funcs for d in f})
-        mat = _functional_matrix(funcs, all_ders)
         bmat = [[Q(0)] * m for _ in range(m)]
         for i in range(m):
-            vec = []
-            for der in all_ders:
-                c = comm_funcs[i].get(der)
-                vec.append(Q(0) if c is None else c.subs(0, sstar).constant_value())
-            sol = solve(mat, vec)
-            if sol is None:
+            func = _keyed(s.cubic_commutator(y, i).at_identity())
+            coords, left = span.reduce({d: p.constant_value() for d, p in func.items()})
+            if left:
                 raise CheckFailure({
                     "reason": "commutator functional outside the span",
                     "basis_vector": s.alg.names[y], "column": i})
-            for j in range(m):
-                bmat[j][i] = sol[j]
+            for j, c in coords.items():
+                bmat[j][i] = c
         out[y] = bmat
     return out
 
@@ -415,8 +400,7 @@ def _chk_invariant_form(s: Session) -> dict:
 def _chk_grading(s: Session) -> dict:
     alg = s.alg
     dims = alg.graded_dims
-    key = (alg.rs.spec.family, alg.rs.spec.rank)
-    expected = EXPECTED_GRADED_DIMS.get(key)
+    expected = _expected(alg, "graded_dims")
     if expected is not None:
         _ensure(dims == expected, dims=list(dims), expected=list(expected))
     _ensure(dims[0] == 1 and dims[4] == 1, dims=list(dims))
@@ -441,9 +425,8 @@ def _chk_grading(s: Session) -> dict:
        "connected components of the deleted diagram")
 def _chk_deleted(s: Session) -> dict:
     alg = s.alg
-    key = (alg.rs.spec.family, alg.rs.spec.rank)
     got = alg.deleted_components
-    expected = EXPECTED_DELETED.get(key)
+    expected = _expected(alg, "deleted")
     if expected is not None:
         _ensure(got == expected,
                 got=[[i + 1 for i in c] for c in got],
@@ -462,7 +445,6 @@ def _chk_deleted(s: Session) -> dict:
        "whole constituent under the Levi root vectors")
 def _chk_levi_decomposition(s: Session) -> dict:
     alg = s.alg
-    key = (alg.rs.spec.family, alg.rs.spec.rank)
     l_roots = [i for i in alg.l_indices if alg.root_of[i] is not None]
     counts = []
     for space in (alg.v_plus, alg.v_minus):
@@ -488,7 +470,7 @@ def _chk_levi_decomposition(s: Session) -> dict:
                                "constituent")
         counts.append(len(components))
     _ensure(counts[0] == counts[1], plus=counts[0], minus=counts[1])
-    expected = EXPECTED_LEVI_COMPONENTS.get(key)
+    expected = _expected(alg, "levi_components")
     if expected is not None:
         _ensure(counts[0] == expected, components=counts[0],
                 expected=expected)
@@ -503,7 +485,6 @@ def _chk_levi_decomposition(s: Session) -> dict:
        "the expected residual dimension (zero outside type A)")
 def _chk_character(s: Session) -> dict:
     alg = s.alg
-    key = (alg.rs.spec.family, alg.rs.spec.rank)
     _ensure(alg.dchi(alg.h_gamma) == 2, value=qstr(alg.dchi(alg.h_gamma)))
     for i in alg.q_indices:
         if alg.root_of[i] is not None:
@@ -524,7 +505,7 @@ def _chk_character(s: Session) -> dict:
     rows.append([alg.h_gamma.get(alg.cartan_index[k], Q(0))
                  for k in range(alg.rank)])
     freedom = alg.rank - rank(rows)
-    expected = EXPECTED_CHARACTER_FREEDOM.get(key)
+    expected = _expected(alg, "character_freedom")
     if expected is not None:
         _ensure(freedom == expected, freedom=freedom, expected=expected)
     return {"cartan_rank": alg.rank, "residual_freedom": freedom,
@@ -668,7 +649,7 @@ def _chk_cubic_nonzero(s: Session) -> dict:
         for m in w3:
             _ensure(weighted_degree(alg, m) == 3,
                     index=alg.names[alg.v_minus[k]], monomial_degree=mono_degree(m))
-    r = s.verma.generic_rank(s.omega3_gens)
+    r = s.cubic_span.rank
     _ensure(r == len(alg.v_minus), rank=r, expected=len(alg.v_minus))
     return {"count": len(s.omega3_gens), "rank": r,
             "monomials": [len(w3) for w3 in s.omega3_gens]}
@@ -996,21 +977,15 @@ def _chk_center_vanishing(s: Session) -> dict:
        "the singleton found by the module-side solver")
 def _chk_operator_s_set(s: Session) -> dict:
     sstar = s.require_sstar()
-    g = Poly.constant(1, 0)
-    entries = 0
-    nonzero = 0
-    for func in s.symbolic_functionals.values():
-        entries += 1
-        for p in func.values():
-            if not p.is_zero():
-                nonzero += 1
-                g = poly_gcd(g, p)
-    _ensure(nonzero > 0, nonzero_entries=nonzero)
+    funcs = s.symbolic_functionals.values()
+    nonzero = [p for func in funcs for p in func.values() if not p.is_zero()]
+    _ensure(len(nonzero) > 0, nonzero_entries=len(nonzero))
+    g = poly_gcd_all(nonzero)
     _ensure(g.degree() == 1, gcd_degree=g.degree())
     roots = rational_roots(g)
     _ensure(roots == [sstar], roots=[qstr(r) for r in roots],
             expected=qstr(sstar))
-    return {"functionals": entries, "nonzero_polynomials": nonzero,
+    return {"functionals": len(funcs), "nonzero_polynomials": len(nonzero),
             "gcd_degree": g.degree(), "value": qstr(sstar)}
 
 
@@ -1018,11 +993,10 @@ def _chk_operator_s_set(s: Session) -> dict:
        "The point functionals of the cubic operators at the identity are "
        "linearly independent")
 def _chk_pointwise_independence(s: Session) -> dict:
-    funcs, ders = _base_functionals(s)
-    mat = _functional_matrix(funcs, ders)
-    r = rank(mat)
-    _ensure(r == len(funcs), rank=r, operators=len(funcs))
-    return {"rank": r, "support": len(ders)}
+    span = s.functional_span
+    _ensure(span.rank == len(span.gens), rank=span.rank,
+            operators=len(span.gens))
+    return {"rank": span.rank, "support": len(span.col)}
 
 
 @check("b_matrix", "system",
@@ -1086,10 +1060,11 @@ def _chk_bridge_small(s: Session) -> dict:
     nbar = [alg.x_minus_gamma] + list(alg.v_minus)
     gens = [env.gen(i) for i in nbar] + [env.one()]
     ops = [calc.r_gen(i) for i in nbar] + [calc.identity_op()]
+    span = Span(gens)
     svalues = [s.require_sstar(), Q(0), Q(5, 2)]
     total = 0
     for s0 in svalues:
-        action = {g: vm.module_action_matrix(gens, {g: Q(1)}, s0)
+        action = {g: vm.module_action_matrix(span, {g: Q(1)}, s0)
                   for g in alg.q_indices}
         for y in range(alg.dim):
             pi_y = calc.pi_basis(y).subs_param(calc.s_var, s0)

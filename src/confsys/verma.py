@@ -15,7 +15,7 @@ from fractions import Fraction as Q
 
 from . import linalg
 from .pbw import Elt, Enveloping, Mono, elt_add, elt_scale, mono_degree, spoly, S
-from .poly import Poly, poly_gcd, rational_roots
+from .poly import Poly, poly_gcd_all, rational_roots
 
 
 @dataclass(frozen=True)
@@ -26,10 +26,6 @@ class StabilityResult:
     values: tuple[Q, ...]
     levi_stable_all_s: bool         # did the Levi action stay in the span identically?
     constraint_count: int
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.all_s and not self.values
 
 
 class VermaModule:
@@ -106,12 +102,12 @@ class VermaModule:
         Returns (levi_constraints, nilradical_constraints): the span is stable
         under a basis element x at s = s0 iff every constraint from x vanishes
         at s0.  The constraints from x are the coefficients each acted
-        generator leaves outside the span (see _Span.reduce).
+        generator leaves outside the span (see Span.reduce).
         """
         for g in gens:
             if not g:
                 raise ValueError("zero generator in candidate span")
-        span = _Span(gens)
+        span = Span(gens)
         levi: list[Poly] = []
         nil: list[Poly] = []
         for part, out in ((self.alg.l_indices, levi), (self.alg.n_indices, nil)):
@@ -126,20 +122,16 @@ class VermaModule:
         constraints = levi + nil
         if not constraints:
             return StabilityResult(True, (), True, 0)
-        g = Poly.constant(1, 0)
-        for p in constraints:
-            g = poly_gcd(g, p)
-            if g.degree() == 0:
-                return StabilityResult(False, (), not levi, len(constraints))
-        roots = rational_roots(g)
+        roots = rational_roots(poly_gcd_all(constraints))
         return StabilityResult(False, tuple(roots), not levi, len(constraints))
 
-    def module_action_matrix(self, gens: list[Elt], x: dict[int, Q], s0: Q) -> list[list[Q]]:
-        """Matrix a with act(x, gens[i]) = sum_j a[j][i] gens[j] at s = s0.
+    def module_action_matrix(self, span: Span, x: dict[int, Q], s0: Q) -> list[list[Q]]:
+        """Matrix a with act(x, gens[i]) = sum_j a[j][i] gens[j] at s = s0,
+        for the generators gens of span.
 
         Raises ValueError when the span is not stable under x at s0.
         """
-        span = _Span(gens)
+        gens = span.gens
         cols = []
         for i, g in enumerate(gens):
             w = {m: c.subs(0, s0).constant_value() for m, c in self.act(x, g).items()}
@@ -149,20 +141,18 @@ class VermaModule:
             cols.append(coords)
         return [[cols[i].get(j, Q(0)) for i in range(len(gens))] for j in range(len(gens))]
 
-    def generic_rank(self, gens: list[Elt]) -> int:
-        """Rank of the span of s-free generators."""
-        return _Span(gens).rank
 
+class Span:
+    """Row-reduced span of s-free vectors keyed by PBW monomials.
 
-class _Span:
-    """Row-reduced span of s-free module elements.
-
-    The generators are the rows of one matrix over their monomials, each
-    augmented with a unit vector, so that every echelon row of its rref also
-    records its combination of the generators.
+    The generators (module elements, or any dicts from monomials to constant
+    Polys) are the rows of one matrix over their monomials, in (degree,
+    monomial) order, each augmented with a unit vector, so that every echelon
+    row of its rref also records its combination of the generators.
     """
 
     def __init__(self, gens: list[Elt]):
+        self.gens = gens
         mons = sorted({m for g in gens for m in g}, key=lambda t: (mono_degree(t), t))
         self.col = {m: k for k, m in enumerate(mons)}
         n, k = len(mons), len(gens)

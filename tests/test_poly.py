@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confsys.poly import Poly, poly_gcd, rational_roots, univariate_coeffs
+from confsys.poly import (Poly, poly_gcd, poly_gcd_all, rational_roots,
+                          univariate_coeffs)
 
 
 def p_const(c, n=2):
@@ -77,6 +78,25 @@ def test_poly_gcd_monic_euclid():
     assert poly_gcd(a * 5, Poly.constant(1, 0)) == a
 
 
+def test_poly_gcd_all_of_no_polynomials_is_zero():
+    assert poly_gcd_all([]).is_zero()
+
+
+def test_poly_gcd_all_stops_once_constant():
+    s = Poly.variable(1, 0)
+    one = Poly.constant(1, 1)
+    read = []
+
+    def inputs():
+        for p in ((s + one) * (s - one), (s - one) * 3, s + one * 2, s):
+            read.append(p)
+            yield p
+
+    # s - 1 after two inputs, the constant 1 after three: the fourth is unread
+    assert poly_gcd_all(inputs()) == one
+    assert len(read) == 3
+
+
 def test_rational_roots():
     s = Poly.variable(1, 0)
     one = Poly.constant(1, 1)
@@ -139,6 +159,16 @@ def test_gcd_divides_inputs(a, b):
         for r in rational_roots(g):
             assert a.subs(0, r).is_zero()
             assert b.subs(0, r).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(nvars=1), st.lists(polys(nvars=1), max_size=5))
+def test_poly_gcd_all_is_the_plain_fold(common, ps):
+    ps = [common * p for p in ps]   # a shared factor keeps some gcds nonconstant
+    g = Poly.constant(1, 0)
+    for p in ps:
+        g = poly_gcd(g, p)
+    assert poly_gcd_all(ps) == g
 
 
 def test_internal_results_hold_normalized_fractions():

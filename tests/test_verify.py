@@ -2,6 +2,7 @@
 
 from fractions import Fraction as Q
 
+from confsys.linalg import solve
 from confsys.verify import (CHECKS, Session, SuiteConfig, available_checks,
                             run_single, run_suite)
 
@@ -65,6 +66,26 @@ def test_exceptions_become_failures_with_witness(tmp_path):
 def test_session_special_value_is_minus_one(tmp_path):
     session = Session(SuiteConfig(type_label="D4", cache_dir=str(tmp_path)))
     assert session.sstar == Q(-1)
+
+
+def test_b_matrices_match_dense_solve_reference(tmp_path):
+    # the reference: for each basis vector Y, the dense matrix of the cubic
+    # operators' point functionals over every derivative multi-index that
+    # occurs, and one linalg.solve per commutator column
+    session = Session(SuiteConfig(type_label="D4", cache_dir=str(tmp_path)))
+    funcs = [op.at_identity() for op in session.omega3_ops]
+    m = len(funcs)
+    bmats = session.b_matrices
+    assert sorted(bmats) == list(range(session.alg.dim))
+    for y, bmat in bmats.items():
+        comms = [session.cubic_commutator(y, i).at_identity() for i in range(m)]
+        ders = sorted({d for f in funcs + comms for d in f})
+        mat = [[f[d].constant_value() if d in f else Q(0) for f in funcs]
+               for d in ders]
+        for i, comm in enumerate(comms):
+            vec = [comm[d].constant_value() if d in comm else Q(0) for d in ders]
+            assert [bmat[j][i] for j in range(m)] == solve(mat, vec), (y, i)
+    assert any(c for bmat in bmats.values() for row in bmat for c in row)
 
 
 def test_seeded_rng_is_stable():
