@@ -1,8 +1,9 @@
 """Golden reports: D4, A3 and D5 verdicts frozen apart from timings.
 
 The frozen view of a report is its graded dimensions, deleted components,
-special-value findings and each check's (name, status, witness), at the
-default seed.  Any change to the engine must leave these identical.
+special-value findings and each check's (name, statement, status,
+witness), at the default seed.  Any change to the engine must leave these
+identical.
 
 Regenerate (only for a reviewed change of verdicts or witnesses) with
 
@@ -28,7 +29,7 @@ def golden_view(type_label: str, expect_system: bool) -> dict:
         "graded_dims": body["graded_dims"],
         "deleted_components": body["deleted_components"],
         "special_values": body["special_values"],
-        "checks": [[c["name"], c["status"], c["witness"]]
+        "checks": [[c["name"], c["statement"], c["status"], c["witness"]]
                    for c in body["checks"]],
     }
 

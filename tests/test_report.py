@@ -61,3 +61,59 @@ def test_schema_guard():
     payload["schema_version"] = SCHEMA_VERSION + 1
     with pytest.raises(ValueError):
         VerificationReport.from_json(payload)
+
+
+FROZEN_LAYOUT = """\
+{
+  "schema_version": 1,
+  "algebra": {
+    "family": "D",
+    "rank": 4
+  },
+  "expect_system": true,
+  "seed": 212,
+  "graded_dims": [
+    1,
+    8,
+    10,
+    8,
+    1
+  ],
+  "deleted_components": [
+    [
+      1
+    ],
+    [
+      3
+    ],
+    [
+      4
+    ]
+  ],
+  "special_values": {
+    "values": [
+      "-1"
+    ],
+    "all_s": false,
+    "levi_stable_all_s": true,
+    "failure_mode": null,
+    "module_parameter": "-1",
+    "bundle_parameter": "1"
+  },
+  "checks": [
+    {
+      "name": "check_0",
+      "statement": "statement 0",
+      "status": "pass",
+      "witness": {
+        "detail": 0
+      },
+      "wall_time_s": 0.25
+    }
+  ]
+}"""
+
+
+def test_json_layout_is_frozen():
+    # key names and key order of schema_version 1, byte for byte
+    assert _sample(["pass"]).dumps() == FROZEN_LAYOUT
