@@ -139,6 +139,11 @@ class LieAlgebra:
         return tuple(i for i, g in enumerate(self.grade) if g == -1)
 
     @cached_property
+    def nbar_indices(self) -> tuple[int, ...]:
+        """The basis of nbar: X_{-gamma}, then the grade -1 vectors."""
+        return (self.x_minus_gamma,) + self.v_minus
+
+    @cached_property
     def v_plus(self) -> tuple[int, ...]:
         return tuple(i for i, g in enumerate(self.grade) if g == 1)
 

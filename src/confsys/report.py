@@ -1,8 +1,9 @@
 """Verification report data model with a versioned JSON form.
 
-Reports are consumed by CI and regression diffing, so the JSON layout is
-frozen behind schema_version and every value is JSON-native; exact rationals
-are carried as strings ("-1", "5/2") to avoid any float round-off.
+Reports are consumed by CI and regression diffing, so the JSON layout (the
+dataclass fields below, in order) is frozen behind schema_version and every
+value is JSON-native; exact rationals are carried as strings ("-1", "5/2") to
+avoid any float round-off.
 """
 
 from __future__ import annotations
@@ -26,20 +27,6 @@ class CheckResult:
     witness: dict
     wall_time_s: float
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "statement": self.statement,
-            "status": self.status,
-            "witness": self.witness,
-            "wall_time_s": self.wall_time_s,
-        }
-
-    @classmethod
-    def from_json(cls, d: dict) -> "CheckResult":
-        return cls(d["name"], d["statement"], d["status"], d["witness"],
-                   d["wall_time_s"])
-
 
 @dataclass
 class SpecialValueFindings:
@@ -49,15 +36,6 @@ class SpecialValueFindings:
     failure_mode: str | None       # for runs with no special value
     module_parameter: str | None   # the solver's s*
     bundle_parameter: str | None   # -s*, the line-bundle label
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, d: dict) -> "SpecialValueFindings":
-        return cls(d["values"], d["all_s"], d["levi_stable_all_s"],
-                   d["failure_mode"], d["module_parameter"],
-                   d["bundle_parameter"])
 
 
 @dataclass
@@ -83,33 +61,19 @@ class VerificationReport:
         return out
 
     def to_json(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "algebra": self.algebra,
-            "expect_system": self.expect_system,
-            "seed": self.seed,
-            "graded_dims": self.graded_dims,
-            "deleted_components": self.deleted_components,
-            "special_values": (None if self.special_values is None
-                               else self.special_values.to_json()),
-            "checks": [c.to_json() for c in self.checks],
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, d: dict) -> "VerificationReport":
         if d["schema_version"] != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema_version {d['schema_version']}")
-        return cls(
-            schema_version=d["schema_version"],
-            algebra=d["algebra"],
-            expect_system=d["expect_system"],
-            seed=d["seed"],
-            graded_dims=d["graded_dims"],
-            deleted_components=d["deleted_components"],
-            special_values=(None if d["special_values"] is None else
-                            SpecialValueFindings.from_json(d["special_values"])),
-            checks=[CheckResult.from_json(c) for c in d["checks"]],
-        )
+        findings = d["special_values"]
+        return cls(**{
+            **d,
+            "special_values": (None if findings is None
+                               else SpecialValueFindings(**findings)),
+            "checks": [CheckResult(**c) for c in d["checks"]],
+        })
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2, sort_keys=False)

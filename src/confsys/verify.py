@@ -39,14 +39,18 @@ from .verma import Span, StabilityResult, VermaModule
 # irreducible Levi constituents of the grade +-1 spaces (type A splits into a
 # module and its dual; types D/E are irreducible); dimension of the family of
 # characters vanishing on the derived Levi and normalized on the grading
-# coroot (type A keeps one free direction from the two-dimensional Levi center)
+# coroot (type A keeps one free direction from the two-dimensional Levi
+# center); the special parameter values of the cubic span
 EXPECTED = {
     ("A", 3): {"graded_dims": (1, 4, 5, 4, 1), "deleted": ((1,),),
-               "levi_components": 2, "character_freedom": 1},
+               "levi_components": 2, "character_freedom": 1,
+               "special_values": ()},
     ("D", 4): {"graded_dims": (1, 8, 10, 8, 1), "deleted": ((0,), (2,), (3,)),
-               "levi_components": 1, "character_freedom": 0},
+               "levi_components": 1, "character_freedom": 0,
+               "special_values": (Q(-1),)},
     ("D", 5): {"graded_dims": (1, 12, 19, 12, 1), "deleted": ((0,), (2, 3, 4)),
-               "levi_components": 1, "character_freedom": 0},
+               "levi_components": 1, "character_freedom": 0,
+               "special_values": ()},
 }
 CONTRACTION_CONSTANT = Q(2)   # uniform contraction ratio in the D4 system
 
@@ -138,6 +142,16 @@ class Session:
     @cached_property
     def omega3_ops(self) -> list[PolyDiffOp]:
         return [self.calc.r_op(g) for g in self.omega3_gens]
+
+    @cached_property
+    def quadratic_elements(self) -> dict[int, Elt]:
+        """The quadratic element of each Levi basis vector, by index."""
+        return {w: self.omega.omega2_basis(w) for w in self.alg.l_indices}
+
+    @cached_property
+    def cubic_elements(self) -> dict[int, Elt]:
+        """The cubic element of each grade -1 basis vector, by index."""
+        return dict(zip(self.alg.v_minus, self.omega3_gens))
 
     @cached_property
     def plus_and_center(self) -> list[int]:
@@ -253,6 +267,58 @@ def _contraction_data(s: Session):
             else:
                 ratios.add(ratio)
     return ratios, nonzero_pairs, zero_anomalies, proportional
+
+
+def _levi_equivariance(s: Session, elements: dict[int, Elt],
+                       build: Callable[[dict], Elt], s0: Q) -> int:
+    """Check build([Z, w]) = Z.e at s0 + (1 - s0) dchi(Z) e for every Levi
+    basis vector Z and every e = elements[w]; returns the pair count."""
+    alg, vm = s.alg, s.verma
+    for z in alg.l_indices:
+        shift = (1 - s0) * alg.dchi({z: Q(1)})
+        for w, e in elements.items():
+            rhs = elt_add(elt_subs(vm.act({z: Q(1)}, e), s0),
+                          elt_scale(e, shift))
+            _ensure(not elt_sub(build(dict(alg.bracket(z, w))), rhs),
+                    pair=[alg.names[z], alg.names[w]])
+    return len(alg.l_indices) * len(elements)
+
+
+def _coroot_scalar(s: Session, elements: dict[int, Elt], degree: int,
+                   s0: Q | None = None) -> str:
+    """Check that the grading coroot acts on every element by 2s - degree,
+    with s symbolic or at s0; returns that scalar."""
+    alg, vm = s.alg, s.verma
+    scalar = S * 2 + Poly.constant(1, -degree)
+    for w, e in elements.items():
+        diff = elt_sub(vm.act(alg.h_gamma, e), elt_scale(e, scalar))
+        _ensure(not (diff if s0 is None else elt_subs(diff, s0)),
+                element=alg.names[w])
+    return f"2s - {degree}" if s0 is None else qstr(2 * s0 - degree)
+
+
+def _nil_annihilation(s: Session, elements: dict[int, Elt], s0: Q) -> int:
+    """Check that every nilradical basis vector annihilates every element at
+    s0; returns the pair count."""
+    alg, vm = s.alg, s.verma
+    for u in alg.n_indices:
+        for w, e in elements.items():
+            _ensure(not elt_subs(vm.act({u: Q(1)}, e), s0),
+                    pair=[alg.names[u], alg.names[w]])
+    return len(alg.n_indices) * len(elements)
+
+
+def _vanishing_at(s: Session, vectors, sstar: Q) -> int:
+    """Check that the point functional at the identity of [pi(X), R(w3_k)]
+    vanishes at sstar for every X in vectors and every cubic operator k;
+    returns the commutator count."""
+    m = len(s.omega3_ops)
+    for x in vectors:
+        for k in range(m):
+            for der, p in s.symbolic_functionals[(x, k)].items():
+                _ensure(p.subs(0, sstar).is_zero(), vector=s.alg.names[x],
+                        column=k, derivative=list(der))
+    return len(vectors) * m
 
 
 def _keyed(func: dict) -> dict:
@@ -519,9 +585,8 @@ def _chk_character(s: Session) -> dict:
 def _chk_verma_rep(s: Session) -> dict:
     alg, env, vm = s.alg, s.env, s.verma
     rng = s.rng("verma-representation")
-    nbar = [alg.x_minus_gamma] + list(alg.v_minus)
     states: list[Elt] = [env.one()]
-    pool = monomials_up_to(tuple(nbar), 2)
+    pool = monomials_up_to(alg.nbar_indices, 2)
     for _ in range(3):
         states.append({pool[rng.randrange(len(pool))]: spoly(1)})
     pairs = 0
@@ -546,13 +611,13 @@ def _chk_verma_rep(s: Session) -> dict:
        "action formulas")
 def _chk_first_level(s: Session) -> dict:
     alg, env, vm = s.alg, s.env, s.verma
-    gens = [env.gen(i) for i in [alg.x_minus_gamma] + list(alg.v_minus)]
+    gens = [env.gen(i) for i in alg.nbar_indices]
     gens.append(env.one())
     res = vm.singular_values(gens)
     _ensure(res.all_s and res.levi_stable_all_s,
             all_s=res.all_s, constraints=res.constraint_count)
     checked = 0
-    for gi in [alg.x_minus_gamma] + list(alg.v_minus):
+    for gi in alg.nbar_indices:
         gen = env.gen(gi)
         for z in alg.l_indices:
             br = alg.bracket_elem({z: Q(1)}, {gi: Q(1)})
@@ -586,15 +651,7 @@ def _chk_quadratic_center(s: Session) -> dict:
        "The grading coroot acts on every quadratic element by the scalar "
        "2s - 2, with s symbolic")
 def _chk_quadratic_weight(s: Session) -> dict:
-    alg, vm = s.alg, s.verma
-    scalar = S * 2 + Poly.constant(1, -2)
-    for w in alg.l_indices:
-        w2 = s.omega.omega2_basis(w)
-        if not w2:
-            continue
-        _ensure(not elt_sub(vm.act(alg.h_gamma, w2), elt_scale(w2, scalar)),
-                levi=alg.names[w])
-    return {"eigenvalue": "2s - 2"}
+    return {"eigenvalue": _coroot_scalar(s, s.quadratic_elements, 2)}
 
 
 @check("quadratic_equivariance", "core",
@@ -603,18 +660,8 @@ def _chk_quadratic_weight(s: Session) -> dict:
        "quadratic element of [Z, W] minus the character of Z times the "
        "element, independently of s")
 def _chk_quadratic_equivariance(s: Session) -> dict:
-    alg, om, vm = s.alg, s.omega, s.verma
-    pairs = 0
-    for z in alg.l_indices:
-        dz = alg.dchi({z: Q(1)})
-        for w in alg.l_indices:
-            w2 = om.omega2_basis(w)
-            lhs = elt_subs(vm.act({z: Q(1)}, w2), Q(0))
-            rhs = elt_sub(om.omega2(alg.bracket_elem({z: Q(1)}, {w: Q(1)})),
-                          elt_scale(w2, dz))
-            _ensure(not elt_sub(lhs, rhs), pair=[alg.names[z], alg.names[w]])
-            pairs += 1
-    return {"pairs": pairs}
+    return {"pairs": _levi_equivariance(s, s.quadratic_elements,
+                                        s.omega.omega2, Q(0))}
 
 
 # ---------------------------------------------------------------- system scope
@@ -664,6 +711,10 @@ def _chk_special_value(s: Session) -> dict:
     _ensure(not res.all_s, all_s=res.all_s)
     _ensure(len(res.values) == 1, values=[qstr(v) for v in res.values],
             constraints=res.constraint_count)
+    expected = _expected(s.alg, "special_values")
+    if expected is not None:
+        _ensure(res.values == expected, values=[qstr(v) for v in res.values],
+                expected=[qstr(v) for v in expected])
     return {"value": qstr(res.values[0]),
             "bundle_parameter": qstr(-res.values[0]),
             "constraints": res.constraint_count}
@@ -674,14 +725,8 @@ def _chk_special_value(s: Session) -> dict:
        "quadratic element")
 def _chk_quad_nil(s: Session) -> dict:
     sstar = s.require_sstar()
-    alg, vm = s.alg, s.verma
-    count = 0
-    for u in alg.n_indices:
-        for w in alg.l_indices:
-            got = elt_subs(vm.act({u: Q(1)}, s.omega.omega2_basis(w)), sstar)
-            _ensure(not got, pair=[alg.names[u], alg.names[w]])
-            count += 1
-    return {"pairs": count, "at": qstr(sstar)}
+    return {"pairs": _nil_annihilation(s, s.quadratic_elements, sstar),
+            "at": qstr(sstar)}
 
 
 @check("quadratic_weight_at_special", "system",
@@ -689,16 +734,7 @@ def _chk_quad_nil(s: Session) -> dict:
        "quadratic elements by the scalar -4")
 def _chk_quad_weight_special(s: Session) -> dict:
     sstar = s.require_sstar()
-    expected = 2 * sstar - 2
-    alg, vm = s.alg, s.verma
-    for w in alg.l_indices:
-        w2 = s.omega.omega2_basis(w)
-        if not w2:
-            continue
-        got = elt_subs(vm.act(alg.h_gamma, w2), sstar)
-        _ensure(not elt_sub(got, elt_scale(w2, expected)), levi=alg.names[w])
-    _ensure(expected == Q(-4), eigenvalue=qstr(expected))
-    return {"eigenvalue": qstr(expected)}
+    return {"eigenvalue": _coroot_scalar(s, s.quadratic_elements, 2, sstar)}
 
 
 @check("quadratic_equivariance_at_special", "system",
@@ -707,18 +743,9 @@ def _chk_quad_weight_special(s: Session) -> dict:
        "for all Levi pairs")
 def _chk_quad_equiv_special(s: Session) -> dict:
     sstar = s.require_sstar()
-    alg, om, vm = s.alg, s.omega, s.verma
-    pairs = 0
-    for z in alg.l_indices:
-        dz = alg.dchi({z: Q(1)})
-        for w in alg.l_indices:
-            w2 = om.omega2_basis(w)
-            lhs = om.omega2(alg.bracket_elem({z: Q(1)}, {w: Q(1)}))
-            rhs = elt_add(elt_subs(vm.act({z: Q(1)}, w2), sstar),
-                          elt_scale(w2, 2 * dz))
-            _ensure(not elt_sub(lhs, rhs), pair=[alg.names[z], alg.names[w]])
-            pairs += 1
-    return {"pairs": pairs, "at": qstr(sstar)}
+    return {"pairs": _levi_equivariance(s, s.quadratic_elements,
+                                        s.omega.omega2, sstar),
+            "at": qstr(sstar)}
 
 
 @check("cubic_nilradical_annihilation", "system",
@@ -726,14 +753,8 @@ def _chk_quad_equiv_special(s: Session) -> dict:
        "cubic element")
 def _chk_cubic_nil(s: Session) -> dict:
     sstar = s.require_sstar()
-    alg, vm = s.alg, s.verma
-    count = 0
-    for u in alg.n_indices:
-        for w3 in s.omega3_gens:
-            got = elt_subs(vm.act({u: Q(1)}, w3), sstar)
-            _ensure(not got, nil=alg.names[u])
-            count += 1
-    return {"pairs": count, "at": qstr(sstar)}
+    return {"pairs": _nil_annihilation(s, s.cubic_elements, sstar),
+            "at": qstr(sstar)}
 
 
 @check("cubic_weight_at_special", "system",
@@ -741,13 +762,8 @@ def _chk_cubic_nil(s: Session) -> dict:
        "symbolically, hence by -5 at the special parameter value")
 def _chk_cubic_weight(s: Session) -> dict:
     sstar = s.require_sstar()
-    alg, vm = s.alg, s.verma
-    scalar = S * 2 + Poly.constant(1, -3)
-    for w3 in s.omega3_gens:
-        _ensure(not elt_sub(vm.act(alg.h_gamma, w3), elt_scale(w3, scalar)),
-                reason="symbolic eigenvalue mismatch")
-    _ensure(2 * sstar - 3 == Q(-5), at_special=qstr(2 * sstar - 3))
-    return {"eigenvalue": "2s - 3", "at_special": qstr(2 * sstar - 3)}
+    return {"eigenvalue": _coroot_scalar(s, s.cubic_elements, 3),
+            "at_special": qstr(2 * sstar - 3)}
 
 
 @check("cubic_equivariance_at_special", "system",
@@ -756,19 +772,9 @@ def _chk_cubic_weight(s: Session) -> dict:
        "every Levi basis vector against every grade -1 basis vector")
 def _chk_cubic_equiv(s: Session) -> dict:
     sstar = s.require_sstar()
-    alg, om, vm = s.alg, s.omega, s.verma
-    pairs = 0
-    for z in alg.l_indices:
-        dz = alg.dchi({z: Q(1)})
-        for k, y in enumerate(alg.v_minus):
-            w3 = s.omega3_gens[k]
-            br = {i: c for i, c in alg.bracket(z, y)}
-            lhs = om.omega3(br) if br else {}
-            rhs = elt_add(elt_subs(vm.act({z: Q(1)}, w3), sstar),
-                          elt_scale(w3, 2 * dz))
-            _ensure(not elt_sub(lhs, rhs), pair=[alg.names[z], alg.names[y]])
-            pairs += 1
-    return {"pairs": pairs, "at": qstr(sstar)}
+    return {"pairs": _levi_equivariance(s, s.cubic_elements, s.omega.omega3,
+                                        sstar),
+            "at": qstr(sstar)}
 
 
 @check("basis_independence", "system",
@@ -842,10 +848,9 @@ def _chk_pi_hom(s: Session) -> dict:
        "symbolic")
 def _chk_nbar_commutant(s: Session) -> dict:
     alg, calc, env = s.alg, s.calc, s.env
-    nbar = tuple([alg.x_minus_gamma] + list(alg.v_minus))
-    monos = monomials_up_to(nbar, 3)
+    monos = monomials_up_to(alg.nbar_indices, 3)
     count = 0
-    for xb in nbar:
+    for xb in alg.nbar_indices:
         pi_x = calc.pi_basis(xb)
         for m in monos:
             r_u = calc.r_mono(m)
@@ -887,12 +892,11 @@ def _chk_picture_consistency(s: Session) -> dict:
 def _chk_first_order_formula(s: Session) -> dict:
     sstar = s.require_sstar()
     alg, calc = s.alg, s.calc
-    nbar = [alg.x_minus_gamma] + list(alg.v_minus)
     count = 0
     for x in s.plus_and_center:
         pi_x = s.pi_special(x)
         adinv = calc.ad_exp_inverse({x: Q(1)})
-        for yb in nbar:
+        for yb in alg.nbar_indices:
             lhs = pi_x.commutator(calc.r_gen(yb))
             t = alg.bracket_elem(adinv, {yb: Poly.constant(calc.nvars, 1)})
             q_part = {i: c for i, c in t.items() if alg.grade[i] >= 0}
@@ -900,7 +904,8 @@ def _chk_first_order_formula(s: Session) -> dict:
                 low_part = {i: c for i, c in t.items() if alg.grade[i] < 0}
             else:
                 low_part = {i: c for i, c in t.items() if alg.grade[i] == -1}
-            rhs = calc.r_ext(low_part) - calc.mult_op(calc.dchi_ext(q_part))
+            rhs = calc.r_ext(low_part) + calc.mult_op(calc.dchi_ext(q_part)
+                                                      * sstar)
             _ensure(lhs == rhs, pair=[alg.names[x], alg.names[yb]])
             count += 1
     return {"pairs": count, "at": qstr(sstar)}
@@ -945,16 +950,8 @@ def _chk_quadratic_formula(s: Session) -> dict:
        "point functional at the identity")
 def _chk_main_vanishing(s: Session) -> dict:
     sstar = s.require_sstar()
-    alg = s.alg
-    entries = 0
-    for xi in alg.v_plus:
-        for k in range(len(s.omega3_ops)):
-            func = s.symbolic_functionals[(xi, k)]
-            for der, p in func.items():
-                _ensure(p.subs(0, sstar).is_zero(),
-                        vector=alg.names[xi], column=k, derivative=list(der))
-            entries += 1
-    return {"commutators": entries, "at": qstr(sstar)}
+    return {"commutators": _vanishing_at(s, s.alg.v_plus, sstar),
+            "at": qstr(sstar)}
 
 
 @check("center_vanishing", "system",
@@ -963,12 +960,8 @@ def _chk_main_vanishing(s: Session) -> dict:
        "functional at the identity")
 def _chk_center_vanishing(s: Session) -> dict:
     sstar = s.require_sstar()
-    xg = s.alg.x_gamma
-    for k in range(len(s.omega3_ops)):
-        func = s.symbolic_functionals[(xg, k)]
-        for der, p in func.items():
-            _ensure(p.subs(0, sstar).is_zero(), column=k, derivative=list(der))
-    return {"commutators": len(s.omega3_ops), "at": qstr(sstar)}
+    return {"commutators": _vanishing_at(s, [s.alg.x_gamma], sstar),
+            "at": qstr(sstar)}
 
 
 @check("operator_special_value_set", "system",
@@ -1011,7 +1004,7 @@ def _chk_b_matrix(s: Session) -> dict:
     m = len(s.omega3_ops)
     bmats = s.b_matrices
     zero = _identity_matrix(m, Q(0))
-    for xb in [alg.x_minus_gamma] + list(alg.v_minus):
+    for xb in alg.nbar_indices:
         _ensure(bmats[xb] == zero, vector=alg.names[xb],
                 reason="opposite radical must act by zero")
     for u in alg.n_indices:
@@ -1057,9 +1050,8 @@ def _chk_structure_operator(s: Session) -> dict:
        "matrices transported by the inverse adjoint series")
 def _chk_bridge_small(s: Session) -> dict:
     alg, env, calc, vm = s.alg, s.env, s.calc, s.verma
-    nbar = [alg.x_minus_gamma] + list(alg.v_minus)
-    gens = [env.gen(i) for i in nbar] + [env.one()]
-    ops = [calc.r_gen(i) for i in nbar] + [calc.identity_op()]
+    gens = [env.gen(i) for i in alg.nbar_indices] + [env.one()]
+    ops = [calc.r_gen(i) for i in alg.nbar_indices] + [calc.identity_op()]
     span = Span(gens)
     svalues = [s.require_sstar(), Q(0), Q(5, 2)]
     total = 0
@@ -1131,10 +1123,9 @@ def _chk_reducibility(s: Session) -> dict:
     # multiplying by opposite-radical generators raises weighted degree by
     # exactly the generator weight, so the submodule keeps degree >= 3 and
     # misses the cyclic vector: the submodule is proper and nonzero
-    nbar = tuple([alg.x_minus_gamma] + list(alg.v_minus))
-    for g in nbar:
+    for g in alg.nbar_indices:
         wg = 2 if g == alg.x_minus_gamma else 1
-        for mono in monomials_up_to(nbar, 3):
+        for mono in monomials_up_to(alg.nbar_indices, 3):
             prod = env.mono_times_gen(mono, g)
             for m2 in prod:
                 _ensure(weighted_degree(alg, m2)
@@ -1191,8 +1182,8 @@ def _chk_no_special_value(s: Session) -> dict:
     res = s.stability
     _ensure(not res.all_s, all_s=res.all_s)
     _ensure(len(res.values) == 0, values=[qstr(v) for v in res.values])
-    degenerate = [s.alg.names[y] for k, y in enumerate(s.alg.v_minus)
-                  if not s.omega3_gens[k]]
+    degenerate = [s.alg.names[y] for y, w3 in s.cubic_elements.items()
+                  if not w3]
     return {"failure_mode": _failure_mode(s),
             "constraints": res.constraint_count,
             "degenerate_elements": degenerate,

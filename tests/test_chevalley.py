@@ -52,6 +52,13 @@ def test_basis_order_prefix_is_opposite_radical(alg_d4):
     assert alg_d4.grade[alg_d4.x_gamma] == 2
 
 
+@pytest.mark.parametrize("fix", ["alg_a3", "alg_d4", "alg_d5"])
+def test_nbar_indices_are_the_prefix(fix, request):
+    alg = request.getfixturevalue(fix)
+    assert alg.nbar_indices == (alg.x_minus_gamma,) + alg.v_minus
+    assert alg.nbar_indices == tuple(range(alg.nbar_dim))
+
+
 def test_bracket_antisymmetry(alg_d4):
     for i in range(alg_d4.dim):
         for j in range(alg_d4.dim):

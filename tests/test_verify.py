@@ -2,9 +2,12 @@
 
 from fractions import Fraction as Q
 
+import pytest
+
 from confsys.linalg import solve
-from confsys.verify import (CHECKS, Session, SuiteConfig, available_checks,
-                            run_single, run_suite)
+from confsys.verify import (CHECKS, EXPECTED, Session, SuiteConfig,
+                            _levi_equivariance, available_checks, run_single,
+                            run_suite)
 
 
 def test_registry_scopes_are_exhaustive():
@@ -66,6 +69,28 @@ def test_exceptions_become_failures_with_witness(tmp_path):
 def test_session_special_value_is_minus_one(tmp_path):
     session = Session(SuiteConfig(type_label="D4", cache_dir=str(tmp_path)))
     assert session.sstar == Q(-1)
+
+
+def test_special_value_is_checked_against_the_frozen_column(tmp_path,
+                                                            monkeypatch):
+    monkeypatch.setitem(EXPECTED[("D", 4)], "special_values", (Q(-2),))
+    session = Session(SuiteConfig(type_label="D4", cache_dir=str(tmp_path)))
+    res = run_single(session, "special_value_unique")
+    assert res.status == "fail"
+    assert res.witness == {"values": ["-1"], "expected": ["-2"]}
+
+
+@pytest.mark.parametrize("label", ["D4", "A3"])
+def test_levi_equivariance_holds_off_the_special_value(tmp_path, label):
+    # Z.e at s0 plus (1 - s0) dchi(Z) e is s0-independent, so the identity
+    # holds at a value that is special for neither element family
+    session = Session(SuiteConfig(type_label=label, cache_dir=str(tmp_path)))
+    alg, om, s0 = session.alg, session.omega, Q(5, 2)
+    n_levi = len(alg.l_indices)
+    assert _levi_equivariance(session, session.quadratic_elements,
+                              om.omega2, s0) == n_levi * n_levi
+    assert _levi_equivariance(session, session.cubic_elements,
+                              om.omega3, s0) == n_levi * len(alg.v_minus)
 
 
 def test_b_matrices_match_dense_solve_reference(tmp_path):
