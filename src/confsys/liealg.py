@@ -160,6 +160,26 @@ class LieAlgebra:
         return self.l_indices + self.n_indices
 
     @cached_property
+    def q_generators(self) -> tuple[int, ...]:
+        """Standard generators of the parabolic q, 2*rank basis indices.
+
+        For each simple root a_i: X_{a_i}, then X_{-a_i} when a_i is a Levi
+        root (grade 0), else the coroot H_i.  The Levi coroots are
+        [X_{a_i}, X_{-a_i}], so these generate the Cartan; with the Levi
+        simple root vectors they generate l, and the positive simple root
+        vectors generate every positive root vector, so n as well.
+        """
+        out: list[int] = []
+        for i in range(self.rank):
+            a = self.rs.simple(i)
+            x = self.index_of_root[a]
+            if self.grade[x] == 0:
+                out += [x, self.index_of_root[tuple(-c for c in a)]]
+            else:
+                out += [x, self.cartan_index[i]]
+        return tuple(out)
+
+    @cached_property
     def graded_dims(self) -> tuple[int, int, int, int, int]:
         dims = [0] * 5
         for g in self.grade:

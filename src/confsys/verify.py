@@ -730,17 +730,17 @@ def _chk_quad_nil(s: Session) -> dict:
 
 
 @check("quadratic_weight_at_special", "system",
-       "At the special parameter value the grading coroot acts on the "
-       "quadratic elements by the scalar -4")
+       "At the special parameter value s* the grading coroot acts on the "
+       "quadratic elements by the scalar 2s* - 2 (-4 for D4)")
 def _chk_quad_weight_special(s: Session) -> dict:
     sstar = s.require_sstar()
     return {"eigenvalue": _coroot_scalar(s, s.quadratic_elements, 2, sstar)}
 
 
 @check("quadratic_equivariance_at_special", "system",
-       "At the special parameter value the quadratic element of a Levi "
-       "bracket equals the module action plus twice the character multiple, "
-       "for all Levi pairs")
+       "At the special parameter value s* the quadratic element of a Levi "
+       "bracket equals the module action plus (1 - s*) times the character "
+       "multiple (twice it for D4), for all Levi pairs")
 def _chk_quad_equiv_special(s: Session) -> dict:
     sstar = s.require_sstar()
     return {"pairs": _levi_equivariance(s, s.quadratic_elements,
@@ -759,7 +759,8 @@ def _chk_cubic_nil(s: Session) -> dict:
 
 @check("cubic_weight_at_special", "system",
        "The grading coroot acts on every cubic element by 2s - 3 "
-       "symbolically, hence by -5 at the special parameter value")
+       "symbolically, hence by 2s* - 3 at the special parameter value s* "
+       "(-5 for D4)")
 def _chk_cubic_weight(s: Session) -> dict:
     sstar = s.require_sstar()
     return {"eigenvalue": _coroot_scalar(s, s.cubic_elements, 3),
@@ -767,9 +768,10 @@ def _chk_cubic_weight(s: Session) -> dict:
 
 
 @check("cubic_equivariance_at_special", "system",
-       "At the special parameter value the cubic element of a Levi bracket "
-       "equals the module action plus twice the character multiple, for "
-       "every Levi basis vector against every grade -1 basis vector")
+       "At the special parameter value s* the cubic element of a Levi bracket "
+       "equals the module action plus (1 - s*) times the character multiple "
+       "(twice it for D4), for every Levi basis vector against every grade -1 "
+       "basis vector")
 def _chk_cubic_equiv(s: Session) -> dict:
     sstar = s.require_sstar()
     return {"pairs": _levi_equivariance(s, s.cubic_elements, s.omega.omega3,
@@ -912,9 +914,9 @@ def _chk_first_order_formula(s: Session) -> dict:
 
 
 @check("quadratic_commutator_formula", "system",
-       "At the special parameter value, the commutator of an induced-picture "
-       "operator of a grade >= 1 vector with a quadratic right action equals "
-       "the coefficient-extended quadratic right action of the "
+       "A D4 identity: at the special parameter value, the commutator of an "
+       "induced-picture operator of a grade >= 1 vector with a quadratic right "
+       "action equals the coefficient-extended quadratic right action of the "
        "adjoint-transported Levi bracket minus the transported character "
        "multiple of the original operator")
 def _chk_quadratic_formula(s: Session) -> dict:

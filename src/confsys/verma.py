@@ -20,7 +20,11 @@ from .poly import Poly, poly_gcd_all, rational_roots
 
 @dataclass(frozen=True)
 class StabilityResult:
-    """Outcome of the q-stability analysis of a finite span."""
+    """Outcome of the q-stability analysis of a finite span.
+
+    constraint_count is the number of nonzero constraints built from the
+    2*rank generators of q, not from every basis vector of q.
+    """
 
     all_s: bool
     values: tuple[Q, ...]
@@ -97,12 +101,18 @@ class VermaModule:
     # -- exact stability analysis ---------------------------------------------
 
     def stability_constraints(self, gens: list[Elt]) -> tuple[list[Poly], list[Poly]]:
-        """Polynomial conditions in s for q-stability of the span of gens.
+        """Polynomial conditions in s for q-stability of the span W of gens.
 
-        Returns (levi_constraints, nilradical_constraints): the span is stable
-        under a basis element x at s = s0 iff every constraint from x vanishes
-        at s0.  The constraints from x are the coefficients each acted
-        generator leaves outside the span (see Span.reduce).
+        Returns (levi_constraints, nilradical_constraints): the constraints
+        from acting by each generator x of q (LieAlgebra.q_generators), filed
+        by the grade of x.  The constraints from x are the coefficients each
+        acted generator of W leaves outside W (see Span.reduce), so W is
+        stable under x at s = s0 iff they all vanish at s0.
+
+        Acting by generators suffices: at a fixed s0 the x in q with
+        x.W in W form a Lie subalgebra, since [x, y].w = x.(y.w) - y.(x.w),
+        so it is all of q once it holds the generators.  Likewise the grade 0
+        generators generate the Levi factor l.
         """
         for g in gens:
             if not g:
@@ -110,10 +120,10 @@ class VermaModule:
         span = Span(gens)
         levi: list[Poly] = []
         nil: list[Poly] = []
-        for part, out in ((self.alg.l_indices, levi), (self.alg.n_indices, nil)):
-            for x in part:
-                for g in gens:
-                    out.extend(span.reduce(self.act_basis(x, g))[1])
+        for x in self.alg.q_generators:
+            out = levi if self.alg.grade[x] == 0 else nil
+            for g in gens:
+                out.extend(span.reduce(self.act_basis(x, g))[1])
         return levi, nil
 
     def singular_values(self, gens: list[Elt]) -> StabilityResult:

@@ -59,6 +59,45 @@ def test_nbar_indices_are_the_prefix(fix, request):
     assert alg.nbar_indices == tuple(range(alg.nbar_dim))
 
 
+def _bracket_closure_dim(alg, gens) -> int:
+    """Dimension of the subalgebra generated by the basis vectors gens.
+
+    It is the span of the gens under repeated ad(g), g in gens; rows are kept
+    in echelon form keyed by their lowest basis index.
+    """
+    rows: dict[int, dict[int, Q]] = {}
+
+    def insert(v: dict[int, Q]) -> bool:
+        v = dict(v)
+        for p in sorted(rows):
+            c = v.get(p)
+            if c:
+                for k, a in rows[p].items():
+                    v[k] = v.get(k, Q(0)) - c * a
+                v = {k: a for k, a in v.items() if a}
+        if not v:
+            return False
+        p = min(v)
+        rows[p] = {k: a / v[p] for k, a in v.items()}
+        return True
+
+    frontier = [{g: Q(1)} for g in gens if insert({g: Q(1)})]
+    while frontier:
+        frontier = [w for g in gens for v in frontier
+                    if insert(w := alg.ad_basis(g, v))]
+    return len(rows)
+
+
+@pytest.mark.parametrize("label", ["A2", "A3", "A4", "D4", "D5", "E6"])
+def test_q_generators_generate_q(label):
+    alg = build_lie_algebra(build_root_system(RootSystemSpec.parse(label)),
+                            check=False)
+    gens = alg.q_generators
+    assert len(gens) == len(set(gens)) == 2 * alg.rank
+    assert all(alg.grade[g] >= 0 for g in gens)
+    assert _bracket_closure_dim(alg, gens) == len(alg.q_indices)
+
+
 def test_bracket_antisymmetry(alg_d4):
     for i in range(alg_d4.dim):
         for j in range(alg_d4.dim):

@@ -4,10 +4,12 @@ from fractions import Fraction as Q
 
 import pytest
 
+from confsys.liealg import build_lie_algebra
 from confsys.linalg import rref
 from confsys.omega import OmegaSystem
 from confsys.pbw import Enveloping, S, elt_add, elt_scale, elt_sub, mono_degree
-from confsys.poly import Poly
+from confsys.poly import Poly, poly_gcd_all, rational_roots
+from confsys.roots import RootSystemSpec, build_root_system
 from confsys.verma import Span, VermaModule
 
 
@@ -123,13 +125,17 @@ def test_module_action_matrix_rejects_residual_inside_support(verma_d4):
         verma_d4.module_action_matrix(Span(gens), {h: Q(1)}, Q(-1))
 
 
-def _complement_constraints(vm, gens):
+def _complement_constraints(vm, gens, acting=None):
     """The stability constraints by the dense complement: a reference.
 
-    Each acted generator contributes its coefficients off the span's
-    monomials, then its nonzero inner products with a basis of the span's
-    left nullspace, taken from the rref of the span matrix.
+    acting is a pair (Levi vectors, nilradical vectors) of basis indices,
+    every basis vector of q by default.  Each acted generator contributes its
+    coefficients off the span's monomials, then its nonzero inner products
+    with a basis of the span's left nullspace, taken from the rref of the
+    span matrix.
     """
+    if acting is None:
+        acting = (vm.alg.l_indices, vm.alg.n_indices)
     mons = sorted({m for g in gens for m in g}, key=lambda t: (mono_degree(t), t))
     index = {m: k for k, m in enumerate(mons)}
     red, pivots = rref([[g[m].constant_value() if m in g else Q(0) for m in mons]
@@ -143,7 +149,7 @@ def _complement_constraints(vm, gens):
                 u[p] = -red[r][f]
             complement.append(u)
     levi, nil = [], []
-    for part, out in ((vm.alg.l_indices, levi), (vm.alg.n_indices, nil)):
+    for part, out in zip(acting, (levi, nil)):
         for x in part:
             for g in gens:
                 w = vm.act_basis(x, g)
@@ -158,13 +164,20 @@ def _complement_constraints(vm, gens):
     return levi, nil
 
 
-@pytest.mark.parametrize("label,count", [("a3", 28), ("d4", 128), ("d5", 300)])
+def _generators_by_grade(alg):
+    gens = alg.q_generators
+    return ([x for x in gens if alg.grade[x] == 0],
+            [x for x in gens if alg.grade[x] > 0])
+
+
+@pytest.mark.parametrize("label,count", [("a3", 12), ("d4", 15), ("d5", 24)])
 def test_stability_constraints_match_complement_reference(request, label, count):
     env = Enveloping(request.getfixturevalue(f"alg_{label}"))
     vm = VermaModule(env)
     gens = OmegaSystem(env).omega3_system()
     levi, nil = vm.stability_constraints(gens)
-    assert (levi, nil) == _complement_constraints(vm, gens)
+    assert (levi, nil) == _complement_constraints(vm, gens,
+                                                  _generators_by_grade(env.alg))
     assert len(levi) + len(nil) == count
 
 
@@ -177,7 +190,45 @@ def test_stability_constraints_match_complement_reference_inside_support(verma_d
     gens = [elt_add(elt_add(env.gen(v[0]), elt_scale(env.gen(v[1]), Q(2))),
                     elt_scale(env.gen(v[2]), Q(5))),
             elt_add(env.gen(v[3]), elt_scale(env.gen(v[4]), Q(3)))]
-    assert verma_d4.stability_constraints(gens) == _complement_constraints(verma_d4, gens)
+    assert verma_d4.stability_constraints(gens) == _complement_constraints(
+        verma_d4, gens, _generators_by_grade(env.alg))
+
+
+@pytest.mark.parametrize("label", ["A2", "A3", "A4", "D4", "D5"])
+def test_singular_values_match_all_of_q_reference(label):
+    # stability under the generators of q is stability under all of q: the
+    # findings equal those of the constraints from every basis vector of q
+    alg = build_lie_algebra(build_root_system(RootSystemSpec.parse(label)),
+                            check=False)
+    env = Enveloping(alg)
+    vm = VermaModule(env)
+    first_level = [env.gen(i) for i in alg.nbar_indices] + [env.one()]
+    for gens in (OmegaSystem(env).omega3_system(), first_level):
+        levi, nil = _complement_constraints(vm, gens)
+        constraints = levi + nil
+        values = (tuple(rational_roots(poly_gcd_all(constraints)))
+                  if constraints else ())
+        res = vm.singular_values(gens)
+        assert (res.values, res.all_s, res.levi_stable_all_s) == (
+            values, not constraints, not levi)
+
+
+def test_stability_constraints_act_by_generators_only(verma_d4, omega_d4,
+                                                      monkeypatch):
+    # 8 generators of q times 8 cubic elements; every basis vector of q
+    # (19 of them) would take 152 actions
+    gens = omega_d4.omega3_system()
+    calls = []
+    act_basis = VermaModule.act_basis
+
+    def counted(self, i, v):
+        calls.append(i)
+        return act_basis(self, i, v)
+
+    monkeypatch.setattr(VermaModule, "act_basis", counted)
+    verma_d4.stability_constraints(gens)
+    assert len(calls) == 64
+    assert set(calls) == set(verma_d4.alg.q_generators)
 
 
 def test_parameter_dependent_generators_rejected(verma_d4):
