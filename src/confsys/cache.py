@@ -1,10 +1,10 @@
 """On-disk cache for constructed algebras.
 
 The bracket table is deterministic, so the cache stores it as canonical JSON
-with exact rational coefficients rendered as strings, guarded by a SHA-256
-digest.  A corrupt or stale entry triggers a warning and a silent rebuild;
-hits reconstruct the algebra without re-running the construction or its
-build-time self-checks.
+with its integer structure constants rendered as strings, guarded by a
+SHA-256 digest.  A corrupt or stale entry, or one holding a constant that is
+not an integer, triggers a warning and a silent rebuild; hits reconstruct the
+algebra without re-running the construction or its build-time self-checks.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import json
 import os
 import tempfile
 import warnings
-from fractions import Fraction as Q
 from pathlib import Path
 
 from .liealg import LieAlgebra, build_lie_algebra
@@ -78,7 +77,7 @@ def _reconstruct(body: dict) -> LieAlgebra:
     root_of = tuple(tuple(r) if r is not None else None for r in body["root_of"])
     index_of_root = {r: i for i, r in enumerate(root_of) if r is not None}
     table = tuple(
-        tuple(tuple((k, Q(c)) for k, c in row) for row in line)
+        tuple(tuple((k, int(c)) for k, c in row) for row in line)
         for line in body["table"])
     return LieAlgebra(
         rs=rs,

@@ -367,7 +367,7 @@ class OperatorCalculus:
             br = dict(alg.bracket(j, g))
             n = br[alg.x_minus_gamma]
             zder = self._der(alg.x_minus_gamma)
-            terms[zder] = terms.get(zder, self.const(0)) + self.var(j) * (n / 2)
+            terms[zder] = terms.get(zder, self.const(0)) + self.var(j) * Q(n, 2)
         op = PolyDiffOp.from_coeffs(self.ncoords, terms)
         self._r_gen[g] = op
         return op

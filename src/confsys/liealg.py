@@ -8,6 +8,9 @@ Normalizations enforced (exactly, over Q):
   * the invariant form B with B(X_a, X_{-a}) = 1, B(H_a, H_b) = (a, b);
   * all root-root structure constants are +-1.
 
+Every structure constant is therefore a Python int, and the bracket table
+holds ints: products built from it divide nowhere, so they need no Fraction.
+
 Signs come from a bimultiplicative +-1 two-cocycle on the root lattice
 ("asymmetry function"), gauged so that [X_a, X_{-a}] = +H_a; the build then
 re-verifies the normalizations and (for moderate dimensions) the full Jacobi
@@ -27,7 +30,7 @@ from functools import cached_property
 
 from .roots import Root, RootSystem, root_str
 
-BracketRow = tuple[tuple[int, Q], ...]
+BracketRow = tuple[tuple[int, int], ...]   # (basis index, int constant)
 
 
 def _eps_exponent(gram: tuple[tuple[int, ...], ...], x: Root, y: Root) -> int:
@@ -277,18 +280,25 @@ class LieAlgebra:
 
     def verify_jacobi(self) -> None:
         """Exhaustive Jacobi check over basis triples i < j < k."""
+        table = self.table
         n = self.dim
         for i in range(n):
+            row_i = table[i]
             for j in range(i + 1, n):
-                bij = dict(self.table[i][j])
+                bij = row_i[j]
+                row_j = table[j]
                 for k in range(j + 1, n):
+                    bjk, bki = row_j[k], table[k][i]
+                    if not (bij or bjk or bki):
+                        continue    # every term is a bracket with 0
                     # cyclic form: [k,[i,j]] + [i,[j,k]] + [j,[k,i]] = 0
-                    acc = self.ad_basis(k, bij) if bij else {}
-                    for t, c in self.ad_basis(i, dict(self.table[j][k])).items():
-                        acc[t] = acc.get(t, Q(0)) + c
-                    for t, c in self.ad_basis(j, dict(self.table[k][i])).items():
-                        acc[t] = acc.get(t, Q(0)) + c
-                    if any(c for c in acc.values()):
+                    acc: dict[int, int] = {}
+                    for x, inner in ((k, bij), (i, bjk), (j, bki)):
+                        row_x = table[x]
+                        for t, c in inner:
+                            for u, d in row_x[t]:
+                                acc[u] = acc.get(u, 0) + c * d
+                    if any(acc.values()):
                         raise AssertionError(f"Jacobi fails at triple {i},{j},{k}")
 
 
@@ -336,14 +346,15 @@ def build_lie_algebra(rs: RootSystem, *, check: bool = True) -> LieAlgebra:
             sign = 1 if a is None else -1
             c = rs.pairing(vec, rs.simple(h_simple)) * sign
             target = j if a is None else i
-            return ((target, Q(c)),) if c else ()
+            return ((target, c),) if c else ()
         s = tuple(x + y for x, y in zip(a, b))
         if s == zero:
-            return tuple(sorted({cartan_index[k]: Q(c) for k, c in enumerate(a) if c}.items()))
+            return tuple(sorted({cartan_index[k]: c for k, c in enumerate(a) if c}.items()))
         if rs.is_root(s):
-            n = sigma(a) * sigma(b) * sigma(s) * (-1) ** _eps_exponent(rs.gram, a, b)
+            # the exponent can be negative, and (-1) ** -1 is the float -1.0
+            n = sigma(a) * sigma(b) * sigma(s) * (-1) ** (_eps_exponent(rs.gram, a, b) % 2)
             # pre-gauge cocycle bracket [x_a, x_b] = eps(a,b) x_{a+b}
-            return ((index_of_root[s], Q(n)),)
+            return ((index_of_root[s], n),)
         return ()
 
     table = tuple(tuple(pair_bracket(i, j) for j in range(dim)) for i in range(dim))

@@ -35,7 +35,7 @@ class OmegaSystem:
         gamma = rs.highest
         # For each root b of V+: (index of X_b, index of X_{-(gamma-b)},
         # index of X_{-b}, pairing constant N with [X_b, X_{gamma-b}] = N X_gamma).
-        self._legs: list[tuple[int, int, int, Q]] = []
+        self._legs: list[tuple[int, int, int, int]] = []
         for b_idx in self.alg.v_plus:
             b = self.alg.root_of[b_idx]
             assert b is not None

@@ -4,7 +4,8 @@ Monomials are sorted (basis-index, exponent) tuples over the fixed ordered
 basis of the Lie algebra; elements carry coefficients in Q[s], where s is the
 formal parameter of the induced-character family.  Products are normal
 ordered with the rewriting rule  x y = y x + [x, y]  and never increase the
-filtration degree.
+filtration degree.  The rule never divides, so with the integer structure
+constants of the Chevalley basis every normal-ordering coefficient is an int.
 """
 
 from __future__ import annotations
@@ -83,7 +84,8 @@ class Enveloping:
 
     def __init__(self, alg: LieAlgebra):
         self.alg = alg
-        self._rmul_memo: dict[tuple[Mono, int], dict[Mono, Q]] = {}
+        self._rmul_memo: dict[tuple[Mono, int], dict[Mono, int]] = {}
+        self._unit = spoly(1)   # the coefficient of every gen(); mul skips it
 
     # -- basic constructors -------------------------------------------------
 
@@ -91,7 +93,7 @@ class Enveloping:
         return {ONE_MONO: spoly(1)}
 
     def gen(self, i: int) -> Elt:
-        return {((i, 1),): spoly(1)}
+        return {((i, 1),): self._unit}
 
     def from_lie(self, elem: dict[int, Q]) -> Elt:
         return {((i, 1),): spoly(c) for i, c in elem.items() if c}
@@ -105,10 +107,10 @@ class Enveloping:
 
     # -- normal ordering ----------------------------------------------------
 
-    def mono_times_gen(self, m: Mono, g: int) -> dict[Mono, Q]:
-        """Normal-ordered product (monomial) * X_g with rational coefficients."""
+    def mono_times_gen(self, m: Mono, g: int) -> dict[Mono, int]:
+        """Normal-ordered product (monomial) * X_g with integer coefficients."""
         if not m or m[-1][0] <= g:
-            return {_mono_append(m, g): Q(1)}
+            return {_mono_append(m, g): 1}
         key = (m, g)
         cached = self._rmul_memo.get(key)
         if cached is not None:
@@ -116,17 +118,17 @@ class Enveloping:
         last, exp = m[-1]
         head = m[:-1] if exp == 1 else m[:-1] + ((last, exp - 1),)
         # (head * last) * g = (head * g) * last + head * [last, g]
-        out: dict[Mono, Q] = {}
+        out: dict[Mono, int] = {}
         for m2, c2 in self.mono_times_gen(head, g).items():
             for m3, c3 in self.mono_times_gen(m2, last).items():
-                v = out.get(m3, Q(0)) + c2 * c3
+                v = out.get(m3, 0) + c2 * c3
                 if v:
                     out[m3] = v
                 else:
                     del out[m3]
         for k, n in self.alg.table[last][g]:
             for m3, c3 in self.mono_times_gen(head, k).items():
-                v = out.get(m3, Q(0)) + n * c3
+                v = out.get(m3, 0) + n * c3
                 if v:
                     out[m3] = v
                 else:
@@ -134,13 +136,13 @@ class Enveloping:
         self._rmul_memo[key] = out
         return out
 
-    def mono_mul(self, a: Mono, b: Mono) -> dict[Mono, Q]:
-        cur: dict[Mono, Q] = {a: Q(1)}
+    def mono_mul(self, a: Mono, b: Mono) -> dict[Mono, int]:
+        cur: dict[Mono, int] = {a: 1}
         for g in mono_word(b):
-            nxt: dict[Mono, Q] = {}
+            nxt: dict[Mono, int] = {}
             for m, c in cur.items():
                 for m2, c2 in self.mono_times_gen(m, g).items():
-                    v = nxt.get(m2, Q(0)) + c * c2
+                    v = nxt.get(m2, 0) + c * c2
                     if v:
                         nxt[m2] = v
                     else:
@@ -149,13 +151,15 @@ class Enveloping:
         return cur
 
     def mul(self, a: Elt, b: Elt) -> Elt:
+        unit = self._unit
         out: Elt = {}
         for ma, ca in a.items():
             for mb, cb in b.items():
-                cab = ca * cb
+                cab = cb if ca is unit else ca if cb is unit else ca * cb
                 for m, c in self.mono_mul(ma, mb).items():
+                    t = cab if c == 1 else cab * c
                     v = out.get(m)
-                    v = cab * c if v is None else v + cab * c
+                    v = t if v is None else v + t
                     if v.is_zero():
                         out.pop(m, None)
                     else:

@@ -244,12 +244,15 @@ def _contraction_data(s: Session):
     proportional = True
     for x in alg.v_plus:
         for y in alg.v_minus:
-            acc: Elt = {}
+            # omega2 is linear over Q: sum the Levi elements, then apply it once
+            levi: dict[int, Q] = {}
             for e_idx in alg.v_plus:
                 inner1 = alg.bracket_elem({x: Q(1)},
                                           {_minus_index(alg, e_idx): Q(1)})
                 inner2 = dict(alg.bracket(e_idx, y))
-                acc = elt_add(acc, om.omega2(alg.bracket_elem(inner1, inner2)))
+                for k, c in alg.bracket_elem(inner1, inner2).items():
+                    levi[k] = levi.get(k, 0) + c
+            acc = om.omega2(levi)
             target = om.omega2(dict(alg.bracket(x, y)))
             if not target:
                 if acc:

@@ -1,13 +1,25 @@
-"""Shared fixtures: build each algebra once per test session."""
+"""Shared fixtures: build each algebra once per test session, and keep the
+default algebra cache inside the session's temporary directory."""
 
 import pytest
 
+from confsys.cache import ENV_CACHE_DIR
 from confsys.diffops import OperatorCalculus
 from confsys.liealg import build_lie_algebra
 from confsys.omega import OmegaSystem
 from confsys.pbw import Enveloping
 from confsys.roots import RootSystemSpec, build_root_system
 from confsys.verma import VermaModule
+
+
+@pytest.fixture(scope="session", autouse=True)
+def isolated_cache_dir(tmp_path_factory):
+    """Point the default cache directory (tests that pass no cache_dir, and
+    the processes they start) away from the user's cache."""
+    path = tmp_path_factory.mktemp("confsys-cache")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(ENV_CACHE_DIR, str(path))
+        yield path
 
 
 def _make(label: str):

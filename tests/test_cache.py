@@ -61,6 +61,22 @@ def test_load_or_build_recovers_from_corruption(tmp_path):
     assert cache.load(path).rank == 3
 
 
+@pytest.mark.parametrize("constant", ["1/2", "-1.0"])
+def test_non_integer_constant_is_rebuilt(tmp_path, constant):
+    path = cache.build(A3, tmp_path)
+    good = path.read_bytes()
+    body = json.loads(good)
+    body.pop("digest")
+    row = next(r for line in body["table"] for r in line if r)
+    row[0][1] = constant
+    body["digest"] = cache._digest(body)
+    path.write_text(json.dumps(body))
+    with pytest.warns(UserWarning, match="discarding unusable"):
+        alg = cache.load_or_build(A3, tmp_path, check=False)
+    assert alg.rank == 3
+    assert path.read_bytes() == good
+
+
 def test_clear_removes_entries(tmp_path):
     cache.build(A3, tmp_path)
     cache.build(RootSystemSpec.parse("D4"), tmp_path)
@@ -76,6 +92,11 @@ def test_env_var_selects_cache_dir(tmp_path, monkeypatch):
     assert cache.default_cache_dir() == tmp_path / "envdir"
     path = cache.build(A3)
     assert path.parent == tmp_path / "envdir"
+
+
+def test_default_cache_dir_is_isolated_in_tests(isolated_cache_dir):
+    assert cache.default_cache_dir().resolve().is_relative_to(
+        isolated_cache_dir.resolve())
 
 
 def test_interleaved_dumps_of_one_entry_do_not_collide(tmp_path, monkeypatch):

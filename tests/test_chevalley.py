@@ -1,10 +1,13 @@
 """Chevalley-basis construction: normalizations, grading, character."""
 
+import dataclasses
+import random
 from fractions import Fraction as Q
 
 import pytest
 
 from confsys.liealg import build_lie_algebra
+from confsys.pbw import Enveloping
 from confsys.roots import RootSystemSpec, build_root_system
 
 
@@ -175,3 +178,44 @@ def test_build_with_check_flag():
     rs = build_root_system(RootSystemSpec.parse("A3"))
     alg = build_lie_algebra(rs, check=True)
     assert alg.dim == 15
+
+
+@pytest.mark.parametrize("label", ["A2", "A3", "D4", "D5", "E6"])
+def test_structure_constants_are_ints(label):
+    # exactly int: a negative cocycle exponent once made a sign the float
+    # -1.0, which the +-1 normalization check accepts
+    alg = build_lie_algebra(build_root_system(RootSystemSpec.parse(label)),
+                            check=False)
+    types = {type(c) for line in alg.table for row in line for _, c in row}
+    assert types == {int}
+
+
+def test_normal_ordering_coefficients_are_ints(alg_d4):
+    env = Enveloping(alg_d4)
+    rng = random.Random("pbw-int")
+    rewritten = 0
+    for _ in range(300):
+        word = sorted(rng.randrange(alg_d4.dim) for _ in range(3))
+        mono = tuple((g, word.count(g)) for g in sorted(set(word)))
+        prod = env.mono_times_gen(mono, rng.randrange(alg_d4.dim))
+        assert all(type(c) is int for c in prod.values())
+        rewritten += len(prod) > 1
+    assert rewritten > 0
+
+
+@pytest.mark.parametrize("fix,triple", [("alg_a3", "0,4,14"),
+                                        ("alg_d4", "0,8,27")])
+def test_jacobi_catches_one_flipped_sign(fix, triple, request):
+    # flip the first root-root constant whose bracket is a root vector; every
+    # triple is checked in order, so the first failing one is fixed
+    alg = request.getfixturevalue(fix)
+    i, j = next((i, j) for i in range(alg.dim) for j in range(alg.dim)
+                if alg.root_of[i] is not None and alg.root_of[j] is not None
+                and alg.table[i][j]
+                and alg.root_of[alg.table[i][j][0][0]] is not None)
+    table = [list(line) for line in alg.table]
+    ((k, n),) = table[i][j]
+    table[i][j] = ((k, -n),)
+    bad = dataclasses.replace(alg, table=tuple(map(tuple, table)))
+    with pytest.raises(AssertionError, match=f"Jacobi fails at triple {triple}$"):
+        bad.verify_jacobi()

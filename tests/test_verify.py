@@ -5,8 +5,10 @@ from fractions import Fraction as Q
 import pytest
 
 from confsys.linalg import solve
+from confsys.pbw import elt_add, elt_scale, elt_sub
 from confsys.verify import (CHECKS, EXPECTED, Session, SuiteConfig,
-                            _levi_equivariance, available_checks, run_single,
+                            _contraction_data, _levi_equivariance,
+                            _minus_index, available_checks, run_single,
                             run_suite)
 
 
@@ -133,3 +135,40 @@ def test_run_suite_control_report(tmp_path):
     assert rep.special_values.levi_stable_all_s
     names = [c.name for c in rep.checks]
     assert names == available_checks(False)
+
+
+def _contraction_reference(s: Session):
+    """_contraction_data with the quadratic map applied to every double
+    bracket on its own and the results added."""
+    alg, om = s.alg, s.omega
+    ratios, nonzero_pairs, zero_anomalies, proportional = set(), 0, [], True
+    for x in alg.v_plus:
+        for y in alg.v_minus:
+            acc = {}
+            for e_idx in alg.v_plus:
+                inner1 = alg.bracket_elem({x: Q(1)},
+                                          {_minus_index(alg, e_idx): Q(1)})
+                inner2 = dict(alg.bracket(e_idx, y))
+                acc = elt_add(acc, om.omega2(alg.bracket_elem(inner1, inner2)))
+            target = om.omega2(dict(alg.bracket(x, y)))
+            if not target:
+                if acc:
+                    zero_anomalies.append((alg.names[x], alg.names[y]))
+                continue
+            nonzero_pairs += 1
+            m0, c0 = next(iter(target.items()))
+            if m0 not in acc:
+                proportional = False
+                continue
+            ratio = acc[m0].constant_value() / c0.constant_value()
+            if elt_sub(acc, elt_scale(target, ratio)):
+                proportional = False
+            else:
+                ratios.add(ratio)
+    return ratios, nonzero_pairs, zero_anomalies, proportional
+
+
+@pytest.mark.parametrize("label", ["A3", "D4", "D5"])
+def test_contraction_data_matches_per_term_reference(tmp_path, label):
+    session = Session(SuiteConfig(type_label=label, cache_dir=str(tmp_path)))
+    assert _contraction_data(session) == _contraction_reference(session)
