@@ -17,8 +17,12 @@ coordinate by coordinate,
 
     d^b o x^c = sum_k C(b, k) c!/(c-k)! x^(c-k) d^(b-k),
 
-and point functionals at the identity of a commutator are read off a
-truncated product that keeps only the coordinate-free terms.  Poly is the
+where only coordinates that one side differentiates and the other carries
+(a bitmask test per term pair) expand past k = 0.  The k = 0 term of a pair
+is the same in both orders, so a commutator forms only the k >= 1
+reordering corrections of each order, with opposite signs; point
+functionals at the identity of a commutator are read off a truncated
+product that keeps only the coordinate-free terms.  Poly is the
 boundary type: coefficients enter through from_coeffs/mult_op/scale and
 leave through at_identity/coefficients.
 
@@ -135,16 +139,35 @@ class PolyDiffOp:
     def compose(self, other: "PolyDiffOp") -> "PolyDiffOp":
         """self applied after other, as operators (normal ordered)."""
         self._check(other)
+        n = self.ncoords
         out: dict[Key, int] = {}
-        _compose_into(out, self.terms, other.terms, self.ncoords, 1)
-        return PolyDiffOp(self.ncoords, out, self.den * other.den)
+        rights = _masked(other.terms, n)
+        for ka, ca, cma, dma, dera in _masked(self.terms, n):
+            for kb, cb, cmb, dmb, derb in rights:
+                base = tuple(map(add, ka, kb))
+                if dma & cmb:
+                    _reorder_into(out, base, dera, kb, ca * cb, n, 0)
+                else:
+                    out[base] = out.get(base, 0) + ca * cb
+        return PolyDiffOp(n, out, self.den * other.den)
 
     def commutator(self, other: "PolyDiffOp") -> "PolyDiffOp":
+        """[self, other]: only the reordering corrections survive."""
         self._check(other)
         n = self.ncoords
         out: dict[Key, int] = {}
-        _compose_into(out, self.terms, other.terms, n, 1)
-        _compose_into(out, other.terms, self.terms, n, -1)
+        rights = _masked(other.terms, n)
+        for ka, ca, cma, dma, dera in _masked(self.terms, n):
+            for kb, cb, cmb, dmb, derb in rights:
+                ab, ba = dma & cmb, dmb & cma
+                if not (ab or ba):
+                    continue        # the two orders give the same term
+                base = tuple(map(add, ka, kb))
+                c = ca * cb
+                if ab:
+                    _reorder_into(out, base, dera, kb, c, n, 1)
+                if ba:
+                    _reorder_into(out, base, derb, ka, -c, n, 1)
         return PolyDiffOp(n, out, self.den * other.den)
 
     def apply(self, f: Poly) -> Poly:
@@ -234,7 +257,8 @@ def _reorderings(n: int, overlap: tuple[tuple[int, int, int], ...]):
 
     overlap lists (coordinate, b_i, c_i) with both exponents positive.
     Returns (key decrement, factor) pairs: the product of the per-coordinate
-    terms C(b_i, k_i) c_i!/(c_i-k_i)! x^(c_i-k_i) d^(b_i-k_i).
+    terms C(b_i, k_i) c_i!/(c_i-k_i)! x^(c_i-k_i) d^(b_i-k_i).  The first
+    pair is the k = 0 term: no decrement, factor 1.
     """
     per_coord = [[(i, k, comb(b, k) * perm(c, k)) for k in range(min(b, c) + 1)]
                  for i, b, c in overlap]
@@ -249,23 +273,34 @@ def _reorderings(n: int, overlap: tuple[tuple[int, int, int], ...]):
     return tuple(out)
 
 
-def _compose_into(out: dict[Key, int], left: dict[Key, int],
-                  right: dict[Key, int], n: int, sign: int) -> None:
-    """Add sign * (left o right), as numerators, into out."""
-    rights = list(right.items())
-    for ka, ca in left.items():
-        ca *= sign
-        ders = [(i, b) for i, b in enumerate(ka[n + 1:]) if b]
-        for kb, cb in rights:
-            base = tuple(map(add, ka, kb))
-            overlap = tuple((i, b, kb[i]) for i, b in ders if kb[i])
-            if not overlap:
-                out[base] = out.get(base, 0) + ca * cb
-                continue
-            c = ca * cb
-            for dec, factor in _reorderings(n, overlap):
-                key = tuple(map(sub, base, dec))
-                out[key] = out.get(key, 0) + c * factor
+def _masked(terms: dict[Key, int], n: int):
+    """Per term: key, numerator, coordinate bitmask, derivative bitmask and
+    the (coordinate, exponent) pairs of its derivatives."""
+    out = []
+    for k, v in terms.items():
+        cmask = dmask = 0
+        ders = []
+        for i in range(n):
+            if k[i]:
+                cmask |= 1 << i
+            b = k[n + 1 + i]
+            if b:
+                dmask |= 1 << i
+                ders.append((i, b))
+        out.append((k, v, cmask, dmask, ders))
+    return out
+
+
+def _reorder_into(out: dict[Key, int], base: Key, ders, right: Key, c: int,
+                  n: int, start: int) -> None:
+    """Add c times the reorderings from start on of (left term) o (right
+    term), where base is the sum of the two keys and ders the left term's
+    derivatives: start 0 gives the whole product, start 1 the k >= 1
+    corrections."""
+    overlap = tuple((i, b, right[i]) for i, b in ders if right[i])
+    for dec, factor in _reorderings(n, overlap)[start:]:
+        key = tuple(map(sub, base, dec))
+        out[key] = out.get(key, 0) + c * factor
 
 
 class OperatorCalculus:

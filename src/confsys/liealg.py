@@ -112,15 +112,33 @@ class LieAlgebra:
         """The invariant form normalized by B(X_a, X_{-a}) = 1."""
         ri, rj = self.root_of[i], self.root_of[j]
         if ri is None and rj is None:
-            si = self.cartan_index.index(i)
-            sj = self.cartan_index.index(j)
-            return Q(self.rs.gram[si][sj])
+            return Q(self.rs.gram[self.simple_of[i]][self.simple_of[j]])
         if ri is None or rj is None:
             return Q(0)
         return Q(1) if tuple(x + y for x, y in zip(ri, rj)) == (0,) * self.rank else Q(0)
 
     def killing_elem(self, a: dict[int, Q], b: dict[int, Q]) -> Q:
-        return sum((ca * cb * self.killing(i, j) for i, ca in a.items() for j, cb in b.items()), Q(0))
+        """B(a, b): X_a pairs only with X_-a, H_i with H_j by the Gram entry."""
+        opposite, simple, gram = self.opposite, self.simple_of, self.rs.gram
+        total = sum((ca * b[j] for i, ca in a.items()
+                     if (j := opposite[i]) is not None and j in b), Q(0))
+        ha = [(simple[i], c) for i, c in a.items() if simple[i] is not None]
+        if ha:
+            hb = [(simple[j], c) for j, c in b.items() if simple[j] is not None]
+            total += sum(ca * cb * gram[si][sj] for si, ca in ha for sj, cb in hb)
+        return total
+
+    @cached_property
+    def opposite(self) -> tuple[int | None, ...]:
+        """Per basis index, the index of X_-a for a root vector X_a; None for H_i."""
+        return tuple(None if r is None else self.index_of_root[tuple(-x for x in r)]
+                     for r in self.root_of)
+
+    @cached_property
+    def simple_of(self) -> tuple[int | None, ...]:
+        """Per basis index, i for the coroot H_i; None for a root vector."""
+        return tuple(None if r is not None else self.cartan_index.index(i)
+                     for i, r in enumerate(self.root_of))
 
     # ------------------------------------------------- Heisenberg structure
 
@@ -226,8 +244,7 @@ class LieAlgebra:
         r = self.root_of[i]
         if r is not None:
             return Q(0)
-        si = self.cartan_index.index(i)
-        return Q(self.rs.pairing(self.gamma, self.rs.simple(si)))
+        return Q(self.rs.pairing(self.gamma, self.rs.simple(self.simple_of[i])))
 
     def dchi(self, elem: dict[int, Q], *, on_q: bool = False) -> Q:
         total = Q(0)
@@ -247,7 +264,12 @@ class LieAlgebra:
     # ---------------------------------------------------------- verification
 
     def verify_normalizations(self) -> None:
-        """Check the four Chevalley normalizations and +-1 structure constants."""
+        """Check the four Chevalley normalizations and +-1 structure constants,
+        and that every constant in the table is an int."""
+        for i, line in enumerate(self.table):
+            for j, row in enumerate(line):
+                if any(type(c) is not int for _, c in row):
+                    raise AssertionError(f"structure constant not an int at {i},{j}: {row}")
         zero = (0,) * self.rank
         for i, a in enumerate(self.root_of):
             if a is None:

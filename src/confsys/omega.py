@@ -147,8 +147,5 @@ class OmegaSystem:
             w2 = self.omega2(br)
             if not w2:
                 continue
-            acc: Elt = {}
-            for i, c in wstar.items():
-                acc = elt_add(acc, elt_scale(env.gen_lmul(i, w2), c))
-            out = elt_add(out, acc)
+            out = elt_add(out, env.mul(env.from_lie(wstar), w2))
         return out

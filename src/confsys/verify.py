@@ -230,10 +230,6 @@ def _expected(alg: LieAlgebra, column: str):
     return EXPECTED.get((alg.rs.spec.family, alg.rs.spec.rank), {}).get(column)
 
 
-def _minus_index(alg: LieAlgebra, i: int) -> int:
-    return alg.index_of_root[negate(alg.root_of[i])]
-
-
 def _contraction_data(s: Session):
     """For every (X, Y) in V+ x V-, compare the contracted double bracket
     sum against the quadratic element of [X, Y]; returns ratio statistics."""
@@ -248,7 +244,7 @@ def _contraction_data(s: Session):
             levi: dict[int, Q] = {}
             for e_idx in alg.v_plus:
                 inner1 = alg.bracket_elem({x: Q(1)},
-                                          {_minus_index(alg, e_idx): Q(1)})
+                                          {alg.opposite[e_idx]: Q(1)})
                 inner2 = dict(alg.bracket(e_idx, y))
                 for k, c in alg.bracket_elem(inner1, inner2).items():
                     levi[k] = levi.get(k, 0) + c
@@ -798,7 +794,7 @@ def _chk_basis_independence(s: Session) -> dict:
                 break
         w_basis = [{alg.v_plus[j]: a[i][j] for j in range(m) if a[i][j]}
                    for i in range(m)]
-        w_dual = [{_minus_index(alg, alg.v_plus[k]): binv[k][i]
+        w_dual = [{alg.opposite[alg.v_plus[k]]: binv[k][i]
                    for k in range(m) if binv[k][i]} for i in range(m)]
         for i in range(m):
             for j in range(m):
@@ -880,7 +876,7 @@ def _chk_picture_consistency(s: Session) -> dict:
             w2 = om.omega2(br)
             if not w2:
                 continue
-            acc = acc + calc.r_gen(_minus_index(alg, e_idx)).compose(
+            acc = acc + calc.r_gen(alg.opposite[e_idx]).compose(
                 calc.r_op(w2))
         _ensure(acc == s.omega3_ops[k], index=alg.names[y])
     return {"elements": len(alg.v_minus)}

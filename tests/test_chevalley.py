@@ -219,3 +219,50 @@ def test_jacobi_catches_one_flipped_sign(fix, triple, request):
     bad = dataclasses.replace(alg, table=tuple(map(tuple, table)))
     with pytest.raises(AssertionError, match=f"Jacobi fails at triple {triple}$"):
         bad.verify_jacobi()
+
+
+def test_normalizations_reject_a_float_constant(alg_a3):
+    # 1.0 == 1, so the +-1 test and the Jacobi check cannot see the float
+    table = [list(line) for line in alg_a3.table]
+    ((k, n),) = table[0][10]
+    assert n == 1
+    table[0][10] = ((k, 1.0),)
+    bad = dataclasses.replace(alg_a3, table=tuple(map(tuple, table)))
+    bad.verify_jacobi()
+    with pytest.raises(AssertionError, match="not an int at 0,10"):
+        bad.verify_normalizations()
+
+
+@pytest.mark.parametrize("label", ["A3", "D4", "D5", "E6"])
+def test_killing_elem_matches_dense_double_sum(label):
+    alg = build_lie_algebra(build_root_system(RootSystemSpec.parse(label)),
+                            check=False)
+    roots = [i for i in range(alg.dim) if alg.root_of[i] is not None]
+    cartan = list(alg.cartan_index)
+    rng = random.Random(f"killing-{label}")
+
+    def dense(a, b):
+        return sum((ca * cb * alg.killing(i, j)
+                    for i, ca in a.items() for j, cb in b.items()), Q(0))
+
+    def element(pool, size):
+        return {i: Q(rng.randint(-4, 4), rng.randint(1, 3))
+                for i in rng.sample(pool, min(size, len(pool)))}
+
+    # partners of sampled roots, so that root pairs meet often
+    def with_partners(e):
+        return {**e, **{alg.index_of_root[tuple(-x for x in alg.root_of[i])]:
+                        Q(rng.randint(-3, 3)) for i in e
+                        if alg.root_of[i] is not None and rng.random() < 0.5}}
+
+    pools = [roots, cartan, list(range(alg.dim))]
+    elements = [{}] + [with_partners(element(pool, size)) for pool in pools
+                       for size in (1, 3, 8) for _ in range(4)]
+    nonzero = 0
+    for a in elements:
+        for b in rng.sample(elements, 12) + [{}]:
+            got = alg.killing_elem(a, b)
+            assert got == dense(a, b)
+            assert type(got) is Q
+            nonzero += got != 0
+    assert nonzero > 0

@@ -185,6 +185,53 @@ def test_composition_matches_applying_in_turn(calc_d4, env_d4, cubic_ops_d4):
         assert a.compose(b).apply(f) == a.apply(b.apply(f))
 
 
+def _second_order_overlap(a, b):
+    """Whether some term of a differentiates twice a coordinate that some
+    term of b carries squared, so a o b reorders with k >= 2."""
+    n = a.ncoords
+    return any(ka[n + 1 + i] >= 2 and kb[i] >= 2
+               for ka in a.terms for kb in b.terms for i in range(n))
+
+
+def test_commutator_is_the_difference_of_compositions(calc_d4, env_d4,
+                                                      cubic_ops_d4):
+    """[a, b] == a o b - b o a, and [a, b] == -[b, a], over D4 pools."""
+    alg, s = calc_d4.alg, calc_d4.s_var
+    rng = random.Random(29)
+    pis = [calc_d4.pi_basis(i) for i in range(alg.dim)]
+    pis_special = [op.subs_param(s, Q(-1)) for op in pis]
+    monos = {m for k in (1, 2, 3) for _ in range(4)
+             for m in env_d4.normal_order([rng.choice(alg.nbar_indices)
+                                           for _ in range(k)])}
+    rs = [calc_d4.r_mono(m) for m in sorted(monos)]
+    mults = [calc_d4.mult_op(_random_poly(rng, calc_d4.nvars, degree=6))
+             for _ in range(4)]
+    pools = [pis, pis_special, rs, cubic_ops_d4, mults]
+    pairs = [(rng.choice(p), rng.choice(q)) for p in pools for q in pools
+             for _ in range(3)]
+    # higher-order operators against polynomial multipliers reorder k >= 2
+    pairs += [(rng.choice(cubic_ops_d4 + rs), b) for b in mults]
+    assert any(_second_order_overlap(a, b) for a, b in pairs)
+    nonzero = 0
+    for a, b in pairs:
+        got = a.commutator(b)
+        assert got == a.compose(b) - b.compose(a)
+        assert got == -b.commutator(a)
+        nonzero += not got.is_zero()
+    assert nonzero > len(pairs) // 2
+
+
+def test_commutator_of_disjoint_supports_is_zero(calc_d4):
+    # x_1^2 d_2 and x_3 d_4^2: neither differentiates the other's coordinates
+    n = calc_d4.ncoords
+    a = PolyDiffOp.from_coeffs(n, {calc_d4._der(2): calc_d4.var(1) ** 2})
+    b = PolyDiffOp.from_coeffs(
+        n, {tuple(2 if i == 4 else 0 for i in range(n)): calc_d4.var(3) * 5})
+    assert a.commutator(b).is_zero()
+    assert not a.compose(b).is_zero()
+    assert a.compose(b) == b.compose(a)
+
+
 def test_flat_form_is_canonical(calc_d4):
     n = calc_d4.ncoords
     key = (0,) * (2 * n + 1)

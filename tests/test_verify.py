@@ -8,7 +8,7 @@ from confsys.linalg import solve
 from confsys.pbw import elt_add, elt_scale, elt_sub
 from confsys.verify import (CHECKS, EXPECTED, Session, SuiteConfig,
                             _contraction_data, _levi_equivariance,
-                            _minus_index, available_checks, run_single,
+                            available_checks, run_single,
                             run_suite)
 
 
@@ -147,7 +147,7 @@ def _contraction_reference(s: Session):
             acc = {}
             for e_idx in alg.v_plus:
                 inner1 = alg.bracket_elem({x: Q(1)},
-                                          {_minus_index(alg, e_idx): Q(1)})
+                                          {alg.opposite[e_idx]: Q(1)})
                 inner2 = dict(alg.bracket(e_idx, y))
                 acc = elt_add(acc, om.omega2(alg.bracket_elem(inner1, inner2)))
             target = om.omega2(dict(alg.bracket(x, y)))
