@@ -93,6 +93,8 @@ def _reconstruct(body: dict) -> LieAlgebra:
 def load(path: Path) -> LieAlgebra:
     """Load a cached algebra; raises on any corruption or schema mismatch."""
     body = json.loads(path.read_text())
+    if not isinstance(body, dict):
+        raise ValueError("cache entry is not a JSON object")
     digest = body.pop("digest")
     if body.get("schema") != CACHE_SCHEMA:
         raise ValueError(f"cache schema {body.get('schema')} != {CACHE_SCHEMA}")

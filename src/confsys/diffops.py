@@ -422,10 +422,10 @@ class OperatorCalculus:
         return op
 
     def r_op(self, u: Elt) -> PolyDiffOp:
-        """R of an enveloping-algebra element (coefficients may involve s)."""
+        """R of an enveloping-algebra element with rational coefficients."""
         out = self.zero_op()
         for m, c in u.items():
-            out = out + self.r_mono(m).scale(c.extend(self.nvars, self.s_var))
+            out = out + self.r_mono(m).scale(c)
         return out
 
     def r_ext(self, y: dict[int, Poly]) -> PolyDiffOp:

@@ -33,9 +33,9 @@ class OmegaSystem:
         self.alg: LieAlgebra = env.alg
         rs = self.alg.rs
         gamma = rs.highest
-        # For each root b of V+: (index of X_b, index of X_{-(gamma-b)},
-        # index of X_{-b}, pairing constant N with [X_b, X_{gamma-b}] = N X_gamma).
-        self._legs: list[tuple[int, int, int, int]] = []
+        # For each root b of V+: (index of X_{-(gamma-b)}, index of X_{-b},
+        # pairing constant N with [X_b, X_{gamma-b}] = N X_gamma).
+        self._legs: list[tuple[int, int, int]] = []
         for b_idx in self.alg.v_plus:
             b = self.alg.root_of[b_idx]
             assert b is not None
@@ -44,7 +44,6 @@ class OmegaSystem:
             br = dict(self.alg.bracket(b_idx, comp_idx))
             assert set(br) == {self.alg.x_gamma}, "V+ pairing must hit the center"
             self._legs.append((
-                b_idx,
                 self.alg.index_of_root[negate(comp)],
                 self.alg.index_of_root[negate(b)],
                 br[self.alg.x_gamma],
@@ -80,7 +79,7 @@ class OmegaSystem:
         env, alg = self.env, self.alg
         half_dchi = alg.dchi(z) / 2
         out: Elt = {}
-        for _, mcomp_idx, mb_idx, pair_n in self._legs:
+        for mcomp_idx, mb_idx, pair_n in self._legs:
             # twisted action of Z on the complementary V- vector
             t: dict[int, Q] = dict(alg.bracket_elem(z, {mcomp_idx: Q(1)}))
             if half_dchi:
@@ -95,19 +94,13 @@ class OmegaSystem:
     # -- degree 3 -------------------------------------------------------------
 
     def omega3_basis(self, y_idx: int) -> Elt:
-        """Cubic element for the basis vector X at index y_idx in V-."""
-        if y_idx not in self.alg.v_minus:
+        """Cubic element for the basis vector at index y_idx in V-."""
+        alg = self.alg
+        if y_idx not in alg.v_minus:
             raise ValueError(f"basis index {y_idx} is not in V-")
-        env, alg = self.env, self.alg
-        out: Elt = {}
-        for plus_idx, _, minus_idx, _ in self._legs:
-            br = dict(alg.bracket(plus_idx, y_idx))
-            if not br:
-                continue
-            w2 = self.omega2(br)
-            if w2:
-                out = elt_add(out, env.gen_lmul(minus_idx, w2))
-        return out
+        return self.omega3_from_basis([{b: 1} for b in alg.v_plus],
+                                      [{alg.opposite[b]: 1} for b in alg.v_plus],
+                                      y_idx)
 
     def omega3(self, y: dict[int, Q]) -> Elt:
         allowed = set(self.alg.v_minus)
@@ -126,26 +119,16 @@ class OmegaSystem:
 
     def omega3_from_basis(self, w_basis: list[dict[int, Q]],
                           w_dual: list[dict[int, Q]], y_idx: int) -> Elt:
-        """Recompute the cubic element from any basis of V+ and its dual.
+        """The cubic element contracted over any basis of V+ and its dual.
 
         w_basis spans V+; w_dual must be the dual basis of V- under the
-        invariant form.  Used to confirm basis independence.
+        invariant form: the root vectors X_b and X_-b for omega3_basis,
+        random bases to confirm basis independence.
         """
-        env, alg = self.env, self.alg
+        env = self.env
         out: Elt = {}
         for w, wstar in zip(w_basis, w_dual):
-            br: dict[int, Q] = {}
-            for i, c in w.items():
-                for j, d in alg.bracket(i, y_idx):
-                    v = br.get(j, Q(0)) + c * d
-                    if v:
-                        br[j] = v
-                    else:
-                        del br[j]
-            if not br:
-                continue
-            w2 = self.omega2(br)
-            if not w2:
-                continue
-            out = elt_add(out, env.mul(env.from_lie(wstar), w2))
+            w2 = self.omega2(self.alg.bracket_elem(w, {y_idx: 1}))
+            if w2:
+                out = elt_add(out, env.mul(env.from_lie(wstar), w2))
         return out

@@ -1,11 +1,12 @@
 """Poincare-Birkhoff-Witt calculus in the universal enveloping algebra.
 
 Monomials are sorted (basis-index, exponent) tuples over the fixed ordered
-basis of the Lie algebra; elements carry coefficients in Q[s], where s is the
-formal parameter of the induced-character family.  Products are normal
-ordered with the rewriting rule  x y = y x + [x, y]  and never increase the
-filtration degree.  The rule never divides, so with the integer structure
-constants of the Chevalley basis every normal-ordering coefficient is an int.
+basis of the Lie algebra; elements of U(g) carry int or Fraction coefficients
+(the module vectors of verma.py, which reuse the product, carry Polys in s).
+Products are normal ordered with the rewriting rule  x y = y x + [x, y]  and
+never increase the filtration degree.  The rule never divides, so with the
+integer structure constants of the Chevalley basis every normal-ordering
+coefficient is an int.
 """
 
 from __future__ import annotations
@@ -17,16 +18,10 @@ from .liealg import LieAlgebra
 from .poly import Poly
 
 Mono = tuple[tuple[int, int], ...]
-Elt = dict[Mono, Poly]
+Coeff = int | Q | Poly
+Elt = dict[Mono, Coeff]
 
 ONE_MONO: Mono = ()
-
-
-def spoly(c: Q | int) -> Poly:
-    return Poly.constant(1, c)
-
-
-S = Poly.variable(1, 0)  # the parameter s
 
 
 def mono_degree(m: Mono) -> int:
@@ -52,17 +47,15 @@ def elt_add(a: Elt, b: Elt) -> Elt:
     for m, c in b.items():
         v = out.get(m)
         v = c if v is None else v + c
-        if v.is_zero():
-            out.pop(m, None)
-        else:
+        if v:
             out[m] = v
+        else:
+            out.pop(m, None)
     return out
 
 
-def elt_scale(a: Elt, c: Poly | Q | int) -> Elt:
-    if not isinstance(c, Poly):
-        c = spoly(c)
-    if c.is_zero():
+def elt_scale(a: Elt, c: Coeff) -> Elt:
+    if not c:
         return {}
     return {m: v * c for m, v in a.items()}
 
@@ -85,18 +78,17 @@ class Enveloping:
     def __init__(self, alg: LieAlgebra):
         self.alg = alg
         self._rmul_memo: dict[tuple[Mono, int], dict[Mono, int]] = {}
-        self._unit = spoly(1)   # the coefficient of every gen(); mul skips it
 
     # -- basic constructors -------------------------------------------------
 
     def one(self) -> Elt:
-        return {ONE_MONO: spoly(1)}
+        return {ONE_MONO: 1}
 
     def gen(self, i: int) -> Elt:
-        return {((i, 1),): self._unit}
+        return {((i, 1),): 1}
 
     def from_lie(self, elem: dict[int, Q]) -> Elt:
-        return {((i, 1),): spoly(c) for i, c in elem.items() if c}
+        return {((i, 1),): c for i, c in elem.items() if c}
 
     def normal_order(self, word: list[int]) -> Elt:
         """Normal-ordered image of a left-to-right product of basis vectors."""
@@ -151,19 +143,18 @@ class Enveloping:
         return cur
 
     def mul(self, a: Elt, b: Elt) -> Elt:
-        unit = self._unit
         out: Elt = {}
         for ma, ca in a.items():
             for mb, cb in b.items():
-                cab = cb if ca is unit else ca if cb is unit else ca * cb
+                cab = cb if ca == 1 else ca if cb == 1 else ca * cb
                 for m, c in self.mono_mul(ma, mb).items():
                     t = cab if c == 1 else cab * c
                     v = out.get(m)
                     v = t if v is None else v + t
-                    if v.is_zero():
-                        out.pop(m, None)
-                    else:
+                    if v:
                         out[m] = v
+                    else:
+                        out.pop(m, None)
         return out
 
     def gen_lmul(self, g: int, a: Elt) -> Elt:
@@ -172,25 +163,14 @@ class Enveloping:
 
     # -- misc ----------------------------------------------------------------
 
-    def weight(self, m: Mono) -> tuple[Q, ...]:
-        """h-weight of a monomial (sum of the root weights of its factors)."""
-        acc = [Q(0)] * self.alg.rank
-        for i, e in m:
-            r = self.alg.root_of[i]
-            if r is not None:
-                for k, x in enumerate(r):
-                    acc[k] += e * x
-        return tuple(acc)
-
     def format(self, a: Elt) -> str:
         if not a:
             return "0"
         names = self.alg.names
         pieces = []
         for m in sorted(a, key=lambda t: (mono_degree(t), t)):
-            c = a[m].format(["s"])
             body = "*".join(names[i] if e == 1 else f"{names[i]}^{e}" for i, e in m)
-            pieces.append(f"({c})" + (f"*{body}" if body else ""))
+            pieces.append(f"({a[m]})" + (f"*{body}" if body else ""))
         return " + ".join(pieces)
 
 

@@ -1,10 +1,10 @@
 """Sparse exact polynomials over Q.
 
 A polynomial is a dict from exponent tuples to nonzero Fractions.  All rings
-used by the engine are instances of this one class: coefficients of enveloping
-algebra elements are univariate (the formal parameter ``s``), coefficients of
-differential operators are polynomials in the nilpotent-group coordinates plus
-``s`` as the last variable.
+used by the engine are instances of this one class: coefficients of
+generalized Verma module vectors are univariate (the formal parameter ``s``),
+coefficients of differential operators are polynomials in the nilpotent-group
+coordinates plus ``s`` as the last variable.
 """
 
 from __future__ import annotations
@@ -179,14 +179,6 @@ class Poly:
                 term *= v ** k
             total += term
         return total
-
-    def extend(self, nvars: int, offset: int = 0) -> "Poly":
-        """Re-embed into a ring with `nvars` variables, shifting by `offset`."""
-        if offset < 0 or offset + self.nvars > nvars:
-            raise ValueError("embedding does not fit")
-        pre = (0,) * offset
-        post = (0,) * (nvars - offset - self.nvars)
-        return Poly._wrap(nvars, {pre + e + post: c for e, c in self.terms.items()})
 
     # -- display -----------------------------------------------------------
 

@@ -26,13 +26,13 @@ from .diffops import OperatorCalculus, PolyDiffOp, commutator_at_identity
 from .liealg import LieAlgebra
 from .linalg import inverse, rank
 from .omega import OmegaSystem, negate
-from .pbw import (Elt, Enveloping, S, elt_add, elt_scale, elt_sub, mono_degree,
-                  monomials_up_to, spoly)
+from .pbw import (Elt, Enveloping, elt_add, elt_scale, elt_sub, mono_degree,
+                  monomials_up_to)
 from .poly import Poly, poly_gcd_all, rational_roots
 from .report import (SCHEMA_VERSION, CheckResult, SpecialValueFindings,
                      VerificationReport, qstr)
 from .roots import RootSystemSpec
-from .verma import Span, StabilityResult, VermaModule
+from .verma import S, Span, StabilityResult, VermaModule, elt_subs, lift
 
 # frozen expectations for the supported families, keyed by (family, rank):
 # graded dimensions; deleted-diagram components (0-based nodes); number of
@@ -210,15 +210,6 @@ class Session:
 # ------------------------------------------------------------ shared helpers
 
 
-def elt_subs(v: Elt, s0: Q) -> Elt:
-    out: Elt = {}
-    for m, c in v.items():
-        c2 = c.subs(0, s0)
-        if not c2.is_zero():
-            out[m] = c2
-    return out
-
-
 def weighted_degree(alg: LieAlgebra, m) -> int:
     """PBW degree where the central generator counts twice."""
     return sum(e * (2 if i == alg.x_minus_gamma else 1) for i, e in m)
@@ -260,7 +251,7 @@ def _contraction_data(s: Session):
             if c is None:
                 proportional = False
                 continue
-            ratio = c.constant_value() / c0.constant_value()
+            ratio = Q(c, c0)
             if elt_sub(acc, elt_scale(target, ratio)):
                 proportional = False
             else:
@@ -321,9 +312,9 @@ def _vanishing_at(s: Session, vectors, sstar: Q) -> int:
 
 
 def _keyed(func: dict) -> dict:
-    """A point functional with each derivative multi-index d keyed as the PBW
-    monomial with exponents d, the keys of a Span."""
-    return {tuple((i, e) for i, e in enumerate(d) if e): p
+    """An s-free point functional keyed like a Span: each derivative
+    multi-index d as the PBW monomial with exponents d, each value rational."""
+    return {tuple((i, e) for i, e in enumerate(d) if e): p.constant_value()
             for d, p in func.items()}
 
 
@@ -336,8 +327,7 @@ def _solve_b_matrices(s: Session) -> dict[int, list[list[Q]]]:
     for y in range(s.alg.dim):
         bmat = [[Q(0)] * m for _ in range(m)]
         for i in range(m):
-            func = _keyed(s.cubic_commutator(y, i).at_identity())
-            coords, left = span.reduce({d: p.constant_value() for d, p in func.items()})
+            coords, left = span.reduce(_keyed(s.cubic_commutator(y, i).at_identity()))
             if left:
                 raise CheckFailure({
                     "reason": "commutator functional outside the span",
@@ -587,7 +577,7 @@ def _chk_verma_rep(s: Session) -> dict:
     states: list[Elt] = [env.one()]
     pool = monomials_up_to(alg.nbar_indices, 2)
     for _ in range(3):
-        states.append({pool[rng.randrange(len(pool))]: spoly(1)})
+        states.append({pool[rng.randrange(len(pool))]: 1})
     pairs = 0
     for _ in range(40):
         x = rng.randrange(alg.dim)
@@ -620,8 +610,8 @@ def _chk_first_level(s: Session) -> dict:
         gen = env.gen(gi)
         for z in alg.l_indices:
             br = alg.bracket_elem({z: Q(1)}, {gi: Q(1)})
-            expected = elt_add(env.from_lie(br),
-                               elt_scale(gen, S * spoly(alg.dchi({z: Q(1)}))))
+            expected = elt_add(lift(env.from_lie(br)),
+                               elt_scale(gen, S * alg.dchi({z: Q(1)})))
             _ensure(not elt_sub(vm.act_basis(z, gen), expected),
                     levi=alg.names[z], generator=alg.names[gi])
             checked += 1
@@ -629,9 +619,8 @@ def _chk_first_level(s: Session) -> dict:
             br = alg.bracket_elem({u: Q(1)}, {gi: Q(1)})
             low = {i: c for i, c in br.items() if alg.grade[i] < 0}
             qpt = {i: c for i, c in br.items() if alg.grade[i] >= 0}
-            expected = elt_add(env.from_lie(low),
-                               elt_scale(env.one(),
-                                         S * spoly(alg.dchi(qpt, on_q=True))))
+            expected = elt_add(lift(env.from_lie(low)),
+                               elt_scale(env.one(), S * alg.dchi(qpt, on_q=True)))
             _ensure(not elt_sub(vm.act_basis(u, gen), expected),
                     nil=alg.names[u], generator=alg.names[gi])
             checked += 1
@@ -856,7 +845,7 @@ def _chk_nbar_commutant(s: Session) -> dict:
         for m in monos:
             r_u = calc.r_mono(m)
             _ensure(not pi_x.commutator(r_u),
-                    vector=alg.names[xb], monomial=env.format({m: spoly(1)}))
+                    vector=alg.names[xb], monomial=env.format({m: 1}))
             count += 1
     return {"commutators": count, "monomials": len(monos)}
 

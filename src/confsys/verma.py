@@ -3,9 +3,9 @@
 The module is U(g) tensored over the parabolic with the one-dimensional
 character s*dchi; as a vector space it is U(nbar) for the opposite Heisenberg
 radical nbar, realized here as PBW elements supported on the nbar prefix of
-the basis.  The parameter s stays symbolic: acting by a basis element yields
-coefficients in Q[s], and stability questions become polynomial conditions
-on s solved exactly.
+the basis.  U(g) is rational; s enters only here: acting by a basis element
+lifts the result into Q[s], and stability questions become polynomial
+conditions on s solved exactly.
 """
 
 from __future__ import annotations
@@ -14,8 +14,30 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 
 from . import linalg
-from .pbw import Elt, Enveloping, Mono, elt_add, elt_scale, mono_degree, spoly, S
+from .pbw import Coeff, Elt, Enveloping, Mono, elt_add, elt_scale, mono_degree
 from .poly import Poly, poly_gcd_all, rational_roots
+
+S = Poly.variable(1, 0)  # the parameter s
+
+
+def spoly(c: Coeff) -> Poly:
+    """c as a coefficient in Q[s]; a Poly is returned as it is."""
+    return c if isinstance(c, Poly) else Poly.constant(1, c)
+
+
+def lift(v: Elt) -> Elt:
+    """v with every coefficient in Q[s], to compare it with module vectors."""
+    return {m: spoly(c) for m, c in v.items()}
+
+
+def elt_subs(v: Elt, s0: Q) -> Elt:
+    """The module vector v at s = s0, with rational coefficients."""
+    out: Elt = {}
+    for m, c in v.items():
+        c0 = c.subs(0, s0).constant_value()
+        if c0:
+            out[m] = c0
+    return out
 
 
 @dataclass(frozen=True)
@@ -44,7 +66,7 @@ class VermaModule:
 
         A normal-ordered monomial factors as (nbar part)(parabolic part); the
         parabolic part acts on the character line: root vectors give 0 and
-        each Cartan factor H contributes the scalar s*dchi(H).
+        each Cartan factor H contributes s*dchi(H), so the result lies in Q[s].
         """
         alg = self.alg
         cut = alg.nbar_dim
@@ -61,19 +83,19 @@ class VermaModule:
                     dead = True
                     break
                 v = alg.dchi_index(i)
-                factor = (S * spoly(v)) ** e
+                factor = (S * v) ** e
                 scalar = factor if scalar is None else scalar * factor
             if dead:
                 continue
-            coeff = c if scalar is None else c * scalar
-            if coeff.is_zero():
+            coeff = spoly(c) if scalar is None else c * scalar
+            if not coeff:
                 continue
             prev = out.get(body)
             coeff = coeff if prev is None else prev + coeff
-            if coeff.is_zero():
-                out.pop(body, None)
-            else:
+            if coeff:
                 out[body] = coeff
+            else:
+                out.pop(body, None)
         return out
 
     def act_basis(self, i: int, v: Elt) -> Elt:
@@ -144,8 +166,7 @@ class VermaModule:
         gens = span.gens
         cols = []
         for i, g in enumerate(gens):
-            w = {m: c.subs(0, s0).constant_value() for m, c in self.act(x, g).items()}
-            coords, left = span.reduce(w)
+            coords, left = span.reduce(elt_subs(self.act(x, g), s0))
             if left:
                 raise ValueError(f"span is not stable under x={x} at s={s0} (generator {i})")
             cols.append(coords)
@@ -155,8 +176,8 @@ class VermaModule:
 class Span:
     """Row-reduced span of s-free vectors keyed by PBW monomials.
 
-    The generators (module elements, or any dicts from monomials to constant
-    Polys) are the rows of one matrix over their monomials, in (degree,
+    The generators (U(nbar) elements, or any dicts from monomials to
+    rationals) are the rows of one matrix over their monomials, in (degree,
     monomial) order, each augmented with a unit vector, so that every echelon
     row of its rref also records its combination of the generators.
     """
@@ -169,9 +190,9 @@ class Span:
         mat = [[Q(0)] * n + [Q(int(i == j)) for i in range(k)] for j in range(k)]
         for j, g in enumerate(gens):
             for m, c in g.items():
-                if not c.is_constant():
+                if isinstance(c, Poly):
                     raise NotImplementedError("span generators must not depend on s")
-                mat[j][self.col[m]] = c.constant_value()
+                mat[j][self.col[m]] = Q(c)
         red, pivots = linalg.rref(mat)
         self.rank = sum(p < n for p in pivots)
         # per echelon row: pivot monomial, entries on non-pivot monomials, combination

@@ -20,7 +20,8 @@ from confsys.omega import negate
 from confsys.pbw import (elt_add, elt_equal, elt_scale, elt_sub,
                          monomials_up_to)
 from confsys.poly import Poly
-from confsys.verify import Session, SuiteConfig, elt_subs, weighted_degree
+from confsys.verify import Session, SuiteConfig, weighted_degree
+from confsys.verma import elt_subs
 
 SPECIAL = Q(-1)
 

@@ -61,6 +61,19 @@ def test_load_or_build_recovers_from_corruption(tmp_path):
     assert cache.load(path).rank == 3
 
 
+@pytest.mark.parametrize("text", ["null", '"x"', "3", "[]"])
+def test_entry_that_is_not_an_object_is_rebuilt(tmp_path, text):
+    path = cache.build(A3, tmp_path)
+    good = path.read_bytes()
+    path.write_text(text)
+    with pytest.raises(ValueError, match="not a JSON object"):
+        cache.load(path)
+    with pytest.warns(UserWarning, match="discarding unusable"):
+        alg = cache.load_or_build(A3, tmp_path, check=False)
+    assert alg.rank == 3
+    assert path.read_bytes() == good
+
+
 @pytest.mark.parametrize("constant", ["1/2", "-1.0"])
 def test_non_integer_constant_is_rebuilt(tmp_path, constant):
     path = cache.build(A3, tmp_path)

@@ -7,9 +7,10 @@ import pytest
 
 from confsys.linalg import inverse
 from confsys.omega import OmegaSystem, negate
-from confsys.pbw import Enveloping, S, elt_add, elt_equal, elt_scale, mono_word
+from confsys.pbw import Enveloping, elt_add, elt_equal, elt_scale, mono_word
 from confsys.poly import Poly
-from confsys.verify import elt_subs, weighted_degree
+from confsys.verify import weighted_degree
+from confsys.verma import S, elt_subs
 
 SPECIAL = Q(-1)
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confsys.pbw import (elt_add, elt_degree, elt_scale, elt_sub, mono_degree,
-                         mono_word, monomials_up_to, spoly)
+                         mono_word, monomials_up_to)
 
 
 def test_monomial_count_degree_three(alg_d4):
@@ -53,17 +53,6 @@ def test_normal_order_agrees_with_mul(env_d4):
     assert env_d4.normal_order(word) == prod
 
 
-def test_weight_additivity(env_d4):
-    alg = env_d4.alg
-    m = ((alg.v_minus[0], 2), (alg.v_minus[3], 1))
-    w = env_d4.weight(m)
-    expect = [0] * alg.rank
-    for i, e in m:
-        for k, x in enumerate(alg.root_of[i]):
-            expect[k] += e * x
-    assert list(w) == expect
-
-
 def test_mono_word_round_trip():
     m = ((2, 2), (5, 1), (9, 3))
     assert mono_word(m) == (2, 2, 5, 9, 9, 9)
@@ -73,7 +62,7 @@ def test_elt_algebra_helpers(env_d4):
     a = env_d4.gen(1)
     b = env_d4.gen(2)
     s = elt_add(a, elt_scale(b, Q(3)))
-    assert s[((2, 1),)] == spoly(3)
+    assert s[((2, 1),)] == 3
     assert not elt_sub(s, s)
 
 

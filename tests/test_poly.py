@@ -53,13 +53,6 @@ def test_diff_and_subs():
     assert a.eval_all([Q(2), Q(3)]) == 8 + 12
 
 
-def test_extend_embeds_variables():
-    a = Poly.variable(1, 0) + Poly.constant(1, 7)
-    e = a.extend(3, 2)
-    assert e.nvars == 3
-    assert e == Poly.variable(3, 2) + Poly.constant(3, 7)
-
-
 def test_univariate_coeffs():
     s = Poly.variable(1, 0)
     p = s * s * 3 - s + Poly.constant(1, 4)
@@ -176,7 +169,7 @@ def test_internal_results_hold_normalized_fractions():
     a = x(0) * Q(2, 3) + x(1) * x(1) - p_const(Q(1, 2))
     b = x(0) * Q(-2, 3) + p_const(4)
     results = [a + b, a - b, -a, a * b, a * 3, a.scale(Q(3, 4)), a.diff(0),
-               a.diff(1), a.subs(1, Q(2, 5)), a.extend(4, 1)]
+               a.diff(1), a.subs(1, Q(2, 5))]
     for p in results:
         assert all(type(c) is Q and c for c in p.terms.values())
         assert p == Poly(p.nvars, dict(p.terms))

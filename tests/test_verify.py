@@ -160,7 +160,7 @@ def _contraction_reference(s: Session):
             if m0 not in acc:
                 proportional = False
                 continue
-            ratio = acc[m0].constant_value() / c0.constant_value()
+            ratio = acc[m0] / c0
             if elt_sub(acc, elt_scale(target, ratio)):
                 proportional = False
             else:

@@ -7,10 +7,10 @@ import pytest
 from confsys.liealg import build_lie_algebra
 from confsys.linalg import rref
 from confsys.omega import OmegaSystem
-from confsys.pbw import Enveloping, S, elt_add, elt_scale, elt_sub, mono_degree
+from confsys.pbw import Enveloping, elt_add, elt_scale, elt_sub, mono_degree
 from confsys.poly import Poly, poly_gcd_all, rational_roots
 from confsys.roots import RootSystemSpec, build_root_system
-from confsys.verma import Span, VermaModule
+from confsys.verma import S, Span, VermaModule
 
 
 def test_highest_vector_eigenvalues(verma_d4):
@@ -28,7 +28,7 @@ def test_opposite_radical_acts_freely(verma_d4):
     env = verma_d4.env
     alg = env.alg
     v = verma_d4.act_basis(alg.v_minus[0], verma_d4.highest())
-    assert v == env.gen(alg.v_minus[0])
+    assert v == {((alg.v_minus[0], 1),): Poly.constant(1, 1)}
     w = verma_d4.act_basis(alg.x_minus_gamma, v)
     assert list(w) == [((alg.x_minus_gamma, 1), (alg.v_minus[0], 1))]
 
@@ -86,7 +86,7 @@ def test_module_action_matrix_roundtrip(verma_d4, omega_d4):
     a = verma_d4.module_action_matrix(Span(gens), {z: Q(1)}, Q(-1))
     for i in range(len(gens)):
         got = verma_d4.act({z: Q(1)}, gens[i])
-        got = {m: c.subs(0, Q(-1)) for m, c in got.items()
+        got = {m: c.subs(0, Q(-1)).constant_value() for m, c in got.items()
                if not c.subs(0, Q(-1)).is_zero()}
         expected = {}
         for r in range(len(gens)):
@@ -138,7 +138,7 @@ def _complement_constraints(vm, gens, acting=None):
         acting = (vm.alg.l_indices, vm.alg.n_indices)
     mons = sorted({m for g in gens for m in g}, key=lambda t: (mono_degree(t), t))
     index = {m: k for k, m in enumerate(mons)}
-    red, pivots = rref([[g[m].constant_value() if m in g else Q(0) for m in mons]
+    red, pivots = rref([[g.get(m, Q(0)) for m in mons]
                         for g in gens])
     complement = []
     for f in range(len(mons)):
@@ -229,6 +229,27 @@ def test_stability_constraints_act_by_generators_only(verma_d4, omega_d4,
     verma_d4.stability_constraints(gens)
     assert len(calls) == 64
     assert set(calls) == set(verma_d4.alg.q_generators)
+
+
+@pytest.mark.parametrize("label", ["d4", "a3"])
+def test_s_enters_only_through_the_module_action(request, label):
+    # U(g) and the quadratic and cubic elements hold rationals; acting on the
+    # module lifts every coefficient into Q[s]
+    alg = request.getfixturevalue(f"alg_{label}")
+    env = Enveloping(alg)
+    om, vm = OmegaSystem(env), VermaModule(env)
+    cubic = om.omega3_system()
+    quadratic = [om.omega2_basis(i) for i in alg.l_indices]
+    products = [env.mul(a, b) for a in cubic[:2] + quadratic[:2]
+                for b in (env.gen(alg.v_minus[0]), env.from_lie({alg.x_gamma: Q(1, 2)}),
+                          quadratic[-1], cubic[-1])]
+    rational = [c for e in cubic + quadratic + products for c in e.values()]
+    assert rational and all(type(c) in (int, Q) for c in rational)
+    vectors = [env.one(), env.gen(alg.v_minus[0]), cubic[0]]
+    vectors.append(vm.act_basis(alg.x_minus_gamma, vectors[1]))
+    lifted = [c for x in alg.q_generators + alg.nbar_indices[:2] for v in vectors
+              for c in vm.act_basis(x, v).values()]
+    assert lifted and all(isinstance(c, Poly) for c in lifted)
 
 
 def test_parameter_dependent_generators_rejected(verma_d4):
