@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the full verification battery: the D4 system plus both controls.
+"""Run the full verification battery: the D4 system plus the controls.
 
 Writes one JSON report per type into the output directory (default:
 ./reports) and prints a compact summary.  Exits nonzero if any run fails.
@@ -18,6 +18,7 @@ RUNS = (
     ("D4", True),    # cubic system expected, special value -1
     ("A3", False),   # control: no special value
     ("D5", False),   # control: no special value
+    ("D6", False),   # control: no special value
 )
 
 

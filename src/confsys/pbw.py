@@ -64,14 +64,6 @@ def elt_sub(a: Elt, b: Elt) -> Elt:
     return elt_add(a, elt_scale(b, -1))
 
 
-def elt_degree(a: Elt) -> int:
-    return max((mono_degree(m) for m in a), default=-1)
-
-
-def elt_equal(a: Elt, b: Elt) -> bool:
-    return elt_sub(a, b) == {}
-
-
 class Enveloping:
     """Multiplication engine for U(g) over a fixed LieAlgebra basis order."""
 
@@ -89,13 +81,6 @@ class Enveloping:
 
     def from_lie(self, elem: dict[int, Q]) -> Elt:
         return {((i, 1),): c for i, c in elem.items() if c}
-
-    def normal_order(self, word: list[int]) -> Elt:
-        """Normal-ordered image of a left-to-right product of basis vectors."""
-        out = self.one()
-        for g in word:
-            out = self.mul(out, self.gen(g))
-        return out
 
     # -- normal ordering ----------------------------------------------------
 

@@ -60,9 +60,6 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def is_constant(self) -> bool:
-        return all(all(x == 0 for x in e) for e in self.terms)
-
     def constant_value(self) -> Q:
         z = (0,) * self.nvars
         for e, c in self.terms.items():
@@ -167,18 +164,6 @@ class Poly:
             else:
                 out.pop(e2, None)
         return Poly._wrap(self.nvars, out)
-
-    def eval_all(self, values: Iterable[Scalar]) -> Q:
-        vals = [Q(v) for v in values]
-        if len(vals) != self.nvars:
-            raise ValueError("wrong number of values")
-        total = Q(0)
-        for e, c in self.terms.items():
-            term = c
-            for v, k in zip(vals, e):
-                term *= v ** k
-            total += term
-        return total
 
     # -- display -----------------------------------------------------------
 

@@ -110,10 +110,6 @@ class VermaModule:
             out = elt_add(out, elt_scale(self.act_basis(i, v), c))
         return out
 
-    def highest(self) -> Elt:
-        """The generator 1 tensor 1."""
-        return self.env.one()
-
     def _require_module(self, v: Elt) -> None:
         cut = self.alg.nbar_dim
         for m in v:

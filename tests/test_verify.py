@@ -6,10 +6,11 @@ import pytest
 
 from confsys.linalg import solve
 from confsys.pbw import elt_add, elt_scale, elt_sub
-from confsys.verify import (CHECKS, EXPECTED, Session, SuiteConfig,
-                            _contraction_data, _levi_equivariance,
-                            available_checks, run_single,
+from confsys.verify import (CHECKS, EXPECTED, CheckFailure, Session,
+                            SuiteConfig, _contraction_data,
+                            _levi_equivariance, available_checks, run_single,
                             run_suite)
+from confsys.verma import elt_subs
 
 
 def test_registry_scopes_are_exhaustive():
@@ -88,11 +89,75 @@ def test_levi_equivariance_holds_off_the_special_value(tmp_path, label):
     # holds at a value that is special for neither element family
     session = Session(SuiteConfig(type_label=label, cache_dir=str(tmp_path)))
     alg, om, s0 = session.alg, session.omega, Q(5, 2)
-    n_levi = len(alg.l_indices)
+    n_levi, n_gens = len(alg.l_indices), len(_levi_generators(alg))
     assert _levi_equivariance(session, session.quadratic_elements,
-                              om.omega2, s0) == n_levi * n_levi
+                              om.omega2, s0) == {"generators": n_gens,
+                                                 "pairs": n_gens * n_levi}
     assert _levi_equivariance(session, session.cubic_elements,
-                              om.omega3, s0) == n_levi * len(alg.v_minus)
+                              om.omega3, s0) == {
+        "generators": n_gens, "pairs": n_gens * len(alg.v_minus)}
+    assert _levi_equivariance_reference(session, session.quadratic_elements,
+                                        om.omega2, s0) == n_levi * n_levi
+
+
+def _levi_generators(alg) -> list[int]:
+    return [z for z in alg.q_generators if alg.grade[z] == 0]
+
+
+def _levi_equivariance_reference(s: Session, elements, build, s0) -> int:
+    """_levi_equivariance acting by every Levi basis vector, not only by the
+    generators of l; returns the pair count."""
+    alg, vm = s.alg, s.verma
+    for z in alg.l_indices:
+        shift = (1 - s0) * alg.dchi({z: Q(1)})
+        for w, e in elements.items():
+            rhs = elt_add(elt_subs(vm.act({z: Q(1)}, e), s0),
+                          elt_scale(e, shift))
+            if elt_sub(build(dict(alg.bracket(z, w))), rhs):
+                raise CheckFailure({"pair": [alg.names[z], alg.names[w]]})
+    return len(alg.l_indices) * len(elements)
+
+
+@pytest.mark.parametrize("label", ["A3", "D4", "D5", "E6"])
+def test_levi_equivariance_agrees_with_all_pairs_reference(tmp_path, label):
+    session = Session(SuiteConfig(type_label=label, cache_dir=str(tmp_path)))
+    alg, elements = session.alg, session.quadratic_elements
+    n_levi, n_gens = len(alg.l_indices), len(_levi_generators(alg))
+    assert n_gens < n_levi
+    assert _levi_equivariance_reference(session, elements, session.omega.omega2,
+                                        Q(0)) == n_levi * n_levi
+    assert _levi_equivariance(session, elements, session.omega.omega2,
+                              Q(0)) == {"generators": n_gens,
+                                        "pairs": n_gens * n_levi}
+
+
+def test_cubic_levi_equivariance_agrees_with_all_pairs_reference(tmp_path):
+    session = Session(SuiteConfig(type_label="D4", cache_dir=str(tmp_path)))
+    alg, elements, sstar = session.alg, session.cubic_elements, Q(-1)
+    assert session.sstar == sstar
+    n_gens = len(_levi_generators(alg))
+    assert _levi_equivariance_reference(session, elements, session.omega.omega3,
+                                        sstar) == 10 * 8
+    assert _levi_equivariance(session, elements, session.omega.omega3,
+                              sstar) == {"generators": n_gens,
+                                         "pairs": n_gens * 8}
+
+
+@pytest.mark.parametrize("label", ["A3", "D4"])
+def test_levi_equivariance_catches_a_perturbed_non_generator(tmp_path, label):
+    # the generators act on every element, so a wrong element at a Levi
+    # vector outside the acting set is still caught
+    session = Session(SuiteConfig(type_label=label, cache_dir=str(tmp_path)))
+    alg, om = session.alg, session.omega
+    gens = _levi_generators(alg)
+    w = next(i for i in alg.l_indices if i not in gens)
+    elements = dict(session.quadratic_elements)
+    elements[w] = elt_add(elements[w], {((alg.v_minus[0], 1),): Q(1)})
+    with pytest.raises(CheckFailure):
+        _levi_equivariance_reference(session, elements, om.omega2, Q(0))
+    with pytest.raises(CheckFailure) as failure:
+        _levi_equivariance(session, elements, om.omega2, Q(0))
+    assert failure.value.witness["pair"][1] == alg.names[w]
 
 
 def test_b_matrices_match_dense_solve_reference(tmp_path):
@@ -168,7 +233,7 @@ def _contraction_reference(s: Session):
     return ratios, nonzero_pairs, zero_anomalies, proportional
 
 
-@pytest.mark.parametrize("label", ["A3", "D4", "D5"])
+@pytest.mark.parametrize("label", ["A3", "D4", "D5", "D6", "E6"])
 def test_contraction_data_matches_per_term_reference(tmp_path, label):
     session = Session(SuiteConfig(type_label=label, cache_dir=str(tmp_path)))
     assert _contraction_data(session) == _contraction_reference(session)

@@ -15,7 +15,7 @@ from confsys.verma import S, Span, VermaModule
 
 def test_highest_vector_eigenvalues(verma_d4):
     alg = verma_d4.env.alg
-    one = verma_d4.highest()
+    one = verma_d4.env.one()   # the generator 1 tensor 1
     got = verma_d4.act(alg.h_gamma, one)
     assert not elt_sub(got, elt_scale(one, S * 2))
     # Levi root vectors and the nilradical kill the cyclic vector
@@ -27,7 +27,7 @@ def test_highest_vector_eigenvalues(verma_d4):
 def test_opposite_radical_acts_freely(verma_d4):
     env = verma_d4.env
     alg = env.alg
-    v = verma_d4.act_basis(alg.v_minus[0], verma_d4.highest())
+    v = verma_d4.act_basis(alg.v_minus[0], verma_d4.env.one())
     assert v == {((alg.v_minus[0], 1),): Poly.constant(1, 1)}
     w = verma_d4.act_basis(alg.x_minus_gamma, v)
     assert list(w) == [((alg.x_minus_gamma, 1), (alg.v_minus[0], 1))]
