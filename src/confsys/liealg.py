@@ -239,12 +239,16 @@ class LieAlgebra:
         the highest root on the Cartan and to 0 on every root vector, and is
         extended by 0 on the nilradical.  Returns None outside the parabolic.
         """
-        if self.grade[i] < 0:
-            return None
-        r = self.root_of[i]
-        if r is not None:
-            return Q(0)
-        return Q(self.rs.pairing(self.gamma, self.rs.simple(self.simple_of[i])))
+        return self._dchi_table[i]
+
+    @cached_property
+    def _dchi_table(self) -> tuple[Q | None, ...]:
+        """dchi_index per basis index, computed once: (gamma, a_i) on H_i."""
+        rs = self.rs
+        return tuple(None if g < 0 else
+                     Q(0) if self.root_of[i] is not None else
+                     Q(rs.pairing(self.gamma, rs.simple(self.simple_of[i])))
+                     for i, g in enumerate(self.grade))
 
     def dchi(self, elem: dict[int, Q], *, on_q: bool = False) -> Q:
         total = Q(0)

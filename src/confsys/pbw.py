@@ -2,7 +2,8 @@
 
 Monomials are sorted (basis-index, exponent) tuples over the fixed ordered
 basis of the Lie algebra; elements of U(g) carry int or Fraction coefficients
-(the module vectors of verma.py, which reuse the product, carry Polys in s).
+(the module vectors of verma.py, built from monomial products, carry Polys
+in s).
 Products are normal ordered with the rewriting rule  x y = y x + [x, y]  and
 never increase the filtration degree.  The rule never divides, so with the
 integer structure constants of the Chevalley basis every normal-ordering
@@ -141,10 +142,6 @@ class Enveloping:
                     else:
                         out.pop(m, None)
         return out
-
-    def gen_lmul(self, g: int, a: Elt) -> Elt:
-        """Normal-ordered product X_g * a."""
-        return self.mul(self.gen(g), a)
 
     # -- misc ----------------------------------------------------------------
 

@@ -124,17 +124,20 @@ def build_root_system(spec: RootSystemSpec) -> RootSystem:
     gram = cartan_matrix(spec)
     r = spec.rank
     simples = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
-
-    def pair(a: Root, b: Root) -> int:
-        return sum(a[i] * gram[i][j] * b[j] for i in range(r) for j in range(r))
+    columns = [tuple(row[i] for row in gram) for i in range(r)]
 
     roots: set[Root] = set(simples)
     frontier = list(simples)
     while frontier:
         nxt = []
         for b in frontier:
-            for a in simples:
-                image = tuple(x - pair(b, a) * y for x, y in zip(b, a))
+            for i, col in enumerate(columns):
+                # s_i(b) = b - (b, a_i) a_i changes coordinate i only, and
+                # (b, a_i) is the dot of b with column i of the Gram matrix
+                n = sum(x * g for x, g in zip(b, col))
+                if not n:
+                    continue
+                image = b[:i] + (b[i] - n,) + b[i + 1:]
                 if image not in roots:
                     roots.add(image)
                     nxt.append(image)

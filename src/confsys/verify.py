@@ -1124,7 +1124,7 @@ def _chk_reducibility(s: Session) -> dict:
                         expected = elt_add(expected,
                                            elt_scale(s.omega3_gens[r], c))
             else:
-                expected = env.gen_lmul(y, s.omega3_gens[k])
+                expected = env.mul(env.gen(y), s.omega3_gens[k])
             _ensure(not elt_sub(got, expected),
                     vector=alg.names[y], column=k)
             checked += 1

@@ -3,31 +3,49 @@
 The module is U(g) tensored over the parabolic with the one-dimensional
 character s*dchi; as a vector space it is U(nbar) for the opposite Heisenberg
 radical nbar, realized here as PBW elements supported on the nbar prefix of
-the basis.  U(g) is rational; s enters only here: acting by a basis element
-lifts the result into Q[s], and stability questions become polynomial
-conditions on s solved exactly.
+the basis.  U(g) is rational; s enters only here.  A basis element acts on
+an nbar monomial by commuting past its PBW factors inside U(nbar) tensor 1
+(VermaModule._act_mono), so the image of an s-free vector is affine in s,
+held as two ints per monomial; act_basis returns it with coefficients in
+Q[s], and stability questions become polynomial conditions on s solved
+exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from math import lcm
 
 from . import linalg
-from .pbw import Coeff, Elt, Enveloping, Mono, elt_add, elt_scale, mono_degree
+from .pbw import Elt, Enveloping, Mono, elt_add, elt_scale, mono_degree
 from .poly import Poly, poly_gcd_all, rational_roots
 
 S = Poly.variable(1, 0)  # the parameter s
 
 
-def spoly(c: Coeff) -> Poly:
-    """c as a coefficient in Q[s]; a Poly is returned as it is."""
-    return c if isinstance(c, Poly) else Poly.constant(1, c)
-
-
 def lift(v: Elt) -> Elt:
     """v with every coefficient in Q[s], to compare it with module vectors."""
-    return {m: spoly(c) for m, c in v.items()}
+    return {m: c if isinstance(c, Poly) else Poly.constant(1, c) for m, c in v.items()}
+
+
+def _affine(a0: int, a1: int, den: int) -> Poly:
+    """(a0 + a1*s) / den as a Poly in s."""
+    terms = {}
+    if a0:
+        terms[(0,)] = Q(a0, den)
+    if a1:
+        terms[(1,)] = Q(a1, den)
+    return Poly._wrap(1, terms)
+
+
+def _accumulate(acc: dict[Mono, list[int]], m: Mono, a0: int, a1: int) -> None:
+    v = acc.get(m)
+    if v is None:
+        acc[m] = [a0, a1]
+    else:
+        v[0] += a0
+        v[1] += a1
 
 
 def elt_subs(v: Elt, s0: Q) -> Elt:
@@ -58,50 +76,79 @@ class VermaModule:
     def __init__(self, env: Enveloping):
         self.env = env
         self.alg = env.alg
+        self._act_memo: dict[tuple[int, Mono], dict[Mono, tuple[int, int]]] = {}
 
     # -- the action ----------------------------------------------------------
 
-    def _reduce(self, raw: Elt) -> Elt:
-        """Project a normal-ordered U(g) element onto U(nbar) x character line.
+    def _act_mono(self, x: int, m: Mono) -> dict[Mono, tuple[int, int]]:
+        """X_x.(m tensor 1) for an nbar monomial m, as {nbar monomial: (a0, a1)}
+        with int a0, a1 meaning a0 + a1*s.  Memoized; callers must not mutate.
 
-        A normal-ordered monomial factors as (nbar part)(parabolic part); the
-        parabolic part acts on the character line: root vectors give 0 and
-        each Cartan factor H contributes s*dchi(H), so the result lies in Q[s].
+        The recursion never leaves U(nbar) tensor 1:
+
+          x in nbar:   X.m is the product in U(nbar), which nbar closes;
+          m = 1:       X.(1 tensor 1) = s*dchi(X) for a Cartan X, 0 for a
+                       root vector of q;
+          m = Y_a rest (Y_a the first PBW factor of m):
+                       X.(Y_a rest) = Y_a.(X.rest) + [X, Y_a].rest.
+
+        Affine lemma: only the case m = 1 brings in s, to the first power;
+        the nbar case is s-free, and the last case is Z-linear in results
+        of the recursion, so every coefficient is a0 + a1*s with int a0, a1
+        (the structure constants, the PBW normal-ordering coefficients and
+        dchi on the coroots are all ints).
         """
+        key = (x, m)
+        out = self._act_memo.get(key)
+        if out is not None:
+            return out
         alg = self.alg
-        cut = alg.nbar_dim
-        out: Elt = {}
-        for m, c in raw.items():
-            body: Mono = ()
-            scalar = None
-            dead = False
-            for i, e in m:
-                if i < cut:
-                    body = body + ((i, e),)
-                    continue
-                if alg.root_of[i] is not None:
-                    dead = True
-                    break
-                v = alg.dchi_index(i)
-                factor = (S * v) ** e
-                scalar = factor if scalar is None else scalar * factor
-            if dead:
-                continue
-            coeff = spoly(c) if scalar is None else c * scalar
-            if not coeff:
-                continue
-            prev = out.get(body)
-            coeff = coeff if prev is None else prev + coeff
-            if coeff:
-                out[body] = coeff
-            else:
-                out.pop(body, None)
+        if x < alg.nbar_dim:
+            out = {m2: (c, 0) for m2, c in self.env.mono_mul(((x, 1),), m).items()}
+        elif not m:
+            v = int(alg.dchi_index(x))
+            out = {m: (0, v)} if v else {}
+        else:
+            (a, e), tail = m[0], m[1:]
+            rest = ((a, e - 1),) + tail if e > 1 else tail
+            acc: dict[Mono, list[int]] = {}
+            # Y_a.(X.rest): left multiplication by Y_a is the nbar case
+            for m1, (b0, b1) in self._act_mono(x, rest).items():
+                for m2, (c, _) in self._act_mono(a, m1).items():
+                    _accumulate(acc, m2, c * b0, c * b1)
+            for k, n in alg.table[x][a]:
+                for m2, (b0, b1) in self._act_mono(k, rest).items():
+                    _accumulate(acc, m2, n * b0, n * b1)
+            out = {m2: (a0, a1) for m2, (a0, a1) in acc.items() if a0 or a1}
+        self._act_memo[key] = out
         return out
 
     def act_basis(self, i: int, v: Elt) -> Elt:
-        """Action of the basis element X_i on a module element."""
+        """Action of the basis element X_i on a module element.
+
+        Rational coefficients are scaled to ints over the lcm of their
+        denominators, and the affine images are summed as int pairs, so
+        Fractions are built only for the output coefficients.  Poly
+        coefficients (of a vector already acted on) multiply the affine
+        image as Polys.
+        """
         self._require_module(v)
-        return self._reduce(self.env.gen_lmul(i, v))
+        den = lcm(*(c.denominator for c in v.values() if not isinstance(c, Poly)))
+        ints: dict[Mono, list[int]] = {}
+        polys: dict[Mono, Poly] = {}
+        for m, c in v.items():
+            image = self._act_mono(i, m)
+            if isinstance(c, Poly):
+                for m2, (a0, a1) in image.items():
+                    t = c * _affine(a0, a1, 1)
+                    p = polys.get(m2)
+                    polys[m2] = t if p is None else p + t
+            else:
+                k = c.numerator * (den // c.denominator)
+                for m2, (a0, a1) in image.items():
+                    _accumulate(ints, m2, k * a0, k * a1)
+        out = {m: _affine(a0, a1, den) for m, (a0, a1) in ints.items() if a0 or a1}
+        return elt_add(out, polys)
 
     def act(self, x: dict[int, Q], v: Elt) -> Elt:
         self._require_module(v)

@@ -263,7 +263,7 @@ def test_criterion_10_reducibility_witness(ses):
                             expected = elt_add(
                                 expected, elt_scale(ses.omega3_gens[r], c))
                 else:
-                    expected = env.gen_lmul(y, ses.omega3_gens[k])
+                    expected = env.mul(env.gen(y), ses.omega3_gens[k])
                 assert not elt_sub(got, expected)
         # proper and nonzero: the span sits at weighted degree >= 3, left
         # multiplication only raises the weighted degree, and the coroot

@@ -9,7 +9,7 @@ from itertools import combinations
 
 import pytest
 
-from confsys.roots import RootSystemSpec, RootSystem, build_root_system
+from confsys.roots import RootSystemSpec, RootSystem, build_root_system, cartan_matrix
 
 
 def euclid_simple_roots(family: str, rank: int) -> list[tuple]:
@@ -72,6 +72,9 @@ def test_root_sets_match_euclidean_model(label, count):
     ("A3", (1, 1, 1)),
     ("D4", (1, 2, 1, 1)),
     ("D5", (1, 2, 2, 1, 1)),
+    ("E6", (1, 2, 2, 3, 2, 1)),
+    ("E7", (2, 2, 3, 4, 3, 2, 1)),
+    ("E8", (2, 3, 4, 6, 5, 4, 3, 2)),
 ])
 def test_highest_roots_frozen(label, highest):
     rs = build_root_system(RootSystemSpec.parse(label))
@@ -79,6 +82,42 @@ def test_highest_roots_frozen(label, highest):
     # the highest root pairs to 2 with itself and >= 0 with all positives
     assert rs.pairing(rs.highest, rs.highest) == 2
     assert all(rs.pairing(a, rs.highest) >= 0 for a in rs.positive)
+
+
+@pytest.mark.parametrize("label,count", [("E6", 72), ("E7", 126), ("E8", 240)])
+def test_exceptional_root_counts_frozen(label, count):
+    rs = build_root_system(RootSystemSpec.parse(label))
+    assert len(rs.roots) == 2 * len(rs.positive) == count
+
+
+def _closure_by_full_pairing(spec: RootSystemSpec) -> set[tuple]:
+    """All roots, closing the simple roots under s_a(b) = b - (b, a) a with
+    the full bilinear pairing (b, a) = sum_ij b_i G_ij a_j."""
+    gram = cartan_matrix(spec)
+    r = spec.rank
+    simples = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
+
+    def pair(a, b):
+        return sum(a[i] * gram[i][j] * b[j] for i in range(r) for j in range(r))
+
+    roots, frontier = set(simples), list(simples)
+    while frontier:
+        nxt = []
+        for b in frontier:
+            for a in simples:
+                image = tuple(x - pair(b, a) * y for x, y in zip(b, a))
+                if image not in roots:
+                    roots.add(image)
+                    nxt.append(image)
+        frontier = nxt
+    return roots
+
+
+@pytest.mark.parametrize("label", [f"A{r}" for r in range(2, 8)]
+                         + [f"D{r}" for r in range(4, 9)] + ["E6", "E7", "E8"])
+def test_root_closure_matches_full_pairing_reference(label):
+    spec = RootSystemSpec.parse(label)
+    assert set(build_root_system(spec).roots) == _closure_by_full_pairing(spec)
 
 
 def test_pairing_matches_euclidean_inner_product():

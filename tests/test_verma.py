@@ -7,7 +7,8 @@ import pytest
 from confsys.liealg import build_lie_algebra
 from confsys.linalg import rref
 from confsys.omega import OmegaSystem
-from confsys.pbw import Enveloping, elt_add, elt_scale, elt_sub, mono_degree
+from confsys.pbw import (Enveloping, elt_add, elt_scale, elt_sub, mono_degree,
+                         monomials_up_to)
 from confsys.poly import Poly, poly_gcd_all, rational_roots
 from confsys.roots import RootSystemSpec, build_root_system
 from confsys.verma import S, Span, VermaModule
@@ -283,3 +284,74 @@ def test_control_solvers_empty():
         assert res.values == ()
         assert not res.all_s
         assert res.levi_stable_all_s
+
+
+def _act_by_normal_ordering(vm, x, v):
+    """X_x.v by the definition: a reference for VermaModule.act_basis.
+
+    Normal-orders X_x v in all of U(g), drops every monomial with a root
+    vector of q among its factors, and lets each Cartan factor H^e contribute
+    (s*dchi(H))^e to the coefficient of the monomial's nbar part.
+    """
+    alg, env = vm.alg, vm.env
+    out = {}
+    for m, c in env.mul(env.gen(x), v).items():
+        coeff = c if isinstance(c, Poly) else Poly.constant(1, c)
+        for i, e in m:
+            if i < alg.nbar_dim:
+                continue
+            if alg.root_of[i] is not None:
+                break
+            coeff = coeff * (S * alg.dchi_index(i)) ** e
+        else:
+            body = tuple((i, e) for i, e in m if i < alg.nbar_dim)
+            out = elt_add(out, {body: coeff})
+    return out
+
+
+def _oracle_vectors(env, rng):
+    """Cubic and quadratic elements, sums of random nbar monomials of degree
+    <= 3 with non-integer rational coefficients, and vectors with Poly
+    coefficients."""
+    alg = env.alg
+    om = OmegaSystem(env)
+    vectors = om.omega3_system() + [om.omega2_basis(i) for i in alg.l_indices]
+    pool = monomials_up_to(alg.nbar_indices, 3)
+    for _ in range(4):
+        vectors.append({m: Q(rng.choice((-1, 1)) * (2 * rng.randrange(1, 6) + 1),
+                             2 * rng.randrange(1, 4))
+                        for m in rng.sample(pool, 3)})
+    affine = S * Q(1, 3) + Poly.constant(1, Q(-2, 5))
+    vectors.append({m: affine * Q(k + 1, 2) for k, m in enumerate(rng.sample(pool, 3))})
+    vectors.append({m: S ** k + Poly.constant(1, Q(1, 7))
+                    for k, m in enumerate(rng.sample(pool, 3))})
+    return vectors
+
+
+@pytest.mark.parametrize("label", ["A3", "D4", "D5", "E6"])
+def test_act_basis_matches_normal_ordering_reference(label):
+    import random
+    alg = build_lie_algebra(build_root_system(RootSystemSpec.parse(label)),
+                            check=False)
+    env = Enveloping(alg)
+    vm = VermaModule(env)
+    vectors = _oracle_vectors(env, random.Random(12))
+    for x in range(alg.dim):
+        for v in vectors:
+            assert vm.act_basis(x, v) == _act_by_normal_ordering(vm, x, v)
+
+
+def test_act_basis_results_are_not_aliased(verma_d4, omega_d4):
+    # act_basis builds its result from a memo; mutating one result must not
+    # reach a later call with the same arguments
+    alg = verma_d4.alg
+    v = omega_d4.omega3_system()[0]
+    for x in (alg.x_gamma, alg.cartan_index[0], alg.v_minus[0]):
+        first = verma_d4.act_basis(x, v)
+        kept = dict(first)
+        for m in list(first):
+            first[m] = first[m] * S
+        first[()] = S
+        assert verma_d4.act_basis(x, v) == kept
+        verma_d4.act_basis(x, v).clear()
+        assert verma_d4.act_basis(x, v) == kept
