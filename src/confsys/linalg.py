@@ -21,11 +21,16 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
             continue
         a[r], a[pivot] = a[pivot], a[r]
         inv = Q(1) / a[r][c]
-        a[r] = [x * inv for x in a[r]]
+        row = a[r]
+        nonzero = [(k, x * inv) for k, x in enumerate(row) if x]
+        for k, x in nonzero:
+            row[k] = x
+        # eliminate with the nonzero entries of the pivot row only
         for i in range(rows):
             if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                f, other = a[i][c], a[i]
+                for k, y in nonzero:
+                    other[k] -= f * y
         pivots.append(c)
         r += 1
         if r == rows:

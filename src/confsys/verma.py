@@ -6,9 +6,12 @@ radical nbar, realized here as PBW elements supported on the nbar prefix of
 the basis.  U(g) is rational; s enters only here.  A basis element acts on
 an nbar monomial by commuting past its PBW factors inside U(nbar) tensor 1
 (VermaModule._act_mono), so the image of an s-free vector is affine in s,
-held as two ints per monomial; act_basis returns it with coefficients in
-Q[s], and stability questions become polynomial conditions on s solved
-exactly.
+held as two ints per monomial over a common denominator
+(VermaModule._act_ints).  The q-stability solve stays in that form: Span
+reduces the int pairs against int echelon rows, every constraint is an
+exact rational pair (a0, a1) meaning a0 + a1*s, and the special values are
+read off the pairs.  act_basis returns the same image with coefficients in
+Q[s], for the checks that compose actions or substitute s0.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ from math import lcm
 
 from . import linalg
 from .pbw import Elt, Enveloping, Mono, elt_add, elt_scale, mono_degree
-from .poly import Poly, poly_gcd_all, rational_roots
+from .poly import Poly
 
 S = Poly.variable(1, 0)  # the parameter s
+Pair = tuple[Q, Q]       # (a0, a1), the affine a0 + a1*s
 
 
 def lift(v: Elt) -> Elt:
@@ -39,10 +43,11 @@ def _affine(a0: int, a1: int, den: int) -> Poly:
     return Poly._wrap(1, terms)
 
 
-def _accumulate(acc: dict[Mono, list[int]], m: Mono, a0: int, a1: int) -> None:
-    v = acc.get(m)
+def _accumulate(acc: dict, key, a0: int, a1: int) -> None:
+    """acc[key] += [a0, a1], for int pairs."""
+    v = acc.get(key)
     if v is None:
-        acc[m] = [a0, a1]
+        acc[key] = [a0, a1]
     else:
         v[0] += a0
         v[1] += a1
@@ -123,32 +128,41 @@ class VermaModule:
         self._act_memo[key] = out
         return out
 
+    def _act_ints(self, i: int, v: Elt) -> tuple[int, dict[Mono, list[int]]]:
+        """X_i.v for a module vector v with rational coefficients, as
+        (den, {monomial: [a0, a1]}) with ints a0, a1 meaning (a0 + a1*s)/den.
+
+        den is the lcm of the denominators of v: each coefficient is scaled
+        to an int over it, and the affine images are summed as int pairs.
+        Pairs that cancel to [0, 0] are kept; callers skip them.
+        """
+        den = lcm(*(c.denominator for c in v.values()))
+        acc: dict[Mono, list[int]] = {}
+        for m, c in v.items():
+            k = c.numerator * (den // c.denominator)
+            for m2, (a0, a1) in self._act_mono(i, m).items():
+                _accumulate(acc, m2, k * a0, k * a1)
+        return den, acc
+
     def act_basis(self, i: int, v: Elt) -> Elt:
         """Action of the basis element X_i on a module element.
 
-        Rational coefficients are scaled to ints over the lcm of their
-        denominators, and the affine images are summed as int pairs, so
-        Fractions are built only for the output coefficients.  Poly
-        coefficients (of a vector already acted on) multiply the affine
-        image as Polys.
+        The rational part of v goes through _act_ints, so Fractions are
+        built only for the output coefficients.  Poly coefficients (of a
+        vector already acted on) multiply the affine image as Polys.
         """
         self._require_module(v)
-        den = lcm(*(c.denominator for c in v.values() if not isinstance(c, Poly)))
-        ints: dict[Mono, list[int]] = {}
-        polys: dict[Mono, Poly] = {}
-        for m, c in v.items():
-            image = self._act_mono(i, m)
-            if isinstance(c, Poly):
-                for m2, (a0, a1) in image.items():
-                    t = c * _affine(a0, a1, 1)
-                    p = polys.get(m2)
-                    polys[m2] = t if p is None else p + t
-            else:
-                k = c.numerator * (den // c.denominator)
-                for m2, (a0, a1) in image.items():
-                    _accumulate(ints, m2, k * a0, k * a1)
+        polys = {m: c for m, c in v.items() if isinstance(c, Poly)}
+        den, ints = self._act_ints(
+            i, {m: c for m, c in v.items() if m not in polys} if polys else v)
         out = {m: _affine(a0, a1, den) for m, (a0, a1) in ints.items() if a0 or a1}
-        return elt_add(out, polys)
+        acted: Elt = {}
+        for m, c in polys.items():
+            for m2, (a0, a1) in self._act_mono(i, m).items():
+                t = c * _affine(a0, a1, 1)
+                p = acted.get(m2)
+                acted[m2] = t if p is None else p + t
+        return elt_add(out, acted)
 
     def act(self, x: dict[int, Q], v: Elt) -> Elt:
         self._require_module(v)
@@ -165,14 +179,16 @@ class VermaModule:
 
     # -- exact stability analysis ---------------------------------------------
 
-    def stability_constraints(self, gens: list[Elt]) -> tuple[list[Poly], list[Poly]]:
-        """Polynomial conditions in s for q-stability of the span W of gens.
+    def stability_constraints(self, gens: list[Elt]) -> tuple[list[Pair], list[Pair]]:
+        """Affine conditions a0 + a1*s = 0 for q-stability of the span W of gens.
 
-        Returns (levi_constraints, nilradical_constraints): the constraints
-        from acting by each generator x of q (LieAlgebra.q_generators), filed
-        by the grade of x.  The constraints from x are the coefficients each
-        acted generator of W leaves outside W (see Span.reduce), so W is
-        stable under x at s = s0 iff they all vanish at s0.
+        Returns (levi_constraints, nilradical_constraints) as exact rational
+        pairs (a0, a1): the constraints from acting by each generator x of q
+        (LieAlgebra.q_generators), filed by the grade of x.  The constraints
+        from x are the coefficients each acted generator of W leaves outside
+        W (see Span.leftover_pairs), so W is stable under x at s = s0 iff
+        they all vanish at s0.  They are affine by the lemma in _act_mono,
+        since the generators of W are s-free.
 
         Acting by generators suffices: at a fixed s0 the x in q with
         x.W in W form a Lie subalgebra, since [x, y].w = x.(y.w) - y.(x.w),
@@ -182,23 +198,33 @@ class VermaModule:
         for g in gens:
             if not g:
                 raise ValueError("zero generator in candidate span")
+            self._require_module(g)
         span = Span(gens)
-        levi: list[Poly] = []
-        nil: list[Poly] = []
+        levi: list[Pair] = []
+        nil: list[Pair] = []
         for x in self.alg.q_generators:
             out = levi if self.alg.grade[x] == 0 else nil
             for g in gens:
-                out.extend(span.reduce(self.act_basis(x, g))[1])
+                out.extend(span.leftover_pairs(*self._act_ints(x, g)))
         return levi, nil
 
     def singular_values(self, gens: list[Elt]) -> StabilityResult:
-        """Exactly the rational s0 at which the span of gens is q-stable."""
+        """Exactly the rational s0 at which the span of gens is q-stable.
+
+        Every constraint is a nonzero affine pair (a0, a1): with none, every
+        s works; otherwise the only candidate is the root -a0/a1 of the first
+        pair with a1 != 0, and it is a solution iff every pair vanishes there
+        (no such pair means all are nonzero constants: no solution).
+        """
         levi, nil = self.stability_constraints(gens)
         constraints = levi + nil
         if not constraints:
             return StabilityResult(True, (), True, 0)
-        roots = rational_roots(poly_gcd_all(constraints))
-        return StabilityResult(False, tuple(roots), not levi, len(constraints))
+        s0 = next((-a0 / a1 for a0, a1 in constraints if a1), None)
+        values: tuple[Q, ...] = ()
+        if s0 is not None and all(a0 + a1 * s0 == 0 for a0, a1 in constraints):
+            values = (s0,)
+        return StabilityResult(False, values, not levi, len(constraints))
 
     def module_action_matrix(self, span: Span, x: dict[int, Q], s0: Q) -> list[list[Q]]:
         """Matrix a with act(x, gens[i]) = sum_j a[j][i] gens[j] at s = s0,
@@ -222,7 +248,9 @@ class Span:
     The generators (U(nbar) elements, or any dicts from monomials to
     rationals) are the rows of one matrix over their monomials, in (degree,
     monomial) order, each augmented with a unit vector, so that every echelon
-    row of its rref also records its combination of the generators.
+    row of its rref also records its combination of the generators.  The
+    echelon rows are also kept as ints, scaled by the lcm of all their
+    denominators, for the exact reduction of int-pair vectors.
     """
 
     def __init__(self, gens: list[Elt]):
@@ -242,6 +270,11 @@ class Span:
         self.rows = [(p, [(f, a) for f, a in enumerate(red[r][:n]) if a and f != p],
                       [(j, a) for j, a in enumerate(red[r][n:]) if a])
                      for r, p in enumerate(pivots[:self.rank])]
+        self.scale = lcm(*(a.denominator for _, tail, _ in self.rows for _, a in tail))
+        # pivot column -> the row's non-pivot entries times scale, as ints
+        self._int_rows = {p: [(f, a.numerator * (self.scale // a.denominator))
+                              for f, a in tail]
+                          for p, tail, _ in self.rows}
 
     def reduce(self, w: dict) -> tuple[dict, list]:
         """(coordinates of w in the generators, coefficients left outside the span).
@@ -265,3 +298,32 @@ class Span:
                 coords[j] = c * a if v is None else v + c * a
         leftover.extend(c for _, c in sorted(rest.items()) if c)
         return coords, leftover
+
+    def leftover_pairs(self, den: int, w: dict[Mono, list[int]]) -> list[Pair]:
+        """The leftover of reduce for the vector sum (a0 + a1*s)/den * m over
+        the items m: [a0, a1] of w, as exact rational pairs (a0, a1) in the
+        same order.
+
+        Echelon rows are zero on every other pivot, so the multiple of row r
+        to subtract is w at its pivot; on the non-pivot monomials the int
+        sums scale * w[f] - sum_r w[pivot r] * (int row r) are the leftover
+        times den * scale.
+        """
+        col, rows, scale = self.col, self._int_rows, self.scale
+        leftover = [(Q(a0, den), Q(a1, den)) for m, (a0, a1) in w.items()
+                    if m not in col and (a0 or a1)]
+        rest: dict[int, list[int]] = {}
+        for m, (a0, a1) in w.items():
+            f = col.get(m)
+            if f is None or not (a0 or a1):
+                continue
+            tail = rows.get(f)
+            if tail is None:
+                _accumulate(rest, f, scale * a0, scale * a1)
+                continue
+            for f2, b in tail:
+                _accumulate(rest, f2, -a0 * b, -a1 * b)
+        d = den * scale
+        leftover.extend((Q(b0, d), Q(b1, d)) for _, (b0, b1) in sorted(rest.items())
+                        if b0 or b1)
+        return leftover

@@ -54,7 +54,7 @@ def test_criterion_01_chevalley_suite(ses):
     with criterion(1, "chevalley basis suite", 10):
         alg = ses.alg
         alg.verify_normalizations()   # raises on any violation
-        alg.verify_jacobi()           # exhaustive over basis triples
+        alg.verify_jacobi()           # Jacobi on every basis triple
         roots = [i for i, r in enumerate(alg.root_of) if r is not None]
         assert len(roots) == 24
         for i in roots:

@@ -213,22 +213,122 @@ def test_normal_ordering_coefficients_are_ints(alg_d4):
     assert rewritten > 0
 
 
+def _first_jacobi_failure(alg):
+    """The exhaustive Jacobi check over basis triples i < j < k, in the cyclic
+    form [k,[i,j]] + [i,[j,k]] + [j,[k,i]] = 0: a reference for
+    LieAlgebra.verify_jacobi, complete for antisymmetric tables.  Returns the
+    first failing triple, or None."""
+    table = alg.table
+    n = alg.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                acc = {}
+                for x, inner in ((k, table[i][j]), (i, table[j][k]), (j, table[k][i])):
+                    for t, c in inner:
+                        for u, d in table[x][t]:
+                            acc[u] = acc.get(u, 0) + c * d
+                if any(acc.values()):
+                    return i, j, k
+    return None
+
+
+def _with_rows(alg, rows):
+    """A copy of alg whose table has rows[(i, j)] in place of [X_i, X_j]."""
+    table = [list(line) for line in alg.table]
+    for (i, j), row in rows.items():
+        table[i][j] = row
+    return dataclasses.replace(alg, table=tuple(map(tuple, table)))
+
+
+def _negated(row):
+    return tuple((k, -c) for k, c in row)
+
+
 @pytest.mark.parametrize("fix,triple", [("alg_a3", "0,4,14"),
                                         ("alg_d4", "0,8,27")])
 def test_jacobi_catches_one_flipped_sign(fix, triple, request):
-    # flip the first root-root constant whose bracket is a root vector; every
-    # triple is checked in order, so the first failing one is fixed
+    # flip the first root-root constant whose bracket is a root vector: the
+    # table is no longer antisymmetric, which verify_jacobi reports at the
+    # flipped pair; the all-triples reference fails at a fixed first triple
     alg = request.getfixturevalue(fix)
     i, j = next((i, j) for i in range(alg.dim) for j in range(alg.dim)
                 if alg.root_of[i] is not None and alg.root_of[j] is not None
                 and alg.table[i][j]
                 and alg.root_of[alg.table[i][j][0][0]] is not None)
-    table = [list(line) for line in alg.table]
-    ((k, n),) = table[i][j]
-    table[i][j] = ((k, -n),)
-    bad = dataclasses.replace(alg, table=tuple(map(tuple, table)))
-    with pytest.raises(AssertionError, match=f"Jacobi fails at triple {triple}$"):
+    bad = _with_rows(alg, {(i, j): _negated(alg.table[i][j])})
+    with pytest.raises(AssertionError,
+                       match=f"antisymmetry fails at {min(i, j)},{max(i, j)}$"):
         bad.verify_jacobi()
+    assert ",".join(map(str, _first_jacobi_failure(bad))) == triple
+
+
+@pytest.mark.parametrize("fix", ["alg_a3", "alg_d4", "alg_d5"])
+def test_generator_jacobi_rejects_what_the_all_triples_reference_rejects(fix, request):
+    # three kinds of tampering; whatever the reference rejects, the check on
+    # the Chevalley generators must reject too
+    alg = request.getfixturevalue(fix)
+    n = alg.dim
+    rng = random.Random(f"jacobi-{fix}")
+    nonzero = [(i, j) for i in range(n) for j in range(i + 1, n) if alg.table[i][j]]
+    tampered = []
+    for i, j in rng.sample(nonzero, 20):
+        flipped = {(i, j): _negated(alg.table[i][j])}
+        tampered.append(("entry", flipped))
+        tampered.append(("pair", flipped | {(j, i): _negated(alg.table[j][i])}))
+    for g in alg.chevalley_generators:
+        tampered.append(("row", {(g, k): () for k in range(n)}))
+        tampered.append(("row and column", {(g, k): () for k in range(n)}
+                         | {(k, g): () for k in range(n)}))
+    rejected = {}
+    for kind, rows in tampered:
+        bad = _with_rows(alg, rows)
+        if _first_jacobi_failure(bad) is not None:
+            rejected[kind] = rejected.get(kind, 0) + 1
+        with pytest.raises(AssertionError):
+            bad.verify_jacobi()
+    # the reference sees every antisymmetric flip and every emptied generator
+    assert rejected["pair"] == 20
+    assert rejected["row and column"] == len(alg.chevalley_generators)
+
+
+@pytest.mark.parametrize("label", ["A2", "A3", "A4", "A5", "A6", "A7", "D4",
+                                   "D5", "D6", "D7", "D8", "E6", "E7"])
+def test_generator_jacobi_accepts_built_tables(label):
+    alg = build_lie_algebra(build_root_system(RootSystemSpec.parse(label)))
+    alg.verify_jacobi()
+    assert len(alg.chevalley_generators) == 2 * alg.rank
+
+
+def test_jacobi_generation_ignores_stored_zero_constants(alg_a3):
+    # e_1's brackets stored as zero multiples are the zero bracket, which is
+    # antisymmetric; generation must not take them for brackets, and H_1 is
+    # the bracket of e_1 and f_1 alone
+    e1 = alg_a3.chevalley_generators[0]
+    rows = {}
+    for k in range(alg_a3.dim):
+        if alg_a3.table[e1][k]:
+            rows[(e1, k)] = tuple((t, 0) for t, _ in alg_a3.table[e1][k])
+            rows[(k, e1)] = tuple((t, 0) for t, _ in alg_a3.table[k][e1])
+    with pytest.raises(AssertionError, match="generators do not generate g"):
+        _with_rows(alg_a3, rows).verify_jacobi()
+
+
+def test_normalizations_reject_a_stored_zero_constant(alg_a3):
+    # ((H1, 0),) is the zero bracket, so the table is still a Lie algebra;
+    # only the normalization check sees the stored zero
+    h1, h2 = alg_a3.cartan_index[:2]
+    bad = _with_rows(alg_a3, {(h1, h2): ((h1, 0),)})
+    bad.verify_jacobi()
+    with pytest.raises(AssertionError, match=f"zero structure constant stored at {h1},{h2}"):
+        bad.verify_normalizations()
+
+
+def test_normalizations_reject_a_nonabelian_cartan(alg_a3):
+    h1, h2 = alg_a3.cartan_index[:2]
+    bad = _with_rows(alg_a3, {(h1, h2): ((h1, 1),), (h2, h1): ((h1, -1),)})
+    with pytest.raises(AssertionError, match=r"\[H, H\] != 0 at H1,H2"):
+        bad.verify_normalizations()
 
 
 def test_normalizations_reject_a_float_constant(alg_a3):

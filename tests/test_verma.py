@@ -165,6 +165,12 @@ def _complement_constraints(vm, gens, acting=None):
     return levi, nil
 
 
+def _affine_pairs(polys):
+    """The (constant, s) coefficients of Polys in s of degree <= 1."""
+    assert all(p.degree() <= 1 for p in polys)
+    return [(p.terms.get((0,), Q(0)), p.terms.get((1,), Q(0))) for p in polys]
+
+
 def _generators_by_grade(alg):
     gens = alg.q_generators
     return ([x for x in gens if alg.grade[x] == 0],
@@ -177,8 +183,10 @@ def test_stability_constraints_match_complement_reference(request, label, count)
     vm = VermaModule(env)
     gens = OmegaSystem(env).omega3_system()
     levi, nil = vm.stability_constraints(gens)
-    assert (levi, nil) == _complement_constraints(vm, gens,
-                                                  _generators_by_grade(env.alg))
+    ref_levi, ref_nil = _complement_constraints(vm, gens,
+                                                _generators_by_grade(env.alg))
+    assert (levi, nil) == (_affine_pairs(ref_levi), _affine_pairs(ref_nil))
+    assert all(type(c) is Q for pair in levi + nil for c in pair)
     assert len(levi) + len(nil) == count
 
 
@@ -191,8 +199,11 @@ def test_stability_constraints_match_complement_reference_inside_support(verma_d
     gens = [elt_add(elt_add(env.gen(v[0]), elt_scale(env.gen(v[1]), Q(2))),
                     elt_scale(env.gen(v[2]), Q(5))),
             elt_add(env.gen(v[3]), elt_scale(env.gen(v[4]), Q(3)))]
-    assert verma_d4.stability_constraints(gens) == _complement_constraints(
-        verma_d4, gens, _generators_by_grade(env.alg))
+    levi, nil = _complement_constraints(verma_d4, gens,
+                                        _generators_by_grade(env.alg))
+    assert levi and nil
+    assert verma_d4.stability_constraints(gens) == (_affine_pairs(levi),
+                                                    _affine_pairs(nil))
 
 
 @pytest.mark.parametrize("label", ["A2", "A3", "A4", "D4", "D5"])
@@ -220,13 +231,13 @@ def test_stability_constraints_act_by_generators_only(verma_d4, omega_d4,
     # (19 of them) would take 152 actions
     gens = omega_d4.omega3_system()
     calls = []
-    act_basis = VermaModule.act_basis
+    act_ints = VermaModule._act_ints
 
     def counted(self, i, v):
         calls.append(i)
-        return act_basis(self, i, v)
+        return act_ints(self, i, v)
 
-    monkeypatch.setattr(VermaModule, "act_basis", counted)
+    monkeypatch.setattr(VermaModule, "_act_ints", counted)
     verma_d4.stability_constraints(gens)
     assert len(calls) == 64
     assert set(calls) == set(verma_d4.alg.q_generators)
@@ -355,3 +366,25 @@ def test_act_basis_results_are_not_aliased(verma_d4, omega_d4):
         assert verma_d4.act_basis(x, v) == kept
         verma_d4.act_basis(x, v).clear()
         assert verma_d4.act_basis(x, v) == kept
+
+
+@pytest.mark.parametrize("label", ["A2", "A3", "A4", "A5", "A6", "A7", "D4",
+                                   "D5", "D6", "D7", "D8", "E6"])
+def test_action_on_s_free_vectors_is_affine_in_s(label):
+    # the lemma the stability solve rests on: acting by one basis vector on
+    # an s-free module vector gives coefficients of s-degree <= 1
+    import random
+    alg = build_lie_algebra(build_root_system(RootSystemSpec.parse(label)),
+                            check=False)
+    env = Enveloping(alg)
+    vm = VermaModule(env)
+    rng = random.Random(f"affine-{label}")
+    pool = monomials_up_to(alg.nbar_indices, 3)
+    vectors = [env.one()] + [env.gen(i) for i in alg.nbar_indices]
+    vectors += [{m: Q(rng.randint(-5, 5) or 1, rng.randint(1, 4))
+                 for m in rng.sample(pool, 4)} for _ in range(3)]
+    vectors += [{m: Q(1)} for m in pool if mono_degree(m) == 3][:5]
+    vectors += OmegaSystem(env).omega3_system()
+    degrees = {c.degree() for x in range(alg.dim) for v in vectors
+               for c in vm.act_basis(x, v).values()}
+    assert degrees == {0, 1}
