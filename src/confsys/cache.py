@@ -106,12 +106,13 @@ def load(path: Path) -> LieAlgebra:
 def load_or_build(spec: RootSystemSpec, cache_dir: Path | None = None, *,
                   check: bool = True) -> LieAlgebra:
     path = cache_path(spec, cache_dir)
-    if path.exists():
-        try:
-            return load(path)
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-            warnings.warn(f"discarding unusable algebra cache {path}: {exc}",
-                          stacklevel=2)
+    try:
+        return load(path)
+    except FileNotFoundError:
+        pass  # a miss, also when another process clears the entry meanwhile
+    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+        warnings.warn(f"discarding unusable algebra cache {path}: {exc}",
+                      stacklevel=2)
     alg = build_lie_algebra(build_root_system(spec), check=check)
     dump(alg, path)
     return alg
@@ -135,6 +136,6 @@ def clear(cache_dir: Path | None = None,
                if spec is not None else "algebra-*.json")
     removed = []
     for p in sorted(base.glob(pattern)):
-        p.unlink()
+        p.unlink(missing_ok=True)  # a concurrent clear may have removed it
         removed.append(p)
     return removed

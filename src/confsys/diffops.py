@@ -444,13 +444,6 @@ class OperatorCalculus:
             self._pi_basis[i] = cached
         return cached
 
-    def pi_op(self, y: dict[int, Q]) -> PolyDiffOp:
-        out = self.zero_op()
-        for i, c in y.items():
-            if c:
-                out = out + self.pi_basis(i).scale(c)
-        return out
-
     def _pi(self, y: dict[int, Q]) -> PolyDiffOp:
         """pi_s(Y) = -s dchi((Ad(nbar^{-1})Y)_q) - R((Ad(nbar^{-1})Y)_nbar)."""
         w = self.ad_exp_inverse(y)

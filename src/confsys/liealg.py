@@ -93,18 +93,6 @@ class LieAlgebra:
                         out[k] = c
         return {k: v for k, v in out.items() if v}
 
-    def ad_basis(self, i: int, elem: dict[int, object]) -> dict[int, object]:
-        """[X_i, elem] for a basis index i."""
-        out: dict[int, object] = {}
-        for j, cj in elem.items():
-            for k, n in self.table[i][j]:
-                c = cj * n
-                if k in out:
-                    out[k] = out[k] + c
-                else:
-                    out[k] = c
-        return {k: v for k, v in out.items() if v}
-
     def h_of(self, a: Root) -> dict[int, Q]:
         """H_a as a combination of the simple coroots."""
         return {self.cartan_index[i]: Q(c) for i, c in enumerate(a) if c}

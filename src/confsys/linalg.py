@@ -66,6 +66,3 @@ def inverse(m: Matrix) -> Matrix | None:
         return None
     return [row[n:] for row in red[:n]]
 
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    return [[sum((x * y for x, y in zip(row, col)), Q(0)) for col in zip(*b)] for row in a]

@@ -1,9 +1,9 @@
 """Poincare-Birkhoff-Witt calculus in the universal enveloping algebra.
 
 Monomials are sorted (basis-index, exponent) tuples over the fixed ordered
-basis of the Lie algebra; elements of U(g) carry int or Fraction coefficients
-(the module vectors of verma.py, built from monomial products, carry Polys
-in s).
+basis of the Lie algebra; elements of U(g) carry int or Fraction coefficients,
+and so do the module vectors of verma.py (an s-dependent vector there is a
+pair of them).
 Products are normal ordered with the rewriting rule  x y = y x + [x, y]  and
 never increase the filtration degree.  The rule never divides, so with the
 integer structure constants of the Chevalley basis every normal-ordering
@@ -16,10 +16,9 @@ from fractions import Fraction as Q
 from itertools import combinations_with_replacement
 
 from .liealg import LieAlgebra
-from .poly import Poly
 
 Mono = tuple[tuple[int, int], ...]
-Coeff = int | Q | Poly
+Coeff = int | Q
 Elt = dict[Mono, Coeff]
 
 ONE_MONO: Mono = ()

@@ -79,20 +79,12 @@ class RootSystem:
         return sum(a[i] * self.gram[i][j] * b[j]
                    for i in range(self.rank) for j in range(self.rank) if a[i] and b[j])
 
-    def reflect(self, a: Root, b: Root) -> Root:
-        """Reflection s_a(b) = b - (b, a) a."""
-        n = self.pairing(b, a)
-        return tuple(x - n * y for x, y in zip(b, a))
-
     def is_root(self, a: Root) -> bool:
         return a in self._root_set
 
     @cached_property
     def _root_set(self) -> frozenset[Root]:
         return frozenset(self.roots)
-
-    def height(self, a: Root) -> int:
-        return sum(a)
 
     def simple(self, i: int) -> Root:
         """The i-th simple root, 0-based."""

@@ -3,15 +3,16 @@
 The module is U(g) tensored over the parabolic with the one-dimensional
 character s*dchi; as a vector space it is U(nbar) for the opposite Heisenberg
 radical nbar, realized here as PBW elements supported on the nbar prefix of
-the basis.  U(g) is rational; s enters only here.  A basis element acts on
-an nbar monomial by commuting past its PBW factors inside U(nbar) tensor 1
+the basis.  U(g) and every module vector the engine builds are rational; s
+enters only through the action.  A basis element acts on an nbar monomial by
+commuting past its PBW factors inside U(nbar) tensor 1
 (VermaModule._act_mono), so the image of an s-free vector is affine in s,
 held as two ints per monomial over a common denominator
-(VermaModule._act_ints).  The q-stability solve stays in that form: Span
-reduces the int pairs against int echelon rows, every constraint is an
-exact rational pair (a0, a1) meaning a0 + a1*s, and the special values are
-read off the pairs.  act_basis returns the same image with coefficients in
-Q[s], for the checks that compose actions or substitute s0.
+(VermaModule._act_ints).  act_basis and act return that image as a pair
+(v0, v1) of rational vectors meaning v0 + s*v1; elt_subs evaluates a pair at
+s0.  The q-stability solve stays in int form: Span reduces the int pairs
+against int echelon rows, every constraint is an exact rational pair
+(a0, a1) meaning a0 + a1*s, and the special values are read off the pairs.
 """
 
 from __future__ import annotations
@@ -22,25 +23,9 @@ from math import lcm
 
 from . import linalg
 from .pbw import Elt, Enveloping, Mono, elt_add, elt_scale, mono_degree
-from .poly import Poly
 
-S = Poly.variable(1, 0)  # the parameter s
-Pair = tuple[Q, Q]       # (a0, a1), the affine a0 + a1*s
-
-
-def lift(v: Elt) -> Elt:
-    """v with every coefficient in Q[s], to compare it with module vectors."""
-    return {m: c if isinstance(c, Poly) else Poly.constant(1, c) for m, c in v.items()}
-
-
-def _affine(a0: int, a1: int, den: int) -> Poly:
-    """(a0 + a1*s) / den as a Poly in s."""
-    terms = {}
-    if a0:
-        terms[(0,)] = Q(a0, den)
-    if a1:
-        terms[(1,)] = Q(a1, den)
-    return Poly._wrap(1, terms)
+Pair = tuple[Q, Q]        # (a0, a1), the affine a0 + a1*s
+Affine = tuple[Elt, Elt]  # (v0, v1), the module vector v0 + s*v1
 
 
 def _accumulate(acc: dict, key, a0: int, a1: int) -> None:
@@ -53,14 +38,21 @@ def _accumulate(acc: dict, key, a0: int, a1: int) -> None:
         v[1] += a1
 
 
-def elt_subs(v: Elt, s0: Q) -> Elt:
-    """The module vector v at s = s0, with rational coefficients."""
-    out: Elt = {}
-    for m, c in v.items():
-        c0 = c.subs(0, s0).constant_value()
-        if c0:
-            out[m] = c0
-    return out
+def _split(den: int, ints: dict[Mono, list[int]]) -> Affine:
+    """The int pairs (a0 + a1*s)/den of ints as rational vectors (v0, v1)."""
+    v0: Elt = {}
+    v1: Elt = {}
+    for m, (a0, a1) in ints.items():
+        if a0:
+            v0[m] = Q(a0, den)
+        if a1:
+            v1[m] = Q(a1, den)
+    return v0, v1
+
+
+def elt_subs(v: Affine, s0: Q) -> Elt:
+    """The module vector v0 + s*v1 at s = s0, with rational coefficients."""
+    return elt_add(v[0], elt_scale(v[1], s0))
 
 
 @dataclass(frozen=True)
@@ -144,32 +136,29 @@ class VermaModule:
                 _accumulate(acc, m2, k * a0, k * a1)
         return den, acc
 
-    def act_basis(self, i: int, v: Elt) -> Elt:
-        """Action of the basis element X_i on a module element.
+    def act_basis(self, i: int, v: Elt) -> Affine:
+        """X_i.v = v0 + s*v1 for an s-free module vector v, as (v0, v1).
 
-        The rational part of v goes through _act_ints, so Fractions are
-        built only for the output coefficients.  Poly coefficients (of a
-        vector already acted on) multiply the affine image as Polys.
+        Fractions are built only for the nonzero output coefficients.
         """
         self._require_module(v)
-        polys = {m: c for m, c in v.items() if isinstance(c, Poly)}
-        den, ints = self._act_ints(
-            i, {m: c for m, c in v.items() if m not in polys} if polys else v)
-        out = {m: _affine(a0, a1, den) for m, (a0, a1) in ints.items() if a0 or a1}
-        acted: Elt = {}
-        for m, c in polys.items():
-            for m2, (a0, a1) in self._act_mono(i, m).items():
-                t = c * _affine(a0, a1, 1)
-                p = acted.get(m2)
-                acted[m2] = t if p is None else p + t
-        return elt_add(out, acted)
+        return _split(*self._act_ints(i, v))
 
-    def act(self, x: dict[int, Q], v: Elt) -> Elt:
+    def act(self, x: dict[int, Q], v: Elt) -> Affine:
+        """X.v = v0 + s*v1 for X = sum_i x[i] X_i and an s-free v, as (v0, v1).
+
+        The images by the X_i share the denominator of v; the rational x[i]
+        are scaled to ints over the lcm of their denominators.
+        """
         self._require_module(v)
-        out: Elt = {}
+        dx = lcm(*(c.denominator for c in x.values()))
+        den, acc = 1, {}
         for i, c in x.items():
-            out = elt_add(out, elt_scale(self.act_basis(i, v), c))
-        return out
+            den, ints = self._act_ints(i, v)
+            k = c.numerator * (dx // c.denominator)
+            for m, (a0, a1) in ints.items():
+                _accumulate(acc, m, k * a0, k * a1)
+        return _split(den * dx, acc)
 
     def _require_module(self, v: Elt) -> None:
         cut = self.alg.nbar_dim
@@ -261,7 +250,7 @@ class Span:
         mat = [[Q(0)] * n + [Q(int(i == j)) for i in range(k)] for j in range(k)]
         for j, g in enumerate(gens):
             for m, c in g.items():
-                if isinstance(c, Poly):
+                if not isinstance(c, (int, Q)):
                     raise NotImplementedError("span generators must not depend on s")
                 mat[j][self.col[m]] = Q(c)
         red, pivots = linalg.rref(mat)
@@ -279,7 +268,7 @@ class Span:
     def reduce(self, w: dict) -> tuple[dict, list]:
         """(coordinates of w in the generators, coefficients left outside the span).
 
-        Coefficients may be Polys or rationals.  The leftover lists the nonzero
+        Coefficients are rationals.  The leftover lists the nonzero
         entries of w off the span's monomials, in w's order, then those of
         w - sum_r w[pivot r] * (row r) on the non-pivot monomials, in order.
         """

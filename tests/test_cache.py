@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -100,6 +101,46 @@ def test_clear_removes_entries(tmp_path):
     assert cache.clear(tmp_path) == []
 
 
+def test_entry_removed_before_it_is_read_is_rebuilt(tmp_path, monkeypatch):
+    # another process's `confsys cache clear` removes the entry after this
+    # one found it and before it reads it: a plain miss, rebuilt without a
+    # warning
+    path = cache.build(A3, tmp_path)
+    load = cache.load
+
+    def racing_load(p):
+        path.unlink()
+        return load(p)
+
+    monkeypatch.setattr(cache, "load", racing_load)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alg = cache.load_or_build(A3, tmp_path, check=False)
+    assert alg.rank == 3
+    monkeypatch.undo()
+    assert cache.load(path).names == alg.names
+
+
+def test_two_clears_of_one_directory(tmp_path, monkeypatch):
+    # a second clear runs to completion between the first one's listing of
+    # the entries and its first unlink
+    cache.build(A3, tmp_path)
+    cache.build(RootSystemSpec.parse("D4"), tmp_path)
+    unlink = Path.unlink
+    other = []
+
+    def racing_unlink(self, *args, **kwargs):
+        monkeypatch.setattr(Path, "unlink", unlink)
+        other.extend(cache.clear(tmp_path))
+        unlink(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "unlink", racing_unlink)
+    removed = cache.clear(tmp_path)
+    names = ["algebra-A3-v1.json", "algebra-D4-v1.json"]
+    assert [p.name for p in removed] == [p.name for p in other] == names
+    assert not list(tmp_path.iterdir())
+
+
 def test_env_var_selects_cache_dir(tmp_path, monkeypatch):
     monkeypatch.setenv(cache.ENV_CACHE_DIR, str(tmp_path / "envdir"))
     assert cache.default_cache_dir() == tmp_path / "envdir"
@@ -135,6 +176,7 @@ def test_interleaved_dumps_of_one_entry_do_not_collide(tmp_path, monkeypatch):
 
 _DUMP_LOOP = """
 import sys
+import warnings
 from pathlib import Path
 from confsys import cache
 from confsys.roots import RootSystemSpec

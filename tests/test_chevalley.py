@@ -87,7 +87,7 @@ def _bracket_closure_dim(alg, gens) -> int:
     frontier = [{g: Q(1)} for g in gens if insert({g: Q(1)})]
     while frontier:
         frontier = [w for g in gens for v in frontier
-                    if insert(w := alg.ad_basis(g, v))]
+                    if insert(w := alg.bracket_elem({g: 1}, v))]
     return len(rows)
 
 

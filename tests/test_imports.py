@@ -1,11 +1,13 @@
-"""Every imported name is used, and every private helper is referenced.
+"""Every imported name is used, and every helper is referenced.
 
 AST scans of the sources: a name bound by an import statement under src/,
-scripts/ or tests/ must be referenced somewhere else in the same file, and a
+scripts/ or tests/ must be referenced somewhere else in the same file; a
 private, undecorated function or class under src/ or scripts/ must be
 referenced somewhere in those two trees (a decorator such as @check registers
-what it decorates, so decorated definitions are exempt).  They need nothing
-beyond the standard library.
+what it decorates, so decorated definitions are exempt); and a public
+function or method under src/ must be referenced from src/, scripts/ or
+perfbench/, not only from tests.  They need nothing beyond the standard
+library.
 """
 
 import ast
@@ -50,6 +52,34 @@ def _unreferenced_private(trees) -> list[str]:
             if name not in referenced]
 
 
+def _unreferenced_public(defining, referencing, exempt=frozenset()) -> list[str]:
+    """Public functions and methods of the defining trees whose names no
+    Name or Attribute node of the referencing trees holds.
+
+    Referencing paths under perfbench/ also reference every dotted part of
+    their string constants: the tracer patches its targets by name, as in
+    "VermaModule.act_basis".  Names in exempt are never flagged.
+    """
+    defined, referenced = [], set(exempt)
+    for path, tree in defining:
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not node.name.startswith("_")):
+                defined.append((path, node.lineno, node.name))
+    for path, tree in referencing:
+        by_string = Path(path).parts[0] == "perfbench"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif (by_string and isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)):
+                referenced.update(node.value.split("."))
+    return [f"{path} line {line}: {name}" for path, line, name in defined
+            if name not in referenced]
+
+
 def test_no_unused_imports():
     found = []
     for path, tree in _trees("src", "scripts", "tests"):
@@ -83,3 +113,47 @@ def __getattr__(name):
 """
     found = _unreferenced_private([("m.py", ast.parse(source))])
     assert found == ["m.py line 2: _left_behind", "m.py line 9: _method"]
+
+
+def test_no_unreferenced_public_definitions():
+    # PolyDiffOp.apply is the reference the compose test checks against
+    found = _unreferenced_public(_trees("src"), _trees("src", "scripts", "perfbench"),
+                                 exempt={"apply"})
+    assert not found, "public definitions only tests use:\n" + "\n".join(found)
+
+
+def test_unreferenced_public_scan_flags_a_test_only_helper():
+    source = """
+def test_only(rows):
+    return rows
+
+def used():
+    pass
+
+class Engine:
+    def run(self):
+        return used()
+
+    def patched(self):
+        pass
+
+    def reference(self):
+        pass
+
+    def _private(self):
+        pass
+"""
+    caller = "Engine().run()\n"
+    tracer = 'TARGETS = [("engine", "Engine.patched")]\n'
+    found = _unreferenced_public(
+        [("src/m.py", ast.parse(source))],
+        [("src/m.py", ast.parse(source)), ("scripts/c.py", ast.parse(caller)),
+         ("perfbench/t.py", ast.parse(tracer))],
+        exempt={"reference"})
+    assert found == ["src/m.py line 2: test_only"]
+    # a string outside perfbench/ is no reference
+    found = _unreferenced_public([("src/m.py", ast.parse(source))],
+                                 [("src/m.py", ast.parse(source)),
+                                  ("scripts/t.py", ast.parse(caller + tracer))])
+    assert found == ["src/m.py line 2: test_only", "src/m.py line 12: patched",
+                     "src/m.py line 15: reference"]

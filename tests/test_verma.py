@@ -11,27 +11,49 @@ from confsys.pbw import (Enveloping, elt_add, elt_scale, elt_sub, mono_degree,
                          monomials_up_to)
 from confsys.poly import Poly, poly_gcd_all, rational_roots
 from confsys.roots import RootSystemSpec, build_root_system
-from confsys.verma import S, Span, VermaModule
+from confsys.verma import Span, VermaModule, elt_subs
+
+S = Poly.variable(1, 0)  # the parameter s, for the Q[s] references below
+
+
+def _as_poly(*coeffs):
+    """The module vector sum_k s^k coeffs[k], with coefficients in Q[s]."""
+    out = {}
+    for k, v in enumerate(coeffs):
+        out = elt_add(out, {m: S ** k * c for m, c in v.items()})
+    return out
+
+
+def _act_on_affine(vm, x, w):
+    """X_x.(w0 + s*w1) for a pair w = (w0, w1), as its coefficients of s^0,
+    s^1 and s^2: X_x.w0 + s*X_x.w1."""
+    a0, a1 = vm.act_basis(x, w[0])
+    b0, b1 = vm.act_basis(x, w[1])
+    return a0, elt_add(a1, b0), b1
+
+
+def _same(a, b):
+    return all(not elt_sub(u, v) for u, v in zip(a, b, strict=True))
 
 
 def test_highest_vector_eigenvalues(verma_d4):
     alg = verma_d4.env.alg
     one = verma_d4.env.one()   # the generator 1 tensor 1
-    got = verma_d4.act(alg.h_gamma, one)
-    assert not elt_sub(got, elt_scale(one, S * 2))
+    assert verma_d4.act(alg.h_gamma, one) == ({}, elt_scale(one, 2))
     # Levi root vectors and the nilradical kill the cyclic vector
     for i in alg.q_indices:
         if alg.root_of[i] is not None:
-            assert verma_d4.act({i: Q(1)}, one) == {}
+            assert verma_d4.act({i: Q(1)}, one) == ({}, {})
 
 
 def test_opposite_radical_acts_freely(verma_d4):
     env = verma_d4.env
     alg = env.alg
     v = verma_d4.act_basis(alg.v_minus[0], verma_d4.env.one())
-    assert v == {((alg.v_minus[0], 1),): Poly.constant(1, 1)}
-    w = verma_d4.act_basis(alg.x_minus_gamma, v)
-    assert list(w) == [((alg.x_minus_gamma, 1), (alg.v_minus[0], 1))]
+    assert v == ({((alg.v_minus[0], 1),): 1}, {})
+    w0, w1 = verma_d4.act_basis(alg.x_minus_gamma, v[0])
+    assert list(w0) == [((alg.x_minus_gamma, 1), (alg.v_minus[0], 1))]
+    assert w1 == {}
 
 
 def test_representation_property_sample(verma_d4):
@@ -42,10 +64,26 @@ def test_representation_property_sample(verma_d4):
     for _ in range(25):
         x = rng.randrange(alg.dim)
         y = rng.randrange(alg.dim)
-        lhs = elt_sub(verma_d4.act_basis(x, verma_d4.act_basis(y, v0)),
-                      verma_d4.act_basis(y, verma_d4.act_basis(x, v0)))
-        rhs = verma_d4.act(dict(alg.bracket(x, y)), v0)
-        assert not elt_sub(lhs, rhs)
+        xy = _act_on_affine(verma_d4, x, verma_d4.act_basis(y, v0))
+        yx = _act_on_affine(verma_d4, y, verma_d4.act_basis(x, v0))
+        lhs = [elt_sub(a, b) for a, b in zip(xy, yx)]
+        rhs = verma_d4.act(dict(alg.bracket(x, y)), v0) + ({},)
+        assert _same(lhs, rhs)
+
+
+def test_act_is_linear_in_the_lie_element(verma_d4, omega_d4):
+    # act scales the Lie element's rational coefficients to ints over their
+    # lcm; the result is the combination of the basis actions
+    alg = verma_d4.alg
+    x = {alg.cartan_index[0]: Q(5, 7), alg.x_gamma: Q(1, 2),
+         alg.v_minus[0]: Q(-2, 3), alg.l_indices[-1]: Q(3)}
+    for v in (verma_d4.env.one(), omega_d4.omega3_system()[0]):
+        expected = ({}, {})
+        for i, c in x.items():
+            expected = tuple(elt_add(e, elt_scale(part, c))
+                             for e, part in zip(expected, verma_d4.act_basis(i, v)))
+        assert _same(verma_d4.act(x, v), expected)
+        assert any(expected)
 
 
 def test_weights_of_low_degree_vectors(verma_d4, omega_d4):
@@ -57,8 +95,8 @@ def test_weights_of_low_degree_vectors(verma_d4, omega_d4):
         (omega_d4.omega3_basis(alg.v_minus[0]), -3),
     ]
     for v, shift in cases:
-        expected = elt_scale(v, S * 2 + Poly.constant(1, shift))
-        assert not elt_sub(verma_d4.act(alg.h_gamma, v), expected)
+        expected = (elt_scale(v, shift), elt_scale(v, 2))
+        assert _same(verma_d4.act(alg.h_gamma, v), expected)
 
 
 def test_singular_values_d4(verma_d4, omega_d4):
@@ -86,9 +124,7 @@ def test_module_action_matrix_roundtrip(verma_d4, omega_d4):
     z = alg.l_indices[0]
     a = verma_d4.module_action_matrix(Span(gens), {z: Q(1)}, Q(-1))
     for i in range(len(gens)):
-        got = verma_d4.act({z: Q(1)}, gens[i])
-        got = {m: c.subs(0, Q(-1)).constant_value() for m, c in got.items()
-               if not c.subs(0, Q(-1)).is_zero()}
+        got = elt_subs(verma_d4.act({z: Q(1)}, gens[i]), Q(-1))
         expected = {}
         for r in range(len(gens)):
             if a[r][i]:
@@ -121,7 +157,8 @@ def test_module_action_matrix_rejects_residual_inside_support(verma_d4):
     h, b = next((h, b) for h in alg.cartan_index for b in alg.v_minus
                 if weight(h, a) != weight(h, b))
     gens = [elt_add(env.gen(a), env.gen(b))]
-    assert set(verma_d4.act({h: Q(1)}, gens[0])) == set(gens[0])
+    v0, v1 = verma_d4.act({h: Q(1)}, gens[0])
+    assert set(v0) | set(v1) == set(gens[0])
     with pytest.raises(ValueError):
         verma_d4.module_action_matrix(Span(gens), {h: Q(1)}, Q(-1))
 
@@ -130,10 +167,11 @@ def _complement_constraints(vm, gens, acting=None):
     """The stability constraints by the dense complement: a reference.
 
     acting is a pair (Levi vectors, nilradical vectors) of basis indices,
-    every basis vector of q by default.  Each acted generator contributes its
+    every basis vector of q by default.  Each acted generator, as the int
+    pairs (a0 + a1*s)/den of VermaModule._act_ints, contributes its
     coefficients off the span's monomials, then its nonzero inner products
     with a basis of the span's left nullspace, taken from the rref of the
-    span matrix.
+    span matrix; all as rational pairs (a0, a1).
     """
     if acting is None:
         acting = (vm.alg.l_indices, vm.alg.n_indices)
@@ -153,22 +191,18 @@ def _complement_constraints(vm, gens, acting=None):
     for part, out in zip(acting, (levi, nil)):
         for x in part:
             for g in gens:
-                w = vm.act_basis(x, g)
-                out += [c for m, c in w.items() if m not in index]
+                den, w = vm._act_ints(x, g)
+                out += [(Q(a0, den), Q(a1, den)) for m, (a0, a1) in w.items()
+                        if m not in index and (a0 or a1)]
                 for u in complement:
-                    dot = Poly(1)
-                    for m, c in w.items():
+                    dot = [Q(0), Q(0)]
+                    for m, (a0, a1) in w.items():
                         if m in index and u[index[m]]:
-                            dot = dot + c * u[index[m]]
-                    if dot:
-                        out.append(dot)
+                            dot[0] += Q(a0, den) * u[index[m]]
+                            dot[1] += Q(a1, den) * u[index[m]]
+                    if any(dot):
+                        out.append(tuple(dot))
     return levi, nil
-
-
-def _affine_pairs(polys):
-    """The (constant, s) coefficients of Polys in s of degree <= 1."""
-    assert all(p.degree() <= 1 for p in polys)
-    return [(p.terms.get((0,), Q(0)), p.terms.get((1,), Q(0))) for p in polys]
 
 
 def _generators_by_grade(alg):
@@ -185,7 +219,7 @@ def test_stability_constraints_match_complement_reference(request, label, count)
     levi, nil = vm.stability_constraints(gens)
     ref_levi, ref_nil = _complement_constraints(vm, gens,
                                                 _generators_by_grade(env.alg))
-    assert (levi, nil) == (_affine_pairs(ref_levi), _affine_pairs(ref_nil))
+    assert (levi, nil) == (ref_levi, ref_nil)
     assert all(type(c) is Q for pair in levi + nil for c in pair)
     assert len(levi) + len(nil) == count
 
@@ -202,8 +236,7 @@ def test_stability_constraints_match_complement_reference_inside_support(verma_d
     levi, nil = _complement_constraints(verma_d4, gens,
                                         _generators_by_grade(env.alg))
     assert levi and nil
-    assert verma_d4.stability_constraints(gens) == (_affine_pairs(levi),
-                                                    _affine_pairs(nil))
+    assert verma_d4.stability_constraints(gens) == (levi, nil)
 
 
 @pytest.mark.parametrize("label", ["A2", "A3", "A4", "D4", "D5"])
@@ -217,7 +250,7 @@ def test_singular_values_match_all_of_q_reference(label):
     first_level = [env.gen(i) for i in alg.nbar_indices] + [env.one()]
     for gens in (OmegaSystem(env).omega3_system(), first_level):
         levi, nil = _complement_constraints(vm, gens)
-        constraints = levi + nil
+        constraints = [S * a1 + Poly.constant(1, a0) for a0, a1 in levi + nil]
         values = (tuple(rational_roots(poly_gcd_all(constraints)))
                   if constraints else ())
         res = vm.singular_values(gens)
@@ -246,7 +279,7 @@ def test_stability_constraints_act_by_generators_only(verma_d4, omega_d4,
 @pytest.mark.parametrize("label", ["d4", "a3"])
 def test_s_enters_only_through_the_module_action(request, label):
     # U(g) and the quadratic and cubic elements hold rationals; acting on the
-    # module lifts every coefficient into Q[s]
+    # module gives a pair (v0, v1), v0 + s*v1, of rational vectors
     alg = request.getfixturevalue(f"alg_{label}")
     env = Enveloping(alg)
     om, vm = OmegaSystem(env), VermaModule(env)
@@ -258,10 +291,13 @@ def test_s_enters_only_through_the_module_action(request, label):
     rational = [c for e in cubic + quadratic + products for c in e.values()]
     assert rational and all(type(c) in (int, Q) for c in rational)
     vectors = [env.one(), env.gen(alg.v_minus[0]), cubic[0]]
-    vectors.append(vm.act_basis(alg.x_minus_gamma, vectors[1]))
-    lifted = [c for x in alg.q_generators + alg.nbar_indices[:2] for v in vectors
-              for c in vm.act_basis(x, v).values()]
-    assert lifted and all(isinstance(c, Poly) for c in lifted)
+    vectors += vm.act_basis(alg.x_gamma, cubic[0])  # its components are vectors too
+    assert all(vectors)
+    acted = [vm.act_basis(x, v) for x in alg.q_generators + alg.nbar_indices[:2]
+             for v in vectors]
+    for k in (0, 1):
+        part = [c for pair in acted for c in pair[k].values()]
+        assert part and all(type(c) in (int, Q) for c in part)
 
 
 def test_parameter_dependent_generators_rejected(verma_d4):
@@ -302,7 +338,8 @@ def _act_by_normal_ordering(vm, x, v):
 
     Normal-orders X_x v in all of U(g), drops every monomial with a root
     vector of q among its factors, and lets each Cartan factor H^e contribute
-    (s*dchi(H))^e to the coefficient of the monomial's nbar part.
+    (s*dchi(H))^e to the coefficient of the monomial's nbar part.  The
+    coefficients of v may be rationals or Polys in s; the result's are Polys.
     """
     alg, env = vm.alg, vm.env
     out = {}
@@ -321,9 +358,8 @@ def _act_by_normal_ordering(vm, x, v):
 
 
 def _oracle_vectors(env, rng):
-    """Cubic and quadratic elements, sums of random nbar monomials of degree
-    <= 3 with non-integer rational coefficients, and vectors with Poly
-    coefficients."""
+    """Cubic and quadratic elements, and sums of random nbar monomials of
+    degree <= 3 with non-integer rational coefficients."""
     alg = env.alg
     om = OmegaSystem(env)
     vectors = om.omega3_system() + [om.omega2_basis(i) for i in alg.l_indices]
@@ -332,10 +368,6 @@ def _oracle_vectors(env, rng):
         vectors.append({m: Q(rng.choice((-1, 1)) * (2 * rng.randrange(1, 6) + 1),
                              2 * rng.randrange(1, 4))
                         for m in rng.sample(pool, 3)})
-    affine = S * Q(1, 3) + Poly.constant(1, Q(-2, 5))
-    vectors.append({m: affine * Q(k + 1, 2) for k, m in enumerate(rng.sample(pool, 3))})
-    vectors.append({m: S ** k + Poly.constant(1, Q(1, 7))
-                    for k, m in enumerate(rng.sample(pool, 3))})
     return vectors
 
 
@@ -346,10 +378,23 @@ def test_act_basis_matches_normal_ordering_reference(label):
                             check=False)
     env = Enveloping(alg)
     vm = VermaModule(env)
-    vectors = _oracle_vectors(env, random.Random(12))
+    rng = random.Random(12)
+    vectors = _oracle_vectors(env, rng)
     for x in range(alg.dim):
         for v in vectors:
-            assert vm.act_basis(x, v) == _act_by_normal_ordering(vm, x, v)
+            assert _as_poly(*vm.act_basis(x, v)) == _act_by_normal_ordering(vm, x, v)
+    # two actions, as verma_representation composes them: X_x on the pair
+    # X_y.v = w0 + s*w1 componentwise, against the reference applied twice
+    # (its second input has coefficients in Q[s])
+    squares = 0
+    for v in vectors[:1] + vectors[-4:]:
+        for x in range(alg.dim):
+            y = rng.randrange(alg.dim)
+            got = _act_on_affine(vm, x, vm.act_basis(y, v))
+            ref = _act_by_normal_ordering(vm, x, _act_by_normal_ordering(vm, y, v))
+            assert _as_poly(*got) == ref
+            squares += bool(got[2])
+    assert squares  # the sample reaches the s^2 coefficient
 
 
 def test_act_basis_results_are_not_aliased(verma_d4, omega_d4):
@@ -359,12 +404,14 @@ def test_act_basis_results_are_not_aliased(verma_d4, omega_d4):
     v = omega_d4.omega3_system()[0]
     for x in (alg.x_gamma, alg.cartan_index[0], alg.v_minus[0]):
         first = verma_d4.act_basis(x, v)
-        kept = dict(first)
-        for m in list(first):
-            first[m] = first[m] * S
-        first[()] = S
+        kept = tuple(dict(part) for part in first)
+        for part in first:
+            for m in list(part):
+                part[m] = part[m] * 3
+            part[()] = Q(7)
         assert verma_d4.act_basis(x, v) == kept
-        verma_d4.act_basis(x, v).clear()
+        for part in verma_d4.act_basis(x, v):
+            part.clear()
         assert verma_d4.act_basis(x, v) == kept
 
 
@@ -372,7 +419,10 @@ def test_act_basis_results_are_not_aliased(verma_d4, omega_d4):
                                    "D5", "D6", "D7", "D8", "E6"])
 def test_action_on_s_free_vectors_is_affine_in_s(label):
     # the lemma the stability solve rests on: acting by one basis vector on
-    # an s-free module vector gives coefficients of s-degree <= 1
+    # an s-free module vector gives v0 + s*v1 with rational v0, v1.  The pair
+    # holds no higher power of s; that it is the whole action is
+    # test_act_basis_matches_normal_ordering_reference.  Here both powers
+    # occur, and every coefficient is rational.
     import random
     alg = build_lie_algebra(build_root_system(RootSystemSpec.parse(label)),
                             check=False)
@@ -385,6 +435,7 @@ def test_action_on_s_free_vectors_is_affine_in_s(label):
                  for m in rng.sample(pool, 4)} for _ in range(3)]
     vectors += [{m: Q(1)} for m in pool if mono_degree(m) == 3][:5]
     vectors += OmegaSystem(env).omega3_system()
-    degrees = {c.degree() for x in range(alg.dim) for v in vectors
-               for c in vm.act_basis(x, v).values()}
-    assert degrees == {0, 1}
+    acted = [vm.act_basis(x, v) for x in range(alg.dim) for v in vectors]
+    assert {k for pair in acted for k, part in enumerate(pair) if part} == {0, 1}
+    assert all(type(c) in (int, Q) for pair in acted for part in pair
+               for c in part.values())
