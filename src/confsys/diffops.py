@@ -12,8 +12,10 @@ term per normally ordered monomial x^a s^e d^b (coefficients to the left of
 derivatives), keyed by the concatenated exponent tuple a + (e,) + b.  Values
 are integer numerators over one positive denominator per operator, reduced
 so that the gcd of all numerators and the denominator is 1; equal operators
-therefore have equal term maps.  Products are normal ordered in closed form,
-coordinate by coordinate,
+therefore have equal term maps.  A coefficient function is the zeroth-order
+operator of multiplication by it, so one type holds functions and
+operators: * is the Weyl-algebra product, and f * D multiplies D by f on the
+left.  Products are normal ordered in closed form, coordinate by coordinate,
 
     d^b o x^c = sum_k C(b, k) c!/(c-k)! x^(c-k) d^(b-k),
 
@@ -22,9 +24,12 @@ where only coordinates that one side differentiates and the other carries
 is the same in both orders, so a commutator forms only the k >= 1
 reordering corrections of each order, with opposite signs; point
 functionals at the identity of a commutator are read off a truncated
-product that keeps only the coordinate-free terms.  Poly is the
-boundary type: coefficients enter through from_coeffs/mult_op/scale and
-leave through at_identity/coefficients.
+product that keeps only the coordinate-free terms.
+
+A point functional is a pair (f0, f1) of rational maps from derivative
+multi-indices, meaning f0 + s*f1.  The induced operators are affine in s and
+the right actions s-free, so no functional the engine reads has a higher
+power of s; reading one raises ValueError.
 
 The right regular action R sends the enveloping algebra of the opposite
 nilradical to constant-plus-linear-coefficient operators; the induced family
@@ -42,11 +47,10 @@ from operator import add, sub
 
 from .liealg import LieAlgebra
 from .pbw import Elt, Mono, mono_word
-from .poly import Poly
 
 Der = tuple[int, ...]
 Key = tuple[int, ...]          # coordinate exponents, s exponent, derivatives
-PointFunctional = dict[Der, Poly]
+PointFunctional = tuple[dict[Der, Q], dict[Der, Q]]   # (f0, f1): f0 + s*f1
 
 
 class PolyDiffOp:
@@ -66,26 +70,6 @@ class PolyDiffOp:
             den //= g
         self.terms: dict[Key, int] = terms
         self.den = den
-
-    @classmethod
-    def from_coeffs(cls, ncoords: int, coeffs: dict[Der, Poly]) -> "PolyDiffOp":
-        """The operator sum_d coeffs[d] * d^d, coefficients in Q[coords, s]."""
-        den = lcm(*(c.denominator for p in coeffs.values()
-                    for c in p.terms.values()))
-        return cls(ncoords, {e + d: c.numerator * (den // c.denominator)
-                             for d, p in coeffs.items()
-                             for e, c in p.terms.items()}, den)
-
-    def coefficients(self) -> dict[Der, Poly]:
-        """Inverse of from_coeffs: the Poly coefficient of each derivative."""
-        n, den = self.ncoords, self.den
-        out: dict[Der, dict] = {}
-        for k, v in self.terms.items():
-            out.setdefault(k[n + 1:], {})[k[:n + 1]] = Q(v, den)
-        return {d: Poly(n + 1, t) for d, t in out.items()}
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -117,32 +101,28 @@ class PolyDiffOp:
         return PolyDiffOp(self.ncoords,
                           {k: -v for k, v in self.terms.items()}, self.den)
 
-    def scale(self, c: Poly | Q | int) -> "PolyDiffOp":
-        """Left multiplication by a function (or scalar)."""
-        n = self.ncoords
-        if not isinstance(c, Poly):
-            c = Q(c)
-            return PolyDiffOp(n, {k: v * c.numerator
-                                  for k, v in self.terms.items()},
-                              self.den * c.denominator)
-        den = lcm(*(v.denominator for v in c.terms.values()))
-        pad = (0,) * n
-        out: dict[Key, int] = {}
-        for e, pv in c.terms.items():
-            e = e + pad
-            pv = pv.numerator * (den // pv.denominator)
-            for k, v in self.terms.items():
-                key = tuple(map(add, e, k))
-                out[key] = out.get(key, 0) + pv * v
-        return PolyDiffOp(n, out, self.den * den)
+    def __mul__(self, other: "PolyDiffOp | Q | int") -> "PolyDiffOp":
+        """The product with an operator (self o other), or with a scalar."""
+        if isinstance(other, PolyDiffOp):
+            return self.compose(other)
+        c = Q(other)
+        return PolyDiffOp(self.ncoords,
+                          {k: v * c.numerator for k, v in self.terms.items()},
+                          self.den * c.denominator)
+
+    __rmul__ = __mul__      # reached only for a scalar on the left
 
     def compose(self, other: "PolyDiffOp") -> "PolyDiffOp":
         """self applied after other, as operators (normal ordered)."""
         self._check(other)
         n = self.ncoords
         out: dict[Key, int] = {}
-        rights = _masked(other.terms, n)
-        for ka, ca, cma, dma, dera in _masked(self.terms, n):
+        lefts = _masked(self.terms, n)
+        # only a derivative on the left reorders: after a function (f * D)
+        # the masks of other's terms are not needed
+        rights = (_masked(other.terms, n) if any(t[3] for t in lefts)
+                  else [(kb, cb, 0, 0, ()) for kb, cb in other.terms.items()])
+        for ka, ca, cma, dma, dera in lefts:
             for kb, cb, cmb, dmb, derb in rights:
                 base = tuple(map(add, ka, kb))
                 if dma & cmb:
@@ -170,17 +150,6 @@ class PolyDiffOp:
                     _reorder_into(out, base, derb, ka, -c, n, 1)
         return PolyDiffOp(n, out, self.den * other.den)
 
-    def apply(self, f: Poly) -> Poly:
-        """D f, differentiating f directly (independent of compose)."""
-        out = Poly(f.nvars)
-        for d, c in self.coefficients().items():
-            g = f
-            for i, k in enumerate(d):
-                for _ in range(k):
-                    g = g.diff(i)
-            out = out + c * g
-        return out
-
     def subs_param(self, i: int, value: Q) -> "PolyDiffOp":
         """Substitute a rational for coefficient variable i (normally s)."""
         if not 0 <= i <= self.ncoords:
@@ -196,10 +165,10 @@ class PolyDiffOp:
         return PolyDiffOp(self.ncoords, out, self.den * q ** top)
 
     def at_identity(self) -> PointFunctional:
-        """The functional f -> (D f)(e) as derivative-coefficients at 0.
+        """The functional f -> (D f)(e) as derivative-coefficients at 0: the
+        pair (f0, f1) meaning f0 + s*f1 (coordinates are set to 0).
 
-        Coefficients keep only the parameter variable (coords are set to 0);
-        they are returned as univariate polynomials in s.
+        Raises ValueError on a coordinate-free term of degree 2 or more in s.
         """
         n = self.ncoords
         zero = (0,) * n
@@ -243,12 +212,14 @@ def commutator_at_identity(a: PolyDiffOp, b: PolyDiffOp) -> PointFunctional:
 
 
 def _functional(acc: dict[tuple[int, Der], int], den: int) -> PointFunctional:
-    """{(s exponent, derivative): numerator} over den -> {Der: Poly in s}."""
-    out: dict[Der, dict] = {}
+    """{(s exponent, derivative): numerator} over den -> (f0, f1)."""
+    out: PointFunctional = ({}, {})
     for (e, d), v in acc.items():
         if v:
-            out.setdefault(d, {})[(e,)] = Q(v, den)
-    return {d: Poly(1, t) for d, t in out.items()}
+            if e > 1:
+                raise ValueError(f"point functional of degree {e} in s")
+            out[e][d] = Q(v, den)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -304,78 +275,71 @@ def _reorder_into(out: dict[Key, int], base: Key, ders, right: Key, c: int,
 
 
 class OperatorCalculus:
-    """R and the induced family pi for one algebra, plus shared rings."""
+    """R and the induced family pi for one algebra."""
 
     def __init__(self, alg: LieAlgebra):
         self.alg = alg
         self.ncoords = alg.nbar_dim           # z plus one x per V- vector
-        self.nvars = self.ncoords + 1         # trailing parameter s
-        self.s_var = self.ncoords
-        self.coord_names = [alg.names[g] for g in range(self.ncoords)]
+        self.s_var = self.ncoords             # s follows the coordinates
         self._r_gen: dict[int, PolyDiffOp] = {}
         self._r_mono: dict[Mono, PolyDiffOp] = {}
         self._pi_basis: dict[int, PolyDiffOp] = {}
 
-    # -- ring helpers --------------------------------------------------------
+    # -- functions and derivatives as operators --------------------------------
 
-    def const(self, c: Q | int) -> Poly:
-        return Poly.constant(self.nvars, c)
+    def _unit(self, pos: int) -> PolyDiffOp:
+        """The operator whose one term has exponent 1 at key position pos."""
+        return PolyDiffOp(self.ncoords, {tuple(int(k == pos) for k in
+                                               range(2 * self.ncoords + 1)): 1})
 
-    def var(self, i: int) -> Poly:
-        return Poly.variable(self.nvars, i)
+    def const(self, c: Q | int) -> PolyDiffOp:
+        c = Q(c)
+        return PolyDiffOp(self.ncoords, {(0,) * (2 * self.ncoords + 1):
+                                         c.numerator}, c.denominator)
 
-    def s_poly(self) -> Poly:
-        return self.var(self.s_var)
+    def var(self, i: int) -> PolyDiffOp:
+        """Multiplication by coefficient variable i (a coordinate, or s)."""
+        return self._unit(i)
+
+    def derivative(self, i: int) -> PolyDiffOp:
+        return self._unit(self.ncoords + 1 + i)
 
     def zero_op(self) -> PolyDiffOp:
         return PolyDiffOp(self.ncoords)
 
     def identity_op(self) -> PolyDiffOp:
-        return self.mult_op(self.const(1))
-
-    def mult_op(self, f: Poly) -> PolyDiffOp:
-        return PolyDiffOp.from_coeffs(self.ncoords, {(0,) * self.ncoords: f})
-
-    def _der(self, i: int) -> Der:
-        return tuple(1 if j == i else 0 for j in range(self.ncoords))
+        return self.const(1)
 
     # -- the adjoint series ---------------------------------------------------
 
-    def w_element(self) -> dict[int, Poly]:
-        """W with nbar(x, z) = exp(W): coordinate g times basis vector g."""
-        return {g: self.var(g) for g in range(self.ncoords)}
-
-    def ad_exp_inverse(self, y: dict[int, Poly | Q]) -> dict[int, Poly]:
-        """Ad(nbar(x,z)^{-1}) Y = exp(-ad W) Y with polynomial coefficients."""
-        cur: dict[int, Poly] = {}
-        for i, c in y.items():
-            p = c if isinstance(c, Poly) else self.const(c)
-            if not p.is_zero():
-                cur[i] = p
+    def ad_inverse(self, i: int) -> dict[int, PolyDiffOp]:
+        """Ad(nbar(x,z)^{-1}) X_i = exp(-ad W) X_i, with W = sum_g x_g X_g
+        (nbar(x, z) = exp(W)), coefficients as functions."""
+        cur = {i: self.identity_op()}
         out = dict(cur)
-        w = self.w_element()
+        w = {g: self.var(g) for g in range(self.ncoords)}
         sign, fact = -1, 1
         for k in range(1, 6):
             cur = self.alg.bracket_elem(w, cur)
             if not cur:
                 break
             fact *= k
-            for i, c in cur.items():
-                add = c * Q(sign, fact)
-                v = out.get(i)
-                v = add if v is None else v + add
-                if v.is_zero():
-                    out.pop(i, None)
+            for j, c in cur.items():
+                term = c * Q(sign, fact)
+                v = out.get(j)
+                v = term if v is None else v + term
+                if v:
+                    out[j] = v
                 else:
-                    out[i] = v
+                    out.pop(j, None)
             sign = -sign
         else:
             raise AssertionError("adjoint series failed to terminate")
         return out
 
-    def dchi_ext(self, y: dict[int, Poly]) -> Poly:
+    def dchi_ext(self, y: dict[int, PolyDiffOp]) -> PolyDiffOp:
         """Function-linear extension of the character derivative to q."""
-        out = self.const(0)
+        out = self.zero_op()
         for i, c in y.items():
             v = self.alg.dchi_index(i)
             if v is None:
@@ -394,16 +358,13 @@ class OperatorCalculus:
         alg = self.alg
         if not 0 <= g < self.ncoords:
             raise ValueError(f"basis index {g} is not in the opposite nilradical")
-        terms = {self._der(g): self.const(1)}
+        op = self.derivative(g)
         if g != alg.x_minus_gamma:
             delta = tuple(-c for c in alg.root_of[g])
             comp = tuple(gc - dc for gc, dc in zip(alg.rs.highest, delta))
             j = alg.index_of_root[tuple(-c for c in comp)]
-            br = dict(alg.bracket(j, g))
-            n = br[alg.x_minus_gamma]
-            zder = self._der(alg.x_minus_gamma)
-            terms[zder] = terms.get(zder, self.const(0)) + self.var(j) * Q(n, 2)
-        op = PolyDiffOp.from_coeffs(self.ncoords, terms)
+            n = dict(alg.bracket(j, g))[alg.x_minus_gamma]
+            op = op + self.var(j) * self.derivative(alg.x_minus_gamma) * Q(n, 2)
         self._r_gen[g] = op
         return op
 
@@ -425,14 +386,14 @@ class OperatorCalculus:
         """R of an enveloping-algebra element with rational coefficients."""
         out = self.zero_op()
         for m, c in u.items():
-            out = out + self.r_mono(m).scale(c)
+            out = out + self.r_mono(m) * c
         return out
 
-    def r_ext(self, y: dict[int, Poly]) -> PolyDiffOp:
+    def r_ext(self, y: dict[int, PolyDiffOp]) -> PolyDiffOp:
         """Function-linear extension of R to nilradical-valued functions."""
         out = self.zero_op()
         for i, c in y.items():
-            out = out + self.r_gen(i).scale(c)
+            out = out + c * self.r_gen(i)
         return out
 
     # -- the induced family ----------------------------------------------------
@@ -440,16 +401,15 @@ class OperatorCalculus:
     def pi_basis(self, i: int) -> PolyDiffOp:
         cached = self._pi_basis.get(i)
         if cached is None:
-            cached = self._pi({i: Q(1)})
+            cached = self._pi(i)
             self._pi_basis[i] = cached
         return cached
 
-    def _pi(self, y: dict[int, Q]) -> PolyDiffOp:
-        """pi_s(Y) = -s dchi((Ad(nbar^{-1})Y)_q) - R((Ad(nbar^{-1})Y)_nbar)."""
-        w = self.ad_exp_inverse(y)
-        nbar_part: dict[int, Poly] = {}
-        q_part: dict[int, Poly] = {}
-        for i, c in w.items():
-            (nbar_part if i < self.ncoords else q_part)[i] = c
-        out = self.mult_op(-(self.s_poly() * self.dchi_ext(q_part)))
-        return out - self.r_ext(nbar_part)
+    def _pi(self, i: int) -> PolyDiffOp:
+        """pi_s(X_i) = -s dchi((Ad(nbar^{-1})X_i)_q) - R((Ad(nbar^{-1})X_i)_nbar)."""
+        nbar_part: dict[int, PolyDiffOp] = {}
+        q_part: dict[int, PolyDiffOp] = {}
+        for j, c in self.ad_inverse(i).items():
+            (nbar_part if j < self.ncoords else q_part)[j] = c
+        return (-(self.var(self.s_var) * self.dchi_ext(q_part))
+                - self.r_ext(nbar_part))

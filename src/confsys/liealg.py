@@ -81,7 +81,8 @@ class LieAlgebra:
         return self.table[i][j]
 
     def bracket_elem(self, a: dict[int, object], b: dict[int, object]) -> dict[int, object]:
-        """Bracket of two elements; coefficients may be Fraction or Poly."""
+        """Bracket of two elements; coefficients may be rationals or
+        functions (zeroth-order PolyDiffOps)."""
         out: dict[int, object] = {}
         for i, ci in a.items():
             for j, cj in b.items():

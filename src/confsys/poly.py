@@ -1,17 +1,19 @@
 """Sparse exact polynomials over Q.
 
-A polynomial is a dict from exponent tuples to nonzero Fractions.  All rings
-used by the engine are instances of this one class: coefficients of
-generalized Verma module vectors are univariate (the formal parameter ``s``),
-coefficients of differential operators are polynomials in the nilpotent-group
-coordinates plus ``s`` as the last variable.
+A polynomial is a dict from exponent tuples to nonzero Fractions.  The engine
+does not use this module: a differential operator holds its coefficient
+functions itself (a function is a zeroth-order diffops.PolyDiffOp), and
+module vectors and point functionals are affine pairs in s.  It remains the
+tests' reference ring (the oracle of PolyDiffOp.compose, the gcd reference
+of linalg.common_root), and perfbench/tracer.py still patches the Poly
+arithmetic, poly_gcd and rational_roots by name.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
 from math import lcm
-from typing import Iterable, Union
+from typing import Union
 
 Exponents = tuple[int, ...]
 Scalar = Union[int, Q]
@@ -45,27 +47,10 @@ class Poly:
         c = Q(c)
         return cls(nvars, {(0,) * nvars: c} if c else {})
 
-    @classmethod
-    def variable(cls, nvars: int, i: int) -> "Poly":
-        if not 0 <= i < nvars:
-            raise ValueError(f"variable index {i} out of range for {nvars} vars")
-        e = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, {e: Q(1)})
-
     # -- queries -----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def constant_value(self) -> Q:
-        z = (0,) * self.nvars
-        for e, c in self.terms.items():
-            if e != z:
-                raise ValueError(f"not a constant: {self}")
-        return self.terms.get(z, Q(0))
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -137,9 +122,6 @@ class Poly:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Poly) and self.nvars == other.nvars and self.terms == other.terms
 
-    def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self.terms.items())))
-
     # -- calculus / substitution -------------------------------------------
 
     def diff(self, i: int) -> "Poly":
@@ -165,32 +147,12 @@ class Poly:
                 out.pop(e2, None)
         return Poly._wrap(self.nvars, out)
 
-    # -- display -----------------------------------------------------------
-
-    def format(self, names: list[str] | None = None) -> str:
-        if not self.terms:
-            return "0"
-        if names is None:
-            names = [f"t{i}" for i in range(self.nvars)]
-        pieces = []
-        for e in sorted(self.terms, key=lambda t: (sum(t), t)):
-            c = self.terms[e]
-            mono = "*".join(
-                (names[i] if k == 1 else f"{names[i]}^{k}")
-                for i, k in enumerate(e) if k
-            )
-            if mono:
-                pieces.append(f"({c})*{mono}" if c != 1 else mono)
-            else:
-                pieces.append(f"({c})")
-        return " + ".join(pieces)
-
     def __repr__(self) -> str:
-        return f"Poly({self.format()})"
+        return f"Poly({self.nvars}, {self.terms})"
 
 
 # ---------------------------------------------------------------------------
-# Univariate helpers (used for the stability constraints in the parameter s).
+# Univariate helpers: gcd and rational roots in one variable.
 # ---------------------------------------------------------------------------
 
 
@@ -232,18 +194,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         lead = pa[-1]
         pa = [c / lead for c in pa]
     return Poly(1, {(i,): c for i, c in enumerate(pa)})
-
-
-def poly_gcd_all(polys: Iterable[Poly]) -> Poly:
-    """Monic gcd of univariate polynomials over Q; zero for none.
-
-    Folds poly_gcd in order and stops once the gcd is constant."""
-    g = Poly.constant(1, 0)
-    for p in polys:
-        g = poly_gcd(g, p)
-        if g.degree() == 0:
-            break
-    return g
 
 
 def rational_roots(p: Poly) -> list[Q]:

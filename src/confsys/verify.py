@@ -24,11 +24,10 @@ from typing import Callable
 from . import cache as algcache
 from .diffops import OperatorCalculus, PolyDiffOp, commutator_at_identity
 from .liealg import LieAlgebra
-from .linalg import inverse, rank
+from .linalg import common_root, inverse, rank
 from .omega import OmegaSystem, negate
 from .pbw import (Elt, Enveloping, elt_add, elt_scale, elt_sub, mono_degree,
                   monomials_up_to)
-from .poly import Poly, poly_gcd_all, rational_roots
 from .report import (SCHEMA_VERSION, CheckResult, SpecialValueFindings,
                      VerificationReport, qstr)
 from .roots import RootSystemSpec
@@ -158,9 +157,10 @@ class Session:
         return list(self.alg.v_plus) + [self.alg.x_gamma]
 
     @cached_property
-    def symbolic_functionals(self) -> dict[tuple[int, int], dict]:
+    def symbolic_functionals(self) -> dict[tuple[int, int], tuple[dict, dict]]:
         """Point functionals at the identity of [pi(X), R(w3_k)], s symbolic,
-        for X over the grade +1 root vectors and the central vector."""
+        as pairs (f0, f1) meaning f0 + s*f1, for X over the grade +1 root
+        vectors and the central vector."""
         out = {}
         for xi in self.plus_and_center:
             pi_x = self.calc.pi_basis(xi)
@@ -192,7 +192,7 @@ class Session:
     @cached_property
     def functional_span(self) -> Span:
         """The span of the cubic operators' point functionals at the identity."""
-        return Span([_keyed(op.at_identity()) for op in self.omega3_ops])
+        return Span([_keyed(_s_free(op)) for op in self.omega3_ops])
 
     @cached_property
     def action_matrices_special(self) -> dict[int, list[list[Q]]]:
@@ -334,17 +334,26 @@ def _vanishing_at(s: Session, vectors, sstar: Q) -> int:
     m = len(s.omega3_ops)
     for x in vectors:
         for k in range(m):
-            for der, p in s.symbolic_functionals[(x, k)].items():
-                _ensure(p.subs(0, sstar).is_zero(), vector=s.alg.names[x],
-                        column=k, derivative=list(der))
+            f0, f1 = s.symbolic_functionals[(x, k)]
+            for der in f0.keys() | f1.keys():
+                _ensure(f0.get(der, 0) + sstar * f1.get(der, 0) == 0,
+                        vector=s.alg.names[x], column=k, derivative=list(der))
     return len(vectors) * m
+
+
+def _s_free(op: PolyDiffOp) -> dict:
+    """The point functional at the identity of an operator without s."""
+    f0, f1 = op.at_identity()
+    if f1:
+        raise ValueError("point functional depends on s")
+    return f0
 
 
 def _keyed(func: dict) -> dict:
     """An s-free point functional keyed like a Span: each derivative
     multi-index d as the PBW monomial with exponents d, each value rational."""
-    return {tuple((i, e) for i, e in enumerate(d) if e): p.constant_value()
-            for d, p in func.items()}
+    return {tuple((i, e) for i, e in enumerate(d) if e): c
+            for d, c in func.items()}
 
 
 def _solve_b_matrices(s: Session) -> dict[int, list[list[Q]]]:
@@ -356,7 +365,7 @@ def _solve_b_matrices(s: Session) -> dict[int, list[list[Q]]]:
     for y in range(s.alg.dim):
         bmat = [[Q(0)] * m for _ in range(m)]
         for i in range(m):
-            coords, left = span.reduce(_keyed(s.cubic_commutator(y, i).at_identity()))
+            coords, left = span.reduce(_keyed(_s_free(s.cubic_commutator(y, i))))
             if left:
                 raise CheckFailure({
                     "reason": "commutator functional outside the span",
@@ -387,8 +396,8 @@ def _structure_mismatches(s: Session, y: int, ops: list[PolyDiffOp],
     give the induced-picture commutator formula."""
     calc, alg = s.calc, s.alg
     m = len(ops)
-    adinv = calc.ad_exp_inverse({y: Q(1)})
-    c = [[Poly.constant(calc.nvars, 0) for _ in range(m)] for _ in range(m)]
+    adinv = calc.ad_inverse(y)
+    c = [[calc.zero_op() for _ in range(m)] for _ in range(m)]
     for g, cg in adinv.items():
         mat = mats.get(g)
         if mat is None:
@@ -406,8 +415,8 @@ def _structure_mismatches(s: Session, y: int, ops: list[PolyDiffOp],
     for i in range(m):
         rhs = calc.zero_op()
         for r in range(m):
-            if not c[r][i].is_zero():
-                rhs = rhs + ops[r].scale(c[r][i])
+            if c[r][i]:
+                rhs = rhs + c[r][i] * ops[r]
         if comms[i] != rhs:
             bad.append(i)
     return bad
@@ -840,8 +849,8 @@ def _chk_pi_first_order(s: Session) -> dict:
         op = calc.pi_basis(i)
         _ensure(op.order() <= 1, index=alg.names[i], order=op.order())
     for u in alg.n_indices:
-        func = calc.pi_basis(u).at_identity()
-        _ensure(all(p.is_zero() for p in func.values()), nil=alg.names[u])
+        f0, f1 = calc.pi_basis(u).at_identity()
+        _ensure(not f0 and not f1, nil=alg.names[u])
     return {"operators": alg.dim, "nil_vanishing": len(alg.n_indices)}
 
 
@@ -858,7 +867,7 @@ def _chk_pi_hom(s: Session) -> dict:
             lhs = pi_i.commutator(calc.pi_basis(j))
             rhs = calc.zero_op()
             for k, c in alg.bracket(i, j):
-                rhs = rhs + calc.pi_basis(k).scale(c)
+                rhs = rhs + calc.pi_basis(k) * c
             _ensure(lhs == rhs, pair=[alg.names[i], alg.names[j]])
             pairs += 1
     return {"pairs": pairs}
@@ -917,17 +926,16 @@ def _chk_first_order_formula(s: Session) -> dict:
     count = 0
     for x in s.plus_and_center:
         pi_x = s.pi_special(x)
-        adinv = calc.ad_exp_inverse({x: Q(1)})
+        adinv = calc.ad_inverse(x)
         for yb in alg.nbar_indices:
             lhs = pi_x.commutator(calc.r_gen(yb))
-            t = alg.bracket_elem(adinv, {yb: Poly.constant(calc.nvars, 1)})
+            t = alg.bracket_elem(adinv, {yb: 1})
             q_part = {i: c for i, c in t.items() if alg.grade[i] >= 0}
             if yb == alg.x_minus_gamma:
                 low_part = {i: c for i, c in t.items() if alg.grade[i] < 0}
             else:
                 low_part = {i: c for i, c in t.items() if alg.grade[i] == -1}
-            rhs = calc.r_ext(low_part) + calc.mult_op(calc.dchi_ext(q_part)
-                                                      * sstar)
+            rhs = calc.r_ext(low_part) + calc.dchi_ext(q_part) * sstar
             _ensure(lhs == rhs, pair=[alg.names[x], alg.names[yb]])
             count += 1
     return {"pairs": count, "at": qstr(sstar)}
@@ -943,24 +951,23 @@ def _chk_quadratic_formula(s: Session) -> dict:
     sstar = s.require_sstar()
     alg, calc, om = s.alg, s.calc, s.omega
     count = 0
-    one = Poly.constant(calc.nvars, 1)
     for x in s.plus_and_center:
         pi_x = s.pi_special(x)
-        adinv = calc.ad_exp_inverse({x: Q(1)})
+        adinv = calc.ad_inverse(x)
         q_adinv = {i: c for i, c in adinv.items() if alg.grade[i] >= 0}
         dch = calc.dchi_ext(q_adinv)
         for w in alg.l_indices:
             w2 = om.omega2_basis(w)
             r_w2 = calc.r_op(w2)
             lhs = pi_x.commutator(r_w2)
-            t = alg.bracket_elem(adinv, {w: one})
-            rhs = calc.zero_op() - r_w2.scale(dch)
+            t = alg.bracket_elem(adinv, {w: 1})
+            rhs = -(dch * r_w2)
             for z, cz in t.items():
                 if alg.grade[z] != 0:
                     continue
                 r_z = calc.r_op(om.omega2_basis(z))
                 if r_z:
-                    rhs = rhs + r_z.scale(cz)
+                    rhs = rhs + cz * r_z
             _ensure(lhs == rhs, pair=[alg.names[x], alg.names[w]])
             count += 1
     return {"pairs": count, "at": qstr(sstar)}
@@ -993,15 +1000,15 @@ def _chk_center_vanishing(s: Session) -> dict:
 def _chk_operator_s_set(s: Session) -> dict:
     sstar = s.require_sstar()
     funcs = s.symbolic_functionals.values()
-    nonzero = [p for func in funcs for p in func.values() if not p.is_zero()]
-    _ensure(len(nonzero) > 0, nonzero_entries=len(nonzero))
-    g = poly_gcd_all(nonzero)
-    _ensure(g.degree() == 1, gcd_degree=g.degree())
-    roots = rational_roots(g)
-    _ensure(roots == [sstar], roots=[qstr(r) for r in roots],
-            expected=qstr(sstar))
-    return {"functionals": len(funcs), "nonzero_polynomials": len(nonzero),
-            "gcd_degree": g.degree(), "value": qstr(sstar)}
+    # one affine pair per derivative with a nonzero coefficient
+    pairs = [(f0.get(d, 0), f1.get(d, 0))
+             for f0, f1 in funcs for d in f0.keys() | f1.keys()]
+    _ensure(len(pairs) > 0, nonzero_entries=len(pairs))
+    degree, root = common_root(pairs)
+    _ensure(degree == 1, gcd_degree=degree)
+    _ensure(root == sstar, roots=[qstr(root)], expected=qstr(sstar))
+    return {"functionals": len(funcs), "nonzero_polynomials": len(pairs),
+            "gcd_degree": degree, "value": qstr(sstar)}
 
 
 @check("pointwise_independence", "system",

@@ -198,22 +198,13 @@ class VermaModule:
         return levi, nil
 
     def singular_values(self, gens: list[Elt]) -> StabilityResult:
-        """Exactly the rational s0 at which the span of gens is q-stable.
-
-        Every constraint is a nonzero affine pair (a0, a1): with none, every
-        s works; otherwise the only candidate is the root -a0/a1 of the first
-        pair with a1 != 0, and it is a solution iff every pair vanishes there
-        (no such pair means all are nonzero constants: no solution).
-        """
+        """Exactly the rational s0 at which the span of gens is q-stable:
+        the common root of the affine constraint pairs (linalg.common_root),
+        every s when there is no constraint."""
         levi, nil = self.stability_constraints(gens)
-        constraints = levi + nil
-        if not constraints:
-            return StabilityResult(True, (), True, 0)
-        s0 = next((-a0 / a1 for a0, a1 in constraints if a1), None)
-        values: tuple[Q, ...] = ()
-        if s0 is not None and all(a0 + a1 * s0 == 0 for a0, a1 in constraints):
-            values = (s0,)
-        return StabilityResult(False, values, not levi, len(constraints))
+        degree, root = linalg.common_root(levi + nil)
+        return StabilityResult(degree < 0, () if root is None else (root,),
+                               not levi, len(levi) + len(nil))
 
     def module_action_matrix(self, span: Span, x: dict[int, Q], s0: Q) -> list[list[Q]]:
         """Matrix a with act(x, gens[i]) = sum_j a[j][i] gens[j] at s = s0,

@@ -2,31 +2,86 @@
 
 import random
 from fractions import Fraction as Q
+from math import lcm, prod
 
 import pytest
 
 from confsys.diffops import PolyDiffOp, commutator_at_identity
 from confsys.poly import Poly
 
+# -- a Poly coefficient view of operators: the reference for compose ----------
+
+
+def _from_coeffs(n, coeffs):
+    """The operator sum_d coeffs[d] d^d on n coordinates, each coefficient a
+    Poly in the coordinates and s (n + 1 variables)."""
+    den = lcm(*(c.denominator for p in coeffs.values() for c in p.terms.values()))
+    return PolyDiffOp(n, {e + d: c.numerator * (den // c.denominator)
+                          for d, p in coeffs.items() for e, c in p.terms.items()},
+                      den)
+
+
+def _coefficients(op):
+    """Inverse of _from_coeffs: the Poly coefficient of each derivative."""
+    n = op.ncoords
+    out = {}
+    for k, v in op.terms.items():
+        out.setdefault(k[n + 1:], {})[k[:n + 1]] = Q(v, op.den)
+    return {d: Poly(n + 1, t) for d, t in out.items()}
+
+
+def _apply(op, f):
+    """D f, differentiating f directly (independent of compose)."""
+    out = Poly(f.nvars)
+    for d, c in _coefficients(op).items():
+        g = f
+        for i, k in enumerate(d):
+            for _ in range(k):
+                g = g.diff(i)
+        out = out + c * g
+    return out
+
+
+def _poly_var(calc, i):
+    """Coefficient variable i (a coordinate, or s) as a Poly."""
+    n = calc.ncoords + 1
+    return Poly(n, {tuple(int(j == i) for j in range(n)): Q(1)})
+
+
+def _mult(calc, f):
+    """Multiplication by the Poly f, as a zeroth-order operator."""
+    return _from_coeffs(calc.ncoords, {(0,) * calc.ncoords: f})
+
 
 def test_operator_ring_basics(calc_d4):
+    n = calc_d4.ncoords
     one = calc_d4.identity_op()
     dz = calc_d4.r_gen(calc_d4.alg.x_minus_gamma)
-    f = calc_d4.mult_op(calc_d4.var(0))
+    f = calc_d4.var(0)
+    assert dz == calc_d4.derivative(0)
     assert dz.commutator(f) == one          # [d/dz, z] = 1
+    assert dz * f == f * dz + one           # * is the Weyl-algebra product
     assert (dz + dz) - dz == dz
     assert dz.compose(one) == one.compose(dz) == dz
     assert not dz.commutator(dz)
+    # a function on the left multiplies; a scalar scales from either side
+    x1 = _poly_var(calc_d4, 1)
+    assert calc_d4.var(1) * dz == _from_coeffs(n, {(1,) + (0,) * (n - 1): x1})
+    assert 2 * dz == dz * 2 == dz + dz
+    assert Q(1, 2) * (dz * 2) == dz
+    assert calc_d4.const(Q(3, 4)) == one * Q(3, 4)
+    assert calc_d4.var(calc_d4.s_var) == _mult(calc_d4,
+                                               _poly_var(calc_d4, calc_d4.s_var))
 
 
 def test_apply_and_leibniz(calc_d4):
-    z = calc_d4.var(0)
-    x1 = calc_d4.var(1)
+    z = _poly_var(calc_d4, 0)
+    x1 = _poly_var(calc_d4, 1)
     dz = calc_d4.r_gen(calc_d4.alg.x_minus_gamma)
     poly = z * z * x1 + z * 3
-    assert dz.apply(poly) == z * x1 * 2 + calc_d4.const(3)
+    assert _apply(dz, poly) == z * x1 * 2 + Poly.constant(z.nvars, 3)
     d2 = dz.compose(dz)
-    assert d2.apply(poly) == x1 * 2
+    assert _apply(d2, poly) == x1 * 2
     assert d2.order() == 2
 
 
@@ -46,11 +101,12 @@ def _adjoint_matrix(alg, w):
     return mat
 
 
-def _eval_at(p: Poly, point) -> Q:
-    """The value of p at a point given by all of its variables."""
-    for i, v in enumerate(point):
-        p = p.subs(i, v)
-    return p.constant_value()
+def _eval_at(f: PolyDiffOp, point) -> Q:
+    """The value of a function, given as a zeroth-order operator, at a point
+    given by the coordinates and s."""
+    assert f.order() == 0
+    return sum(Q(v, f.den) * prod(p ** e for p, e in zip(point, k))
+               for k, v in f.terms.items())
 
 
 def test_ad_exp_inverse_matches_matrix_exponential(calc_d4):
@@ -78,7 +134,7 @@ def test_ad_exp_inverse_matches_matrix_exponential(calc_d4):
         assert k < 10
     point = coords + [Q(0)]  # parameter value irrelevant for the transport
     for y in [alg.v_plus[0], alg.x_gamma, alg.l_indices[0]]:
-        sym = calc_d4.ad_exp_inverse({y: Q(1)})
+        sym = calc_d4.ad_inverse(y)
         got = {i: _eval_at(c, point) for i, c in sym.items()}
         got = {i: c for i, c in got.items() if c}
         expected = {i: total[i][y] for i in range(n) if total[i][y]}
@@ -103,7 +159,7 @@ def test_pi_is_a_homomorphism_sample(calc_d4):
         lhs = calc_d4.pi_basis(i).commutator(calc_d4.pi_basis(j))
         rhs = calc_d4.zero_op()
         for k, c in alg.bracket(i, j):
-            rhs = rhs + calc_d4.pi_basis(k).scale(c)
+            rhs = rhs + calc_d4.pi_basis(k) * c
         assert lhs == rhs
 
 
@@ -112,21 +168,21 @@ def test_pi_orders_and_nilradical_functionals(calc_d4):
     for i in range(alg.dim):
         assert calc_d4.pi_basis(i).order() <= 1
     for u in alg.n_indices:
-        func = calc_d4.pi_basis(u).at_identity()
-        assert all(p.is_zero() for p in func.values())
+        f0, f1 = calc_d4.pi_basis(u).at_identity()
+        assert not f0 and not f1
 
 
 def test_pi_coroot_value_at_identity(calc_d4):
     alg = calc_d4.alg
     op = calc_d4.zero_op()
     for i, c in alg.h_gamma.items():
-        op = op + calc_d4.pi_basis(i).scale(c)
-    value = op.apply(Poly.constant(calc_d4.nvars, 1))
+        op = op + calc_d4.pi_basis(i) * c
+    value = _apply(op, Poly.constant(calc_d4.ncoords + 1, 1))
     at_identity = value.subs(0, Q(0))
     for i in range(1, calc_d4.ncoords):
         at_identity = at_identity.subs(i, Q(0))
     # the induced action of the grading coroot on the constant is -2s
-    assert at_identity == Poly.variable(calc_d4.nvars, calc_d4.s_var) * -2
+    assert at_identity == _poly_var(calc_d4, calc_d4.s_var) * -2
 
 
 def test_right_actions_commute_with_pi_of_opposite_radical(calc_d4,
@@ -170,18 +226,19 @@ def test_normal_ordering_hand_case(calc_d4):
     # d_z^2 o z^3 = z^3 d_z^2 + 6 z^2 d_z + 6 z
     n = calc_d4.ncoords
     dz = calc_d4.r_gen(calc_d4.alg.x_minus_gamma)
-    z = calc_d4.var(0)
-    got = dz.compose(dz).compose(calc_d4.mult_op(z ** 3))
+    z = _poly_var(calc_d4, 0)
+    got = dz.compose(dz).compose(_mult(calc_d4, z ** 3))
     d1 = tuple(1 if i == 0 else 0 for i in range(n))
     d2 = tuple(2 if i == 0 else 0 for i in range(n))
-    expected = PolyDiffOp.from_coeffs(n, {d2: z ** 3, d1: z * z * 6,
-                                          (0,) * n: z * 6})
+    expected = _from_coeffs(n, {d2: z ** 3, d1: z * z * 6, (0,) * n: z * 6})
     assert got == expected
+    z_op = calc_d4.var(0)
+    assert got == dz * dz * (z_op * z_op * z_op)
 
 
 def test_composition_matches_applying_in_turn(calc_d4, normal_order,
                                               cubic_ops_d4):
-    """(A o B) f == A(B f), with apply differentiating f directly."""
+    """(A o B) f == A(B f), with _apply differentiating f directly."""
     alg = calc_d4.alg
     rng = random.Random(17)
     pis = [calc_d4.pi_basis(i) for i in range(alg.dim)]
@@ -189,15 +246,17 @@ def test_composition_matches_applying_in_turn(calc_d4, normal_order,
     monos = [normal_order([rng.choice(nbar) for _ in range(k)])
              for k in (1, 2, 3)]
     rs = [calc_d4.r_mono(m) for u in monos for m in u]
-    mults = [calc_d4.mult_op(_random_poly(rng, calc_d4.nvars, degree=6))
+    nvars = calc_d4.ncoords + 1
+    mults = [_mult(calc_d4, _random_poly(rng, nvars, degree=6))
              for _ in range(4)]
     pool = pis + rs + cubic_ops_d4 + mults
     pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(12)]
     # higher-order operators after polynomial multipliers reorder k >= 2
     pairs += [(rng.choice(cubic_ops_d4 + rs), b) for b in mults]
     for a, b in pairs:
-        f = _random_poly(rng, calc_d4.nvars)
-        assert a.compose(b).apply(f) == a.apply(b.apply(f))
+        f = _random_poly(rng, nvars)
+        assert _apply(a.compose(b), f) == _apply(a, _apply(b, f))
+        assert a * b == a.compose(b)
 
 
 def _second_order_overlap(a, b):
@@ -219,7 +278,7 @@ def test_commutator_is_the_difference_of_compositions(calc_d4, normal_order,
              for m in normal_order([rng.choice(alg.nbar_indices)
                                            for _ in range(k)])}
     rs = [calc_d4.r_mono(m) for m in sorted(monos)]
-    mults = [calc_d4.mult_op(_random_poly(rng, calc_d4.nvars, degree=6))
+    mults = [_mult(calc_d4, _random_poly(rng, calc_d4.ncoords + 1, degree=6))
              for _ in range(4)]
     pools = [pis, pis_special, rs, cubic_ops_d4, mults]
     pairs = [(rng.choice(p), rng.choice(q)) for p in pools for q in pools
@@ -232,18 +291,19 @@ def test_commutator_is_the_difference_of_compositions(calc_d4, normal_order,
         got = a.commutator(b)
         assert got == a.compose(b) - b.compose(a)
         assert got == -b.commutator(a)
-        nonzero += not got.is_zero()
+        nonzero += bool(got)
     assert nonzero > len(pairs) // 2
 
 
 def test_commutator_of_disjoint_supports_is_zero(calc_d4):
     # x_1^2 d_2 and x_3 d_4^2: neither differentiates the other's coordinates
     n = calc_d4.ncoords
-    a = PolyDiffOp.from_coeffs(n, {calc_d4._der(2): calc_d4.var(1) ** 2})
-    b = PolyDiffOp.from_coeffs(
-        n, {tuple(2 if i == 4 else 0 for i in range(n)): calc_d4.var(3) * 5})
-    assert a.commutator(b).is_zero()
-    assert not a.compose(b).is_zero()
+    a = _from_coeffs(n, {tuple(int(i == 2) for i in range(n)):
+                         _poly_var(calc_d4, 1) ** 2})
+    b = _from_coeffs(n, {tuple(2 if i == 4 else 0 for i in range(n)):
+                         _poly_var(calc_d4, 3) * 5})
+    assert not a.commutator(b)
+    assert a.compose(b)
     assert a.compose(b) == b.compose(a)
 
 
@@ -254,8 +314,8 @@ def test_flat_form_is_canonical(calc_d4):
     assert PolyDiffOp(n, {key: 0}, 5) == calc_d4.zero_op()
     with pytest.raises(ValueError):
         PolyDiffOp(n, {key: 1}, -2)
-    op = calc_d4.pi_basis(calc_d4.alg.v_plus[2]).scale(Q(3, 7))
-    assert PolyDiffOp.from_coeffs(n, op.coefficients()) == op
+    op = calc_d4.pi_basis(calc_d4.alg.v_plus[2]) * Q(3, 7)
+    assert _from_coeffs(n, _coefficients(op)) == op
     assert (op - op).den == 1
 
 
@@ -264,21 +324,23 @@ def test_subs_param_matches_coefficientwise_substitution(calc_d4):
     for i in (calc_d4.alg.x_gamma, calc_d4.alg.v_plus[1]):
         op = calc_d4.pi_basis(i)
         got = op.subs_param(s, Q(-5, 3))
-        expected = PolyDiffOp.from_coeffs(
-            n, {d: c.subs(s, Q(-5, 3)) for d, c in op.coefficients().items()})
+        expected = _from_coeffs(
+            n, {d: c.subs(s, Q(-5, 3)) for d, c in _coefficients(op).items()})
         assert got == expected
 
 
 def test_commutator_at_identity_symbolic_pairs(calc_d4, cubic_ops_d4):
     alg = calc_d4.alg
-    pairs = 0
+    pairs = with_s = 0
     for x in list(alg.v_plus) + [alg.x_gamma]:
         pi_x = calc_d4.pi_basis(x)
         for op in cubic_ops_d4:
-            assert commutator_at_identity(pi_x, op) == \
-                pi_x.commutator(op).at_identity()
+            f0, f1 = commutator_at_identity(pi_x, op)
+            assert (f0, f1) == pi_x.commutator(op).at_identity()
             pairs += 1
+            with_s += bool(f1)
     assert pairs == 72
+    assert with_s > 0       # the pairs carry s: the s-part is compared too
 
 
 def test_commutator_at_identity_at_special_value(calc_d4, cubic_ops_d4):
@@ -287,10 +349,29 @@ def test_commutator_at_identity_at_special_value(calc_d4, cubic_ops_d4):
         y = rng.randrange(calc_d4.alg.dim)
         pi_y = calc_d4.pi_basis(y).subs_param(calc_d4.s_var, Q(-1))
         op = rng.choice(cubic_ops_d4)
-        assert commutator_at_identity(pi_y, op) == \
-            pi_y.commutator(op).at_identity()
+        f0, f1 = commutator_at_identity(pi_y, op)
+        assert (f0, f1) == pi_y.commutator(op).at_identity()
         assert commutator_at_identity(op, pi_y) == \
             op.commutator(pi_y).at_identity()
+        assert not f1           # no s is left at the special value
+
+
+def test_point_functionals_raise_on_s_squared(calc_d4):
+    alg = calc_d4.alg
+    h = next(i for i in alg.cartan_index if alg.dchi_index(i))
+    pi_h = calc_d4.pi_basis(h)
+    f0, f1 = pi_h.at_identity()            # -s dchi(h) on the constant
+    assert f1 == {(0,) * calc_d4.ncoords: -alg.dchi_index(h)}
+    with pytest.raises(ValueError):
+        pi_h.compose(pi_h).at_identity()   # s^2 dchi(h)^2 on the constant
+    # [s d/dz, s z] = s^2
+    s = calc_d4.var(calc_d4.s_var)
+    a, b = s * calc_d4.derivative(0), s * calc_d4.var(0)
+    assert a.commutator(b) == s * s
+    with pytest.raises(ValueError):
+        commutator_at_identity(a, b)
+    with pytest.raises(ValueError):
+        a.commutator(b).at_identity()
 
 
 def test_compose_matches_sympy():
@@ -306,7 +387,7 @@ def test_compose_matches_sympy():
         for _ in range(3):
             d = (rng.randint(0, 2), rng.randint(0, 2))
             coeffs[d] = _random_poly(rng, n + 1, terms=2, degree=3)
-        return PolyDiffOp.from_coeffs(n, coeffs)
+        return _from_coeffs(n, coeffs)
 
     def to_sympy(p):
         return sum(sympy.Rational(c.numerator, c.denominator)
@@ -315,7 +396,7 @@ def test_compose_matches_sympy():
 
     def act(op, g):
         out = 0
-        for d, c in op.coefficients().items():
+        for d, c in _coefficients(op).items():
             h = g
             for v, k in zip(xs, d):
                 if k:

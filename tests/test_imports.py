@@ -6,8 +6,9 @@ private, undecorated function or class under src/ or scripts/ must be
 referenced somewhere in those two trees (a decorator such as @check registers
 what it decorates, so decorated definitions are exempt); and a public
 function or method under src/ must be referenced from src/, scripts/ or
-perfbench/, not only from tests.  They need nothing beyond the standard
-library.
+perfbench/, not only from tests.  No module of the engine but poly.py itself
+imports confsys.poly: it is the tests' reference ring.  The scans need
+nothing beyond the standard library.
 """
 
 import ast
@@ -52,15 +53,15 @@ def _unreferenced_private(trees) -> list[str]:
             if name not in referenced]
 
 
-def _unreferenced_public(defining, referencing, exempt=frozenset()) -> list[str]:
+def _unreferenced_public(defining, referencing) -> list[str]:
     """Public functions and methods of the defining trees whose names no
     Name or Attribute node of the referencing trees holds.
 
     Referencing paths under perfbench/ also reference every dotted part of
     their string constants: the tracer patches its targets by name, as in
-    "VermaModule.act_basis".  Names in exempt are never flagged.
+    "VermaModule.act_basis".
     """
-    defined, referenced = [], set(exempt)
+    defined, referenced = [], set()
     for path, tree in defining:
         for node in ast.walk(tree):
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -116,10 +117,43 @@ def __getattr__(name):
 
 
 def test_no_unreferenced_public_definitions():
-    # PolyDiffOp.apply is the reference the compose test checks against
-    found = _unreferenced_public(_trees("src"), _trees("src", "scripts", "perfbench"),
-                                 exempt={"apply"})
+    found = _unreferenced_public(_trees("src"), _trees("src", "scripts", "perfbench"))
     assert not found, "public definitions only tests use:\n" + "\n".join(found)
+
+
+def _imports_poly(tree: ast.Module) -> bool:
+    """Whether a module of the confsys package imports confsys.poly, as
+    `from .poly import ...`, `from . import poly`, `from confsys.poly import
+    ...`, `from confsys import poly` or `import confsys.poly`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(a.name == "confsys.poly" for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if module in (".poly", "confsys.poly"):
+                return True
+            if (module in (".", "confsys")
+                    and any(a.name == "poly" for a in node.names)):
+                return True
+    return False
+
+
+def test_only_poly_uses_the_polynomial_ring():
+    found = [str(path) for path, tree in _trees("src/confsys")
+             if path.name != "poly.py" and _imports_poly(tree)]
+    assert not found, "modules importing confsys.poly:\n" + "\n".join(found)
+
+
+def test_poly_import_scan_flags_each_form():
+    for source in ("from .poly import Poly\n", "from . import poly\n",
+                   "from confsys.poly import rational_roots\n",
+                   "from confsys import linalg, poly\n", "import confsys.poly\n",
+                   "def f():\n    from .poly import Poly\n"):
+        assert _imports_poly(ast.parse(source)), source
+    for source in ("from .linalg import rref\n", "from . import linalg\n",
+                   "import poly\n", "from .polynomials import P\n"):
+        assert not _imports_poly(ast.parse(source)), source
 
 
 def test_unreferenced_public_scan_flags_a_test_only_helper():
@@ -137,9 +171,6 @@ class Engine:
     def patched(self):
         pass
 
-    def reference(self):
-        pass
-
     def _private(self):
         pass
 """
@@ -148,12 +179,10 @@ class Engine:
     found = _unreferenced_public(
         [("src/m.py", ast.parse(source))],
         [("src/m.py", ast.parse(source)), ("scripts/c.py", ast.parse(caller)),
-         ("perfbench/t.py", ast.parse(tracer))],
-        exempt={"reference"})
+         ("perfbench/t.py", ast.parse(tracer))])
     assert found == ["src/m.py line 2: test_only"]
     # a string outside perfbench/ is no reference
     found = _unreferenced_public([("src/m.py", ast.parse(source))],
                                  [("src/m.py", ast.parse(source)),
                                   ("scripts/t.py", ast.parse(caller + tracer))])
-    assert found == ["src/m.py line 2: test_only", "src/m.py line 12: patched",
-                     "src/m.py line 15: reference"]
+    assert found == ["src/m.py line 2: test_only", "src/m.py line 12: patched"]

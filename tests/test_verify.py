@@ -1,11 +1,13 @@
 """Check registry, scoping, and the skip/fail paths of the suite runner."""
 
 from fractions import Fraction as Q
+from functools import reduce
 
 import pytest
 
-from confsys.linalg import solve
+from confsys.linalg import common_root, solve
 from confsys.pbw import elt_add, elt_scale, elt_sub
+from confsys.poly import Poly, poly_gcd, rational_roots
 from confsys.verify import (CHECKS, EXPECTED, CheckFailure, Session,
                             SuiteConfig, _contraction_data,
                             _levi_equivariance, available_checks, run_single,
@@ -164,20 +166,73 @@ def test_b_matrices_match_dense_solve_reference(tmp_path):
     # the reference: for each basis vector Y, the dense matrix of the cubic
     # operators' point functionals over every derivative multi-index that
     # occurs, and one linalg.solve per commutator column
+    def s_free(op):
+        f0, f1 = op.at_identity()
+        assert not f1
+        return f0
+
     session = Session(SuiteConfig(type_label="D4", cache_dir=str(tmp_path)))
-    funcs = [op.at_identity() for op in session.omega3_ops]
+    funcs = [s_free(op) for op in session.omega3_ops]
     m = len(funcs)
     bmats = session.b_matrices
     assert sorted(bmats) == list(range(session.alg.dim))
     for y, bmat in bmats.items():
-        comms = [session.cubic_commutator(y, i).at_identity() for i in range(m)]
+        comms = [s_free(session.cubic_commutator(y, i)) for i in range(m)]
         ders = sorted({d for f in funcs + comms for d in f})
-        mat = [[f[d].constant_value() if d in f else Q(0) for f in funcs]
-               for d in ders]
+        mat = [[f.get(d, Q(0)) for f in funcs] for d in ders]
         for i, comm in enumerate(comms):
-            vec = [comm[d].constant_value() if d in comm else Q(0) for d in ders]
+            vec = [comm.get(d, Q(0)) for d in ders]
             assert [bmat[j][i] for j in range(m)] == solve(mat, vec), (y, i)
     assert any(c for bmat in bmats.values() for row in bmat for c in row)
+
+
+def _gcd_reference(pairs):
+    """(degree, rational roots) of the gcd of the affine a0 + a1*s over
+    pairs, by the Euclidean fold in Q[s]; the roots are None (every s) for
+    the zero gcd."""
+    s = Poly(1, {(1,): Q(1)})
+    g = reduce(poly_gcd, [s * a1 + Poly.constant(1, a0) for a0, a1 in pairs],
+               Poly.constant(1, 0))
+    return g.degree(), rational_roots(g) if g else None
+
+
+def _common_root_as_reference(pairs):
+    degree, root = common_root(pairs)
+    return degree, None if degree < 0 else [] if root is None else [root]
+
+
+@pytest.mark.parametrize("label", ["D4", "A3", "D5"])
+def test_common_root_matches_gcd_reference_on_symbolic_functionals(tmp_path,
+                                                                   label):
+    session = Session(SuiteConfig(type_label=label, cache_dir=str(tmp_path)))
+    per_functional = [[(f0.get(d, 0), f1.get(d, 0)) for d in f0.keys() | f1.keys()]
+                      for f0, f1 in session.symbolic_functionals.values()]
+    together = [p for pairs in per_functional for p in pairs]
+    for pairs in per_functional + [together]:
+        assert _common_root_as_reference(pairs) == _gcd_reference(pairs), pairs
+    # the controls' functionals have roots one by one, but none in common
+    assert any(common_root(pairs)[0] == 1 for pairs in per_functional)
+    assert common_root(together) == ((1, Q(-1)) if label == "D4" else (0, None))
+
+
+def test_common_root_of_no_pairs_is_every_s():
+    for pairs in ([], [(Q(0), Q(0))]):
+        assert common_root(pairs) == (-1, None)
+        assert _gcd_reference(pairs) == (-1, None)
+
+
+def test_common_root_of_constant_and_mixed_pairs():
+    cases = {
+        ((Q(2), Q(0)),): (0, None),
+        ((Q(1), Q(1)), (Q(3), Q(0))): (0, None),     # a constant shares no root
+        ((Q(3), Q(0)), (Q(1), Q(1))): (0, None),
+        ((Q(1), Q(1)), (Q(2), Q(2))): (1, Q(-1)),
+        ((Q(1), Q(1)), (Q(1), Q(2))): (0, None),
+        ((Q(0), Q(0)), (1, 2)): (1, Q(-1, 2)),       # ints read as rationals
+    }
+    for pairs, expected in cases.items():
+        assert common_root(pairs) == expected
+        assert _common_root_as_reference(pairs) == _gcd_reference(pairs)
 
 
 def test_seeded_rng_is_stable():

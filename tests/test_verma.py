@@ -1,6 +1,7 @@
 """Scalar-induced module over the parabolic: action, weights, solver."""
 
 from fractions import Fraction as Q
+from functools import reduce
 
 import pytest
 
@@ -9,11 +10,11 @@ from confsys.linalg import rref
 from confsys.omega import OmegaSystem
 from confsys.pbw import (Enveloping, elt_add, elt_scale, elt_sub, mono_degree,
                          monomials_up_to)
-from confsys.poly import Poly, poly_gcd_all, rational_roots
+from confsys.poly import Poly, poly_gcd, rational_roots
 from confsys.roots import RootSystemSpec, build_root_system
 from confsys.verma import Span, VermaModule, elt_subs
 
-S = Poly.variable(1, 0)  # the parameter s, for the Q[s] references below
+S = Poly(1, {(1,): Q(1)})  # the parameter s, for the Q[s] references below
 
 
 def _as_poly(*coeffs):
@@ -251,8 +252,8 @@ def test_singular_values_match_all_of_q_reference(label):
     for gens in (OmegaSystem(env).omega3_system(), first_level):
         levi, nil = _complement_constraints(vm, gens)
         constraints = [S * a1 + Poly.constant(1, a0) for a0, a1 in levi + nil]
-        values = (tuple(rational_roots(poly_gcd_all(constraints)))
-                  if constraints else ())
+        gcd = reduce(poly_gcd, constraints, Poly.constant(1, 0))
+        values = tuple(rational_roots(gcd)) if constraints else ()
         res = vm.singular_values(gens)
         assert (res.values, res.all_s, res.levi_stable_all_s) == (
             values, not constraints, not levi)
