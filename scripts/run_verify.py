@@ -19,6 +19,8 @@ RUNS = (
     ("A3", False),   # control: no special value
     ("D5", False),   # control: no special value
     ("D6", False),   # control: no special value
+    ("D7", False),   # control: no special value
+    ("D8", False),   # control: no special value
 )
 
 

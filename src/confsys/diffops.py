@@ -9,7 +9,12 @@ never differentiated.
 
 An operator is an element of the Weyl algebra over Q[s], stored flat: one
 term per normally ordered monomial x^a s^e d^b (coefficients to the left of
-derivatives), keyed by the concatenated exponent tuple a + (e,) + b.  Values
+derivatives), keyed by one int that packs the exponent tuple a + (e,) + b
+into 8-bit fields, exponent j in bits 8j to 8j + 7 (pack_key, unpack_key).
+The top bit of each field is a guard: every exponent must stay at most 127,
+and building an operator with a larger one raises OverflowError.  So the
+key of a product term, the sum of two keys, never carries from one field
+into the next, and subtracting a reordering decrement never borrows.  Values
 are integer numerators over one positive denominator per operator, reduced
 so that the gcd of all numerators and the denominator is 1; equal operators
 therefore have equal term maps.  A coefficient function is the zeroth-order
@@ -20,9 +25,9 @@ left.  Products are normal ordered in closed form, coordinate by coordinate,
     d^b o x^c = sum_k C(b, k) c!/(c-k)! x^(c-k) d^(b-k),
 
 where only coordinates that one side differentiates and the other carries
-(a bitmask test per term pair) expand past k = 0.  The k = 0 term of a pair
-is the same in both orders, so a commutator forms only the k >= 1
-reordering corrections of each order, with opposite signs; point
+(one AND of per-field masks per term pair) expand past k = 0.  The k = 0
+term of a pair is the same in both orders, so a commutator forms only the
+k >= 1 reordering corrections of each order, with opposite signs; point
 functionals at the identity of a commutator are read off a truncated
 product that keeps only the coordinate-free terms.
 
@@ -40,10 +45,10 @@ which terminates because W is nilpotent of depth at most four.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from functools import lru_cache
-from itertools import product
-from math import comb, gcd, lcm, perm
-from operator import add, sub
+from functools import lru_cache, reduce
+from itertools import islice, product
+from math import comb, gcd, lcm, perm, prod
+from operator import or_
 
 from .liealg import LieAlgebra
 from .pbw import Elt, Mono, mono_word
@@ -52,23 +57,71 @@ Der = tuple[int, ...]
 Key = tuple[int, ...]          # coordinate exponents, s exponent, derivatives
 PointFunctional = tuple[dict[Der, Q], dict[Der, Q]]   # (f0, f1): f0 + s*f1
 
+FIELD_BITS = 8                 # one byte per exponent: keys pack via bytes
+FIELD_LIMIT = 1 << (FIELD_BITS - 1)    # exponents stay below the guard bit
+_FIELD = (1 << FIELD_BITS) - 1
+
+
+def pack_key(key: Key, ncoords: int) -> int:
+    """The packed int of an exponent tuple a + (e,) + b: field j of the
+    tuple in bits [8j, 8j + 8).  Exponents must be below FIELD_LIMIT."""
+    if len(key) != 2 * ncoords + 1:
+        raise ValueError(f"key {key} needs {2 * ncoords + 1} exponents")
+    if min(key) < 0:
+        raise ValueError(f"key {key} has a negative exponent")
+    if max(key) >= FIELD_LIMIT:
+        raise OverflowError(
+            f"key {key} has an exponent over {FIELD_LIMIT - 1}")
+    return int.from_bytes(bytes(key), "little")
+
+
+def unpack_key(key: int, ncoords: int) -> Key:
+    """Inverse of pack_key: the exponent tuple a + (e,) + b."""
+    return tuple(key.to_bytes(2 * ncoords + 1, "little"))
+
+
+@lru_cache(maxsize=None)
+def _layout(n: int) -> tuple[int, int, int, int, int]:
+    """Masks of the packed keys on n coordinates: the derivative shift, the
+    coordinate fields, 0x7f and 0x80 in each of n fields from bit 0, and the
+    guard (top) bit of every field of a key."""
+    return (FIELD_BITS * (n + 1), (1 << FIELD_BITS * n) - 1,
+            int.from_bytes(b"\x7f" * n, "little"),
+            int.from_bytes(b"\x80" * n, "little"),
+            int.from_bytes(b"\x80" * (2 * n + 1), "little"))
+
 
 class PolyDiffOp:
-    """Differential operator sum_key (terms[key] / den) x^a s^e d^b."""
+    """Differential operator sum_key (terms[key] / den) x^a s^e d^b, each
+    key packed from the tuple a + (e,) + b (see pack_key)."""
 
     __slots__ = ("ncoords", "terms", "den")
 
     def __init__(self, ncoords: int, terms: dict[Key, int] | None = None,
                  den: int = 1):
+        packed = {pack_key(k, ncoords): v for k, v in (terms or {}).items()}
+        self._set(ncoords, packed, den)
+
+    @classmethod
+    def _packed(cls, ncoords: int, terms: dict[int, int],
+                den: int = 1) -> "PolyDiffOp":
+        """The operator of a term map that is already keyed by packed ints."""
+        op = cls.__new__(cls)
+        op._set(ncoords, terms, den)
+        return op
+
+    def _set(self, ncoords: int, terms: dict[int, int], den: int) -> None:
         if den <= 0:
             raise ValueError("denominator must be positive")
-        self.ncoords = ncoords
-        terms = {k: v for k, v in terms.items() if v} if terms else {}
+        terms = {k: v for k, v in terms.items() if v}
+        if reduce(or_, terms, 0) & _layout(ncoords)[4]:
+            raise OverflowError(f"an exponent reached {FIELD_LIMIT}")
         g = gcd(den, *terms.values())
         if g != 1:
             terms = {k: v // g for k, v in terms.items()}
             den //= g
-        self.terms: dict[Key, int] = terms
+        self.ncoords = ncoords
+        self.terms: dict[int, int] = terms
         self.den = den
 
     def __bool__(self) -> bool:
@@ -76,7 +129,9 @@ class PolyDiffOp:
 
     def order(self) -> int:
         n = self.ncoords
-        return max((sum(k[n + 1:]) for k in self.terms), default=-1)
+        ds = _layout(n)[0]
+        return max((sum((k >> ds).to_bytes(n, "little")) for k in self.terms),
+                   default=-1)
 
     def _check(self, other: "PolyDiffOp") -> None:
         if self.ncoords != other.ncoords:
@@ -89,7 +144,7 @@ class PolyDiffOp:
         out = {k: v * fa for k, v in self.terms.items()}
         for k, v in other.terms.items():
             out[k] = out.get(k, 0) + v * fb
-        return PolyDiffOp(self.ncoords, out, den)
+        return PolyDiffOp._packed(self.ncoords, out, den)
 
     def __add__(self, other: "PolyDiffOp") -> "PolyDiffOp":
         return self._combine(other, 1)
@@ -98,17 +153,18 @@ class PolyDiffOp:
         return self._combine(other, -1)
 
     def __neg__(self) -> "PolyDiffOp":
-        return PolyDiffOp(self.ncoords,
-                          {k: -v for k, v in self.terms.items()}, self.den)
+        return PolyDiffOp._packed(self.ncoords,
+                                  {k: -v for k, v in self.terms.items()},
+                                  self.den)
 
     def __mul__(self, other: "PolyDiffOp | Q | int") -> "PolyDiffOp":
         """The product with an operator (self o other), or with a scalar."""
         if isinstance(other, PolyDiffOp):
             return self.compose(other)
         c = Q(other)
-        return PolyDiffOp(self.ncoords,
-                          {k: v * c.numerator for k, v in self.terms.items()},
-                          self.den * c.denominator)
+        return PolyDiffOp._packed(
+            self.ncoords, {k: v * c.numerator for k, v in self.terms.items()},
+            self.den * c.denominator)
 
     __rmul__ = __mul__      # reached only for a scalar on the left
 
@@ -116,39 +172,36 @@ class PolyDiffOp:
         """self applied after other, as operators (normal ordered)."""
         self._check(other)
         n = self.ncoords
-        out: dict[Key, int] = {}
-        lefts = _masked(self.terms, n)
-        # only a derivative on the left reorders: after a function (f * D)
-        # the masks of other's terms are not needed
-        rights = (_masked(other.terms, n) if any(t[3] for t in lefts)
-                  else [(kb, cb, 0, 0, ()) for kb, cb in other.terms.items()])
-        for ka, ca, cma, dma, dera in lefts:
-            for kb, cb, cmb, dmb, derb in rights:
-                base = tuple(map(add, ka, kb))
-                if dma & cmb:
-                    _reorder_into(out, base, dera, kb, ca * cb, n, 0)
-                else:
-                    out[base] = out.get(base, 0) + ca * cb
-        return PolyDiffOp(n, out, self.den * other.den)
+        out: dict[int, int] = {}
+        rights = _masked(other.terms, n)
+        for ka, ca, _, dma, da in _masked(self.terms, n):
+            for kb, cb, cmb, _, _ in rights:
+                base = ka + kb
+                c = ca * cb
+                out[base] = out.get(base, 0) + c
+                ov = dma & cmb
+                if ov:
+                    _reorder_into(out, base, ov, da, kb, c, n)
+        return PolyDiffOp._packed(n, out, self.den * other.den)
 
     def commutator(self, other: "PolyDiffOp") -> "PolyDiffOp":
         """[self, other]: only the reordering corrections survive."""
         self._check(other)
         n = self.ncoords
-        out: dict[Key, int] = {}
+        out: dict[int, int] = {}
         rights = _masked(other.terms, n)
-        for ka, ca, cma, dma, dera in _masked(self.terms, n):
-            for kb, cb, cmb, dmb, derb in rights:
+        for ka, ca, cma, dma, da in _masked(self.terms, n):
+            for kb, cb, cmb, dmb, db in rights:
                 ab, ba = dma & cmb, dmb & cma
                 if not (ab or ba):
                     continue        # the two orders give the same term
-                base = tuple(map(add, ka, kb))
+                base = ka + kb
                 c = ca * cb
                 if ab:
-                    _reorder_into(out, base, dera, kb, c, n, 1)
+                    _reorder_into(out, base, ab, da, kb, c, n)
                 if ba:
-                    _reorder_into(out, base, derb, ka, -c, n, 1)
-        return PolyDiffOp(n, out, self.den * other.den)
+                    _reorder_into(out, base, ba, db, ka, -c, n)
+        return PolyDiffOp._packed(n, out, self.den * other.den)
 
     def subs_param(self, i: int, value: Q) -> "PolyDiffOp":
         """Substitute a rational for coefficient variable i (normally s)."""
@@ -156,13 +209,15 @@ class PolyDiffOp:
             raise ValueError(f"variable index {i} is not a coefficient variable")
         value = Q(value)
         p, q = value.numerator, value.denominator
-        top = max((k[i] for k in self.terms), default=0)
-        out: dict[Key, int] = {}
+        shift = FIELD_BITS * i
+        clear = ~(_FIELD << shift)
+        top = max(((k >> shift) & _FIELD for k in self.terms), default=0)
+        out: dict[int, int] = {}
         for k, v in self.terms.items():
-            e = k[i]
-            key = k[:i] + (0,) + k[i + 1:]
+            e = (k >> shift) & _FIELD
+            key = k & clear
             out[key] = out.get(key, 0) + v * p ** e * q ** (top - e)
-        return PolyDiffOp(self.ncoords, out, self.den * q ** top)
+        return PolyDiffOp._packed(self.ncoords, out, self.den * q ** top)
 
     def at_identity(self) -> PointFunctional:
         """The functional f -> (D f)(e) as derivative-coefficients at 0: the
@@ -170,11 +225,9 @@ class PolyDiffOp:
 
         Raises ValueError on a coordinate-free term of degree 2 or more in s.
         """
-        n = self.ncoords
-        zero = (0,) * n
-        acc = {(k[n], k[n + 1:]): v for k, v in self.terms.items()
-               if k[:n] == zero}
-        return _functional(acc, self.den)
+        coords = _layout(self.ncoords)[1]
+        return _functional({k: v for k, v in self.terms.items()
+                            if not k & coords}, self.den, self.ncoords)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, PolyDiffOp) and self.ncoords == other.ncoords
@@ -190,87 +243,83 @@ def commutator_at_identity(a: PolyDiffOp, b: PolyDiffOp) -> PointFunctional:
     """
     a._check(b)
     n = a.ncoords
-    zero = (0,) * n
-    acc: dict[tuple[int, Der], int] = {}
+    ds, coords, _, high, _ = _layout(n)
+    acc: dict[int, int] = {}
     for left, right, sign in ((a.terms, b.terms, 1), (b.terms, a.terms, -1)):
-        rights = [(k[:n], k[n], k[n + 1:], v) for k, v in right.items()]
+        rights = [(kb, kb & coords, cb) for kb, cb in right.items()]
         for ka, ca in left.items():
-            if ka[:n] != zero:
+            if ka & coords:
                 continue
-            sa, beta = ka[n], ka[n + 1:]
-            for gamma, sb, delta, cb in rights:
-                factor = sign * ca * cb
-                for bi, gi in zip(beta, gamma):
-                    if gi > bi:
-                        break
-                    if gi:
-                        factor *= perm(bi, gi)
-                else:
-                    key = (sa + sb, tuple(map(add, map(sub, beta, gamma), delta)))
-                    acc[key] = acc.get(key, 0) + factor
-    return _functional(acc, a.den * b.den)
+            beta = ka >> ds
+            for kb, gamma, cb in rights:
+                # a field of beta | high keeps its guard bit less gamma iff
+                # c_i <= b_i
+                if ((beta | high) - gamma) & high != high:
+                    continue
+                factor = prod(perm(bi, gi) for bi, gi in
+                              zip(beta.to_bytes(n, "little"),
+                                  gamma.to_bytes(n, "little")) if gi)
+                key = ka + kb - gamma - (gamma << ds)
+                acc[key] = acc.get(key, 0) + sign * ca * cb * factor
+    return _functional(acc, a.den * b.den, n)
 
 
-def _functional(acc: dict[tuple[int, Der], int], den: int) -> PointFunctional:
-    """{(s exponent, derivative): numerator} over den -> (f0, f1)."""
+def _functional(acc: dict[int, int], den: int, n: int) -> PointFunctional:
+    """{coordinate-free packed key: numerator} over den -> (f0, f1)."""
     out: PointFunctional = ({}, {})
-    for (e, d), v in acc.items():
+    for k, v in acc.items():
         if v:
-            if e > 1:
-                raise ValueError(f"point functional of degree {e} in s")
-            out[e][d] = Q(v, den)
+            key = unpack_key(k, n)
+            if key[n] > 1:
+                raise ValueError(f"point functional of degree {key[n]} in s")
+            out[key[n]][key[n + 1:]] = Q(v, den)
     return out
 
 
 @lru_cache(maxsize=None)
-def _reorderings(n: int, overlap: tuple[tuple[int, int, int], ...]):
-    """Normal-ordering expansion of d^b o x^c on the overlapping coordinates.
+def _reorderings(n: int, ders: int, coords: int):
+    """The k >= 1 terms of the normal-ordering expansion of d^b o x^c.
 
-    overlap lists (coordinate, b_i, c_i) with both exponents positive.
-    Returns (key decrement, factor) pairs: the product of the per-coordinate
-    terms C(b_i, k_i) c_i!/(c_i-k_i)! x^(c_i-k_i) d^(b_i-k_i).  The first
-    pair is the k = 0 term: no decrement, factor 1.
+    ders and coords hold b and c in the n coordinate fields, both positive
+    on the same fields.  Returns (key decrement, factor) pairs: the products
+    of the per-coordinate terms C(b_i, k_i) c_i!/(c_i-k_i)! x^(c_i-k_i)
+    d^(b_i-k_i) other than k = 0, each decrement packed like a key.
     """
-    per_coord = [[(i, k, comb(b, k) * perm(c, k)) for k in range(min(b, c) + 1)]
-                 for i, b, c in overlap]
-    out = []
-    for choice in product(*per_coord):
-        dec = [0] * (2 * n + 1)
-        factor = 1
-        for i, k, f in choice:
-            dec[i] = dec[n + 1 + i] = k
-            factor *= f
-        out.append((tuple(dec), factor))
-    return tuple(out)
+    ds = FIELD_BITS * (n + 1)
+    per_coord = []
+    for i, (b, c) in enumerate(zip(ders.to_bytes(n, "little"),
+                                   coords.to_bytes(n, "little"))):
+        if b:
+            unit = (1 << FIELD_BITS * i) | (1 << (ds + FIELD_BITS * i))
+            per_coord.append([(k * unit, comb(b, k) * perm(c, k))
+                              for k in range(min(b, c) + 1)])
+    return tuple((sum(dec for dec, _ in choice), prod(f for _, f in choice))
+                 for choice in islice(product(*per_coord), 1, None))
 
 
-def _masked(terms: dict[Key, int], n: int):
-    """Per term: key, numerator, coordinate bitmask, derivative bitmask and
-    the (coordinate, exponent) pairs of its derivatives."""
+def _masked(terms: dict[int, int], n: int):
+    """Per term: key, numerator, and the derivative exponents shifted down
+    to the coordinate fields, with bit 7 of each coordinate field set in the
+    coordinate mask where the term carries that coordinate and in the
+    derivative mask where it differentiates it."""
+    ds, coords, low, high, _ = _layout(n)
     out = []
     for k, v in terms.items():
-        cmask = dmask = 0
-        ders = []
-        for i in range(n):
-            if k[i]:
-                cmask |= 1 << i
-            b = k[n + 1 + i]
-            if b:
-                dmask |= 1 << i
-                ders.append((i, b))
-        out.append((k, v, cmask, dmask, ders))
+        d = k >> ds
+        out.append((k, v, ((k & coords) + low) & high, (d + low) & high, d))
     return out
 
 
-def _reorder_into(out: dict[Key, int], base: Key, ders, right: Key, c: int,
-                  n: int, start: int) -> None:
-    """Add c times the reorderings from start on of (left term) o (right
-    term), where base is the sum of the two keys and ders the left term's
-    derivatives: start 0 gives the whole product, start 1 the k >= 1
-    corrections."""
-    overlap = tuple((i, b, right[i]) for i, b in ders if right[i])
-    for dec, factor in _reorderings(n, overlap)[start:]:
-        key = tuple(map(sub, base, dec))
+def _reorder_into(out: dict[int, int], base: int, overlap: int, ders: int,
+                  right: int, c: int, n: int) -> None:
+    """Add c times the k >= 1 reordering corrections of (left term) o (right
+    term), where base is the sum of the two keys, overlap the coordinates
+    (bit 7 of their fields) that the left term differentiates and the right
+    term carries, ders the left term's derivatives shifted down and right
+    the right term's key."""
+    fields = (overlap >> (FIELD_BITS - 1)) * _FIELD
+    for dec, factor in _reorderings(n, ders & fields, right & fields):
+        key = base - dec
         out[key] = out.get(key, 0) + c * factor
 
 
@@ -284,18 +333,18 @@ class OperatorCalculus:
         self._r_gen: dict[int, PolyDiffOp] = {}
         self._r_mono: dict[Mono, PolyDiffOp] = {}
         self._pi_basis: dict[int, PolyDiffOp] = {}
+        self._ad_inverse: dict[int, dict[int, PolyDiffOp]] = {}
 
     # -- functions and derivatives as operators --------------------------------
 
     def _unit(self, pos: int) -> PolyDiffOp:
         """The operator whose one term has exponent 1 at key position pos."""
-        return PolyDiffOp(self.ncoords, {tuple(int(k == pos) for k in
-                                               range(2 * self.ncoords + 1)): 1})
+        return PolyDiffOp._packed(self.ncoords, {1 << FIELD_BITS * pos: 1})
 
     def const(self, c: Q | int) -> PolyDiffOp:
         c = Q(c)
-        return PolyDiffOp(self.ncoords, {(0,) * (2 * self.ncoords + 1):
-                                         c.numerator}, c.denominator)
+        return PolyDiffOp._packed(self.ncoords, {0: c.numerator},
+                                  c.denominator)
 
     def var(self, i: int) -> PolyDiffOp:
         """Multiplication by coefficient variable i (a coordinate, or s)."""
@@ -314,7 +363,18 @@ class OperatorCalculus:
 
     def ad_inverse(self, i: int) -> dict[int, PolyDiffOp]:
         """Ad(nbar(x,z)^{-1}) X_i = exp(-ad W) X_i, with W = sum_g x_g X_g
-        (nbar(x, z) = exp(W)), coefficients as functions."""
+        (nbar(x, z) = exp(W)), coefficients as functions.
+
+        Memoized per basis index: callers share the returned dict and must
+        not mutate it."""
+        cached = self._ad_inverse.get(i)
+        if cached is None:
+            cached = self._ad_series(i)
+            self._ad_inverse[i] = cached
+        return cached
+
+    def _ad_series(self, i: int) -> dict[int, PolyDiffOp]:
+        """The terminating series exp(-ad W) X_i behind ad_inverse."""
         cur = {i: self.identity_op()}
         out = dict(cur)
         w = {g: self.var(g) for g in range(self.ncoords)}

@@ -6,7 +6,7 @@ from math import lcm, prod
 
 import pytest
 
-from confsys.diffops import PolyDiffOp, commutator_at_identity
+from confsys.diffops import PolyDiffOp, commutator_at_identity, unpack_key
 from confsys.poly import Poly
 
 # -- a Poly coefficient view of operators: the reference for compose ----------
@@ -26,6 +26,7 @@ def _coefficients(op):
     n = op.ncoords
     out = {}
     for k, v in op.terms.items():
+        k = unpack_key(k, n)
         out.setdefault(k[n + 1:], {})[k[:n + 1]] = Q(v, op.den)
     return {d: Poly(n + 1, t) for d, t in out.items()}
 
@@ -105,7 +106,8 @@ def _eval_at(f: PolyDiffOp, point) -> Q:
     """The value of a function, given as a zeroth-order operator, at a point
     given by the coordinates and s."""
     assert f.order() == 0
-    return sum(Q(v, f.den) * prod(p ** e for p, e in zip(point, k))
+    return sum(Q(v, f.den) * prod(p ** e for p, e in
+                                  zip(point, unpack_key(k, f.ncoords)))
                for k, v in f.terms.items())
 
 
@@ -264,7 +266,8 @@ def _second_order_overlap(a, b):
     term of b carries squared, so a o b reorders with k >= 2."""
     n = a.ncoords
     return any(ka[n + 1 + i] >= 2 and kb[i] >= 2
-               for ka in a.terms for kb in b.terms for i in range(n))
+               for ka in (unpack_key(k, n) for k in a.terms)
+               for kb in (unpack_key(k, n) for k in b.terms) for i in range(n))
 
 
 def test_commutator_is_the_difference_of_compositions(calc_d4, normal_order,
@@ -317,6 +320,55 @@ def test_flat_form_is_canonical(calc_d4):
     op = calc_d4.pi_basis(calc_d4.alg.v_plus[2]) * Q(3, 7)
     assert _from_coeffs(n, _coefficients(op)) == op
     assert (op - op).den == 1
+
+
+def _key(n, x=0, s=0, d=0):
+    """The exponent tuple of x_1^x s^s d_1^d on n coordinates."""
+    key = [0] * (2 * n + 1)
+    key[1], key[n], key[n + 2] = x, s, d
+    return tuple(key)
+
+
+def test_packed_key_round_trips_at_the_field_limit(calc_d4):
+    n = calc_d4.ncoords
+    for fields in ({"x": 127}, {"s": 127}, {"d": 127},
+                   {"x": 127, "s": 127, "d": 127}):
+        key = _key(n, **fields)
+        op = PolyDiffOp(n, {key: 3}, 5)
+        assert [unpack_key(k, n) for k in op.terms] == [key]
+        assert _from_coeffs(n, _coefficients(op)) == op
+        assert op.compose(calc_d4.identity_op()) == op
+    assert PolyDiffOp(n, {_key(n, d=127): 1}).order() == 127
+
+
+def test_packed_key_rejects_a_field_of_128(calc_d4):
+    n = calc_d4.ncoords
+    for fields in ({"x": 128}, {"s": 128}, {"d": 128}, {"x": 300}):
+        with pytest.raises(OverflowError):
+            PolyDiffOp(n, {_key(n, **fields): 1})
+    with pytest.raises(ValueError):
+        PolyDiffOp(n, {_key(n, x=-1): 1})
+    with pytest.raises(ValueError):
+        PolyDiffOp(n, {(0,) * (2 * n): 1})
+
+
+def test_products_past_the_field_limit_raise(calc_d4):
+    """An exponent sum of 128 in a product raises instead of carrying into
+    the next field; 127 is still exact."""
+    n = calc_d4.ncoords
+    x100 = PolyDiffOp(n, {_key(n, x=100): 1})
+    assert x100.compose(PolyDiffOp(n, {_key(n, x=27): 1})) == \
+        PolyDiffOp(n, {_key(n, x=127): 1})
+    for right in ({"x": 28}, {"x": 127}):
+        with pytest.raises(OverflowError):
+            x100.compose(PolyDiffOp(n, {_key(n, **right): 1}))
+    for op in (PolyDiffOp(n, {_key(n, d=64): 1}),
+               PolyDiffOp(n, {_key(n, s=64): 1})):
+        with pytest.raises(OverflowError):
+            op.compose(op)
+    # [x^40 d^100, x^100]: the k = 1 correction carries x^139
+    with pytest.raises(OverflowError):
+        PolyDiffOp(n, {_key(n, x=40, d=100): 1}).commutator(x100)
 
 
 def test_subs_param_matches_coefficientwise_substitution(calc_d4):
