@@ -11,8 +11,7 @@ import argparse
 import time
 from pathlib import Path
 
-from confsys.cli import DEFAULT_SEED, render_text
-from confsys.verify import SuiteConfig, run_suite
+from confsys.verify import DEFAULT_SEED, SuiteConfig, run_suite
 
 RUNS = (
     ("D4", True),    # cubic system expected, special value -1
@@ -29,8 +28,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default="reports", metavar="DIR",
                         help="directory for JSON reports (default: reports)")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--full-text", action="store_true",
-                        help="print the full text report of every run")
     args = parser.parse_args(argv)
 
     out = Path(args.out)
@@ -44,9 +41,6 @@ def main(argv: list[str] | None = None) -> int:
         dt = time.perf_counter() - t0
         path = out / f"verify-{label}.json"
         path.write_text(report.dumps())
-        if args.full_text:
-            print(render_text(report))
-            print()
         counts = report.counts
         sv = report.special_values
         values = sv.values if sv is not None else []

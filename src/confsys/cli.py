@@ -16,9 +16,7 @@ from pathlib import Path
 from . import cache as algcache
 from .report import VerificationReport
 from .roots import RootSystemSpec
-from .verify import SuiteConfig, run_suite
-
-DEFAULT_SEED = 0xD4
+from .verify import DEFAULT_SEED, SuiteConfig, run_suite
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -51,6 +51,7 @@ from math import comb, gcd, lcm, perm, prod
 from operator import or_
 
 from .liealg import LieAlgebra
+from .memo import memo
 from .pbw import Elt, Mono, mono_word
 
 Der = tuple[int, ...]
@@ -203,13 +204,11 @@ class PolyDiffOp:
                     _reorder_into(out, base, ba, db, ka, -c, n)
         return PolyDiffOp._packed(n, out, self.den * other.den)
 
-    def subs_param(self, i: int, value: Q) -> "PolyDiffOp":
-        """Substitute a rational for coefficient variable i (normally s)."""
-        if not 0 <= i <= self.ncoords:
-            raise ValueError(f"variable index {i} is not a coefficient variable")
+    def subs_param(self, value: Q) -> "PolyDiffOp":
+        """Substitute a rational for the parameter s."""
         value = Q(value)
         p, q = value.numerator, value.denominator
-        shift = FIELD_BITS * i
+        shift = FIELD_BITS * self.ncoords
         clear = ~(_FIELD << shift)
         top = max(((k >> shift) & _FIELD for k in self.terms), default=0)
         out: dict[int, int] = {}
@@ -330,10 +329,6 @@ class OperatorCalculus:
         self.alg = alg
         self.ncoords = alg.nbar_dim           # z plus one x per V- vector
         self.s_var = self.ncoords             # s follows the coordinates
-        self._r_gen: dict[int, PolyDiffOp] = {}
-        self._r_mono: dict[Mono, PolyDiffOp] = {}
-        self._pi_basis: dict[int, PolyDiffOp] = {}
-        self._ad_inverse: dict[int, dict[int, PolyDiffOp]] = {}
 
     # -- functions and derivatives as operators --------------------------------
 
@@ -361,20 +356,11 @@ class OperatorCalculus:
 
     # -- the adjoint series ---------------------------------------------------
 
+    @memo
     def ad_inverse(self, i: int) -> dict[int, PolyDiffOp]:
         """Ad(nbar(x,z)^{-1}) X_i = exp(-ad W) X_i, with W = sum_g x_g X_g
-        (nbar(x, z) = exp(W)), coefficients as functions.
-
-        Memoized per basis index: callers share the returned dict and must
-        not mutate it."""
-        cached = self._ad_inverse.get(i)
-        if cached is None:
-            cached = self._ad_series(i)
-            self._ad_inverse[i] = cached
-        return cached
-
-    def _ad_series(self, i: int) -> dict[int, PolyDiffOp]:
-        """The terminating series exp(-ad W) X_i behind ad_inverse."""
+        (nbar(x, z) = exp(W)), coefficients as functions: a terminating
+        series."""
         cur = {i: self.identity_op()}
         out = dict(cur)
         w = {g: self.var(g) for g in range(self.ncoords)}
@@ -410,11 +396,9 @@ class OperatorCalculus:
 
     # -- the right regular action ---------------------------------------------
 
+    @memo
     def r_gen(self, g: int) -> PolyDiffOp:
         """R of the g-th basis vector of the opposite nilradical."""
-        cached = self._r_gen.get(g)
-        if cached is not None:
-            return cached
         alg = self.alg
         if not 0 <= g < self.ncoords:
             raise ValueError(f"basis index {g} is not in the opposite nilradical")
@@ -425,22 +409,16 @@ class OperatorCalculus:
             j = alg.index_of_root[tuple(-c for c in comp)]
             n = dict(alg.bracket(j, g))[alg.x_minus_gamma]
             op = op + self.var(j) * self.derivative(alg.x_minus_gamma) * Q(n, 2)
-        self._r_gen[g] = op
         return op
 
+    @memo
     def r_mono(self, m: Mono) -> PolyDiffOp:
-        cached = self._r_mono.get(m)
-        if cached is not None:
-            return cached
         word = mono_word(m)
         if not word:
-            op = self.identity_op()
-        else:
-            op = self.r_mono(m[:-1] if m[-1][1] == 1
-                             else m[:-1] + ((m[-1][0], m[-1][1] - 1),))
-            op = op.compose(self.r_gen(word[-1]))
-        self._r_mono[m] = op
-        return op
+            return self.identity_op()
+        head = self.r_mono(m[:-1] if m[-1][1] == 1
+                           else m[:-1] + ((m[-1][0], m[-1][1] - 1),))
+        return head.compose(self.r_gen(word[-1]))
 
     def r_op(self, u: Elt) -> PolyDiffOp:
         """R of an enveloping-algebra element with rational coefficients."""
@@ -458,14 +436,8 @@ class OperatorCalculus:
 
     # -- the induced family ----------------------------------------------------
 
+    @memo
     def pi_basis(self, i: int) -> PolyDiffOp:
-        cached = self._pi_basis.get(i)
-        if cached is None:
-            cached = self._pi(i)
-            self._pi_basis[i] = cached
-        return cached
-
-    def _pi(self, i: int) -> PolyDiffOp:
         """pi_s(X_i) = -s dchi((Ad(nbar^{-1})X_i)_q) - R((Ad(nbar^{-1})X_i)_nbar)."""
         nbar_part: dict[int, PolyDiffOp] = {}
         q_part: dict[int, PolyDiffOp] = {}

@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 
 from .liealg import LieAlgebra
+from .memo import memo
 from .pbw import Elt, Enveloping, elt_add, elt_scale
 from .roots import Root
 
@@ -48,7 +49,6 @@ class OmegaSystem:
                 self.alg.index_of_root[negate(b)],
                 br[self.alg.x_gamma],
             ))
-        self._omega2_cache: dict[int, Elt] = {}
 
     # -- degree 2 -------------------------------------------------------------
 
@@ -58,13 +58,23 @@ class OmegaSystem:
             if i not in allowed:
                 raise ValueError(f"basis index {i} is not in the Levi factor")
 
+    @memo
     def omega2_basis(self, i: int) -> Elt:
         """Quadratic element for the i-th Lie algebra basis vector (in l)."""
-        cached = self._omega2_cache.get(i)
-        if cached is None:
-            cached = self._omega2({i: Q(1)})
-            self._omega2_cache[i] = cached
-        return cached
+        env, alg = self.env, self.alg
+        half_dchi = alg.dchi({i: Q(1)}) / 2
+        out: Elt = {}
+        for mcomp_idx, mb_idx, pair_n in self._legs:
+            # twisted action of X_i on the complementary V- vector
+            t = dict(alg.bracket(i, mcomp_idx))
+            if half_dchi:
+                t[mcomp_idx] = t.get(mcomp_idx, 0) + half_dchi
+            for j, cj in t.items():
+                if not cj:
+                    continue
+                term = env.mono_mul(((j, 1),), ((mb_idx, 1),))
+                out = elt_add(out, elt_scale(term, Q(-1, 2) * pair_n * cj))
+        return out
 
     def omega2(self, z: dict[int, Q]) -> Elt:
         """Quadratic element for Z in l; linear in Z; rejects Z outside l."""
@@ -73,22 +83,6 @@ class OmegaSystem:
         for i, c in z.items():
             if c:
                 out = elt_add(out, elt_scale(self.omega2_basis(i), c))
-        return out
-
-    def _omega2(self, z: dict[int, Q]) -> Elt:
-        env, alg = self.env, self.alg
-        half_dchi = alg.dchi(z) / 2
-        out: Elt = {}
-        for mcomp_idx, mb_idx, pair_n in self._legs:
-            # twisted action of Z on the complementary V- vector
-            t: dict[int, Q] = dict(alg.bracket_elem(z, {mcomp_idx: Q(1)}))
-            if half_dchi:
-                t[mcomp_idx] = t.get(mcomp_idx, Q(0)) + half_dchi
-            for j, cj in t.items():
-                if not cj:
-                    continue
-                term = env.mono_mul(((j, 1),), ((mb_idx, 1),))
-                out = elt_add(out, elt_scale(term, Q(-1, 2) * pair_n * cj))
         return out
 
     # -- degree 3 -------------------------------------------------------------

@@ -10,9 +10,12 @@ commuting past its PBW factors inside U(nbar) tensor 1
 held as two ints per monomial over a common denominator
 (VermaModule._act_ints).  act_basis and act return that image as a pair
 (v0, v1) of rational vectors meaning v0 + s*v1; elt_subs evaluates a pair at
-s0.  The q-stability solve stays in int form: Span reduces the int pairs
-against int echelon rows, every constraint is an exact rational pair
-(a0, a1) meaning a0 + a1*s, and the special values are read off the pairs.
+s0.  Span keeps its echelon rows once, as ints, and one int elimination
+(Span.eliminate) gives both the coordinates of a vector of int pairs in the
+span's generators and its leftover outside the span.  The q-stability solve
+reads the leftover: every constraint is an exact rational pair (a0, a1)
+meaning a0 + a1*s, and the special values are read off the pairs.  The
+action matrices read the coordinates of the images evaluated at s0 in ints.
 """
 
 from __future__ import annotations
@@ -48,6 +51,13 @@ def _split(den: int, ints: dict[Mono, list[int]]) -> Affine:
         if a1:
             v1[m] = Q(a1, den)
     return v0, v1
+
+
+def int_pairs(v: Elt) -> tuple[int, dict[Mono, tuple[int, int]]]:
+    """An s-free rational vector as int pairs (a, 0) over the lcm of its
+    denominators, the input of Span.eliminate."""
+    den = lcm(*(c.denominator for c in v.values()))
+    return den, {m: (c.numerator * (den // c.denominator), 0) for m, c in v.items()}
 
 
 def elt_subs(v: Affine, s0: Q) -> Elt:
@@ -175,7 +185,7 @@ class VermaModule:
         pairs (a0, a1): the constraints from acting by each generator x of q
         (LieAlgebra.q_generators), filed by the grade of x.  The constraints
         from x are the coefficients each acted generator of W leaves outside
-        W (see Span.leftover_pairs), so W is stable under x at s = s0 iff
+        W (the leftover of Span.eliminate), so W is stable under x at s = s0 iff
         they all vanish at s0.  They are affine by the lemma in _act_mono,
         since the generators of W are s-free.
 
@@ -194,7 +204,8 @@ class VermaModule:
         for x in self.alg.q_generators:
             out = levi if self.alg.grade[x] == 0 else nil
             for g in gens:
-                out.extend(span.leftover_pairs(*self._act_ints(x, g)))
+                d, _, left = span.eliminate(*self._act_ints(x, g))
+                out.extend((Q(b0, d), Q(b1, d)) for b0, b1 in left)
         return levi, nil
 
     def singular_values(self, gens: list[Elt]) -> StabilityResult:
@@ -206,31 +217,39 @@ class VermaModule:
         return StabilityResult(degree < 0, () if root is None else (root,),
                                not levi, len(levi) + len(nil))
 
-    def module_action_matrix(self, span: Span, x: dict[int, Q], s0: Q) -> list[list[Q]]:
-        """Matrix a with act(x, gens[i]) = sum_j a[j][i] gens[j] at s = s0,
+    def module_action_matrix(self, span: Span, x: int, s0: Q) -> list[list[Q]]:
+        """Matrix a with X_x.gens[i] = sum_j a[j][i] gens[j] at s = s0,
         for the generators gens of span.
 
-        Raises ValueError when the span is not stable under x at s0.
+        Each image (a0 + a1*s)/den is evaluated at s0 = p/q in ints, as
+        (q*a0 + p*a1)/(q*den), and reduced against the span.  Raises
+        ValueError when the span is not stable under X_x at s0.
         """
-        gens = span.gens
-        cols = []
-        for i, g in enumerate(gens):
-            coords, left = span.reduce(elt_subs(self.act(x, g), s0))
+        p, q = s0.numerator, s0.denominator
+        k = len(span.gens)
+        a = [[Q(0)] * k for _ in range(k)]
+        for i, g in enumerate(span.gens):
+            self._require_module(g)
+            den, ints = self._act_ints(x, g)
+            d, coords, left = span.eliminate(
+                q * den, {m: (q * a0 + p * a1, 0) for m, (a0, a1) in ints.items()})
             if left:
-                raise ValueError(f"span is not stable under x={x} at s={s0} (generator {i})")
-            cols.append(coords)
-        return [[cols[i].get(j, Q(0)) for i in range(len(gens))] for j in range(len(gens))]
+                raise ValueError(f"span is not stable under X_{x} at s={s0} (generator {i})")
+            for j, (c, _) in coords.items():
+                a[j][i] = Q(c, d)
+        return a
 
 
 class Span:
     """Row-reduced span of s-free vectors keyed by PBW monomials.
 
     The generators (U(nbar) elements, or any dicts from monomials to
-    rationals) are the rows of one matrix over their monomials, in (degree,
-    monomial) order, each augmented with a unit vector, so that every echelon
-    row of its rref also records its combination of the generators.  The
-    echelon rows are also kept as ints, scaled by the lcm of all their
-    denominators, for the exact reduction of int-pair vectors.
+    rationals) are the rows of one matrix over their n monomials, in
+    (degree, monomial) order, each augmented with a unit vector, so that
+    every echelon row of its rref also records its combination of the
+    generators.  The echelon rows are kept once, as ints scaled by the lcm
+    of all their denominators: per pivot, the entries on the non-pivot
+    monomial columns f < n and on the combination columns n + j.
     """
 
     def __init__(self, gens: list[Elt]):
@@ -246,51 +265,32 @@ class Span:
                 mat[j][self.col[m]] = Q(c)
         red, pivots = linalg.rref(mat)
         self.rank = sum(p < n for p in pivots)
-        # per echelon row: pivot monomial, entries on non-pivot monomials, combination
-        self.rows = [(p, [(f, a) for f, a in enumerate(red[r][:n]) if a and f != p],
-                      [(j, a) for j, a in enumerate(red[r][n:]) if a])
-                     for r, p in enumerate(pivots[:self.rank])]
-        self.scale = lcm(*(a.denominator for _, tail, _ in self.rows for _, a in tail))
-        # pivot column -> the row's non-pivot entries times scale, as ints
-        self._int_rows = {p: [(f, a.numerator * (self.scale // a.denominator))
-                              for f, a in tail]
-                          for p, tail, _ in self.rows}
+        self.n = n
+        tails = {p: [(f, a) for f, a in enumerate(red[r]) if a and f != p]
+                 for r, p in enumerate(pivots[:self.rank])}
+        self.scale = lcm(*(a.denominator for tail in tails.values() for _, a in tail))
+        self._rows = {p: [(f, a.numerator * (self.scale // a.denominator))
+                          for f, a in tail]
+                      for p, tail in tails.items()}
 
-    def reduce(self, w: dict) -> tuple[dict, list]:
-        """(coordinates of w in the generators, coefficients left outside the span).
+    def eliminate(self, den: int, w: dict) -> tuple[int, dict, list]:
+        """Reduce the vector sum (a0 + a1*s)/den * m over the items
+        m: (a0, a1) of w against the echelon rows.
 
-        Coefficients are rationals.  The leftover lists the nonzero
-        entries of w off the span's monomials, in w's order, then those of
+        Returns (d, coords, leftover), all int pairs (b0, b1) over the one
+        denominator d = den * scale, meaning (b0 + b1*s)/d: coords[j] is the
+        coefficient of gens[j] in w's part on the span, and leftover lists
+        the nonzero coefficients left outside the span, those of w off the
+        span's monomials in w's order, then those of
         w - sum_r w[pivot r] * (row r) on the non-pivot monomials, in order.
-        """
-        leftover = [c for m, c in w.items() if m not in self.col and c]
-        rest = {self.col[m]: c for m, c in w.items() if m in self.col}
-        coords: dict = {}
-        for p, tail, combo in self.rows:
-            c = rest.pop(p, None)
-            if not c:
-                continue
-            for f, a in tail:
-                v = rest.get(f)
-                rest[f] = -(c * a) if v is None else v - c * a
-            for j, a in combo:
-                v = coords.get(j)
-                coords[j] = c * a if v is None else v + c * a
-        leftover.extend(c for _, c in sorted(rest.items()) if c)
-        return coords, leftover
-
-    def leftover_pairs(self, den: int, w: dict[Mono, list[int]]) -> list[Pair]:
-        """The leftover of reduce for the vector sum (a0 + a1*s)/den * m over
-        the items m: [a0, a1] of w, as exact rational pairs (a0, a1) in the
-        same order.
+        w lies in the span iff the leftover is empty.
 
         Echelon rows are zero on every other pivot, so the multiple of row r
-        to subtract is w at its pivot; on the non-pivot monomials the int
-        sums scale * w[f] - sum_r w[pivot r] * (int row r) are the leftover
-        times den * scale.
+        to subtract is w at its pivot; on the combination columns the same
+        subtraction collects minus the coordinates.
         """
-        col, rows, scale = self.col, self._int_rows, self.scale
-        leftover = [(Q(a0, den), Q(a1, den)) for m, (a0, a1) in w.items()
+        col, rows, scale, n = self.col, self._rows, self.scale, self.n
+        leftover = [(scale * a0, scale * a1) for m, (a0, a1) in w.items()
                     if m not in col and (a0 or a1)]
         rest: dict[int, list[int]] = {}
         for m, (a0, a1) in w.items():
@@ -303,7 +303,12 @@ class Span:
                 continue
             for f2, b in tail:
                 _accumulate(rest, f2, -a0 * b, -a1 * b)
-        d = den * scale
-        leftover.extend((Q(b0, d), Q(b1, d)) for _, (b0, b1) in sorted(rest.items())
-                        if b0 or b1)
-        return leftover
+        coords = {}
+        for f, (b0, b1) in sorted(rest.items()):
+            if not (b0 or b1):
+                continue
+            if f < n:
+                leftover.append((b0, b1))
+            else:
+                coords[f - n] = (-b0, -b1)
+        return den * scale, coords, leftover

@@ -1,12 +1,14 @@
 """Polynomial differential operators and the induced-picture calculus."""
 
+import inspect
 import random
 from fractions import Fraction as Q
 from math import lcm, prod
 
 import pytest
 
-from confsys.diffops import PolyDiffOp, commutator_at_identity, unpack_key
+from confsys.diffops import (OperatorCalculus, PolyDiffOp,
+                             commutator_at_identity, unpack_key)
 from confsys.poly import Poly
 
 # -- a Poly coefficient view of operators: the reference for compose ----------
@@ -200,8 +202,8 @@ def test_right_actions_commute_with_pi_of_opposite_radical(calc_d4,
 def test_subs_param_freezes_s(calc_d4):
     alg = calc_d4.alg
     op = calc_d4.pi_basis(alg.v_plus[0])
-    frozen = op.subs_param(calc_d4.s_var, Q(-1))
-    refrozen = frozen.subs_param(calc_d4.s_var, Q(17))
+    frozen = op.subs_param(Q(-1))
+    refrozen = frozen.subs_param(Q(17))
     assert frozen == refrozen  # no s left after the first substitution
 
 
@@ -222,6 +224,26 @@ def _random_poly(rng, nvars, terms=4, degree=4):
 @pytest.fixture(scope="module")
 def cubic_ops_d4(calc_d4, omega_d4):
     return [calc_d4.r_op(g) for g in omega_d4.omega3_system()]
+
+
+def test_memo_tables_are_per_instance(alg_d4, alg_a3):
+    """Two calculi never share a memo entry, in either order of first use,
+    and each repeats its own result."""
+    for first, second in ((alg_d4, alg_a3), (alg_a3, alg_d4)):
+        calcs = [OperatorCalculus(first), OperatorCalculus(second)]
+        for calc in calcs:
+            op = calc.pi_basis(0)
+            assert op.ncoords == calc.alg.nbar_dim
+            assert calc.pi_basis(0) is op
+            assert calc.r_gen(0).ncoords == calc.alg.nbar_dim
+            assert all(c.ncoords == calc.alg.nbar_dim
+                       for c in calc.ad_inverse(0).values())
+
+
+def test_memoized_methods_stay_plain_functions():
+    """The class dict holds plain functions, so they can be patched by name."""
+    for name in ("ad_inverse", "r_gen", "r_mono", "pi_basis"):
+        assert inspect.isfunction(OperatorCalculus.__dict__[name])
 
 
 def test_normal_ordering_hand_case(calc_d4):
@@ -273,10 +295,10 @@ def _second_order_overlap(a, b):
 def test_commutator_is_the_difference_of_compositions(calc_d4, normal_order,
                                                       cubic_ops_d4):
     """[a, b] == a o b - b o a, and [a, b] == -[b, a], over D4 pools."""
-    alg, s = calc_d4.alg, calc_d4.s_var
+    alg = calc_d4.alg
     rng = random.Random(29)
     pis = [calc_d4.pi_basis(i) for i in range(alg.dim)]
-    pis_special = [op.subs_param(s, Q(-1)) for op in pis]
+    pis_special = [op.subs_param(Q(-1)) for op in pis]
     monos = {m for k in (1, 2, 3) for _ in range(4)
              for m in normal_order([rng.choice(alg.nbar_indices)
                                            for _ in range(k)])}
@@ -375,7 +397,7 @@ def test_subs_param_matches_coefficientwise_substitution(calc_d4):
     n, s = calc_d4.ncoords, calc_d4.s_var
     for i in (calc_d4.alg.x_gamma, calc_d4.alg.v_plus[1]):
         op = calc_d4.pi_basis(i)
-        got = op.subs_param(s, Q(-5, 3))
+        got = op.subs_param(Q(-5, 3))
         expected = _from_coeffs(
             n, {d: c.subs(s, Q(-5, 3)) for d, c in _coefficients(op).items()})
         assert got == expected
@@ -399,7 +421,7 @@ def test_commutator_at_identity_at_special_value(calc_d4, cubic_ops_d4):
     rng = random.Random(19)
     for _ in range(12):
         y = rng.randrange(calc_d4.alg.dim)
-        pi_y = calc_d4.pi_basis(y).subs_param(calc_d4.s_var, Q(-1))
+        pi_y = calc_d4.pi_basis(y).subs_param(Q(-1))
         op = rng.choice(cubic_ops_d4)
         f0, f1 = commutator_at_identity(pi_y, op)
         assert (f0, f1) == pi_y.commutator(op).at_identity()

@@ -1,4 +1,5 @@
-"""Golden reports: D4, A3, D5 and D6 verdicts frozen apart from timings.
+"""Golden reports: D4, A3, D5, D6, D7 and D8 verdicts frozen apart from
+timings: the D4 system and every control of the verification battery.
 
 The frozen view of a report is its graded dimensions, deleted components,
 special-value findings and each check's (name, statement, status,
@@ -18,7 +19,8 @@ import pytest
 from confsys.verify import SuiteConfig, run_suite
 
 GOLDEN = Path(__file__).parent / "data" / "golden_reports.json"
-RUNS = {"D4": True, "A3": False, "D5": False, "D6": False}   # type -> expect_system
+RUNS = {"D4": True, "A3": False, "D5": False, "D6": False,   # type -> expect_system
+        "D7": False, "D8": False}
 
 
 def golden_view(type_label: str, expect_system: bool) -> dict:

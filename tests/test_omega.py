@@ -41,6 +41,19 @@ def test_quadratic_shape_and_linearity(omega_d4, alg_d4):
     assert not elt_sub(combo, split)
 
 
+def test_quadratic_memo_is_per_instance(alg_d4, alg_a3):
+    """A3's and D4's quadratic elements of one shared Levi index come from
+    separate memo tables, in either order of first use."""
+    i = min(set(alg_d4.l_indices) & set(alg_a3.l_indices))
+    for algs in ((alg_d4, alg_a3), (alg_a3, alg_d4)):
+        oms = [OmegaSystem(Enveloping(alg)) for alg in algs]
+        got = [om.omega2_basis(i) for om in oms]
+        assert got[0] != got[1]
+        for om, elt in zip(oms, got):
+            assert elt and all(j < om.alg.nbar_dim for m in elt for j, _ in m)
+            assert om.omega2_basis(i) is elt
+
+
 def test_quadratic_weight_is_2s_minus_2(omega_d4, alg_d4, verma_d4):
     for i in alg_d4.l_indices:
         w2 = omega_d4.omega2_basis(i)

@@ -186,6 +186,17 @@ def test_b_matrices_match_dense_solve_reference(tmp_path):
     assert any(c for bmat in bmats.values() for row in bmat for c in row)
 
 
+def test_cubic_commutator_memo_keys_on_both_indices(tmp_path):
+    session = Session(SuiteConfig(type_label="D4", cache_dir=str(tmp_path)))
+    y = session.alg.v_plus[0]
+    m = len(session.omega3_ops)
+    got = [session.cubic_commutator(y, k) for k in range(m)]
+    for k in range(m):
+        assert got[k] == session.pi_special(y).commutator(session.omega3_ops[k])
+        assert session.cubic_commutator(y, k) is got[k]
+    assert len({frozenset(op.terms.items()) for op in got}) == m
+
+
 def _gcd_reference(pairs):
     """(degree, rational roots) of the gcd of the affine a0 + a1*s over
     pairs, by the Euclidean fold in Q[s]; the roots are None (every s) for

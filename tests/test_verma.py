@@ -6,7 +6,7 @@ from functools import reduce
 import pytest
 
 from confsys.liealg import build_lie_algebra
-from confsys.linalg import rref
+from confsys.linalg import rref, solve
 from confsys.omega import OmegaSystem
 from confsys.pbw import (Enveloping, elt_add, elt_scale, elt_sub, mono_degree,
                          monomials_up_to)
@@ -123,7 +123,7 @@ def test_module_action_matrix_roundtrip(verma_d4, omega_d4):
     alg = verma_d4.env.alg
     gens = omega_d4.omega3_system()
     z = alg.l_indices[0]
-    a = verma_d4.module_action_matrix(Span(gens), {z: Q(1)}, Q(-1))
+    a = verma_d4.module_action_matrix(Span(gens), z, Q(-1))
     for i in range(len(gens)):
         got = elt_subs(verma_d4.act({z: Q(1)}, gens[i]), Q(-1))
         expected = {}
@@ -134,6 +134,33 @@ def test_module_action_matrix_roundtrip(verma_d4, omega_d4):
         assert not elt_sub(got, expected)
 
 
+@pytest.mark.parametrize("s0", [Q(5, 2), Q(-1)])
+def test_module_action_matrix_matches_dense_solve_reference(verma_d4, omega_d4,
+                                                            s0):
+    """Every q basis vector on the D4 cubic span, against elt_subs(act(...))
+    plus one linalg.solve per generator: equal matrices where the span is
+    stable at s0, ValueError exactly where the reference has no solution."""
+    alg = verma_d4.env.alg
+    gens = omega_d4.omega3_system()
+    span = Span(gens)
+    k = len(gens)
+    stable = 0
+    for x in alg.q_indices:
+        images = [elt_subs(verma_d4.act({x: Q(1)}, g), s0) for g in gens]
+        mons = sorted({m for v in gens + images for m in v})
+        mat = [[g.get(m, Q(0)) for g in gens] for m in mons]
+        cols = [solve(mat, [v.get(m, Q(0)) for m in mons]) for v in images]
+        if any(c is None for c in cols):
+            with pytest.raises(ValueError):
+                verma_d4.module_action_matrix(span, x, s0)
+            continue
+        stable += 1
+        want = [[cols[i][j] for i in range(k)] for j in range(k)]
+        assert verma_d4.module_action_matrix(span, x, s0) == want, x
+    # at s = -1 the span is q-stable; at 5/2 only the Levi factor keeps it
+    assert stable == (len(alg.q_indices) if s0 == -1 else len(alg.l_indices))
+
+
 def test_module_action_matrix_rejects_unstable(verma_d4):
     alg = verma_d4.env.alg
     a = alg.v_minus[0]
@@ -142,7 +169,7 @@ def test_module_action_matrix_rejects_unstable(verma_d4):
     # which lies outside the one-dimensional span
     x = next(b for b in alg.v_plus if alg.killing(b, a))
     with pytest.raises(ValueError):
-        verma_d4.module_action_matrix(Span(gens), {x: Q(1)}, Q(-1))
+        verma_d4.module_action_matrix(Span(gens), x, Q(-1))
 
 
 def test_module_action_matrix_rejects_residual_inside_support(verma_d4):
@@ -161,7 +188,7 @@ def test_module_action_matrix_rejects_residual_inside_support(verma_d4):
     v0, v1 = verma_d4.act({h: Q(1)}, gens[0])
     assert set(v0) | set(v1) == set(gens[0])
     with pytest.raises(ValueError):
-        verma_d4.module_action_matrix(Span(gens), {h: Q(1)}, Q(-1))
+        verma_d4.module_action_matrix(Span(gens), h, Q(-1))
 
 
 def _complement_constraints(vm, gens, acting=None):
