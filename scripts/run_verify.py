@@ -11,16 +11,12 @@ import argparse
 import time
 from pathlib import Path
 
-from confsys.verify import DEFAULT_SEED, SuiteConfig, run_suite
+from confsys.verify import DEFAULT_SEED, EXPECTED, SuiteConfig, run_suite
 
-RUNS = (
-    ("D4", True),    # cubic system expected, special value -1
-    ("A3", False),   # control: no special value
-    ("D5", False),   # control: no special value
-    ("D6", False),   # control: no special value
-    ("D7", False),   # control: no special value
-    ("D8", False),   # control: no special value
-)
+# (type, expect_system) for every frozen type: the system scope exactly where
+# a special value is expected (D4), the control scope elsewhere
+RUNS = tuple((f"{family}{rank}", bool(row["special_values"]))
+             for (family, rank), row in EXPECTED.items())
 
 
 def main(argv: list[str] | None = None) -> int:

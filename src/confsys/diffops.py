@@ -31,8 +31,9 @@ k >= 1 reordering corrections of each order, with opposite signs; point
 functionals at the identity of a commutator are read off a truncated
 product that keeps only the coordinate-free terms.
 
-A point functional is a pair (f0, f1) of rational maps from derivative
-multi-indices, meaning f0 + s*f1.  The induced operators are affine in s and
+A point functional is in the int-pair form verma.Span reads: (den, {d^b as
+the PBW monomial with exponents b: (a0, a1)}), meaning (a0 + s*a1)/den, ints
+from the operator's numerators.  The induced operators are affine in s and
 the right actions s-free, so no functional the engine reads has a higher
 power of s; reading one raises ValueError.
 
@@ -54,9 +55,8 @@ from .liealg import LieAlgebra
 from .memo import memo
 from .pbw import Elt, Mono, mono_word
 
-Der = tuple[int, ...]
 Key = tuple[int, ...]          # coordinate exponents, s exponent, derivatives
-PointFunctional = tuple[dict[Der, Q], dict[Der, Q]]   # (f0, f1): f0 + s*f1
+PointFunctional = tuple[int, dict[Mono, tuple[int, int]]]   # (den, pairs): above
 
 FIELD_BITS = 8                 # one byte per exponent: keys pack via bytes
 FIELD_LIMIT = 1 << (FIELD_BITS - 1)    # exponents stay below the guard bit
@@ -219,8 +219,8 @@ class PolyDiffOp:
         return PolyDiffOp._packed(self.ncoords, out, self.den * q ** top)
 
     def at_identity(self) -> PointFunctional:
-        """The functional f -> (D f)(e) as derivative-coefficients at 0: the
-        pair (f0, f1) meaning f0 + s*f1 (coordinates are set to 0).
+        """The functional f -> (D f)(e) as derivative-coefficients at 0
+        (coordinates are set to 0), in the int-pair form of PointFunctional.
 
         Raises ValueError on a coordinate-free term of degree 2 or more in s.
         """
@@ -264,15 +264,17 @@ def commutator_at_identity(a: PolyDiffOp, b: PolyDiffOp) -> PointFunctional:
 
 
 def _functional(acc: dict[int, int], den: int, n: int) -> PointFunctional:
-    """{coordinate-free packed key: numerator} over den -> (f0, f1)."""
-    out: PointFunctional = ({}, {})
+    """{coordinate-free packed key: numerator} over den -> (den, pairs)."""
+    out: dict[Mono, tuple[int, int]] = {}
     for k, v in acc.items():
         if v:
             key = unpack_key(k, n)
             if key[n] > 1:
                 raise ValueError(f"point functional of degree {key[n]} in s")
-            out[key[n]][key[n + 1:]] = Q(v, den)
-    return out
+            m = tuple((i, b) for i, b in enumerate(key[n + 1:]) if b)
+            a0, a1 = out.get(m, (0, 0))
+            out[m] = (a0, v) if key[n] else (v, a1)
+    return den, out
 
 
 @lru_cache(maxsize=None)

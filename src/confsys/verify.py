@@ -32,7 +32,7 @@ from .pbw import (Elt, Enveloping, elt_add, elt_scale, elt_sub, mono_degree,
 from .report import (SCHEMA_VERSION, CheckResult, SpecialValueFindings,
                      VerificationReport, qstr)
 from .roots import RootSystemSpec
-from .verma import Span, StabilityResult, VermaModule, elt_subs, int_pairs
+from .verma import Span, StabilityResult, VermaModule, elt_subs
 
 # frozen expectations for the supported families, keyed by (family, rank):
 # graded dimensions; deleted-diagram components (0-based nodes); number of
@@ -42,15 +42,24 @@ from .verma import Span, StabilityResult, VermaModule, elt_subs, int_pairs
 # coroot (type A keeps one free direction from the two-dimensional Levi
 # center); the special parameter values of the cubic span
 EXPECTED = {
-    ("A", 3): {"graded_dims": (1, 4, 5, 4, 1), "deleted": ((1,),),
-               "levi_components": 2, "character_freedom": 1,
-               "special_values": ()},
     ("D", 4): {"graded_dims": (1, 8, 10, 8, 1), "deleted": ((0,), (2,), (3,)),
                "levi_components": 1, "character_freedom": 0,
                "special_values": (Q(-1),)},
+    ("A", 3): {"graded_dims": (1, 4, 5, 4, 1), "deleted": ((1,),),
+               "levi_components": 2, "character_freedom": 1,
+               "special_values": ()},
     ("D", 5): {"graded_dims": (1, 12, 19, 12, 1), "deleted": ((0,), (2, 3, 4)),
                "levi_components": 1, "character_freedom": 0,
                "special_values": ()},
+    ("D", 6): {"graded_dims": (1, 16, 32, 16, 1), "deleted": ((0,), (2, 3, 4, 5)),
+               "levi_components": 1, "character_freedom": 0,
+               "special_values": ()},
+    ("D", 7): {"graded_dims": (1, 20, 49, 20, 1),
+               "deleted": ((0,), (2, 3, 4, 5, 6)), "levi_components": 1,
+               "character_freedom": 0, "special_values": ()},
+    ("D", 8): {"graded_dims": (1, 24, 70, 24, 1),
+               "deleted": ((0,), (2, 3, 4, 5, 6, 7)), "levi_components": 1,
+               "character_freedom": 0, "special_values": ()},
 }
 CONTRACTION_CONSTANT = Q(2)   # uniform contraction ratio in the D4 system
 DEFAULT_SEED = 0xD4           # seed of the randomized checks
@@ -157,10 +166,10 @@ class Session:
         return list(self.alg.v_plus) + [self.alg.x_gamma]
 
     @cached_property
-    def symbolic_functionals(self) -> dict[tuple[int, int], tuple[dict, dict]]:
+    def symbolic_functionals(self) -> dict[tuple[int, int], tuple[int, dict]]:
         """Point functionals at the identity of [pi(X), R(w3_k)], s symbolic,
-        as pairs (f0, f1) meaning f0 + s*f1, for X over the grade +1 root
-        vectors and the central vector."""
+        as int pairs (den, {derivative: (a0, a1)}) meaning (a0 + s*a1)/den,
+        for X over the grade +1 root vectors and the central vector."""
         out = {}
         for xi in self.plus_and_center:
             pi_x = self.calc.pi_basis(xi)
@@ -185,7 +194,11 @@ class Session:
     @cached_property
     def functional_span(self) -> Span:
         """The span of the cubic operators' point functionals at the identity."""
-        return Span([_keyed(_s_free(op)) for op in self.omega3_ops])
+        funcs = [op.at_identity() for op in self.omega3_ops]
+        if any(a1 for _, func in funcs for _, a1 in func.values()):
+            raise ValueError("point functional depends on s")
+        return Span([{m: Q(a0, den) for m, (a0, _) in func.items()}
+                     for den, func in funcs])
 
     @cached_property
     def action_matrices_special(self) -> dict[int, list[list[Q]]]:
@@ -196,7 +209,19 @@ class Session:
 
     @cached_property
     def b_matrices(self) -> dict[int, list[list[Q]]]:
-        return _solve_b_matrices(self)
+        """For every basis vector Y the matrix b(Y) with [pi(Y), D_i] =
+        sum_j b(Y)_{ji} D_j as point functionals at the identity."""
+        out = {}
+        for y in range(self.alg.dim):
+            cols = [self.functional_span.coordinates(
+                *self.cubic_commutator(y, i).at_identity())
+                for i in range(len(self.omega3_ops))]
+            if None in cols:
+                raise CheckFailure({
+                    "reason": "commutator functional outside the span",
+                    "basis_vector": self.alg.names[y], "column": cols.index(None)})
+            out[y] = [list(row) for row in zip(*cols)]
+        return out
 
 
 # ------------------------------------------------------------ shared helpers
@@ -326,47 +351,12 @@ def _vanishing_at(s: Session, vectors, sstar: Q) -> int:
     m = len(s.omega3_ops)
     for x in vectors:
         for k in range(m):
-            f0, f1 = s.symbolic_functionals[(x, k)]
-            for der in f0.keys() | f1.keys():
-                _ensure(f0.get(der, 0) + sstar * f1.get(der, 0) == 0,
-                        vector=s.alg.names[x], column=k, derivative=list(der))
+            for der, (a0, a1) in s.symbolic_functionals[(x, k)][1].items():
+                if a0 + sstar * a1:
+                    raise CheckFailure({
+                        "vector": s.alg.names[x], "column": k, "derivative":
+                        [dict(der).get(i, 0) for i in range(s.calc.ncoords)]})
     return len(vectors) * m
-
-
-def _s_free(op: PolyDiffOp) -> dict:
-    """The point functional at the identity of an operator without s."""
-    f0, f1 = op.at_identity()
-    if f1:
-        raise ValueError("point functional depends on s")
-    return f0
-
-
-def _keyed(func: dict) -> dict:
-    """An s-free point functional keyed like a Span: each derivative
-    multi-index d as the PBW monomial with exponents d, each value rational."""
-    return {tuple((i, e) for i, e in enumerate(d) if e): c
-            for d, c in func.items()}
-
-
-def _solve_b_matrices(s: Session) -> dict[int, list[list[Q]]]:
-    """For every basis vector Y solve the matrix b(Y) with
-    [pi(Y), D_i] = sum_j b(Y)_{ji} D_j as point functionals at the identity."""
-    span = s.functional_span
-    m = len(s.omega3_ops)
-    out: dict[int, list[list[Q]]] = {}
-    for y in range(s.alg.dim):
-        bmat = [[Q(0)] * m for _ in range(m)]
-        for i in range(m):
-            d, coords, left = span.eliminate(
-                *int_pairs(_keyed(_s_free(s.cubic_commutator(y, i)))))
-            if left:
-                raise CheckFailure({
-                    "reason": "commutator functional outside the span",
-                    "basis_vector": s.alg.names[y], "column": i})
-            for j, (c, _) in coords.items():
-                bmat[j][i] = Q(c, d)
-        out[y] = bmat
-    return out
 
 
 def _identity_matrix(n: int, c: Q) -> list[list[Q]]:
@@ -842,8 +832,7 @@ def _chk_pi_first_order(s: Session) -> dict:
         op = calc.pi_basis(i)
         _ensure(op.order() <= 1, index=alg.names[i], order=op.order())
     for u in alg.n_indices:
-        f0, f1 = calc.pi_basis(u).at_identity()
-        _ensure(not f0 and not f1, nil=alg.names[u])
+        _ensure(not calc.pi_basis(u).at_identity()[1], nil=alg.names[u])
     return {"operators": alg.dim, "nil_vanishing": len(alg.n_indices)}
 
 
@@ -993,9 +982,9 @@ def _chk_center_vanishing(s: Session) -> dict:
 def _chk_operator_s_set(s: Session) -> dict:
     sstar = s.require_sstar()
     funcs = s.symbolic_functionals.values()
-    # one affine pair per derivative with a nonzero coefficient
-    pairs = [(f0.get(d, 0), f1.get(d, 0))
-             for f0, f1 in funcs for d in f0.keys() | f1.keys()]
+    # one affine pair per derivative with a nonzero coefficient; the root of
+    # a pair does not depend on its functional's den
+    pairs = [pair for _, func in funcs for pair in func.values()]
     _ensure(len(pairs) > 0, nonzero_entries=len(pairs))
     degree, root = common_root(pairs)
     _ensure(degree == 1, gcd_degree=degree)

@@ -11,11 +11,12 @@ held as two ints per monomial over a common denominator
 (VermaModule._act_ints).  act_basis and act return that image as a pair
 (v0, v1) of rational vectors meaning v0 + s*v1; elt_subs evaluates a pair at
 s0.  Span keeps its echelon rows once, as ints, and one int elimination
-(Span.eliminate) gives both the coordinates of a vector of int pairs in the
-span's generators and its leftover outside the span.  The q-stability solve
-reads the leftover: every constraint is an exact rational pair (a0, a1)
-meaning a0 + a1*s, and the special values are read off the pairs.  The
-action matrices read the coordinates of the images evaluated at s0 in ints.
+(Span.eliminate) reduces a vector (den, {monomial: (a0, a1)}) meaning
+(a0 + a1*s)/den, the form of module images and of point functionals
+(diffops.PointFunctional) alike.  The q-stability solve reads the leftover
+outside the span: exact rational pairs (a0, a1) meaning a0 + a1*s, off which
+the special values are read.  Span.coordinates reads the coordinates of an
+s-free vector, for the action matrices and the operator-side b matrices.
 """
 
 from __future__ import annotations
@@ -51,13 +52,6 @@ def _split(den: int, ints: dict[Mono, list[int]]) -> Affine:
         if a1:
             v1[m] = Q(a1, den)
     return v0, v1
-
-
-def int_pairs(v: Elt) -> tuple[int, dict[Mono, tuple[int, int]]]:
-    """An s-free rational vector as int pairs (a, 0) over the lcm of its
-    denominators, the input of Span.eliminate."""
-    den = lcm(*(c.denominator for c in v.values()))
-    return den, {m: (c.numerator * (den // c.denominator), 0) for m, c in v.items()}
 
 
 def elt_subs(v: Affine, s0: Q) -> Elt:
@@ -226,18 +220,16 @@ class VermaModule:
         ValueError when the span is not stable under X_x at s0.
         """
         p, q = s0.numerator, s0.denominator
-        k = len(span.gens)
-        a = [[Q(0)] * k for _ in range(k)]
-        for i, g in enumerate(span.gens):
+        cols = []
+        for g in span.gens:
             self._require_module(g)
             den, ints = self._act_ints(x, g)
-            d, coords, left = span.eliminate(
-                q * den, {m: (q * a0 + p * a1, 0) for m, (a0, a1) in ints.items()})
-            if left:
-                raise ValueError(f"span is not stable under X_{x} at s={s0} (generator {i})")
-            for j, (c, _) in coords.items():
-                a[j][i] = Q(c, d)
-        return a
+            cols.append(span.coordinates(
+                q * den, {m: (q * a0 + p * a1, 0) for m, (a0, a1) in ints.items()}))
+        if None in cols:
+            raise ValueError(f"span is not stable under X_{x} at s={s0} "
+                             f"(generator {cols.index(None)})")
+        return [list(row) for row in zip(*cols)]
 
 
 class Span:
@@ -312,3 +304,14 @@ class Span:
             else:
                 coords[f - n] = (-b0, -b1)
         return den * scale, coords, leftover
+
+    def coordinates(self, den: int, w: dict) -> list[Q] | None:
+        """The rational coefficients of gens in the vector (den, w) of
+        eliminate; None when w is off the span or carries s."""
+        d, coords, leftover = self.eliminate(den, w)
+        if leftover or any(b1 for _, b1 in coords.values()):
+            return None
+        out = [Q(0)] * len(self.gens)
+        for j, (b0, _) in coords.items():
+            out[j] = Q(b0, d)
+        return out

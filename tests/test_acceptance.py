@@ -151,9 +151,9 @@ def test_criterion_06_operator_picture(ses):
         # vanishing point functional at the identity, exactly at s*
         for xi in list(alg.v_plus) + [alg.x_gamma]:
             for k in range(m):
-                f0, f1 = ses.symbolic_functionals[(xi, k)]
-                for d in f0.keys() | f1.keys():
-                    assert f0.get(d, 0) + sstar * f1.get(d, 0) == 0
+                den, func = ses.symbolic_functionals[(xi, k)]
+                for a0, a1 in func.values():
+                    assert Q(a0, den) + sstar * Q(a1, den) == 0
         # opposite-radical operators commute with the cubic operators as a
         # full operator identity, for every parameter value
         for xb in [alg.x_minus_gamma] + list(alg.v_minus):
@@ -162,9 +162,10 @@ def test_criterion_06_operator_picture(ses):
                 assert not pi_x.commutator(op)
         # the eight cubic operators are linearly independent at the identity
         funcs = [op.at_identity() for op in ses.omega3_ops]
-        assert not any(f1 for _, f1 in funcs)
-        ders = sorted({d for f0, _ in funcs for d in f0})
-        mat = [[f0.get(d, Q(0)) for f0, _ in funcs] for d in ders]
+        assert not any(a1 for _, func in funcs for _, a1 in func.values())
+        ders = sorted({d for _, func in funcs for d in func})
+        mat = [[Q(func[d][0], den) if d in func else Q(0) for den, func in funcs]
+               for d in ders]
         assert rank(mat) == m
         # a matrix realization b exists (solved uniquely from the
         # commutators); the structure function C(Y) = b(AdInv(Y)) reproduces

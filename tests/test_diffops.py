@@ -11,6 +11,31 @@ from confsys.diffops import (OperatorCalculus, PolyDiffOp,
                              commutator_at_identity, unpack_key)
 from confsys.poly import Poly
 
+# -- point functionals: a rational view and a term-by-term reference ---------
+
+
+def _rational(func):
+    """A point functional (den, {monomial: (a0, a1)}) as rational pairs, so
+    that functionals over different dens compare by value."""
+    den, pairs = func
+    return {m: (Q(a0, den), Q(a1, den)) for m, (a0, a1) in pairs.items()}
+
+
+def _functional_reference(op):
+    """The point functional of op at the identity read term by term, the
+    s^0 and s^1 parts as rational maps keyed by the derivative's PBW
+    monomial (index, exponent), index order."""
+    n = op.ncoords
+    out = {}
+    for k, v in op.terms.items():
+        key = unpack_key(k, n)
+        if not any(key[:n]):
+            m = tuple((i, b) for i, b in enumerate(key[n + 1:]) if b)
+            pair = out.setdefault(m, [Q(0), Q(0)])
+            pair[key[n]] += Q(v, op.den)
+    return {m: tuple(pair) for m, pair in out.items()}
+
+
 # -- a Poly coefficient view of operators: the reference for compose ----------
 
 
@@ -172,8 +197,8 @@ def test_pi_orders_and_nilradical_functionals(calc_d4):
     for i in range(alg.dim):
         assert calc_d4.pi_basis(i).order() <= 1
     for u in alg.n_indices:
-        f0, f1 = calc_d4.pi_basis(u).at_identity()
-        assert not f0 and not f1
+        _, func = calc_d4.pi_basis(u).at_identity()
+        assert not func
 
 
 def test_pi_coroot_value_at_identity(calc_d4):
@@ -409,10 +434,10 @@ def test_commutator_at_identity_symbolic_pairs(calc_d4, cubic_ops_d4):
     for x in list(alg.v_plus) + [alg.x_gamma]:
         pi_x = calc_d4.pi_basis(x)
         for op in cubic_ops_d4:
-            f0, f1 = commutator_at_identity(pi_x, op)
-            assert (f0, f1) == pi_x.commutator(op).at_identity()
+            func = _rational(commutator_at_identity(pi_x, op))
+            assert func == _rational(pi_x.commutator(op).at_identity())
             pairs += 1
-            with_s += bool(f1)
+            with_s += any(a1 for _, a1 in func.values())
     assert pairs == 72
     assert with_s > 0       # the pairs carry s: the s-part is compared too
 
@@ -423,19 +448,20 @@ def test_commutator_at_identity_at_special_value(calc_d4, cubic_ops_d4):
         y = rng.randrange(calc_d4.alg.dim)
         pi_y = calc_d4.pi_basis(y).subs_param(Q(-1))
         op = rng.choice(cubic_ops_d4)
-        f0, f1 = commutator_at_identity(pi_y, op)
-        assert (f0, f1) == pi_y.commutator(op).at_identity()
-        assert commutator_at_identity(op, pi_y) == \
-            op.commutator(pi_y).at_identity()
-        assert not f1           # no s is left at the special value
+        func = _rational(commutator_at_identity(pi_y, op))
+        assert func == _rational(pi_y.commutator(op).at_identity())
+        assert _rational(commutator_at_identity(op, pi_y)) == \
+            _rational(op.commutator(pi_y).at_identity())
+        assert not any(a1 for _, a1 in func.values())   # no s is left at s = -1
 
 
 def test_point_functionals_raise_on_s_squared(calc_d4):
     alg = calc_d4.alg
     h = next(i for i in alg.cartan_index if alg.dchi_index(i))
     pi_h = calc_d4.pi_basis(h)
-    f0, f1 = pi_h.at_identity()            # -s dchi(h) on the constant
-    assert f1 == {(0,) * calc_d4.ncoords: -alg.dchi_index(h)}
+    func = _rational(pi_h.at_identity())   # -s dchi(h) on the constant
+    assert {m: a1 for m, (_, a1) in func.items() if a1} == \
+        {(): -alg.dchi_index(h)}
     with pytest.raises(ValueError):
         pi_h.compose(pi_h).at_identity()   # s^2 dchi(h)^2 on the constant
     # [s d/dz, s z] = s^2
@@ -483,3 +509,13 @@ def test_compose_matches_sympy():
         lhs = act(a.compose(b), f)
         rhs = act(a, act(b, f))
         assert sympy.expand(lhs - rhs) == 0
+
+
+def test_point_functionals_match_term_by_term_reference(calc_d4, cubic_ops_d4):
+    # the s-free cubic operators, whose functionals span the b-matrix
+    # solve, and the s-dependent induced operators, on every derivative
+    pis = [calc_d4.pi_basis(i) for i in range(calc_d4.alg.dim)]
+    for op in cubic_ops_d4 + pis:
+        assert _rational(op.at_identity()) == _functional_reference(op)
+    assert all(_functional_reference(op) for op in cubic_ops_d4)
+    assert any(a1 for op in pis for _, a1 in _functional_reference(op).values())

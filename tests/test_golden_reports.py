@@ -1,5 +1,6 @@
-"""Golden reports: D4, A3, D5, D6, D7 and D8 verdicts frozen apart from
-timings: the D4 system and every control of the verification battery.
+"""Golden reports: the verdicts of every type with a verify.EXPECTED row
+(D4, A3, D5, D6, D7 and D8) frozen apart from timings: the D4 system and
+every control of the verification battery.
 
 The frozen view of a report is its graded dimensions, deleted components,
 special-value findings and each check's (name, statement, status,
@@ -16,11 +17,12 @@ from pathlib import Path
 
 import pytest
 
-from confsys.verify import SuiteConfig, run_suite
+from confsys.verify import EXPECTED, SuiteConfig, run_suite
 
 GOLDEN = Path(__file__).parent / "data" / "golden_reports.json"
-RUNS = {"D4": True, "A3": False, "D5": False, "D6": False,   # type -> expect_system
-        "D7": False, "D8": False}
+# type -> expect_system: the system scope where a special value is expected
+RUNS = {f"{family}{rank}": bool(row["special_values"])
+        for (family, rank), row in EXPECTED.items()}
 
 
 def golden_view(type_label: str, expect_system: bool) -> dict:

@@ -167,9 +167,9 @@ def test_b_matrices_match_dense_solve_reference(tmp_path):
     # operators' point functionals over every derivative multi-index that
     # occurs, and one linalg.solve per commutator column
     def s_free(op):
-        f0, f1 = op.at_identity()
-        assert not f1
-        return f0
+        den, func = op.at_identity()
+        assert not any(a1 for _, a1 in func.values())
+        return {d: Q(a0, den) for d, (a0, _) in func.items()}
 
     session = Session(SuiteConfig(type_label="D4", cache_dir=str(tmp_path)))
     funcs = [s_free(op) for op in session.omega3_ops]
@@ -216,11 +216,17 @@ def _common_root_as_reference(pairs):
 def test_common_root_matches_gcd_reference_on_symbolic_functionals(tmp_path,
                                                                    label):
     session = Session(SuiteConfig(type_label=label, cache_dir=str(tmp_path)))
-    per_functional = [[(f0.get(d, 0), f1.get(d, 0)) for d in f0.keys() | f1.keys()]
-                      for f0, f1 in session.symbolic_functionals.values()]
+    funcs = session.symbolic_functionals.values()
+    per_functional = [[(Q(a0, den), Q(a1, den)) for a0, a1 in func.values()]
+                      for den, func in funcs]
     together = [p for pairs in per_functional for p in pairs]
     for pairs in per_functional + [together]:
         assert _common_root_as_reference(pairs) == _gcd_reference(pairs), pairs
+    # the int pairs the check reads give the same roots, whatever their dens
+    ints = [list(func.values()) for _, func in funcs]
+    for got, pairs in zip(ints + [[p for ps in ints for p in ps]],
+                          per_functional + [together]):
+        assert common_root(got) == common_root(pairs)
     # the controls' functionals have roots one by one, but none in common
     assert any(common_root(pairs)[0] == 1 for pairs in per_functional)
     assert common_root(together) == ((1, Q(-1)) if label == "D4" else (0, None))
@@ -303,3 +309,38 @@ def _contraction_reference(s: Session):
 def test_contraction_data_matches_per_term_reference(tmp_path, label):
     session = Session(SuiteConfig(type_label=label, cache_dir=str(tmp_path)))
     assert _contraction_data(session) == _contraction_reference(session)
+
+
+def _infinitesimal_character_candidates(rs):
+    """The parameter values the infinitesimal character allows for the cubic
+    span: for a grade 1 simple root alpha and nu = gamma + alpha,
+    s0 = (<nu, nu> - 2<nu, rho>) / (2<gamma, nu>), one value per alpha."""
+    gamma = rs.highest
+    two_rho = tuple(map(sum, zip(*rs.positive)))
+    out = set()
+    for i in range(rs.rank):
+        if rs.pairing(rs.simple(i), gamma) == 1:
+            nu = tuple(g + a for g, a in zip(gamma, rs.simple(i)))
+            out.add(Q(rs.pairing(nu, nu) - rs.pairing(nu, two_rho),
+                      2 * rs.pairing(gamma, nu)))
+    return out
+
+
+def test_infinitesimal_character_gives_d4_special_value(tmp_path):
+    session = Session(SuiteConfig(type_label="D4", cache_dir=str(tmp_path)))
+    assert _infinitesimal_character_candidates(session.alg.rs) == {session.sstar}
+    assert session.sstar == -1
+
+
+@pytest.mark.parametrize("label, candidate", [
+    ("A3", Q(-1, 3)), ("D5", Q(-5, 3)), ("D6", Q(-7, 3)), ("D7", Q(-3)),
+    ("D8", Q(-11, 3))])
+def test_infinitesimal_character_candidate_is_refuted_on_controls(tmp_path, label,
+                                                                 candidate):
+    # the candidate the infinitesimal character allows is not a stable value:
+    # some stability constraint of the cubic span is nonzero there
+    session = Session(SuiteConfig(type_label=label, expect_system=False,
+                                  cache_dir=str(tmp_path)))
+    assert _infinitesimal_character_candidates(session.alg.rs) == {candidate}
+    levi, nil = session.verma.stability_constraints(session.omega3_gens)
+    assert any(a0 + a1 * candidate for a0, a1 in levi + nil)

@@ -2,6 +2,7 @@
 
 from fractions import Fraction as Q
 from functools import reduce
+from math import lcm
 
 import pytest
 
@@ -159,6 +160,46 @@ def test_module_action_matrix_matches_dense_solve_reference(verma_d4, omega_d4,
         assert verma_d4.module_action_matrix(span, x, s0) == want, x
     # at s = -1 the span is q-stable; at 5/2 only the Levi factor keeps it
     assert stable == (len(alg.q_indices) if s0 == -1 else len(alg.l_indices))
+
+
+def _int_pairs(v0, v1=None):
+    """The module vector v0 + s*v1 as (den, {monomial: (a0, a1)}), the
+    int-pair form Span.coordinates reads."""
+    v1 = v1 or {}
+    den = lcm(*(c.denominator for v in (v0, v1) for c in v.values()))
+    return den, {m: (int(v0.get(m, 0) * den), int(v1.get(m, 0) * den))
+                 for m in v0.keys() | v1.keys()}
+
+
+@pytest.mark.parametrize("s0", [Q(5, 2), Q(-1)])
+def test_span_coordinates_match_dense_solve_reference(verma_d4, omega_d4, s0):
+    """Every q image of the D4 cubic generators at s0, against one
+    linalg.solve each: equal coordinates on the span, None off it."""
+    alg = verma_d4.env.alg
+    gens = omega_d4.omega3_system()
+    span = Span(gens)
+    off = 0
+    for x in alg.q_indices:
+        for g in gens:
+            v = elt_subs(verma_d4.act({x: Q(1)}, g), s0)
+            mons = sorted({m for u in gens + [v] for m in u})
+            mat = [[u.get(m, Q(0)) for u in gens] for m in mons]
+            want = solve(mat, [v.get(m, Q(0)) for m in mons])
+            assert span.coordinates(*_int_pairs(v)) == want, (x, g)
+            off += want is None
+    assert (off == 0) == (s0 == -1)
+
+
+def test_span_coordinates_reject_off_span_and_s_parts():
+    a, b, c = ((0, 1),), ((1, 1),), ((2, 1),)
+    span = Span([{a: Q(1), b: Q(1, 2)}, {c: Q(3)}])
+    assert span.coordinates(*_int_pairs({a: Q(2), b: Q(1), c: Q(1)})) == \
+        [Q(2), Q(1, 3)]
+    assert span.coordinates(*_int_pairs({a: Q(1)})) is None          # off the span
+    assert span.coordinates(*_int_pairs({((3, 1),): Q(1)})) is None  # off its monomials
+    # s times a span vector: in the span over Q[s], but it carries s
+    assert span.coordinates(*_int_pairs({}, {c: Q(1)})) is None
+    assert span.coordinates(*_int_pairs({a: Q(1), b: Q(1, 2)}, {c: Q(1)})) is None
 
 
 def test_module_action_matrix_rejects_unstable(verma_d4):
