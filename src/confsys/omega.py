@@ -2,9 +2,10 @@
 
 For Z in the Levi factor l, the quadratic map produces a degree-2 element of
 U(nbar) built from the symplectic pairing on V+ (the bracket into the grade-2
-line) and the half-twisted action of Z on V-.  The cubic system attaches to
-each Y in V- the degree-3 element obtained by contracting the quadratic map
-against the V+/V- duality.  Both maps are linear and exact over Q.
+line) and the half-twisted action of Z on V-.  The cubic map attaches to
+each Y in V- the degree-3 element sum_w w* omega2([w, Y]), contracted over a
+basis w of V+ and its dual basis w* of V- under the invariant form.  Both maps
+are linear and exact over Q, and their elements hold no zero coefficient.
 
 Normalization: the quadratic map is fixed only up to a global nonzero scalar
 by the identities it must satisfy (all of them are homogeneous in it); the
@@ -87,42 +88,35 @@ class OmegaSystem:
 
     # -- degree 3 -------------------------------------------------------------
 
-    def omega3_basis(self, y_idx: int) -> Elt:
-        """Cubic element for the basis vector at index y_idx in V-."""
+    def omega3(self, y: dict[int, Q]) -> Elt:
+        """Cubic element for Y in V-, contracted over the root vectors X_b of
+        V+ and their duals X_-b; linear in Y; rejects Y outside V-."""
         alg = self.alg
-        if y_idx not in alg.v_minus:
-            raise ValueError(f"basis index {y_idx} is not in V-")
+        for i in y:
+            if i not in alg.v_minus:
+                raise ValueError(f"basis index {i} is not in V-")
+        if not y:
+            return {}
         return self.omega3_from_basis([{b: 1} for b in alg.v_plus],
                                       [{alg.opposite[b]: 1} for b in alg.v_plus],
-                                      y_idx)
-
-    def omega3(self, y: dict[int, Q]) -> Elt:
-        allowed = set(self.alg.v_minus)
-        for i in y:
-            if i not in allowed:
-                raise ValueError(f"basis index {i} is not in V-")
-        out: Elt = {}
-        for i, c in y.items():
-            if c:
-                out = elt_add(out, elt_scale(self.omega3_basis(i), c))
-        return out
+                                      y)
 
     def omega3_system(self) -> list[Elt]:
         """The full cubic system, one element per basis vector of V-."""
-        return [self.omega3_basis(i) for i in self.alg.v_minus]
+        return [self.omega3({i: 1}) for i in self.alg.v_minus]
 
     def omega3_from_basis(self, w_basis: list[dict[int, Q]],
-                          w_dual: list[dict[int, Q]], y_idx: int) -> Elt:
-        """The cubic element contracted over any basis of V+ and its dual.
+                          w_dual: list[dict[int, Q]], y: dict[int, Q]) -> Elt:
+        """The cubic element of Y contracted over any basis of V+ and its dual.
 
         w_basis spans V+; w_dual must be the dual basis of V- under the
-        invariant form: the root vectors X_b and X_-b for omega3_basis,
-        random bases to confirm basis independence.
+        invariant form: the root vectors X_b and X_-b for omega3, random
+        bases to confirm basis independence.
         """
         env = self.env
         out: Elt = {}
         for w, wstar in zip(w_basis, w_dual):
-            w2 = self.omega2(self.alg.bracket_elem(w, {y_idx: 1}))
+            w2 = self.omega2(self.alg.bracket_elem(w, y))
             if w2:
                 out = elt_add(out, env.mul(env.from_lie(wstar), w2))
         return out

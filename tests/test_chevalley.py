@@ -125,8 +125,8 @@ def test_killing_normalization_all_root_pairs(alg_d4):
         if a is None:
             continue
         j = alg_d4.index_of_root[negate(a)]
-        assert alg_d4.killing(i, j) == 1
-        assert alg_d4.killing(i, i) == 0
+        assert alg_d4.killing_elem({i: 1}, {j: 1}) == 1
+        assert alg_d4.killing_elem({i: 1}, {i: 1}) == 0
 
 
 def test_heisenberg_bracket_structure(alg_d4):
@@ -153,15 +153,13 @@ def test_character_values(alg_d4):
     for i in alg.v_plus:
         h = alg.h_of(alg.root_of[i])
         assert alg.dchi(h) == 1
-    # 0 on Levi root vectors, errors off the parabolic
-    for i in alg.l_indices:
+    # 0 on the root vectors of q (the nilradical included), errors off q
+    for i in alg.q_indices:
         if alg.root_of[i] is not None:
             assert alg.dchi({i: Q(1)}) == 0
     with pytest.raises(ValueError):
         alg.dchi({alg.x_minus_gamma: Q(1)})
-    with pytest.raises(ValueError):
-        alg.dchi({alg.x_gamma: Q(1)})  # nilradical needs on_q=True
-    assert alg.dchi({alg.x_gamma: Q(1)}, on_q=True) == 0
+    assert alg.dchi({alg.x_gamma: Q(1)}) == 0
 
 
 def test_structure_constants_pm_one(alg_d4):
@@ -351,8 +349,17 @@ def test_killing_elem_matches_dense_double_sum(label):
     cartan = list(alg.cartan_index)
     rng = random.Random(f"killing-{label}")
 
+    def form(i, j):
+        """B on two basis vectors, from its definition."""
+        ri, rj = alg.root_of[i], alg.root_of[j]
+        if ri is None and rj is None:
+            return Q(alg.rs.gram[alg.simple_of[i]][alg.simple_of[j]])
+        if ri is None or rj is None:
+            return Q(0)
+        return Q(all(x + y == 0 for x, y in zip(ri, rj)))
+
     def dense(a, b):
-        return sum((ca * cb * alg.killing(i, j)
+        return sum((ca * cb * form(i, j)
                     for i, ca in a.items() for j, cb in b.items()), Q(0))
 
     def element(pool, size):

@@ -127,7 +127,7 @@ def test_contraction_identity_with_unique_constant(omega_d4, alg_d4):
 def test_cubic_nonzero_and_weighted_homogeneous(omega_d4, alg_d4):
     allowed = set(alg_d4.v_minus) | {alg_d4.x_minus_gamma}
     for y in alg_d4.v_minus:
-        w3 = omega_d4.omega3_basis(y)
+        w3 = omega_d4.omega3({y: 1})
         assert w3
         for m in w3:
             assert weighted_degree(alg_d4, m) == 3
@@ -136,7 +136,25 @@ def test_cubic_nonzero_and_weighted_homogeneous(omega_d4, alg_d4):
 
 def test_cubic_rejects_indices_outside_grade_minus_one(omega_d4, alg_d4):
     with pytest.raises(ValueError):
-        omega_d4.omega3_basis(alg_d4.x_gamma)
+        omega_d4.omega3({alg_d4.x_gamma: 1})
+
+
+def test_cubic_is_linear_and_rejects_mixed_indices(omega_d4, alg_d4):
+    y1, y2 = alg_d4.v_minus[0], alg_d4.v_minus[3]
+    combo = omega_d4.omega3({y1: Q(2), y2: Q(-3, 2)})
+    split = elt_add(elt_scale(omega_d4.omega3({y1: 1}), 2),
+                    elt_scale(omega_d4.omega3({y2: 1}), Q(-3, 2)))
+    assert combo and combo == split
+    with pytest.raises(ValueError):
+        omega_d4.omega3({y1: 1, alg_d4.x_minus_gamma: 1})
+
+
+def test_cubic_of_zero_is_zero_without_brackets(omega_d4, monkeypatch):
+    calls = []
+    monkeypatch.setattr(type(omega_d4.alg), "bracket_elem",
+                        lambda *args: calls.append(args))
+    assert omega_d4.omega3({}) == {}
+    assert calls == []
 
 
 def test_nilradical_annihilates_cubic_exactly_at_special(omega_d4, alg_d4,
@@ -154,7 +172,7 @@ def test_nilradical_annihilates_cubic_exactly_at_special(omega_d4, alg_d4,
 
 def test_cubic_weight_at_special(omega_d4, alg_d4, verma_d4):
     for y in alg_d4.v_minus:
-        w3 = omega_d4.omega3_basis(y)
+        w3 = omega_d4.omega3({y: 1})
         got = elt_subs(verma_d4.act(alg_d4.h_gamma, w3), SPECIAL)
         assert not elt_sub(got, elt_scale(w3, Q(-5)))
 
@@ -164,7 +182,7 @@ def test_cubic_equivariance_at_special(omega_d4, alg_d4, verma_d4):
     for z in alg.l_indices:
         dz = alg.dchi({z: Q(1)})
         for y in alg.v_minus:
-            w3 = om.omega3_basis(y)
+            w3 = om.omega3({y: 1})
             br = dict(alg.bracket(z, y))
             lhs = om.omega3(br) if br else {}
             rhs = elt_add(elt_subs(vm.act({z: Q(1)}, w3), SPECIAL),
@@ -191,8 +209,8 @@ def test_cubic_is_basis_independent(omega_d4, alg_d4):
     for _ in range(2):
         basis, dual = _random_basis_with_dual(alg_d4, rng)
         for y in alg_d4.v_minus:
-            redone = omega_d4.omega3_from_basis(basis, dual, y)
-            assert not elt_sub(redone, omega_d4.omega3_basis(y))
+            redone = omega_d4.omega3_from_basis(basis, dual, {y: 1})
+            assert not elt_sub(redone, omega_d4.omega3({y: 1}))
 
 
 def test_contraction_constant_not_uniform_in_controls(alg_a3):

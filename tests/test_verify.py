@@ -1,5 +1,6 @@
 """Check registry, scoping, and the skip/fail paths of the suite runner."""
 
+import dataclasses
 from fractions import Fraction as Q
 from functools import reduce
 
@@ -56,6 +57,51 @@ def test_core_checks_pass_on_control_algebra(tmp_path):
                  "levi_module_decomposition", "character_normalization"):
         res = run_single(session, name)
         assert res.status == "pass", (name, res.witness)
+
+
+def _flip_bracket(alg, g, y):
+    """alg with the signs of [X_g, X_y] and [X_y, X_g] both flipped: the table
+    stays antisymmetric."""
+    table = [list(line) for line in alg.table]
+    for i, j in ((g, y), (y, g)):
+        table[i][j] = tuple((k, -c) for k, c in table[i][j])
+    return dataclasses.replace(alg, table=tuple(map(tuple, table)))
+
+
+@pytest.mark.parametrize("part", ["root", "coroot"])
+def test_invariant_form_catches_a_sign_flip_at_each_generator(tmp_path, part):
+    """A sign flip at a Chevalley generator g breaks ad-invariance in B's
+    root part ([X_g, X_y] a root vector, y a root vector) or in its coroot
+    part ([X_g, X_-g] = H_g); the generator proof fails on both, at every
+    generator."""
+    session = Session(SuiteConfig(type_label="D4", cache_dir=str(tmp_path)))
+    alg = session.alg
+    assert run_single(session, "invariant_form").status == "pass"
+    for g in alg.chevalley_generators:
+        if part == "root":
+            y = next(y for y, row in enumerate(alg.table[g]) if row
+                     and alg.root_of[y] is not None and alg.root_of[row[0][0]])
+        else:
+            y = alg.opposite[g]
+        session.alg = _flip_bracket(alg, g, y)
+        res = run_single(session, "invariant_form")
+        assert res.status == "fail"
+        assert res.witness["generator"] in (alg.names[g], alg.names[y])
+
+
+def test_invariant_form_proof_agrees_with_every_triple(tmp_path):
+    """On A3 the generator proof's conclusion holds on every basis triple:
+    B([x,y],z) + B(y,[x,z]) = 0."""
+    session = Session(SuiteConfig(type_label="A3", expect_system=False,
+                                  cache_dir=str(tmp_path)))
+    alg = session.alg
+    assert run_single(session, "invariant_form").status == "pass"
+    basis = [{i: 1} for i in range(alg.dim)]
+    for x in basis:
+        for y in basis:
+            for z in basis:
+                assert (alg.killing_elem(alg.bracket_elem(x, y), z)
+                        + alg.killing_elem(y, alg.bracket_elem(x, z))) == 0
 
 
 def test_exceptions_become_failures_with_witness(tmp_path):

@@ -1,5 +1,6 @@
 """Scalar-induced module over the parabolic: action, weights, solver."""
 
+import random
 from fractions import Fraction as Q
 from functools import reduce
 from math import lcm
@@ -94,11 +95,40 @@ def test_weights_of_low_degree_vectors(verma_d4, omega_d4):
     cases = [
         (verma_d4.env.gen(alg.v_minus[0]), -1),
         (verma_d4.env.gen(alg.x_minus_gamma), -2),
-        (omega_d4.omega3_basis(alg.v_minus[0]), -3),
+        (omega_d4.omega3({alg.v_minus[0]: 1}), -3),
     ]
     for v, shift in cases:
         expected = (elt_scale(v, shift), elt_scale(v, 2))
         assert _same(verma_d4.act(alg.h_gamma, v), expected)
+
+
+def test_engine_vectors_hold_no_zero_coefficient(verma_d4, omega_d4):
+    """Every vector the engine builds is canonical, so == is exact equality:
+    on a seeded D4 sample, products in U(g), the quadratic and cubic
+    elements, both parts of act_basis and act, and elt_subs values hold no
+    zero coefficient, also where terms cancel (the nilradical on the cubic
+    elements at s = -1)."""
+    env, alg = verma_d4.env, verma_d4.env.alg
+    rng = random.Random("canonical-d4")
+    states = ([env.one()]
+              + [{m: 1} for m in rng.sample(monomials_up_to(alg.nbar_indices, 2), 6)]
+              + [omega_d4.omega2_basis(z) for z in rng.sample(alg.l_indices, 4)]
+              + [omega_d4.omega3({y: 1}) for y in rng.sample(alg.v_minus, 3)])
+    vectors = list(states)
+    for _ in range(30):
+        a, b = (rng.choice(states) for _ in range(2))
+        x = rng.randrange(alg.dim)
+        ma, mb = next(iter(a)), next(iter(b))
+        vectors += [env.mul(a, b), env.mul(env.gen(x), b), env.mono_mul(ma, mb),
+                    env.mono_mul(((x, 1),), mb)]
+        coeffs = {i: Q(rng.randint(-2, 2)) for i in rng.sample(range(alg.dim), 3)}
+        for pair in (verma_d4.act_basis(x, b), verma_d4.act(coeffs, b)):
+            vectors += [*pair, elt_subs(pair, Q(-1)), elt_subs(pair, Q(rng.randint(-3, 3)))]
+    annihilated = [elt_subs(verma_d4.act({u: Q(1)}, w3), Q(-1))
+                   for w3 in omega_d4.omega3_system() for u in alg.n_indices]
+    assert not any(annihilated)    # every term cancels, leaving {}
+    for v in vectors:
+        assert all(c != 0 for c in v.values())
 
 
 def test_singular_values_d4(verma_d4, omega_d4):
@@ -208,7 +238,7 @@ def test_module_action_matrix_rejects_unstable(verma_d4):
     gens = [verma_d4.env.gen(a)]
     # the Killing-dual raising vector maps X_{-eps}*1 onto the cyclic vector,
     # which lies outside the one-dimensional span
-    x = next(b for b in alg.v_plus if alg.killing(b, a))
+    x = next(b for b in alg.v_plus if alg.killing_elem({b: 1}, {a: 1}))
     with pytest.raises(ValueError):
         verma_d4.module_action_matrix(Span(gens), x, Q(-1))
 
