@@ -172,41 +172,40 @@ class VermaModule:
 
     # -- exact stability analysis ---------------------------------------------
 
-    def stability_constraints(self, gens: list[Elt]) -> tuple[list[Pair], list[Pair]]:
-        """Affine conditions a0 + a1*s = 0 for q-stability of the span W of gens.
+    def stability_constraints(self, span: Span) -> tuple[list[Pair], list[Pair]]:
+        """Affine conditions a0 + a1*s = 0 for q-stability of the span W.
 
         Returns (levi_constraints, nilradical_constraints) as exact rational
         pairs (a0, a1): the constraints from acting by each generator x of q
         (LieAlgebra.q_generators), filed by the grade of x.  The constraints
-        from x are the coefficients each acted generator of W leaves outside
-        W (the leftover of Span.eliminate), so W is stable under x at s = s0 iff
-        they all vanish at s0.  They are affine by the lemma in _act_mono,
-        since the generators of W are s-free.
+        from x are the coefficients each acted generator of W (span.gens)
+        leaves outside W (the leftover of Span.eliminate), so W is stable
+        under x at s = s0 iff they all vanish at s0.  They are affine by the
+        lemma in _act_mono, since the generators of W are s-free.
 
         Acting by generators suffices: at a fixed s0 the x in q with
         x.W in W form a Lie subalgebra, since [x, y].w = x.(y.w) - y.(x.w),
         so it is all of q once it holds the generators.  Likewise the grade 0
         generators generate the Levi factor l.
         """
-        for g in gens:
+        for g in span.gens:
             if not g:
                 raise ValueError("zero generator in candidate span")
             self._require_module(g)
-        span = Span(gens)
         levi: list[Pair] = []
         nil: list[Pair] = []
         for x in self.alg.q_generators:
             out = levi if self.alg.grade[x] == 0 else nil
-            for g in gens:
+            for g in span.gens:
                 d, _, left = span.eliminate(*self._act_ints(x, g))
                 out.extend((Q(b0, d), Q(b1, d)) for b0, b1 in left)
         return levi, nil
 
-    def singular_values(self, gens: list[Elt]) -> StabilityResult:
-        """Exactly the rational s0 at which the span of gens is q-stable:
-        the common root of the affine constraint pairs (linalg.common_root),
-        every s when there is no constraint."""
-        levi, nil = self.stability_constraints(gens)
+    def singular_values(self, span: Span) -> StabilityResult:
+        """Exactly the rational s0 at which span is q-stable: the common root
+        of the affine constraint pairs (linalg.common_root), every s when
+        there is no constraint."""
+        levi, nil = self.stability_constraints(span)
         degree, root = linalg.common_root(levi + nil)
         return StabilityResult(degree < 0, () if root is None else (root,),
                                not levi, len(levi) + len(nil))

@@ -9,6 +9,7 @@ import pytest
 
 from confsys.diffops import (OperatorCalculus, PolyDiffOp,
                              commutator_at_identity, unpack_key)
+from confsys.pbw import mono_word, monomials_up_to
 from confsys.poly import Poly
 
 # -- point functionals: a rational view and a term-by-term reference ---------
@@ -179,17 +180,33 @@ def test_r_is_multiplicative(calc_d4, env_d4, normal_order):
     assert left == right
 
 
-def test_pi_is_a_homomorphism_sample(calc_d4):
+def test_pi_is_a_homomorphism_on_every_pair(calc_d4):
+    # the exhaustive oracle behind the pi_homomorphism check, which tests
+    # only X among the Chevalley generators: all 378 unordered D4 pairs
     alg = calc_d4.alg
-    rng = random.Random(13)
-    for _ in range(20):
-        i = rng.randrange(alg.dim)
-        j = rng.randrange(alg.dim)
-        lhs = calc_d4.pi_basis(i).commutator(calc_d4.pi_basis(j))
-        rhs = calc_d4.zero_op()
-        for k, c in alg.bracket(i, j):
-            rhs = rhs + calc_d4.pi_basis(k) * c
-        assert lhs == rhs
+    pairs = 0
+    for i in range(alg.dim):
+        for j in range(i + 1, alg.dim):
+            lhs = calc_d4.pi_basis(i).commutator(calc_d4.pi_basis(j))
+            rhs = calc_d4.zero_op()
+            for k, c in alg.bracket(i, j):
+                rhs = rhs + calc_d4.pi_basis(k) * c
+            assert lhs == rhs, (alg.names[i], alg.names[j])
+            pairs += 1
+    assert pairs == 378
+
+
+def test_r_mono_composes_r_gen_over_the_word(calc_d4):
+    # the lemma behind the degree <= 1 nbar_commutant check: R of an nbar
+    # monomial is the composition of R over its word, in order
+    alg = calc_d4.alg
+    monos = monomials_up_to(alg.nbar_indices, 3)
+    assert len(monos) == 220
+    for m in monos:
+        want = calc_d4.identity_op()
+        for g in mono_word(m):
+            want = want.compose(calc_d4.r_gen(g))
+        assert calc_d4.r_mono(m) == want, m
 
 
 def test_pi_orders_and_nilradical_functionals(calc_d4):

@@ -388,5 +388,78 @@ def test_infinitesimal_character_candidate_is_refuted_on_controls(tmp_path, labe
     session = Session(SuiteConfig(type_label=label, expect_system=False,
                                   cache_dir=str(tmp_path)))
     assert _infinitesimal_character_candidates(session.alg.rs) == {candidate}
-    levi, nil = session.verma.stability_constraints(session.omega3_gens)
+    levi, nil = session.verma.stability_constraints(session.cubic_span)
     assert any(a0 + a1 * candidate for a0, a1 in levi + nil)
+
+
+# -- mutants of the system checks reduced to generators: each is caught by the
+# reduced check, and by the all-basis loop it replaced, which tested a
+# superset of the same identities
+
+
+def _d4_session(tmp_path) -> Session:
+    return Session(SuiteConfig(type_label="D4", cache_dir=str(tmp_path)))
+
+
+def test_pi_homomorphism_catches_a_negated_non_generator(tmp_path):
+    session = _d4_session(tmp_path)
+    alg, calc = session.alg, session.calc
+    assert run_single(session, "pi_homomorphism").status == "pass"
+    bad = next(i for i in range(alg.dim) if alg.root_of[i] is not None
+               and i not in alg.chevalley_generators)
+    pi_basis = calc.pi_basis
+    calc.pi_basis = lambda i: -pi_basis(i) if i == bad else pi_basis(i)
+    assert run_single(session, "pi_homomorphism").status == "fail"
+
+
+def test_basis_independence_catches_a_diagonal_dual(tmp_path):
+    # the mutant keeps only the coefficient of X_-b_i in w*_i: the root
+    # basis is unchanged, every random one is not
+    session = _d4_session(tmp_path)
+    alg, om = session.alg, session.omega
+    assert run_single(session, "basis_independence").status == "pass"
+    rebuild = om.omega3_from_basis
+
+    def diagonal_dual(w_basis, w_dual, y):
+        diag = [{k: c for k, c in ws.items() if k == alg.opposite[b]}
+                for b, ws in zip(alg.v_plus, w_dual)]
+        return rebuild(w_basis, diag, y)
+
+    om.omega3_from_basis = diagonal_dual
+    res = run_single(session, "basis_independence")
+    assert res.status == "fail"
+    assert res.witness["index"] == alg.names[alg.v_minus[0]]
+
+
+def test_nbar_commutant_catches_a_perturbed_right_action(tmp_path):
+    session = _d4_session(tmp_path)
+    alg, calc, env = session.alg, session.calc, session.env
+    bad = alg.nbar_indices[-1]
+    for xb in alg.nbar_indices:   # keep pi itself unperturbed
+        calc.pi_basis(xb)
+    r_gen = calc.r_gen
+    calc.r_gen = lambda g: r_gen(g) + calc.var(bad) if g == bad else r_gen(g)
+    res = run_single(session, "nbar_commutant")
+    assert res.status == "fail"
+    assert res.witness["monomial"] == env.format({((bad, 1),): 1})
+
+
+def test_reducibility_witness_catches_a_wrong_action_at_each_generator(tmp_path):
+    session = _d4_session(tmp_path)
+    alg, vm = session.alg, session.verma
+    assert run_single(session, "reducibility_witness").status == "pass"
+    act = vm.act
+
+    def wrong_at(g):
+        # adds the cyclic vector, which is never in the image of a cubic
+        # element under a generator (grade -1, 0 or 1)
+        def wrong(x, v):
+            v0, v1 = act(x, v)
+            return (elt_add(v0, {(): Q(1)}), v1) if list(x) == [g] else (v0, v1)
+        return wrong
+
+    for g in alg.chevalley_generators:
+        vm.act = wrong_at(g)
+        res = run_single(session, "reducibility_witness")
+        assert res.status == "fail"
+        assert res.witness["vector"] == alg.names[g]

@@ -132,7 +132,7 @@ def test_engine_vectors_hold_no_zero_coefficient(verma_d4, omega_d4):
 
 
 def test_singular_values_d4(verma_d4, omega_d4):
-    res = verma_d4.singular_values(omega_d4.omega3_system())
+    res = verma_d4.singular_values(Span(omega_d4.omega3_system()))
     assert res.values == (Q(-1),)
     assert res.levi_stable_all_s
     assert not res.all_s
@@ -144,7 +144,7 @@ def test_singular_values_stable_span(verma_d4):
     gens = [verma_d4.env.gen(i)
             for i in [alg.x_minus_gamma] + list(alg.v_minus)]
     gens.append(verma_d4.env.one())
-    res = verma_d4.singular_values(gens)
+    res = verma_d4.singular_values(Span(gens))
     assert res.all_s
     assert res.levi_stable_all_s
     assert res.constraint_count == 0
@@ -315,7 +315,7 @@ def test_stability_constraints_match_complement_reference(request, label, count)
     env = Enveloping(request.getfixturevalue(f"alg_{label}"))
     vm = VermaModule(env)
     gens = OmegaSystem(env).omega3_system()
-    levi, nil = vm.stability_constraints(gens)
+    levi, nil = vm.stability_constraints(Span(gens))
     ref_levi, ref_nil = _complement_constraints(vm, gens,
                                                 _generators_by_grade(env.alg))
     assert (levi, nil) == (ref_levi, ref_nil)
@@ -335,7 +335,7 @@ def test_stability_constraints_match_complement_reference_inside_support(verma_d
     levi, nil = _complement_constraints(verma_d4, gens,
                                         _generators_by_grade(env.alg))
     assert levi and nil
-    assert verma_d4.stability_constraints(gens) == (levi, nil)
+    assert verma_d4.stability_constraints(Span(gens)) == (levi, nil)
 
 
 @pytest.mark.parametrize("label", ["A2", "A3", "A4", "D4", "D5"])
@@ -352,7 +352,7 @@ def test_singular_values_match_all_of_q_reference(label):
         constraints = [S * a1 + Poly.constant(1, a0) for a0, a1 in levi + nil]
         gcd = reduce(poly_gcd, constraints, Poly.constant(1, 0))
         values = tuple(rational_roots(gcd)) if constraints else ()
-        res = vm.singular_values(gens)
+        res = vm.singular_values(Span(gens))
         assert (res.values, res.all_s, res.levi_stable_all_s) == (
             values, not constraints, not levi)
 
@@ -370,7 +370,7 @@ def test_stability_constraints_act_by_generators_only(verma_d4, omega_d4,
         return act_ints(self, i, v)
 
     monkeypatch.setattr(VermaModule, "_act_ints", counted)
-    verma_d4.stability_constraints(gens)
+    verma_d4.stability_constraints(Span(gens))
     assert len(calls) == 64
     assert set(calls) == set(verma_d4.alg.q_generators)
 
@@ -402,7 +402,7 @@ def test_s_enters_only_through_the_module_action(request, label):
 def test_parameter_dependent_generators_rejected(verma_d4):
     gens = [elt_scale(verma_d4.env.gen(1), S)]
     with pytest.raises(NotImplementedError):
-        verma_d4.singular_values(gens)
+        verma_d4.singular_values(Span(gens))
 
 
 def test_generic_rank(verma_d4, omega_d4):
@@ -426,7 +426,7 @@ def test_control_solvers_empty():
         rs = build_root_system(RootSystemSpec.parse(label))
         env = Enveloping(build_lie_algebra(rs, check=False))
         om = OmegaSystem(env)
-        res = VermaModule(env).singular_values(om.omega3_system())
+        res = VermaModule(env).singular_values(Span(om.omega3_system()))
         assert res.values == ()
         assert not res.all_s
         assert res.levi_stable_all_s
