@@ -12,6 +12,16 @@ B(H_a, H_b) = (a, b); the invariant_form check proves it ad-invariant.
 
 Every structure constant is therefore a Python int, and the bracket table
 holds ints: products built from it divide nowhere, so they need no Fraction.
+The parabolic character is an int on every basis vector too (_dchi_table),
+so the checks that need only brackets and the character read table rows and
+that tuple in ints.
+
+verify_normalizations reads each root a as one packed int key,
+sum_i a_i * base**i with base = 4 * (largest root coefficient) + 1.  The key
+is additive, key(a + b) = key(a) + key(b), and injective on every vector
+whose coefficients are below base/2 in absolute value, which covers all
+roots and all sums of two roots; the zero vector alone has key 0.  So
+"is a + b a root, and which" is one int addition and one dict lookup.
 
 Signs come from a bimultiplicative +-1 two-cocycle on the root lattice
 ("asymmetry function"), gauged so that [X_a, X_{-a}] = +H_a; the build then
@@ -215,7 +225,7 @@ class LieAlgebra:
 
     # ------------------------------------------------------------- character
 
-    def dchi_index(self, i: int) -> Q | None:
+    def dchi_index(self, i: int) -> int | None:
         """Value of the parabolic character on basis index i.
 
         The character is the unique one on the Levi factor that vanishes on
@@ -226,12 +236,13 @@ class LieAlgebra:
         return self._dchi_table[i]
 
     @cached_property
-    def _dchi_table(self) -> tuple[Q | None, ...]:
-        """dchi_index per basis index, computed once: (gamma, a_i) on H_i."""
+    def _dchi_table(self) -> tuple[int | None, ...]:
+        """dchi_index per basis index, computed once, as ints: (gamma, a_i)
+        on H_i."""
         rs = self.rs
         return tuple(None if g < 0 else
-                     Q(0) if self.root_of[i] is not None else
-                     Q(rs.pairing(self.gamma, rs.simple(self.simple_of[i])))
+                     0 if self.root_of[i] is not None else
+                     rs.pairing(self.gamma, rs.simple(self.simple_of[i]))
                      for i, g in enumerate(self.grade))
 
     def dchi(self, elem: dict[int, Q]) -> Q:
@@ -253,44 +264,49 @@ class LieAlgebra:
     def verify_normalizations(self) -> None:
         """Check the Chevalley normalizations and +-1 structure constants,
         that the Cartan is abelian, and that every constant in the table is a
-        nonzero int (a zero bracket is an empty row, never a stored 0)."""
-        for i, line in enumerate(self.table):
+        nonzero int (a zero bracket is an empty row, never a stored 0).
+
+        The roots are read as packed int keys (see the module docstring), so
+        the sum of two roots is one int addition and one dict lookup."""
+        table, cartan, gram = self.table, self.cartan_index, self.rs.gram
+        for i, line in enumerate(table):
             for j, row in enumerate(line):
                 if any(type(c) is not int for _, c in row):
                     raise AssertionError(f"structure constant not an int at {i},{j}: {row}")
                 if not all(c for _, c in row):
                     raise AssertionError(f"zero structure constant stored at {i},{j}: {row}")
-        for h in self.cartan_index:
-            for h2 in self.cartan_index:
-                if self.table[h][h2]:
+        for h in cartan:
+            for h2 in cartan:
+                if table[h][h2]:
                     raise AssertionError(f"[H, H] != 0 at {self.names[h]},{self.names[h2]}")
-        zero = (0,) * self.rank
-        for i, a in enumerate(self.root_of):
-            if a is None:
-                continue
-            neg = tuple(-x for x in a)
-            j = self.index_of_root[neg]
-            got = dict(self.table[i][j])
-            want = self.h_of(a)
+        base = 4 * max(abs(c) for a in self.rs.roots for c in a) + 1
+        key = {i: sum(c * base ** k for k, c in enumerate(a))
+               for i, a in enumerate(self.root_of) if a is not None}
+        index_of_key = {ka: i for i, ka in key.items()}
+        for i, ka in key.items():
+            a, line = self.root_of[i], table[i]
+            got = dict(line[index_of_key[-ka]])
+            want = {cartan[k]: c for k, c in enumerate(a) if c}
             if got != want:
                 raise AssertionError(f"[X_a, X_-a] != H_a at a={root_str(a)}: {got} vs {want}")
-            for si in range(self.rank):
-                h = self.cartan_index[si]
-                got_h = dict(self.table[h][i])
-                want_c = Q(self.rs.pairing(a, self.rs.simple(si)))
+            for si, h in enumerate(cartan):
+                got_h = dict(table[h][i])
+                want_c = sum(c * gram[k][si] for k, c in enumerate(a) if c)
                 want_h = {i: want_c} if want_c else {}
                 if got_h != want_h:
                     raise AssertionError(f"[H, X_a] wrong at a={root_str(a)}, H_{si+1}")
-            for j2, b in enumerate(self.root_of):
-                if b is None or b == neg:
+            for j, kb in key.items():
+                s = ka + kb
+                if not s:
                     continue
-                s = tuple(x + y for x, y in zip(a, b))
-                row = self.table[i][j2]
-                if s != zero and self.rs.is_root(s):
-                    if len(row) != 1 or row[0][0] != self.index_of_root[s] or abs(row[0][1]) != 1:
-                        raise AssertionError(f"structure constant not +-1 at {root_str(a)},{root_str(b)}")
-                elif s != zero and row:
-                    raise AssertionError(f"unexpected bracket at {root_str(a)},{root_str(b)}")
+                row, k = line[j], index_of_key.get(s)
+                if k is not None:
+                    if len(row) != 1 or row[0][0] != k or abs(row[0][1]) != 1:
+                        raise AssertionError(f"structure constant not +-1 at "
+                                             f"{root_str(a)},{root_str(self.root_of[j])}")
+                elif row:
+                    raise AssertionError(f"unexpected bracket at "
+                                         f"{root_str(a)},{root_str(self.root_of[j])}")
 
     @cached_property
     def chevalley_generators(self) -> tuple[int, ...]:
@@ -350,12 +366,19 @@ class LieAlgebra:
                     byz, bzg = row_y[z], col_g[z]
                     if not (byz or bzg or bgy):
                         continue    # every term is a bracket with 0
-                    # [g,[y,z]] + [y,[z,g]] + [z,[g,y]] = 0
+                    # [g,[y,z]] + [y,[z,g]] + [z,[g,y]] = 0, one term per
+                    # nonzero inner bracket
                     acc: dict[int, int] = {}
-                    for x, inner in ((g, byz), (y, bzg), (z, bgy)):
-                        row_x = table[x]
-                        for t, c in inner:
-                            for u, d in row_x[t]:
+                    for t, c in byz:
+                        for u, d in row_g[t]:
+                            acc[u] = acc.get(u, 0) + c * d
+                    for t, c in bzg:
+                        for u, d in row_y[t]:
+                            acc[u] = acc.get(u, 0) + c * d
+                    if bgy:
+                        row_z = table[z]
+                        for t, c in bgy:
+                            for u, d in row_z[t]:
                                 acc[u] = acc.get(u, 0) + c * d
                     if any(acc.values()):
                         raise AssertionError(f"Jacobi fails at triple {g},{y},{z}")

@@ -187,6 +187,13 @@ class Session:
         return self.pi_special(y_idx).commutator(self.omega3_ops[k])
 
     @cached_property
+    def first_level_span(self) -> Span:
+        """The span of the generators in filtration degree <= 1: the nbar
+        generators and 1."""
+        env = self.env
+        return Span([env.gen(i) for i in self.alg.nbar_indices] + [env.one()])
+
+    @cached_property
     def cubic_span(self) -> Span:
         """The span of the cubic elements in the module."""
         return Span(self.omega3_gens)
@@ -240,27 +247,43 @@ def _expected(alg: LieAlgebra, column: str):
 
 def _contraction_data(s: Session):
     """For every (X, Y) in V+ x V-, compare the contracted double bracket
-    sum against the quadratic element of [X, Y]; returns ratio statistics."""
-    alg, om = s.alg, s.omega
+    sum against the quadratic element of [X, Y]; returns ratio statistics.
+
+    The Levi element L = sum_e [[X, X_-e], [X_e, Y]] is summed in ints from
+    the bracket table rows.  When L and [X, Y] are lam and mu times one basis
+    vector k, their quadratic elements are lam and mu times omega2_basis(k),
+    since omega2 is linear: the pair's ratio is lam/mu, exactly, and
+    omega2_basis(k) only decides whether the pair counts.  Every other pair
+    compares omega2(L) with omega2([X, Y]).
+    """
+    alg, om, table = s.alg, s.omega, s.alg.table
     ratios: set = set()
     nonzero_pairs = 0
     zero_anomalies = []
     proportional = True
-    # the inner brackets [X_e, Y] are shared by every X, and [X, X_-e] by
-    # every Y
-    right = {(e, y): dict(alg.bracket(e, y))
-             for e in alg.v_plus for y in alg.v_minus}
     for x in alg.v_plus:
-        left = {e: alg.bracket_elem({x: 1}, {alg.opposite[e]: 1})
-                for e in alg.v_plus}
+        # the brackets [X, X_-e] are shared by every Y
+        left = [(e, inner) for e in alg.v_plus
+                if (inner := table[x][alg.opposite[e]])]
         for y in alg.v_minus:
-            # omega2 is linear over Q: sum the Levi elements, then apply it once
-            levi: dict[int, Q] = {}
-            for e in alg.v_plus:
-                for k, c in alg.bracket_elem(left[e], right[e, y]).items():
-                    levi[k] = levi.get(k, 0) + c
+            levi: dict[int, int] = {}
+            for e, inner in left:
+                right = table[e][y]
+                for k, c in inner:
+                    row_k = table[k]
+                    for j, d in right:
+                        for t, n in row_k[j]:
+                            levi[t] = levi.get(t, 0) + c * d * n
+            levi = {k: c for k, c in levi.items() if c}
+            single = table[x][y]
+            if len(levi) == 1 and len(single) == 1 and single[0][0] in levi:
+                k, mu = single[0]
+                if om.omega2_basis(k):
+                    nonzero_pairs += 1
+                    ratios.add(Q(levi[k], mu))
+                continue
             acc = om.omega2(levi)
-            target = om.omega2(dict(alg.bracket(x, y)))
+            target = om.omega2(dict(single))
             if not target:
                 if acc:
                     zero_anomalies.append((alg.names[x], alg.names[y]))
@@ -428,11 +451,17 @@ def _chk_chevalley(s: Session) -> dict:
 
 
 @check("jacobi_identity", "core",
-       "Jacobi identity over every basis triple")
+       "Jacobi identity over every basis triple: the bracket is "
+       "antisymmetric, the Chevalley generators generate g, and J(x, y, z) = "
+       "[x,[y,z]] + [y,[z,x]] + [z,[x,y]] vanishes for x among the Chevalley "
+       "generators and every basis pair y < z; this suffices, since by "
+       "antisymmetry the x with J(x, ., .) = 0 are those with ad x a "
+       "derivation, they form a Lie subalgebra, and the generators generate g")
 def _chk_jacobi(s: Session) -> dict:
     s.alg.verify_jacobi()
     d = s.alg.dim
-    return {"triples": d * (d - 1) * (d - 2) // 6}
+    return {"triples": d * (d - 1) * (d - 2) // 6,
+            "generator_pairs": len(s.alg.chevalley_generators) * d * (d - 1) // 2}
 
 
 @check("invariant_form", "core",
@@ -557,14 +586,16 @@ def _chk_levi_decomposition(s: Session) -> dict:
        "the expected residual dimension (zero outside type A)")
 def _chk_character(s: Session) -> dict:
     alg = s.alg
+    table, dchi = alg.table, alg._dchi_table
     _ensure(alg.dchi(alg.h_gamma) == 2, value=qstr(alg.dchi(alg.h_gamma)))
     for i in alg.q_indices:
         if alg.root_of[i] is not None:
-            _ensure(alg.dchi({i: Q(1)}) == 0, index=alg.names[i])
+            _ensure(dchi[i] == 0, index=alg.names[i])
     for z in alg.l_indices:
+        line = table[z]
         for w in alg.l_indices:
-            br = alg.bracket_elem({z: Q(1)}, {w: Q(1)})
-            _ensure(alg.dchi(br) == 0, pair=[alg.names[z], alg.names[w]])
+            _ensure(not sum(c * dchi[k] for k, c in line[w]),
+                    pair=[alg.names[z], alg.names[w]])
     # freedom left on the Cartan: corank of the span of the Levi coroots
     # together with the grading coroot
     rows = []
@@ -616,26 +647,30 @@ def _chk_verma_rep(s: Session) -> dict:
        "action formulas")
 def _chk_first_level(s: Session) -> dict:
     alg, env, vm = s.alg, s.env, s.verma
-    gens = [env.gen(i) for i in alg.nbar_indices]
-    gens.append(env.one())
-    res = vm.singular_values(Span(gens))
+    res = vm.singular_values(s.first_level_span)
     _ensure(res.all_s and res.levi_stable_all_s,
             all_s=res.all_s, constraints=res.constraint_count)
+    # the expected images, in ints from the bracket table and the character:
+    # Z.Y = [Z, Y] + s dchi(Z) Y for Z in l, and U.Y = [U, Y]_nbar +
+    # s dchi([U, Y]_q) for U in n
+    table, dchi, grade = alg.table, alg._dchi_table, alg.grade
     checked = 0
     for gi in alg.nbar_indices:
         gen = env.gen(gi)
         for z in alg.l_indices:
-            br = alg.bracket_elem({z: Q(1)}, {gi: Q(1)})
-            expected = (env.from_lie(br), elt_scale(gen, alg.dchi({z: Q(1)})))
+            expected = ({((k, 1),): c for k, c in table[z][gi]},
+                        {((gi, 1),): dchi[z]} if dchi[z] else {})
             _ensure(vm.act_basis(z, gen) == expected,
                     levi=alg.names[z], generator=alg.names[gi])
             checked += 1
         for u in alg.n_indices:
-            br = alg.bracket_elem({u: Q(1)}, {gi: Q(1)})
-            low = {i: c for i, c in br.items() if alg.grade[i] < 0}
-            qpt = {i: c for i, c in br.items() if alg.grade[i] >= 0}
-            expected = (env.from_lie(low),
-                        elt_scale(env.one(), alg.dchi(qpt)))
+            low, value = {}, 0
+            for k, c in table[u][gi]:
+                if grade[k] < 0:
+                    low[((k, 1),)] = c
+                else:
+                    value += c * dchi[k]
+            expected = (low, {(): value} if value else {})
             _ensure(vm.act_basis(u, gen) == expected,
                     nil=alg.names[u], generator=alg.names[gi])
             checked += 1
@@ -1079,10 +1114,9 @@ def _chk_structure_operator(s: Session) -> dict:
        "at three distinct parameter values, using the module action "
        "matrices transported by the inverse adjoint series")
 def _chk_bridge_small(s: Session) -> dict:
-    alg, env, calc, vm = s.alg, s.env, s.calc, s.verma
-    gens = [env.gen(i) for i in alg.nbar_indices] + [env.one()]
+    alg, calc, vm = s.alg, s.calc, s.verma
     ops = [calc.r_gen(i) for i in alg.nbar_indices] + [calc.identity_op()]
-    span = Span(gens)
+    span = s.first_level_span
     svalues = [s.require_sstar(), Q(0), Q(5, 2)]
     total = 0
     for s0 in svalues:

@@ -2,13 +2,14 @@
 
 import dataclasses
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
 
 from confsys.liealg import build_lie_algebra
 from confsys.pbw import Enveloping
-from confsys.roots import RootSystemSpec, build_root_system
+from confsys.roots import RootSystemSpec, build_root_system, root_str
 
 
 def test_build_self_checks_pass(alg_d4):
@@ -338,6 +339,68 @@ def test_normalizations_reject_a_float_constant(alg_a3):
     bad = dataclasses.replace(alg_a3, table=tuple(map(tuple, table)))
     bad.verify_jacobi()
     with pytest.raises(AssertionError, match="not an int at 0,10"):
+        bad.verify_normalizations()
+
+
+def _first_root_root_failure(alg):
+    """The root-root part of LieAlgebra.verify_normalizations with tuple root
+    sums and RootSystem.is_root: a reference for its packed-key loop.
+    Returns the first pair (i, j) whose bracket is not +-X_{a+b} when a + b
+    is a root, or not zero when a + b is neither a root nor 0; else None."""
+    zero = (0,) * alg.rank
+    for i, a in enumerate(alg.root_of):
+        for j, b in enumerate(alg.root_of):
+            if a is None or b is None:
+                continue
+            s = tuple(x + y for x, y in zip(a, b))
+            row = alg.table[i][j]
+            if s == zero:
+                continue
+            if alg.rs.is_root(s):
+                if (len(row) != 1 or row[0][0] != alg.index_of_root[s]
+                        or abs(row[0][1]) != 1):
+                    return i, j
+            elif row:
+                return i, j
+    return None
+
+
+def _root_pair(alg, i, j):
+    return re.escape(f"{root_str(alg.root_of[i])},{root_str(alg.root_of[j])}")
+
+
+@pytest.mark.parametrize("fix", ["alg_a3", "alg_d4", "alg_d5"])
+def test_normalizations_reject_a_root_root_constant_of_two(fix, request):
+    # doubling [X_a, X_b] = +-X_{a+b} and its antisymmetric partner keeps the
+    # table antisymmetric; the +-1 normalization sees the 2
+    alg = request.getfixturevalue(fix)
+    assert _first_root_root_failure(alg) is None
+    i, j = next((i, j) for i in range(alg.dim) for j in range(i + 1, alg.dim)
+                if alg.root_of[i] is not None and alg.root_of[j] is not None
+                and alg.table[i][j])
+    ((k, n),) = alg.table[i][j]
+    bad = _with_rows(alg, {(i, j): ((k, 2 * n),), (j, i): ((k, -2 * n),)})
+    assert _first_root_root_failure(bad) == (i, j)
+    with pytest.raises(AssertionError,
+                       match=rf"not \+-1 at {_root_pair(alg, i, j)}$"):
+        bad.verify_normalizations()
+
+
+@pytest.mark.parametrize("fix", ["alg_a3", "alg_d4", "alg_d5"])
+def test_normalizations_reject_a_bracket_at_a_non_root_sum(fix, request):
+    # a + b is neither a root nor 0, so the packed key of a + b is in no
+    # dict entry and the stored bracket must be empty
+    alg = request.getfixturevalue(fix)
+    zero = (0,) * alg.rank
+    i, j = next((i, j) for i in range(alg.dim) for j in range(i + 1, alg.dim)
+                if alg.root_of[i] is not None and alg.root_of[j] is not None
+                and (s := tuple(map(sum, zip(alg.root_of[i], alg.root_of[j]))))
+                != zero and not alg.rs.is_root(s))
+    assert not alg.table[i][j]
+    bad = _with_rows(alg, {(i, j): ((i, 1),), (j, i): ((i, -1),)})
+    assert _first_root_root_failure(bad) == (i, j)
+    with pytest.raises(AssertionError,
+                       match=rf"unexpected bracket at {_root_pair(alg, i, j)}$"):
         bad.verify_normalizations()
 
 

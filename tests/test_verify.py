@@ -59,13 +59,19 @@ def test_core_checks_pass_on_control_algebra(tmp_path):
         assert res.status == "pass", (name, res.witness)
 
 
+def _with_rows(alg, rows):
+    """A copy of alg whose table has rows[(i, j)] in place of [X_i, X_j]."""
+    table = [list(line) for line in alg.table]
+    for (i, j), row in rows.items():
+        table[i][j] = row
+    return dataclasses.replace(alg, table=tuple(map(tuple, table)))
+
+
 def _flip_bracket(alg, g, y):
     """alg with the signs of [X_g, X_y] and [X_y, X_g] both flipped: the table
     stays antisymmetric."""
-    table = [list(line) for line in alg.table]
-    for i, j in ((g, y), (y, g)):
-        table[i][j] = tuple((k, -c) for k, c in table[i][j])
-    return dataclasses.replace(alg, table=tuple(map(tuple, table)))
+    return _with_rows(alg, {(i, j): tuple((k, -c) for k, c in alg.table[i][j])
+                            for i, j in ((g, y), (y, g))})
 
 
 @pytest.mark.parametrize("part", ["root", "coroot"])
@@ -355,6 +361,76 @@ def _contraction_reference(s: Session):
 def test_contraction_data_matches_per_term_reference(tmp_path, label):
     session = Session(SuiteConfig(type_label=label, cache_dir=str(tmp_path)))
     assert _contraction_data(session) == _contraction_reference(session)
+
+
+@pytest.mark.parametrize("label", ["A3", "D4", "D5"])
+def test_contraction_one_vector_path_reads_the_emptied_quadratic_element(
+        tmp_path, label):
+    # [X, Y] = mu X_k for a Levi root vector k puts the pair on the path that
+    # reads the ratio off the bracket table; with omega2_basis(k) emptied its
+    # pairs must stop counting, exactly as in the reference
+    session = Session(SuiteConfig(type_label=label, cache_dir=str(tmp_path)))
+    alg, om = session.alg, session.omega
+    before = _contraction_data(session)
+    k = next(row[0][0] for x in alg.v_plus for y in alg.v_minus
+             if len(row := alg.table[x][y]) == 1
+             and alg.root_of[row[0][0]] is not None)
+    omega2_basis = om.omega2_basis
+    om.omega2_basis = lambda i: {} if i == k else omega2_basis(i)
+    got = _contraction_data(session)
+    assert got == _contraction_reference(session)
+    assert got[1] < before[1]
+
+
+def _first_character_failure(alg):
+    """The Levi-bracket part of character_normalization through
+    LieAlgebra.bracket_elem and LieAlgebra.dchi: a reference for the check's
+    int kernel.  Returns the first Levi pair with dchi([Z, W]) != 0, or None."""
+    for z in alg.l_indices:
+        for w in alg.l_indices:
+            if alg.dchi(alg.bracket_elem({z: Q(1)}, {w: Q(1)})):
+                return [alg.names[z], alg.names[w]]
+    return None
+
+
+@pytest.mark.parametrize("label", ["A3", "D4", "D5"])
+def test_character_normalization_catches_an_extra_coroot_term(tmp_path,
+                                                              label):
+    # one Levi-Levi row gains a coroot on which the character is nonzero
+    session = Session(SuiteConfig(type_label=label, expect_system=False,
+                                  cache_dir=str(tmp_path)))
+    alg = session.alg
+    assert _first_character_failure(alg) is None
+    assert run_single(session, "character_normalization").status == "pass"
+    h = next(i for i in alg.cartan_index if alg.dchi_index(i))
+    z, w = next((z, w) for z in alg.l_indices for w in alg.l_indices
+                if alg.table[z][w] and h not in dict(alg.table[z][w]))
+    session.alg = _with_rows(alg, {(z, w): alg.table[z][w] + ((h, 1),)})
+    res = run_single(session, "character_normalization")
+    assert res.status == "fail"
+    assert res.witness["pair"] == [alg.names[z], alg.names[w]]
+    assert _first_character_failure(session.alg) == res.witness["pair"]
+
+
+@pytest.mark.parametrize("label", ["A3", "D4"])
+def test_first_level_action_catches_a_perturbed_levi_character_entry(
+        tmp_path, label):
+    # the first run builds the module on the true algebra, and it keeps
+    # that character; the check's expected images read the copy's perturbed
+    # entry
+    session = Session(SuiteConfig(type_label=label, expect_system=False,
+                                  cache_dir=str(tmp_path)))
+    alg = session.alg
+    assert run_single(session, "first_level_action").status == "pass"
+    for z in (alg.cartan_index[0], alg.l_indices[0]):
+        bad = dataclasses.replace(alg)
+        dchi = list(alg._dchi_table)
+        dchi[z] += 1
+        bad.__dict__["_dchi_table"] = tuple(dchi)
+        session.alg = bad
+        res = run_single(session, "first_level_action")
+        assert res.status == "fail"
+        assert res.witness["levi"] == alg.names[z]
 
 
 def _infinitesimal_character_candidates(rs):
