@@ -25,9 +25,15 @@ left.  Products are normal ordered in closed form, coordinate by coordinate,
     d^b o x^c = sum_k C(b, k) c!/(c-k)! x^(c-k) d^(b-k),
 
 where only coordinates that one side differentiates and the other carries
-(one AND of per-field masks per term pair) expand past k = 0.  The k = 0
-term of a pair is the same in both orders, so a commutator forms only the
-k >= 1 reordering corrections of each order, with opposite signs; point
+(one AND of per-field masks per term pair) expand past k = 0.  Each operator
+computes its per-term masks once, on first use; operators are never
+mutated, so they stay valid.  The k >= 1 terms of an overlapping pair are
+read from a per-coordinate-count table with one dict lookup.  One kernel,
+sum_products, accumulates a sum of products sum_j a_j o b_j into one term
+map over one common denominator; compose is its one-pair case, and the
+right actions and the character extension are single calls of it.  The
+k = 0 term of a pair is the same in both orders, so a commutator forms only
+the k >= 1 reordering corrections of each order, with opposite signs; point
 functionals at the identity of a commutator are read off a truncated
 product that keeps only the coordinate-free terms.
 
@@ -50,6 +56,7 @@ from functools import lru_cache, reduce
 from itertools import islice, product
 from math import comb, gcd, lcm, perm, prod
 from operator import or_
+from typing import Iterable
 
 from .liealg import LieAlgebra
 from .memo import memo
@@ -61,6 +68,7 @@ PointFunctional = tuple[int, dict[Mono, tuple[int, int]]]   # (den, pairs): abov
 FIELD_BITS = 8                 # one byte per exponent: keys pack via bytes
 FIELD_LIMIT = 1 << (FIELD_BITS - 1)    # exponents stay below the guard bit
 _FIELD = (1 << FIELD_BITS) - 1
+_GUARD_SHIFT = FIELD_BITS - 1          # a mask bit down to bit 0 of its field
 
 
 def pack_key(key: Key, ncoords: int) -> int:
@@ -96,7 +104,7 @@ class PolyDiffOp:
     """Differential operator sum_key (terms[key] / den) x^a s^e d^b, each
     key packed from the tuple a + (e,) + b (see pack_key)."""
 
-    __slots__ = ("ncoords", "terms", "den")
+    __slots__ = ("ncoords", "terms", "den", "_rows")
 
     def __init__(self, ncoords: int, terms: dict[Key, int] | None = None,
                  den: int = 1):
@@ -124,6 +132,7 @@ class PolyDiffOp:
         self.ncoords = ncoords
         self.terms: dict[int, int] = terms
         self.den = den
+        self._rows: list[tuple[int, int, int, int, int]] | None = None
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -171,27 +180,16 @@ class PolyDiffOp:
 
     def compose(self, other: "PolyDiffOp") -> "PolyDiffOp":
         """self applied after other, as operators (normal ordered)."""
-        self._check(other)
-        n = self.ncoords
-        out: dict[int, int] = {}
-        rights = _masked(other.terms, n)
-        for ka, ca, _, dma, da in _masked(self.terms, n):
-            for kb, cb, cmb, _, _ in rights:
-                base = ka + kb
-                c = ca * cb
-                out[base] = out.get(base, 0) + c
-                ov = dma & cmb
-                if ov:
-                    _reorder_into(out, base, ov, da, kb, c, n)
-        return PolyDiffOp._packed(n, out, self.den * other.den)
+        return sum_products(self.ncoords, ((self, other),))
 
     def commutator(self, other: "PolyDiffOp") -> "PolyDiffOp":
         """[self, other]: only the reordering corrections survive."""
         self._check(other)
         n = self.ncoords
+        table = _reorder_table(n)
         out: dict[int, int] = {}
-        rights = _masked(other.terms, n)
-        for ka, ca, cma, dma, da in _masked(self.terms, n):
+        rights = other._masks()
+        for ka, ca, cma, dma, da in self._masks():
             for kb, cb, cmb, dmb, db in rights:
                 ab, ba = dma & cmb, dmb & cma
                 if not (ab or ba):
@@ -199,10 +197,34 @@ class PolyDiffOp:
                 base = ka + kb
                 c = ca * cb
                 if ab:
-                    _reorder_into(out, base, ab, da, kb, c, n)
+                    fields = (ab >> _GUARD_SHIFT) * _FIELD
+                    key = (da & fields, kb & fields)
+                    terms = table.get(key) or _reorderings(table, n, key)
+                    for dec, factor in terms:
+                        k = base - dec
+                        out[k] = out.get(k, 0) + c * factor
                 if ba:
-                    _reorder_into(out, base, ba, db, ka, -c, n)
+                    fields = (ba >> _GUARD_SHIFT) * _FIELD
+                    key = (db & fields, ka & fields)
+                    terms = table.get(key) or _reorderings(table, n, key)
+                    for dec, factor in terms:
+                        k = base - dec
+                        out[k] = out.get(k, 0) - c * factor
         return PolyDiffOp._packed(n, out, self.den * other.den)
+
+    def _masks(self) -> list[tuple[int, int, int, int, int]]:
+        """Per term, computed once (operators are never mutated): key,
+        numerator, coordinate mask, derivative mask and the derivative
+        exponents shifted down to the coordinate fields.  A mask has bit 7 of
+        a coordinate field set where the term carries that coordinate, or
+        differentiates it."""
+        rows = self._rows
+        if rows is None:
+            ds, coords, low, high, _ = _layout(self.ncoords)
+            rows = self._rows = [
+                (k, v, ((k & coords) + low) & high, ((k >> ds) + low) & high,
+                 k >> ds) for k, v in self.terms.items()]
+        return rows
 
     def subs_param(self, value: Q) -> "PolyDiffOp":
         """Substitute a rational for the parameter s."""
@@ -277,15 +299,60 @@ def _functional(acc: dict[int, int], den: int, n: int) -> PointFunctional:
     return den, out
 
 
-@lru_cache(maxsize=None)
-def _reorderings(n: int, ders: int, coords: int):
-    """The k >= 1 terms of the normal-ordering expansion of d^b o x^c.
+def sum_products(n: int,
+                 pairs: Iterable[tuple[PolyDiffOp, PolyDiffOp]]) -> PolyDiffOp:
+    """sum_j a_j o b_j over the pairs, operators on n coordinates, accumulated
+    into one term map over one common denominator (normal ordered)."""
+    pairs = list(pairs)
+    for a, b in pairs:
+        if a.ncoords != n or b.ncoords != n:
+            raise ValueError("coordinate count mismatch")
+    den = lcm(*(a.den * b.den for a, b in pairs))
+    table = _reorder_table(n)
+    out: dict[int, int] = {}
+    for a, b in pairs:
+        scale = den // (a.den * b.den)
+        rights = b._masks()
+        for ka, ca, _, dma, da in a._masks():
+            ca *= scale
+            if not dma:             # a function on the left: no reordering
+                for kb, cb in b.terms.items():
+                    k = ka + kb
+                    out[k] = out.get(k, 0) + ca * cb
+                continue
+            for kb, cb, cmb, _, _ in rights:
+                base = ka + kb
+                c = ca * cb
+                out[base] = out.get(base, 0) + c
+                ov = dma & cmb
+                if ov:
+                    fields = (ov >> _GUARD_SHIFT) * _FIELD
+                    key = (da & fields, kb & fields)
+                    terms = table.get(key) or _reorderings(table, n, key)
+                    for dec, factor in terms:
+                        k = base - dec
+                        out[k] = out.get(k, 0) + c * factor
+    return PolyDiffOp._packed(n, out, den)
 
-    ders and coords hold b and c in the n coordinate fields, both positive
-    on the same fields.  Returns (key decrement, factor) pairs: the products
-    of the per-coordinate terms C(b_i, k_i) c_i!/(c_i-k_i)! x^(c_i-k_i)
+
+@lru_cache(maxsize=None)
+def _reorder_table(n: int) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
+    """The reordering terms on n coordinates met so far, keyed like
+    _reorderings' argument and filled by it."""
+    return {}
+
+
+def _reorderings(table: dict, n: int, key: tuple[int, int]):
+    """The k >= 1 terms of the normal-ordering expansion of d^b o x^c,
+    stored in table under key and returned.
+
+    key holds b and c in the n coordinate fields, both positive on the same
+    fields (the coordinates that a left term differentiates and a right term
+    carries).  The terms are (key decrement, factor) pairs: the products of
+    the per-coordinate terms C(b_i, k_i) c_i!/(c_i-k_i)! x^(c_i-k_i)
     d^(b_i-k_i) other than k = 0, each decrement packed like a key.
     """
+    ders, coords = key
     ds = FIELD_BITS * (n + 1)
     per_coord = []
     for i, (b, c) in enumerate(zip(ders.to_bytes(n, "little"),
@@ -294,34 +361,10 @@ def _reorderings(n: int, ders: int, coords: int):
             unit = (1 << FIELD_BITS * i) | (1 << (ds + FIELD_BITS * i))
             per_coord.append([(k * unit, comb(b, k) * perm(c, k))
                               for k in range(min(b, c) + 1)])
-    return tuple((sum(dec for dec, _ in choice), prod(f for _, f in choice))
-                 for choice in islice(product(*per_coord), 1, None))
-
-
-def _masked(terms: dict[int, int], n: int):
-    """Per term: key, numerator, and the derivative exponents shifted down
-    to the coordinate fields, with bit 7 of each coordinate field set in the
-    coordinate mask where the term carries that coordinate and in the
-    derivative mask where it differentiates it."""
-    ds, coords, low, high, _ = _layout(n)
-    out = []
-    for k, v in terms.items():
-        d = k >> ds
-        out.append((k, v, ((k & coords) + low) & high, (d + low) & high, d))
-    return out
-
-
-def _reorder_into(out: dict[int, int], base: int, overlap: int, ders: int,
-                  right: int, c: int, n: int) -> None:
-    """Add c times the k >= 1 reordering corrections of (left term) o (right
-    term), where base is the sum of the two keys, overlap the coordinates
-    (bit 7 of their fields) that the left term differentiates and the right
-    term carries, ders the left term's derivatives shifted down and right
-    the right term's key."""
-    fields = (overlap >> (FIELD_BITS - 1)) * _FIELD
-    for dec, factor in _reorderings(n, ders & fields, right & fields):
-        key = base - dec
-        out[key] = out.get(key, 0) + c * factor
+    terms = table[key] = tuple(
+        (sum(dec for dec, _ in choice), prod(f for _, f in choice))
+        for choice in islice(product(*per_coord), 1, None))
+    return terms
 
 
 class OperatorCalculus:
@@ -387,14 +430,14 @@ class OperatorCalculus:
 
     def dchi_ext(self, y: dict[int, PolyDiffOp]) -> PolyDiffOp:
         """Function-linear extension of the character derivative to q."""
-        out = self.zero_op()
+        pairs = []
         for i, c in y.items():
             v = self.alg.dchi_index(i)
             if v is None:
                 raise ValueError(f"basis index {i} is outside the parabolic")
             if v:
-                out = out + c * v
-        return out
+                pairs.append((c, self.const(v)))
+        return sum_products(self.ncoords, pairs)
 
     # -- the right regular action ---------------------------------------------
 
@@ -424,17 +467,13 @@ class OperatorCalculus:
 
     def r_op(self, u: Elt) -> PolyDiffOp:
         """R of an enveloping-algebra element with rational coefficients."""
-        out = self.zero_op()
-        for m, c in u.items():
-            out = out + self.r_mono(m) * c
-        return out
+        return sum_products(self.ncoords, ((self.const(c), self.r_mono(m))
+                                           for m, c in u.items()))
 
     def r_ext(self, y: dict[int, PolyDiffOp]) -> PolyDiffOp:
         """Function-linear extension of R to nilradical-valued functions."""
-        out = self.zero_op()
-        for i, c in y.items():
-            out = out + c * self.r_gen(i)
-        return out
+        return sum_products(self.ncoords,
+                            ((c, self.r_gen(i)) for i, c in y.items()))
 
     # -- the induced family ----------------------------------------------------
 

@@ -111,12 +111,25 @@ class OmegaSystem:
 
         w_basis spans V+; w_dual must be the dual basis of V- under the
         invariant form: the root vectors X_b and X_-b for omega3, random
-        bases to confirm basis independence.
+        bases to confirm basis independence.  With w*_i = sum_c B_ic X_c the
+        dual is contracted first, sum_c X_c (sum_i B_ic omega2([w_i, Y])), so
+        each basis vector X_c of V- multiplies once; on the root basis every
+        inner sum is one quadratic element, taken as it is.
         """
         env = self.env
-        out: Elt = {}
+        inner: dict[int, Elt] = {}
         for w, wstar in zip(w_basis, w_dual):
             w2 = self.omega2(self.alg.bracket_elem(w, y))
-            if w2:
-                out = elt_add(out, env.mul(env.from_lie(wstar), w2))
+            if not w2:
+                continue
+            for c, b in wstar.items():
+                acc = inner.get(c)
+                if acc is None:
+                    inner[c] = w2 if b == 1 else elt_scale(w2, b)
+                else:
+                    inner[c] = elt_add(acc, elt_scale(w2, b))
+        out: Elt = {}
+        for c, acc in inner.items():
+            if acc:
+                out = elt_add(out, env.mul(env.gen(c), acc))
         return out

@@ -79,9 +79,6 @@ class Enveloping:
     def gen(self, i: int) -> Elt:
         return {((i, 1),): 1}
 
-    def from_lie(self, elem: dict[int, Q]) -> Elt:
-        return {((i, 1),): c for i, c in elem.items() if c}
-
     # -- normal ordering ----------------------------------------------------
 
     def mono_times_gen(self, m: Mono, g: int) -> dict[Mono, int]:

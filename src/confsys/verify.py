@@ -22,7 +22,8 @@ from time import perf_counter
 from typing import Callable
 
 from . import cache as algcache
-from .diffops import OperatorCalculus, PolyDiffOp, commutator_at_identity
+from .diffops import (OperatorCalculus, PolyDiffOp, commutator_at_identity,
+                      sum_products)
 from .liealg import LieAlgebra
 from .linalg import common_root, inverse, rank
 from .memo import memo
@@ -381,46 +382,48 @@ def _identity_matrix(n: int, c: Q) -> list[list[Q]]:
     return [[c if i == j else Q(0) for j in range(n)] for i in range(n)]
 
 
-def _structure_mismatches(s: Session, y: int, ops: list[PolyDiffOp],
-                          comms: list[PolyDiffOp],
-                          mats: dict[int, list[list[Q]]],
-                          shift: Q = Q(0)) -> list[int]:
+def _contract(s: Session, ops: list[PolyDiffOp],
+              mats: dict[int, list[list[Q]]],
+              shift: Q = Q(0)) -> dict[int, list[PolyDiffOp]]:
+    """Each constant matrix M_g = mats[g] + shift dchi(g) 1 contracted with
+    the operators once: E[g][i] = sum_r M_g[r][i] ops[r], for every g with a
+    matrix.  With a shift, mats must hold the matrix of every basis vector
+    of the parabolic q, where dchi is defined."""
+    calc, n = s.calc, s.calc.ncoords
+    out = {}
+    for g, mat in mats.items():
+        diag = shift * s.alg.dchi_index(g) if shift else 0
+        cols = []
+        for i in range(len(ops)):
+            pairs = []
+            for r, op in enumerate(ops):
+                c = mat[r][i] + diag if r == i else mat[r][i]
+                if c:
+                    pairs.append((calc.const(c), op))
+            cols.append(sum_products(n, pairs))
+        out[g] = cols
+    return out
+
+
+def _structure_mismatches(s: Session, y: int, comms: list[PolyDiffOp],
+                          contracted: dict[int, list[PolyDiffOp]]) -> list[int]:
     """Columns i at which comms[i] = [pi_s(Y), D_i] differs from
 
-        sum_r C_ri D_r,  C = sum_g AdInv(Y)_g mats[g] + shift dchi(AdInv(Y)_q),
+        sum_r C_ri D_r = sum_g AdInv(Y)_g o E[g][i],  C = sum_g AdInv(Y)_g M_g,
 
-    the matrix-valued structure function: constant matrices extended
-    linearly over the coefficient functions of the inverse adjoint series
-    AdInv(Y) = Ad(nbar^{-1}) Y (only basis vectors with a matrix contribute),
-    with the character term on the diagonal.  The b matrices without a shift
-    give the structure identity; the parabolic action matrices with shift -s
-    give the induced-picture commutator formula."""
-    calc, alg = s.calc, s.alg
-    m = len(ops)
-    adinv = calc.ad_inverse(y)
-    c = [[calc.zero_op() for _ in range(m)] for _ in range(m)]
-    for g, cg in adinv.items():
-        mat = mats.get(g)
-        if mat is None:
-            continue
-        for r in range(m):
-            for i in range(m):
-                if mat[r][i]:
-                    c[r][i] = c[r][i] + cg * mat[r][i]
-    if shift:
-        dch = calc.dchi_ext({g: cg for g, cg in adinv.items()
-                             if alg.grade[g] >= 0}) * shift
-        for i in range(m):
-            c[i][i] = c[i][i] + dch
-    bad = []
-    for i in range(m):
-        rhs = calc.zero_op()
-        for r in range(m):
-            if c[r][i]:
-                rhs = rhs + c[r][i] * ops[r]
-        if comms[i] != rhs:
-            bad.append(i)
-    return bad
+    the matrix-valued structure function: the constant matrices M_g
+    extended linearly over the coefficient functions of the inverse adjoint
+    series AdInv(Y) = Ad(nbar^{-1}) Y (only basis vectors with a matrix
+    contribute), each given contracted with the D_r as E[g] (_contract), so
+    a column is one sum of products.  The b matrices without a shift give
+    the structure identity; the parabolic action matrices with shift -s,
+    the character term on the diagonal, give the induced-picture commutator
+    formula."""
+    n = s.calc.ncoords
+    terms = [(cg, contracted[g]) for g, cg in s.calc.ad_inverse(y).items()
+             if g in contracted]
+    return [i for i, comm in enumerate(comms)
+            if comm != sum_products(n, [(cg, e[i]) for cg, e in terms if e[i]])]
 
 
 # ------------------------------------------------------------- check registry
@@ -1100,10 +1103,10 @@ def _chk_structure_operator(s: Session) -> dict:
     sstar = s.require_sstar()
     alg = s.alg
     m = len(s.omega3_ops)
-    bmats = s.b_matrices
+    contracted = _contract(s, s.omega3_ops, s.b_matrices)
     for y in range(alg.dim):
         comms = [s.cubic_commutator(y, i) for i in range(m)]
-        bad = _structure_mismatches(s, y, s.omega3_ops, comms, bmats)
+        bad = _structure_mismatches(s, y, comms, contracted)
         _ensure(not bad, vector=alg.names[y], column=bad[0] if bad else None)
     return {"identities": alg.dim * m, "at": qstr(sstar)}
 
@@ -1120,12 +1123,12 @@ def _chk_bridge_small(s: Session) -> dict:
     svalues = [s.require_sstar(), Q(0), Q(5, 2)]
     total = 0
     for s0 in svalues:
-        action = {g: vm.module_action_matrix(span, g, s0)
-                  for g in alg.q_indices}
+        contracted = _contract(s, ops, {g: vm.module_action_matrix(span, g, s0)
+                                        for g in alg.q_indices}, -s0)
         for y in range(alg.dim):
             pi_y = calc.pi_basis(y).subs_param(s0)
             comms = [pi_y.commutator(op) for op in ops]
-            bad = len(_structure_mismatches(s, y, ops, comms, action, -s0))
+            bad = len(_structure_mismatches(s, y, comms, contracted))
             _ensure(bad == 0, vector=alg.names[y], s=qstr(s0), mismatches=bad)
             total += len(ops)
     return {"identities": total, "parameter_values": [qstr(v) for v in svalues]}
@@ -1139,12 +1142,11 @@ def _chk_bridge_cubic(s: Session) -> dict:
     sstar = s.require_sstar()
     alg = s.alg
     m = len(s.omega3_ops)
-    action = s.action_matrices_special
+    contracted = _contract(s, s.omega3_ops, s.action_matrices_special, -sstar)
     total = 0
     for y in range(alg.dim):
         comms = [s.cubic_commutator(y, i) for i in range(m)]
-        bad = len(_structure_mismatches(s, y, s.omega3_ops, comms, action,
-                                        -sstar))
+        bad = len(_structure_mismatches(s, y, comms, contracted))
         _ensure(bad == 0, vector=alg.names[y], mismatches=bad)
         total += m
     return {"identities": total, "at": qstr(sstar)}
@@ -1298,6 +1300,7 @@ def _special_value_findings(session: Session) -> SpecialValueFindings:
 
 def run_suite(config: SuiteConfig) -> VerificationReport:
     session = Session(config)
+    session.alg     # loaded here, so no check's wall time holds the cache load
     results = [run_single(session, name)
                for name in available_checks(config.expect_system)]
     alg = session.alg

@@ -7,8 +7,9 @@ from math import lcm, prod
 
 import pytest
 
-from confsys.diffops import (OperatorCalculus, PolyDiffOp,
-                             commutator_at_identity, unpack_key)
+from confsys.diffops import (FIELD_BITS, OperatorCalculus, PolyDiffOp,
+                             _layout, _reorderings, commutator_at_identity,
+                             sum_products, unpack_key)
 from confsys.pbw import mono_word, monomials_up_to
 from confsys.poly import Poly
 
@@ -433,6 +434,10 @@ def test_products_past_the_field_limit_raise(calc_d4):
     # [x^40 d^100, x^100]: the k = 1 correction carries x^139
     with pytest.raises(OverflowError):
         PolyDiffOp(n, {_key(n, x=40, d=100): 1}).commutator(x100)
+    # in a sum, one product past the limit raises even when another is exact
+    x27, x28 = (PolyDiffOp(n, {_key(n, x=e): 1}) for e in (27, 28))
+    with pytest.raises(OverflowError):
+        sum_products(n, [(x100, x27), (x100, x28)])
 
 
 def test_subs_param_matches_coefficientwise_substitution(calc_d4):
@@ -536,3 +541,114 @@ def test_point_functionals_match_term_by_term_reference(calc_d4, cubic_ops_d4):
         assert _rational(op.at_identity()) == _functional_reference(op)
     assert all(_functional_reference(op) for op in cubic_ops_d4)
     assert any(a1 for op in pis for _, a1 in _functional_reference(op).values())
+
+
+# -- the per-pair reference kernel: masks rebuilt on every product and one
+# reordering expansion looked up per overlapping term pair -------------------
+
+
+def _masked_reference(terms, n):
+    """Per term: key, numerator, coordinate mask, derivative mask and the
+    derivative exponents shifted down to the coordinate fields."""
+    ds, coords, low, high, _ = _layout(n)
+    return [(k, v, ((k & coords) + low) & high, ((k >> ds) + low) & high,
+             k >> ds) for k, v in terms.items()]
+
+
+def _reorder_into_reference(out, base, overlap, ders, right, c, n):
+    """Add c times the k >= 1 reordering corrections of one term pair."""
+    fields = (overlap >> (FIELD_BITS - 1)) * 0xFF
+    for dec, factor in _reorderings({}, n, (ders & fields, right & fields)):
+        out[base - dec] = out.get(base - dec, 0) + c * factor
+
+
+def _compose_reference(a, b):
+    n = a.ncoords
+    out = {}
+    rights = _masked_reference(b.terms, n)
+    for ka, ca, _, dma, da in _masked_reference(a.terms, n):
+        for kb, cb, cmb, _, _ in rights:
+            out[ka + kb] = out.get(ka + kb, 0) + ca * cb
+            if dma & cmb:
+                _reorder_into_reference(out, ka + kb, dma & cmb, da, kb,
+                                        ca * cb, n)
+    return PolyDiffOp._packed(n, out, a.den * b.den)
+
+
+def _commutator_reference(a, b):
+    n = a.ncoords
+    out = {}
+    rights = _masked_reference(b.terms, n)
+    for ka, ca, cma, dma, da in _masked_reference(a.terms, n):
+        for kb, cb, cmb, dmb, db in rights:
+            if dma & cmb:
+                _reorder_into_reference(out, ka + kb, dma & cmb, da, kb,
+                                        ca * cb, n)
+            if dmb & cma:
+                _reorder_into_reference(out, ka + kb, dmb & cma, db, ka,
+                                        -ca * cb, n)
+    return PolyDiffOp._packed(n, out, a.den * b.den)
+
+
+def _sum_reference(n, pairs):
+    out = PolyDiffOp(n)
+    for a, b in pairs:
+        out = out + _compose_reference(a, b)
+    return out
+
+
+def _random_sparse_op(rng, n, terms=5, top=3):
+    return PolyDiffOp(n, {tuple(rng.choice((0, 0, 0, rng.randint(1, top)))
+                                for _ in range(2 * n + 1)):
+                          rng.randint(-9, 9) for _ in range(terms)},
+                      rng.randint(1, 6))
+
+
+def test_kernel_matches_the_per_pair_reference_on_d4_pairs(calc_d4,
+                                                          cubic_ops_d4):
+    # the 224 pairs (pi at s = -1 of a basis vector, cubic operator) of the
+    # special-value commutator table, in both orders
+    n = calc_d4.ncoords
+    pairs = 0
+    for y in range(calc_d4.alg.dim):
+        pi_y = calc_d4.pi_basis(y).subs_param(Q(-1))
+        for op in cubic_ops_d4:
+            assert pi_y.compose(op) == _compose_reference(pi_y, op)
+            assert op.compose(pi_y) == _compose_reference(op, pi_y)
+            assert pi_y.commutator(op) == _commutator_reference(pi_y, op)
+            pairs += 1
+        row = [(pi_y, op) for op in cubic_ops_d4]
+        assert sum_products(n, row) == _sum_reference(n, row)
+    assert pairs == 224
+
+
+def test_kernel_matches_the_per_pair_reference_on_random_operators():
+    rng = random.Random(31)
+    n = 3
+    for _ in range(200):
+        a, b = _random_sparse_op(rng, n), _random_sparse_op(rng, n)
+        assert a.compose(b) == _compose_reference(a, b)
+        assert a.commutator(b) == _commutator_reference(a, b)
+        pairs = [(_random_sparse_op(rng, n), _random_sparse_op(rng, n))
+                 for _ in range(rng.randint(0, 4))]
+        assert sum_products(n, pairs) == _sum_reference(n, pairs)
+    with pytest.raises(ValueError):
+        sum_products(n, [(a, PolyDiffOp(n + 1))])
+
+
+def test_operations_leave_their_operands_unchanged(calc_d4, cubic_ops_d4):
+    """No operation writes to an operand's term map, so the masks each
+    operator computes once stay valid."""
+    n = calc_d4.ncoords
+    ops = [calc_d4.pi_basis(calc_d4.alg.v_plus[0]), cubic_ops_d4[0],
+           calc_d4.var(1) * Q(3, 2), calc_d4.derivative(1)]
+    before = [(dict(op.terms), op.den) for op in ops]
+    for op in ops:
+        op._masks()
+    for a in ops:
+        a * 3, 3 * a, a * Q(-2, 5), -a
+        for b in ops:
+            a + b, a - b, a.compose(b), a.commutator(b), a * b
+    sum_products(n, [(a, b) for a in ops for b in ops])
+    assert [(op.terms, op.den) for op in ops] == before
+    assert all(op._masks() == _masked_reference(op.terms, n) for op in ops)

@@ -44,7 +44,7 @@ def test_commutation_rewrites_to_bracket(env_d4):
         br = dict(alg.bracket(i, j))
     lhs = elt_sub(env_d4.mul(env_d4.gen(j), env_d4.gen(i)),
                   env_d4.mul(env_d4.gen(i), env_d4.gen(j)))
-    rhs = env_d4.from_lie({k: -c for k, c in br.items()})
+    rhs = {((k, 1),): -c for k, c in br.items()}
     assert not elt_sub(lhs, rhs)
 
 

@@ -1,12 +1,14 @@
 """Check registry, scoping, and the skip/fail paths of the suite runner."""
 
 import dataclasses
+import random
 from fractions import Fraction as Q
 from functools import reduce
 
 import pytest
 
-from confsys.linalg import common_root, solve
+from confsys import verify
+from confsys.linalg import common_root, inverse, solve
 from confsys.pbw import elt_add, elt_scale, elt_sub
 from confsys.poly import Poly, poly_gcd, rational_roots
 from confsys.verify import (CHECKS, EXPECTED, CheckFailure, Session,
@@ -326,6 +328,21 @@ def test_run_suite_control_report(tmp_path):
     assert names == available_checks(False)
 
 
+def test_run_suite_loads_the_algebra_before_the_first_check(tmp_path,
+                                                            monkeypatch):
+    # the cache load is charged to no check's wall time
+    loaded = []
+
+    def recording(session, name):
+        loaded.append((name, "alg" in vars(session)))
+        return run_single(session, name)
+
+    monkeypatch.setattr(verify, "run_single", recording)
+    run_suite(SuiteConfig(type_label="A3", expect_system=False,
+                          cache_dir=str(tmp_path)))
+    assert loaded[0] == ("chevalley_normalizations", True)
+
+
 def _contraction_reference(s: Session):
     """_contraction_data with the quadratic map applied to every double
     bracket on its own and the results added."""
@@ -505,6 +522,72 @@ def test_basis_independence_catches_a_diagonal_dual(tmp_path):
     res = run_single(session, "basis_independence")
     assert res.status == "fail"
     assert res.witness["index"] == alg.names[alg.v_minus[0]]
+
+
+def _random_dual_bases(alg, rng):
+    """A random basis of V+ and its dual basis of V- under the form."""
+    m = len(alg.v_plus)
+    while True:
+        a = [[Q(rng.randint(-3, 3)) for _ in range(m)] for _ in range(m)]
+        binv = inverse(a)
+        if binv is not None:
+            break
+    w_basis = [{alg.v_plus[j]: a[i][j] for j in range(m) if a[i][j]}
+               for i in range(m)]
+    w_dual = [{alg.opposite[alg.v_plus[k]]: binv[k][i]
+               for k in range(m) if binv[k][i]} for i in range(m)]
+    return w_basis, w_dual
+
+
+def _omega3_per_dual_vector(om, w_basis, w_dual, y):
+    """sum_i w*_i omega2([w_i, Y]), each dual vector multiplied as a whole
+    onto its own quadratic element."""
+    env, out = om.env, {}
+    for w, wstar in zip(w_basis, w_dual):
+        w2 = om.omega2(om.alg.bracket_elem(w, y))
+        lie = {((c, 1),): b for c, b in wstar.items()}
+        out = elt_add(out, env.mul(lie, w2))
+    return out
+
+
+@pytest.mark.parametrize("label", ["A3", "D4", "D5", "E6"])
+def test_dual_first_contraction_matches_per_dual_vector_reference(tmp_path,
+                                                                  label):
+    session = Session(SuiteConfig(type_label=label, cache_dir=str(tmp_path)))
+    alg, om = session.alg, session.omega
+    rng = random.Random(f"dual-first:{label}")
+    for trial in range(5):
+        w_basis, w_dual = _random_dual_bases(alg, rng)
+        y = {alg.v_minus[(7 * trial) % len(alg.v_minus)]: 1}
+        got = om.omega3_from_basis(w_basis, w_dual, y)
+        assert got == _omega3_per_dual_vector(om, w_basis, w_dual, y)
+        assert got == om.omega3(y)
+
+
+def test_structure_operator_catches_a_perturbed_b_matrix_entry(tmp_path):
+    session = _d4_session(tmp_path)
+    assert run_single(session, "structure_operator").status == "pass"
+    g = session.alg.v_plus[0]
+    bmats = {y: [list(row) for row in mat]
+             for y, mat in session.b_matrices.items()}
+    bmats[g][1][2] += 1
+    session.b_matrices = bmats
+    res = run_single(session, "structure_operator")
+    assert res.status == "fail"
+    assert res.witness["column"] == 2
+
+
+def test_induced_bridge_cubic_catches_a_perturbed_action_entry(tmp_path):
+    session = _d4_session(tmp_path)
+    assert run_single(session, "induced_bridge_cubic").status == "pass"
+    g = session.alg.l_indices[0]
+    action = {x: [list(row) for row in mat]
+              for x, mat in session.action_matrices_special.items()}
+    action[g][3][0] -= Q(1, 2)
+    session.action_matrices_special = action
+    res = run_single(session, "induced_bridge_cubic")
+    assert res.status == "fail"
+    assert res.witness["mismatches"] == 1
 
 
 def test_nbar_commutant_catches_a_perturbed_right_action(tmp_path):

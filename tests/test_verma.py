@@ -385,7 +385,7 @@ def test_s_enters_only_through_the_module_action(request, label):
     cubic = om.omega3_system()
     quadratic = [om.omega2_basis(i) for i in alg.l_indices]
     products = [env.mul(a, b) for a in cubic[:2] + quadratic[:2]
-                for b in (env.gen(alg.v_minus[0]), env.from_lie({alg.x_gamma: Q(1, 2)}),
+                for b in (env.gen(alg.v_minus[0]), {((alg.x_gamma, 1),): Q(1, 2)},
                           quadratic[-1], cubic[-1])]
     rational = [c for e in cubic + quadratic + products for c in e.values()]
     assert rational and all(type(c) in (int, Q) for c in rational)
