@@ -60,8 +60,7 @@ def dump(alg: LieAlgebra, path: Path) -> None:
     body["digest"] = _digest({k: v for k, v in body.items() if k != "digest"})
     path.parent.mkdir(parents=True, exist_ok=True)
     # a temp file of our own, so concurrent writers of one entry never share
-    # it; its name does not match algebra-*.json, so loaders and clear()
-    # never see it
+    # it; its name is not an entry name, so no loader reads it
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w") as f:
@@ -109,7 +108,7 @@ def load_or_build(spec: RootSystemSpec, cache_dir: Path | None = None, *,
     try:
         return load(path)
     except FileNotFoundError:
-        pass  # a miss, also when another process clears the entry meanwhile
+        pass  # a miss, also when another process deletes the entry meanwhile
     except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         warnings.warn(f"discarding unusable algebra cache {path}: {exc}",
                       stacklevel=2)
@@ -125,17 +124,3 @@ def build(spec: RootSystemSpec, cache_dir: Path | None = None) -> Path:
     dump(alg, path)
     return path
 
-
-def clear(cache_dir: Path | None = None,
-          spec: RootSystemSpec | None = None) -> list[Path]:
-    """Remove cache entries (all of them, or just one type); returns removals."""
-    base = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-    if not base.exists():
-        return []
-    pattern = (f"algebra-{spec.family}{spec.rank}-v*.json"
-               if spec is not None else "algebra-*.json")
-    removed = []
-    for p in sorted(base.glob(pattern)):
-        p.unlink(missing_ok=True)  # a concurrent clear may have removed it
-        removed.append(p)
-    return removed

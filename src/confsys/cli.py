@@ -1,10 +1,11 @@
 """Command line interface.
 
 ``confsys verify`` runs the verification suite for one algebra type and
-prints a deterministic text report (optionally writing the JSON form);
-``confsys cache`` manages the on-disk algebra cache.  The process exits 0
-exactly when every executed check passes, including the nonexistence checks
-of runs started with --expect-no-omega3.
+prints a deterministic text report (optionally writing the JSON form).  The
+process exits 0 exactly when every executed check passes, including the
+nonexistence checks of runs started with --expect-no-omega3, and 2 on a
+usage error.  The algebra cache fills itself on first use; --cache-dir
+moves it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import cache as algcache
 from .report import VerificationReport
 from .roots import RootSystemSpec
 from .verify import DEFAULT_SEED, SuiteConfig, run_suite
@@ -43,13 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="algebra cache directory (default: "
                                "$CONFSYS_CACHE_DIR or ~/.cache/confsys)")
     p_verify.set_defaults(func=cmd_verify)
-
-    p_cache = sub.add_parser("cache", help="manage the algebra cache")
-    p_cache.add_argument("action", choices=["build", "clear"])
-    p_cache.add_argument("--type", default=None, metavar="LABEL",
-                         help="restrict to one algebra type label")
-    p_cache.add_argument("--cache-dir", metavar="PATH", default=None)
-    p_cache.set_defaults(func=cmd_cache)
     return parser
 
 
@@ -111,29 +104,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         Path(args.emit_json).write_text(report.dumps())
         print(f"json report written to {args.emit_json}")
     return 0 if report.ok else 1
-
-
-def cmd_cache(args: argparse.Namespace) -> int:
-    cache_dir = Path(args.cache_dir) if args.cache_dir is not None else None
-    spec = None
-    if args.type is not None:
-        try:
-            spec = RootSystemSpec.parse(args.type)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    if args.action == "build":
-        if spec is None:
-            print("error: cache build requires --type", file=sys.stderr)
-            return 2
-        path = algcache.build(spec, cache_dir)
-        print(f"built {path}")
-        return 0
-    removed = algcache.clear(cache_dir, spec)
-    for p in removed:
-        print(f"removed {p}")
-    print(f"cleared {len(removed)} cache entries")
-    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -393,9 +393,6 @@ class OperatorCalculus:
     def derivative(self, i: int) -> PolyDiffOp:
         return self._unit(self.ncoords + 1 + i)
 
-    def zero_op(self) -> PolyDiffOp:
-        return PolyDiffOp(self.ncoords)
-
     def identity_op(self) -> PolyDiffOp:
         return self.const(1)
 
@@ -432,7 +429,7 @@ class OperatorCalculus:
         """Function-linear extension of the character derivative to q."""
         pairs = []
         for i, c in y.items():
-            v = self.alg.dchi_index(i)
+            v = self.alg.dchi_on_basis[i]
             if v is None:
                 raise ValueError(f"basis index {i} is outside the parabolic")
             if v:
@@ -452,7 +449,7 @@ class OperatorCalculus:
             delta = tuple(-c for c in alg.root_of[g])
             comp = tuple(gc - dc for gc, dc in zip(alg.rs.highest, delta))
             j = alg.index_of_root[tuple(-c for c in comp)]
-            n = dict(alg.bracket(j, g))[alg.x_minus_gamma]
+            n = dict(alg.table[j][g])[alg.x_minus_gamma]
             op = op + self.var(j) * self.derivative(alg.x_minus_gamma) * Q(n, 2)
         return op
 

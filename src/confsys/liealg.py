@@ -12,7 +12,7 @@ B(H_a, H_b) = (a, b); the invariant_form check proves it ad-invariant.
 
 Every structure constant is therefore a Python int, and the bracket table
 holds ints: products built from it divide nowhere, so they need no Fraction.
-The parabolic character is an int on every basis vector too (_dchi_table),
+The parabolic character is an int on every basis vector too (dchi_on_basis),
 so the checks that need only brackets and the character read table rows and
 that tuple in ints.
 
@@ -89,9 +89,6 @@ class LieAlgebra:
     def gamma(self) -> Root:
         return self.rs.highest
 
-    def bracket(self, i: int, j: int) -> BracketRow:
-        return self.table[i][j]
-
     def bracket_elem(self, a: dict[int, object], b: dict[int, object]) -> dict[int, object]:
         """Bracket of two elements; coefficients may be rationals or
         functions (zeroth-order PolyDiffOps)."""
@@ -99,7 +96,7 @@ class LieAlgebra:
         for i, ci in a.items():
             for j, cj in b.items():
                 for k, n in self.table[i][j]:
-                    c = ci * cj * n
+                    c = ci * (cj * n)     # an operator ci is scaled once
                     if k in out:
                         out[k] = out[k] + c
                     else:
@@ -225,20 +222,16 @@ class LieAlgebra:
 
     # ------------------------------------------------------------- character
 
-    def dchi_index(self, i: int) -> int | None:
-        """Value of the parabolic character on basis index i.
+    @cached_property
+    def dchi_on_basis(self) -> tuple[int | None, ...]:
+        """The parabolic character per basis index, as ints.
 
         The character is the unique one on the Levi factor that vanishes on
         its derived algebra and takes the value 2 on H_gamma: it restricts to
-        the highest root on the Cartan and to 0 on every root vector, and is
-        extended by 0 on the nilradical.  Returns None outside the parabolic.
+        the highest root on the Cartan, so (gamma, a_i) on H_i, and to 0 on
+        every root vector, and is extended by 0 on the nilradical.  None
+        outside the parabolic.
         """
-        return self._dchi_table[i]
-
-    @cached_property
-    def _dchi_table(self) -> tuple[int | None, ...]:
-        """dchi_index per basis index, computed once, as ints: (gamma, a_i)
-        on H_i."""
         rs = self.rs
         return tuple(None if g < 0 else
                      0 if self.root_of[i] is not None else
@@ -249,7 +242,7 @@ class LieAlgebra:
         """dchi on an element of the parabolic q (0 on n); raises outside q."""
         total = Q(0)
         for i, c in elem.items():
-            v = self.dchi_index(i)
+            v = self.dchi_on_basis[i]
             if v is None:
                 raise ValueError(f"element not in the parabolic: {self.names[i]}")
             total += c * v

@@ -43,7 +43,7 @@ class OmegaSystem:
             assert b is not None
             comp = tuple(g - c for g, c in zip(gamma, b))
             comp_idx = self.alg.index_of_root[comp]
-            br = dict(self.alg.bracket(b_idx, comp_idx))
+            br = dict(self.alg.table[b_idx][comp_idx])
             assert set(br) == {self.alg.x_gamma}, "V+ pairing must hit the center"
             self._legs.append((
                 self.alg.index_of_root[negate(comp)],
@@ -67,7 +67,7 @@ class OmegaSystem:
         out: Elt = {}
         for mcomp_idx, mb_idx, pair_n in self._legs:
             # twisted action of X_i on the complementary V- vector
-            t = dict(alg.bracket(i, mcomp_idx))
+            t = dict(alg.table[i][mcomp_idx])
             if half_dchi:
                 t[mcomp_idx] = t.get(mcomp_idx, 0) + half_dchi
             for j, cj in t.items():

@@ -163,16 +163,13 @@ class Session:
         return dict(zip(self.alg.v_minus, self.omega3_gens))
 
     @cached_property
-    def plus_and_center(self) -> list[int]:
-        return list(self.alg.v_plus) + [self.alg.x_gamma]
-
-    @cached_property
     def symbolic_functionals(self) -> dict[tuple[int, int], tuple[int, dict]]:
         """Point functionals at the identity of [pi(X), R(w3_k)], s symbolic,
         as int pairs (den, {derivative: (a0, a1)}) meaning (a0 + s*a1)/den,
-        for X over the grade +1 root vectors and the central vector."""
+        for X over the nilradical: the grade +1 root vectors and the
+        central vector."""
         out = {}
-        for xi in self.plus_and_center:
+        for xi in self.alg.n_indices:
             pi_x = self.calc.pi_basis(xi)
             for k, op in enumerate(self.omega3_ops):
                 out[(xi, k)] = commutator_at_identity(pi_x, op)
@@ -319,11 +316,11 @@ def _levi_equivariance(s: Session, elements: dict[int, Elt],
     alg, vm = s.alg, s.verma
     gens = [z for z in alg.q_generators if alg.grade[z] == 0]
     for z in gens:
-        shift = (1 - s0) * alg.dchi_index(z)
+        shift = (1 - s0) * alg.dchi_on_basis[z]
         for w, e in elements.items():
             rhs = elt_add(elt_subs(vm.act_basis(z, e), s0),
                           elt_scale(e, shift))
-            _ensure(build(dict(alg.bracket(z, w))) == rhs,
+            _ensure(build(dict(alg.table[z][w])) == rhs,
                     pair=[alg.names[z], alg.names[w]])
     return {"generators": len(gens), "pairs": len(gens) * len(elements)}
 
@@ -358,7 +355,7 @@ def _nil_annihilation(s: Session, elements: dict[int, Elt], s0: Q) -> int:
     alg, vm = s.alg, s.verma
     for u in alg.n_indices:
         for w, e in elements.items():
-            _ensure(not elt_subs(vm.act({u: Q(1)}, e), s0),
+            _ensure(not elt_subs(vm.act_basis(u, e), s0),
                     pair=[alg.names[u], alg.names[w]])
     return len(alg.n_indices) * len(elements)
 
@@ -392,7 +389,7 @@ def _contract(s: Session, ops: list[PolyDiffOp],
     calc, n = s.calc, s.calc.ncoords
     out = {}
     for g, mat in mats.items():
-        diag = shift * s.alg.dchi_index(g) if shift else 0
+        diag = shift * s.alg.dchi_on_basis[g] if shift else 0
         cols = []
         for i in range(len(ops)):
             pairs = []
@@ -520,7 +517,7 @@ def _chk_grading(s: Session) -> dict:
                         pair=[alg.names[i], alg.names[j]])
     # the grade-2 line is central in n = grades 1 and 2
     for i in alg.n_indices:
-        _ensure(not alg.bracket(alg.x_gamma, i), center_pair=alg.names[i])
+        _ensure(not alg.table[alg.x_gamma][i], center_pair=alg.names[i])
     return {"dims": list(dims), "frozen": expected is not None}
 
 
@@ -589,7 +586,7 @@ def _chk_levi_decomposition(s: Session) -> dict:
        "the expected residual dimension (zero outside type A)")
 def _chk_character(s: Session) -> dict:
     alg = s.alg
-    table, dchi = alg.table, alg._dchi_table
+    table, dchi = alg.table, alg.dchi_on_basis
     _ensure(alg.dchi(alg.h_gamma) == 2, value=qstr(alg.dchi(alg.h_gamma)))
     for i in alg.q_indices:
         if alg.root_of[i] is not None:
@@ -633,7 +630,7 @@ def _chk_verma_rep(s: Session) -> dict:
     for _ in range(40):
         x = rng.randrange(alg.dim)
         y = rng.randrange(alg.dim)
-        br = dict(alg.bracket(x, y))
+        br = dict(alg.table[x][y])
         for v in states:
             lhs = tuple(elt_sub(a, b) for a, b in zip(_act_twice(vm, x, y, v),
                                                        _act_twice(vm, y, x, v)))
@@ -656,7 +653,7 @@ def _chk_first_level(s: Session) -> dict:
     # the expected images, in ints from the bracket table and the character:
     # Z.Y = [Z, Y] + s dchi(Z) Y for Z in l, and U.Y = [U, Y]_nbar +
     # s dchi([U, Y]_q) for U in n
-    table, dchi, grade = alg.table, alg._dchi_table, alg.grade
+    table, dchi, grade = alg.table, alg.dchi_on_basis, alg.grade
     checked = 0
     for gi in alg.nbar_indices:
         gen = env.gen(gi)
@@ -894,7 +891,7 @@ def _chk_pi_first_order(s: Session) -> dict:
        "the operator algebra the X with [pi(X), pi(Y)] = pi([X, Y]) for all Y "
        "form a Lie subalgebra, and the generators generate g")
 def _chk_pi_hom(s: Session) -> dict:
-    alg, calc = s.alg, s.calc
+    alg, calc, n = s.alg, s.calc, s.calc.ncoords
     pairs = 0
     for g in alg.chevalley_generators:
         pi_g = calc.pi_basis(g)
@@ -902,9 +899,8 @@ def _chk_pi_hom(s: Session) -> dict:
             if y == g:
                 continue
             lhs = pi_g.commutator(calc.pi_basis(y))
-            rhs = calc.zero_op()
-            for k, c in alg.bracket(g, y):
-                rhs = rhs + calc.pi_basis(k) * c
+            rhs = sum_products(n, ((calc.const(c), calc.pi_basis(k))
+                                   for k, c in alg.table[g][y]))
             _ensure(lhs == rhs, pair=[alg.names[g], alg.names[y]])
             pairs += 1
     return {"generators": len(alg.chevalley_generators), "pairs": pairs}
@@ -937,17 +933,11 @@ def _chk_nbar_commutant(s: Session) -> dict:
 def _chk_picture_consistency(s: Session) -> dict:
     alg, calc, om = s.alg, s.calc, s.omega
     for k, y in enumerate(alg.v_minus):
-        acc = calc.zero_op()
-        for e_idx in alg.v_plus:
-            br = dict(alg.bracket(e_idx, y))
-            if not br:
-                continue
-            w2 = om.omega2(br)
-            if not w2:
-                continue
-            acc = acc + calc.r_gen(alg.opposite[e_idx]).compose(
-                calc.r_op(w2))
-        _ensure(acc == s.omega3_ops[k], index=alg.names[y])
+        pairs = [(calc.r_gen(alg.opposite[e]), calc.r_op(w2))
+                 for e in alg.v_plus
+                 if (br := alg.table[e][y]) and (w2 := om.omega2(dict(br)))]
+        _ensure(sum_products(calc.ncoords, pairs) == s.omega3_ops[k],
+                index=alg.names[y])
     return {"elements": len(alg.v_minus)}
 
 
@@ -963,7 +953,7 @@ def _chk_first_order_formula(s: Session) -> dict:
     sstar = s.require_sstar()
     alg, calc = s.alg, s.calc
     count = 0
-    for x in s.plus_and_center:
+    for x in alg.n_indices:
         pi_x = s.pi_special(x)
         adinv = calc.ad_inverse(x)
         for yb in alg.nbar_indices:
@@ -990,23 +980,18 @@ def _chk_quadratic_formula(s: Session) -> dict:
     sstar = s.require_sstar()
     alg, calc, om = s.alg, s.calc, s.omega
     count = 0
-    for x in s.plus_and_center:
+    for x in alg.n_indices:
         pi_x = s.pi_special(x)
         adinv = calc.ad_inverse(x)
         q_adinv = {i: c for i, c in adinv.items() if alg.grade[i] >= 0}
-        dch = calc.dchi_ext(q_adinv)
+        minus_dch = -calc.dchi_ext(q_adinv)
         for w in alg.l_indices:
-            w2 = om.omega2_basis(w)
-            r_w2 = calc.r_op(w2)
+            r_w2 = calc.r_op(om.omega2_basis(w))
             lhs = pi_x.commutator(r_w2)
             t = alg.bracket_elem(adinv, {w: 1})
-            rhs = -(dch * r_w2)
-            for z, cz in t.items():
-                if alg.grade[z] != 0:
-                    continue
-                r_z = calc.r_op(om.omega2_basis(z))
-                if r_z:
-                    rhs = rhs + cz * r_z
+            rhs = sum_products(calc.ncoords, [(minus_dch, r_w2)] + [
+                (cz, r_z) for z, cz in t.items()
+                if alg.grade[z] == 0 and (r_z := calc.r_op(om.omega2_basis(z)))])
             _ensure(lhs == rhs, pair=[alg.names[x], alg.names[w]])
             count += 1
     return {"pairs": count, "at": qstr(sstar)}
@@ -1176,7 +1161,7 @@ def _chk_reducibility(s: Session) -> dict:
     checked = 0
     for y in alg.chevalley_generators:
         for k in range(m):
-            got = elt_subs(vm.act({y: Q(1)}, s.omega3_gens[k]), sstar)
+            got = elt_subs(vm.act_basis(y, s.omega3_gens[k]), sstar)
             if alg.grade[y] >= 0:
                 expected: Elt = {}
                 for r in range(m):

@@ -107,7 +107,7 @@ class VermaModule:
         if x < alg.nbar_dim:
             out = {m2: (c, 0) for m2, c in self.env.mono_mul(((x, 1),), m).items()}
         elif not m:
-            v = alg.dchi_index(x)
+            v = alg.dchi_on_basis[x]
             out = {m: (0, v)} if v else {}
         else:
             (a, e), tail = m[0], m[1:]

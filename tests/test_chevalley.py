@@ -115,8 +115,8 @@ def test_grade0_generators_generate_l(label):
 def test_bracket_antisymmetry(alg_d4):
     for i in range(alg_d4.dim):
         for j in range(alg_d4.dim):
-            lhs = dict(alg_d4.bracket(i, j))
-            rhs = {k: -c for k, c in alg_d4.bracket(j, i)}
+            lhs = dict(alg_d4.table[i][j])
+            rhs = {k: -c for k, c in alg_d4.table[j][i]}
             assert lhs == rhs
 
 
@@ -135,15 +135,15 @@ def test_heisenberg_bracket_structure(alg_d4):
     # [V+, V+] spans the center line, [V-, V-] the opposite line
     for i in alg.v_plus:
         for j in alg.v_plus:
-            row = dict(alg.bracket(i, j))
+            row = dict(alg.table[i][j])
             assert set(row) <= {alg.x_gamma}
     for i in alg.v_minus:
         for j in alg.v_minus:
-            row = dict(alg.bracket(i, j))
+            row = dict(alg.table[i][j])
             assert set(row) <= {alg.x_minus_gamma}
     # each grade +1 root vector pairs with exactly one partner into the center
     for i in alg.v_plus:
-        partners = [j for j in alg.v_plus if dict(alg.bracket(i, j))]
+        partners = [j for j in alg.v_plus if dict(alg.table[i][j])]
         assert len(partners) == 1
 
 
@@ -174,7 +174,7 @@ def test_structure_constants_pm_one(alg_d4):
                 continue
             s = tuple(x + y for x, y in zip(a, b))
             if s != zero and alg.rs.is_root(s):
-                row = dict(alg.bracket(i, j))
+                row = dict(alg.table[i][j])
                 assert set(row) == {alg.index_of_root[s]}
                 assert abs(next(iter(row.values()))) == 1
 

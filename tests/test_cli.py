@@ -1,4 +1,4 @@
-"""Command line interface: exit codes, report output, cache management.
+"""Command line interface: exit codes, report output, usage errors.
 
 The fast rank-3 control keeps these end-to-end runs inexpensive; the full
 positive run is exercised by the acceptance suite.
@@ -86,18 +86,22 @@ def test_jobs_flag_is_a_usage_error(tmp_path, capsys):
     assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
+def _assert_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid choice: 'cache'" in capsys.readouterr().err
+
+
 def test_cache_build_and_clear(tmp_path, capsys):
+    # the cache fills itself on first use; there is no cache subcommand
     cdir = str(tmp_path / "cache")
-    assert main(["cache", "build", "--type", "A3", "--cache-dir", cdir]) == 0
-    out = capsys.readouterr().out
-    assert "built" in out and "algebra-A3-v1.json" in out
-    assert main(["cache", "clear", "--cache-dir", cdir]) == 0
-    out = capsys.readouterr().out
-    assert "cleared 1 cache entries" in out
-    assert main(["cache", "clear", "--cache-dir", cdir]) == 0
-    assert "cleared 0 cache entries" in capsys.readouterr().out
+    _assert_usage_error(["cache", "build", "--type", "A3", "--cache-dir", cdir],
+                        capsys)
+    _assert_usage_error(["cache", "clear", "--cache-dir", cdir], capsys)
+    assert not (tmp_path / "cache").exists()
 
 
 def test_cache_build_requires_type(capsys):
-    assert main(["cache", "build"]) == 2
-    assert "requires --type" in capsys.readouterr().err
+    # without --type the deleted subcommand is rejected the same way
+    _assert_usage_error(["cache", "build"], capsys)

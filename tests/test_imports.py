@@ -1,12 +1,11 @@
 """Every imported name is used, and every helper is referenced.
 
-AST scans of the sources: a name bound by an import statement under src/,
-scripts/ or tests/ must be referenced somewhere else in the same file; a
-private, undecorated function or class under src/ or scripts/ must be
-referenced somewhere in those two trees (a decorator such as @check registers
-what it decorates, so decorated definitions are exempt); and a public
-function or method under src/ must be referenced from src/, scripts/ or
-perfbench/, not only from tests.  No module of the engine but poly.py itself
+AST scans of the sources: a name bound by an import statement under src/ or
+tests/ must be referenced somewhere else in the same file; a private,
+undecorated function or class under src/ must be referenced somewhere in
+src/ (a decorator such as @check registers what it decorates, so decorated
+definitions are exempt); and a public function or method under src/ must be
+referenced from src/ or perfbench/, not only from tests.  No module of the engine but poly.py itself
 imports confsys.poly: it is the tests' reference ring.  The scans need
 nothing beyond the standard library.
 """
@@ -83,13 +82,13 @@ def _unreferenced_public(defining, referencing) -> list[str]:
 
 def test_no_unused_imports():
     found = []
-    for path, tree in _trees("src", "scripts", "tests"):
+    for path, tree in _trees("src", "tests"):
         found += [f"{path} {u}" for u in _unused_imports(tree)]
     assert not found, "unused imports:\n" + "\n".join(found)
 
 
 def test_no_unreferenced_private_definitions():
-    found = _unreferenced_private(_trees("src", "scripts"))
+    found = _unreferenced_private(_trees("src"))
     assert not found, "unreferenced private definitions:\n" + "\n".join(found)
 
 
@@ -117,7 +116,7 @@ def __getattr__(name):
 
 
 def test_no_unreferenced_public_definitions():
-    found = _unreferenced_public(_trees("src"), _trees("src", "scripts", "perfbench"))
+    found = _unreferenced_public(_trees("src"), _trees("src", "perfbench"))
     assert not found, "public definitions only tests use:\n" + "\n".join(found)
 
 
@@ -178,11 +177,11 @@ class Engine:
     tracer = 'TARGETS = [("engine", "Engine.patched")]\n'
     found = _unreferenced_public(
         [("src/m.py", ast.parse(source))],
-        [("src/m.py", ast.parse(source)), ("scripts/c.py", ast.parse(caller)),
+        [("src/m.py", ast.parse(source)), ("src/c.py", ast.parse(caller)),
          ("perfbench/t.py", ast.parse(tracer))])
     assert found == ["src/m.py line 2: test_only"]
     # a string outside perfbench/ is no reference
     found = _unreferenced_public([("src/m.py", ast.parse(source))],
                                  [("src/m.py", ast.parse(source)),
-                                  ("scripts/t.py", ast.parse(caller + tracer))])
+                                  ("src/t.py", ast.parse(caller + tracer))])
     assert found == ["src/m.py line 2: test_only", "src/m.py line 12: patched"]

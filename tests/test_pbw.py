@@ -36,12 +36,12 @@ def test_commutation_rewrites_to_bracket(env_d4):
     alg = env_d4.alg
     # pick a non-commuting pair inside the opposite radical
     i, j = alg.v_minus[0], alg.v_minus[5]
-    br = dict(alg.bracket(i, j))
+    br = dict(alg.table[i][j])
     if not br:
         candidates = [(a, b) for a in alg.v_minus for b in alg.v_minus
-                      if dict(alg.bracket(a, b))]
+                      if dict(alg.table[a][b])]
         i, j = candidates[0]
-        br = dict(alg.bracket(i, j))
+        br = dict(alg.table[i][j])
     lhs = elt_sub(env_d4.mul(env_d4.gen(j), env_d4.gen(i)),
                   env_d4.mul(env_d4.gen(i), env_d4.gen(j)))
     rhs = {((k, 1),): -c for k, c in br.items()}

@@ -169,7 +169,7 @@ def _levi_equivariance_reference(s: Session, elements, build, s0) -> int:
         for w, e in elements.items():
             rhs = elt_add(elt_subs(vm.act({z: Q(1)}, e), s0),
                           elt_scale(e, shift))
-            if elt_sub(build(dict(alg.bracket(z, w))), rhs):
+            if elt_sub(build(dict(alg.table[z][w])), rhs):
                 raise CheckFailure({"pair": [alg.names[z], alg.names[w]]})
     return len(alg.l_indices) * len(elements)
 
@@ -354,9 +354,9 @@ def _contraction_reference(s: Session):
             for e_idx in alg.v_plus:
                 inner1 = alg.bracket_elem({x: Q(1)},
                                           {alg.opposite[e_idx]: Q(1)})
-                inner2 = dict(alg.bracket(e_idx, y))
+                inner2 = dict(alg.table[e_idx][y])
                 acc = elt_add(acc, om.omega2(alg.bracket_elem(inner1, inner2)))
-            target = om.omega2(dict(alg.bracket(x, y)))
+            target = om.omega2(dict(alg.table[x][y]))
             if not target:
                 if acc:
                     zero_anomalies.append((alg.names[x], alg.names[y]))
@@ -419,7 +419,7 @@ def test_character_normalization_catches_an_extra_coroot_term(tmp_path,
     alg = session.alg
     assert _first_character_failure(alg) is None
     assert run_single(session, "character_normalization").status == "pass"
-    h = next(i for i in alg.cartan_index if alg.dchi_index(i))
+    h = next(i for i in alg.cartan_index if alg.dchi_on_basis[i])
     z, w = next((z, w) for z in alg.l_indices for w in alg.l_indices
                 if alg.table[z][w] and h not in dict(alg.table[z][w]))
     session.alg = _with_rows(alg, {(z, w): alg.table[z][w] + ((h, 1),)})
@@ -441,9 +441,9 @@ def test_first_level_action_catches_a_perturbed_levi_character_entry(
     assert run_single(session, "first_level_action").status == "pass"
     for z in (alg.cartan_index[0], alg.l_indices[0]):
         bad = dataclasses.replace(alg)
-        dchi = list(alg._dchi_table)
+        dchi = list(alg.dchi_on_basis)
         dchi[z] += 1
-        bad.__dict__["_dchi_table"] = tuple(dchi)
+        bad.__dict__["dchi_on_basis"] = tuple(dchi)
         session.alg = bad
         res = run_single(session, "first_level_action")
         assert res.status == "fail"
@@ -607,18 +607,74 @@ def test_reducibility_witness_catches_a_wrong_action_at_each_generator(tmp_path)
     session = _d4_session(tmp_path)
     alg, vm = session.alg, session.verma
     assert run_single(session, "reducibility_witness").status == "pass"
-    act = vm.act
+    act_basis = vm.act_basis
 
     def wrong_at(g):
         # adds the cyclic vector, which is never in the image of a cubic
         # element under a generator (grade -1, 0 or 1)
-        def wrong(x, v):
-            v0, v1 = act(x, v)
-            return (elt_add(v0, {(): Q(1)}), v1) if list(x) == [g] else (v0, v1)
+        def wrong(i, v):
+            v0, v1 = act_basis(i, v)
+            return (elt_add(v0, {(): Q(1)}), v1) if i == g else (v0, v1)
         return wrong
 
     for g in alg.chevalley_generators:
-        vm.act = wrong_at(g)
+        vm.act_basis = wrong_at(g)
         res = run_single(session, "reducibility_witness")
         assert res.status == "fail"
         assert res.witness["vector"] == alg.names[g]
+
+
+def _doubled_at(fn, bad):
+    """fn with its value at bad doubled, elsewhere unchanged."""
+    return lambda i: elt_scale(fn(i), 2) if i == bad else fn(i)
+
+
+def test_picture_consistency_catches_a_perturbed_quadratic_element(tmp_path):
+    # the cubic operators are built before the mutant; only the right-hand
+    # side, sum_e R(X_-e) o R(omega2([X_e, Y])), reads the doubled element
+    session = _d4_session(tmp_path)
+    alg, om = session.alg, session.omega
+    assert run_single(session, "picture_consistency").status == "pass"
+    y0 = alg.v_minus[-1]
+    w0 = next(w for e in alg.v_plus for w, _ in alg.table[e][y0]
+              if om.omega2_basis(w))
+    first = next(y for y in alg.v_minus
+                 if any(w0 in dict(alg.table[e][y]) for e in alg.v_plus))
+    om.omega2_basis = _doubled_at(om.omega2_basis, w0)
+    res = run_single(session, "picture_consistency")
+    assert res.status == "fail"
+    assert res.witness["index"] == alg.names[first]
+
+
+def test_quadratic_commutator_formula_catches_a_perturbed_operator(tmp_path):
+    # pi_special(x0) + z: only the pairs (x0, W) change, and among them
+    # first the one whose quadratic right action does not commute with z
+    session = _d4_session(tmp_path)
+    alg, calc, om = session.alg, session.calc, session.omega
+    assert run_single(session, "quadratic_commutator_formula").status == "pass"
+    x0 = alg.v_plus[3]
+    z = calc.var(alg.x_minus_gamma)
+    w = next(w for w in alg.l_indices
+             if z.commutator(calc.r_op(om.omega2_basis(w))))
+    pi_special = session.pi_special
+    session.pi_special = lambda i: pi_special(i) + z if i == x0 else pi_special(i)
+    res = run_single(session, "quadratic_commutator_formula")
+    assert res.status == "fail"
+    assert res.witness["pair"] == [alg.names[x0], alg.names[w]]
+
+
+def test_quadratic_commutator_formula_catches_a_perturbed_quadratic_element(
+        tmp_path):
+    # doubling omega2(W0) changes a pair (X, W) only where W = W0 or W0 is
+    # in the Levi part of [AdInv(X), W]; the first pair to fail is one of
+    # the latter, where only the right-hand side reads omega2(W0)
+    session = _d4_session(tmp_path)
+    alg, calc, om = session.alg, session.calc, session.omega
+    assert run_single(session, "quadratic_commutator_formula").status == "pass"
+    w0 = next(w for w in alg.l_indices
+              if alg.root_of[w] is not None and om.omega2_basis(w))
+    om.omega2_basis = _doubled_at(om.omega2_basis, w0)
+    res = run_single(session, "quadratic_commutator_formula")
+    assert res.status == "fail"
+    x, w = (alg.names.index(name) for name in res.witness["pair"])
+    assert w != w0 and w0 in alg.bracket_elem(calc.ad_inverse(x), {w: 1})

@@ -70,7 +70,7 @@ def test_representation_property_sample(verma_d4):
         xy = _act_on_affine(verma_d4, x, verma_d4.act_basis(y, v0))
         yx = _act_on_affine(verma_d4, y, verma_d4.act_basis(x, v0))
         lhs = [elt_sub(a, b) for a, b in zip(xy, yx)]
-        rhs = verma_d4.act(dict(alg.bracket(x, y)), v0) + ({},)
+        rhs = verma_d4.act(dict(alg.table[x][y]), v0) + ({},)
         assert _same(lhs, rhs)
 
 
@@ -248,7 +248,7 @@ def test_module_action_matrix_rejects_residual_inside_support(verma_d4):
     alg = env.alg
 
     def weight(h, i):
-        return dict(alg.bracket(h, i))[i]
+        return dict(alg.table[h][i])[i]
 
     # X_a + X_b is an eigenvector of no Cartan vector H that weighs a and b
     # differently: H maps it onto the same two monomials, outside its span
@@ -449,7 +449,7 @@ def _act_by_normal_ordering(vm, x, v):
                 continue
             if alg.root_of[i] is not None:
                 break
-            coeff = coeff * (S * alg.dchi_index(i)) ** e
+            coeff = coeff * (S * alg.dchi_on_basis[i]) ** e
         else:
             body = tuple((i, e) for i, e in m if i < alg.nbar_dim)
             out = elt_add(out, {body: coeff})
