@@ -446,11 +446,9 @@ class OperatorCalculus:
             raise ValueError(f"basis index {g} is not in the opposite nilradical")
         op = self.derivative(g)
         if g != alg.x_minus_gamma:
-            delta = tuple(-c for c in alg.root_of[g])
-            comp = tuple(gc - dc for gc, dc in zip(alg.rs.highest, delta))
-            j = alg.index_of_root[tuple(-c for c in comp)]
-            n = dict(alg.table[j][g])[alg.x_minus_gamma]
-            op = op + self.var(j) * self.derivative(alg.x_minus_gamma) * Q(n, 2)
+            # [X_g, X_j] = n X_-gamma for the partner X_j of X_g
+            j, n = alg.partner[g]
+            op = op + self.var(j) * self.derivative(alg.x_minus_gamma) * Q(-n, 2)
         return op
 
     @memo

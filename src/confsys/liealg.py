@@ -12,9 +12,10 @@ B(H_a, H_b) = (a, b); the invariant_form check proves it ad-invariant.
 
 Every structure constant is therefore a Python int, and the bracket table
 holds ints: products built from it divide nowhere, so they need no Fraction.
-The parabolic character is an int on every basis vector too (dchi_on_basis),
-so the checks that need only brackets and the character read table rows and
-that tuple in ints.
+The coroots H_a = [X_a, X_-a] (h_gamma among them), the Heisenberg pairing
+(partner) and the parabolic character (dchi_on_basis) are ints read off the
+table too, so the operator, module and enveloping-algebra code reads no
+root coordinates: roots stay in the construction, the cache and the checks.
 
 verify_normalizations reads each root a as one packed int key,
 sum_i a_i * base**i with base = 4 * (largest root coefficient) + 1.  The key
@@ -103,10 +104,6 @@ class LieAlgebra:
                         out[k] = c
         return {k: v for k, v in out.items() if v}
 
-    def h_of(self, a: Root) -> dict[int, Q]:
-        """H_a as a combination of the simple coroots."""
-        return {self.cartan_index[i]: Q(c) for i, c in enumerate(a) if c}
-
     def killing_elem(self, a: dict[int, Q], b: dict[int, Q]) -> Q:
         """The invariant form B(a, b): X_a pairs only with X_-a, by 1, and H_i
         with H_j by the Gram entry (a_i, a_j)."""
@@ -183,12 +180,9 @@ class LieAlgebra:
         """
         out: list[int] = []
         for i in range(self.rank):
-            a = self.rs.simple(i)
-            x = self.index_of_root[a]
-            if self.grade[x] == 0:
-                out += [x, self.index_of_root[tuple(-c for c in a)]]
-            else:
-                out += [x, self.cartan_index[i]]
+            x = self.index_of_root[self.rs.simple(i)]
+            out += [x, self.opposite[x] if self.grade[x] == 0
+                    else self.cartan_index[i]]
         return tuple(out)
 
     @cached_property
@@ -238,19 +232,24 @@ class LieAlgebra:
                      rs.pairing(self.gamma, rs.simple(self.simple_of[i]))
                      for i, g in enumerate(self.grade))
 
-    def dchi(self, elem: dict[int, Q]) -> Q:
-        """dchi on an element of the parabolic q (0 on n); raises outside q."""
-        total = Q(0)
-        for i, c in elem.items():
-            v = self.dchi_on_basis[i]
-            if v is None:
-                raise ValueError(f"element not in the parabolic: {self.names[i]}")
-            total += c * v
-        return total
+    @cached_property
+    def h_gamma(self) -> dict[int, int]:
+        """The grading coroot, the int row [X_gamma, X_-gamma]."""
+        return dict(self.table[self.x_gamma][self.x_minus_gamma])
 
     @cached_property
-    def h_gamma(self) -> dict[int, Q]:
-        return self.h_of(self.gamma)
+    def partner(self) -> tuple[tuple[int, int] | None, ...]:
+        """The Heisenberg pairing, read from the bracket table: per index i
+        of grade +1 or -1, (j, n) with [X_i, X_j] = n X_{+-gamma}, j the one
+        index of that grade pairing with i (X_{+-gamma - b} for X_i = X_b);
+        None elsewhere."""
+        out: list[tuple[int, int] | None] = [None] * self.dim
+        for space in (self.v_plus, self.v_minus):
+            for i in space:
+                (j,) = [j for j in space if self.table[i][j]]
+                ((_, n),) = self.table[i][j]
+                out[i] = (j, n)
+        return tuple(out)
 
     # ---------------------------------------------------------- verification
 
@@ -307,8 +306,8 @@ class LieAlgebra:
         basis indices."""
         out: list[int] = []
         for i in range(self.rank):
-            a = self.rs.simple(i)
-            out += [self.index_of_root[a], self.index_of_root[tuple(-c for c in a)]]
+            x = self.index_of_root[self.rs.simple(i)]
+            out += [x, self.opposite[x]]
         return tuple(out)
 
     def verify_jacobi(self) -> None:

@@ -1,11 +1,12 @@
 """Candidate invariant systems attached to the Heisenberg parabolic.
 
 For Z in the Levi factor l, the quadratic map produces a degree-2 element of
-U(nbar) built from the symplectic pairing on V+ (the bracket into the grade-2
-line) and the half-twisted action of Z on V-.  The cubic map attaches to
-each Y in V- the degree-3 element sum_w w* omega2([w, Y]), contracted over a
-basis w of V+ and its dual basis w* of V- under the invariant form.  Both maps
-are linear and exact over Q, and their elements hold no zero coefficient.
+U(nbar) built from the Heisenberg pairing on V+ (the bracket into the grade-2
+line, LieAlgebra.partner) and the half-twisted action of Z on V-.  The cubic
+map attaches to each Y in V- the degree-3 element sum_w w* omega2([w, Y]),
+contracted over a basis w of V+ and its dual basis w* of V- under the
+invariant form.  Both maps are linear and exact over Q, and their elements
+hold no zero coefficient.
 
 Normalization: the quadratic map is fixed only up to a global nonzero scalar
 by the identities it must satisfy (all of them are homogeneous in it); the
@@ -20,11 +21,6 @@ from fractions import Fraction as Q
 from .liealg import LieAlgebra
 from .memo import memo
 from .pbw import Elt, Enveloping, elt_add, elt_scale
-from .roots import Root
-
-
-def negate(root: Root) -> Root:
-    return tuple(-c for c in root)
 
 
 class OmegaSystem:
@@ -33,37 +29,24 @@ class OmegaSystem:
     def __init__(self, env: Enveloping):
         self.env = env
         self.alg: LieAlgebra = env.alg
-        rs = self.alg.rs
-        gamma = rs.highest
-        # For each root b of V+: (index of X_{-(gamma-b)}, index of X_{-b},
-        # pairing constant N with [X_b, X_{gamma-b}] = N X_gamma).
+        # For each X_b of V+ with partner X_c, [X_b, X_c] = N X_gamma:
+        # (index of X_-c, index of X_-b, N).
+        opposite = self.alg.opposite
         self._legs: list[tuple[int, int, int]] = []
-        for b_idx in self.alg.v_plus:
-            b = self.alg.root_of[b_idx]
-            assert b is not None
-            comp = tuple(g - c for g, c in zip(gamma, b))
-            comp_idx = self.alg.index_of_root[comp]
-            br = dict(self.alg.table[b_idx][comp_idx])
-            assert set(br) == {self.alg.x_gamma}, "V+ pairing must hit the center"
-            self._legs.append((
-                self.alg.index_of_root[negate(comp)],
-                self.alg.index_of_root[negate(b)],
-                br[self.alg.x_gamma],
-            ))
+        for b in self.alg.v_plus:
+            c, n = self.alg.partner[b]
+            self._legs.append((opposite[c], opposite[b], n))
 
     # -- degree 2 -------------------------------------------------------------
 
-    def _require_levi(self, z: dict[int, Q]) -> None:
-        allowed = set(self.alg.l_indices)
-        for i in z:
-            if i not in allowed:
-                raise ValueError(f"basis index {i} is not in the Levi factor")
-
     @memo
     def omega2_basis(self, i: int) -> Elt:
-        """Quadratic element for the i-th Lie algebra basis vector (in l)."""
+        """Quadratic element for the i-th Lie algebra basis vector; raises
+        unless it is in l."""
         env, alg = self.env, self.alg
-        half_dchi = alg.dchi({i: Q(1)}) / 2
+        if alg.grade[i] != 0:
+            raise ValueError(f"basis index {i} is not in the Levi factor")
+        half_dchi = Q(alg.dchi_on_basis[i], 2)
         out: Elt = {}
         for mcomp_idx, mb_idx, pair_n in self._legs:
             # twisted action of X_i on the complementary V- vector
@@ -79,11 +62,11 @@ class OmegaSystem:
 
     def omega2(self, z: dict[int, Q]) -> Elt:
         """Quadratic element for Z in l; linear in Z; rejects Z outside l."""
-        self._require_levi(z)
         out: Elt = {}
         for i, c in z.items():
+            w2 = self.omega2_basis(i)
             if c:
-                out = elt_add(out, elt_scale(self.omega2_basis(i), c))
+                out = elt_add(out, elt_scale(w2, c))
         return out
 
     # -- degree 3 -------------------------------------------------------------

@@ -158,6 +158,12 @@ class Session:
         return {w: self.omega.omega2_basis(w) for w in self.alg.l_indices}
 
     @cached_property
+    def quadratic_ops(self) -> dict[int, PolyDiffOp]:
+        """R of the quadratic element of each Levi basis vector, by index."""
+        return {w: self.calc.r_op(w2)
+                for w, w2 in self.quadratic_elements.items()}
+
+    @cached_property
     def cubic_elements(self) -> dict[int, Elt]:
         """The cubic element of each grade -1 basis vector, by index."""
         return dict(zip(self.alg.v_minus, self.omega3_gens))
@@ -586,10 +592,11 @@ def _chk_levi_decomposition(s: Session) -> dict:
        "the expected residual dimension (zero outside type A)")
 def _chk_character(s: Session) -> dict:
     alg = s.alg
-    table, dchi = alg.table, alg.dchi_on_basis
-    _ensure(alg.dchi(alg.h_gamma) == 2, value=qstr(alg.dchi(alg.h_gamma)))
+    table, dchi, opposite = alg.table, alg.dchi_on_basis, alg.opposite
+    on_h_gamma = sum(c * dchi[k] for k, c in alg.h_gamma.items())
+    _ensure(on_h_gamma == 2, value=qstr(on_h_gamma))
     for i in alg.q_indices:
-        if alg.root_of[i] is not None:
+        if opposite[i] is not None:
             _ensure(dchi[i] == 0, index=alg.names[i])
     for z in alg.l_indices:
         line = table[z]
@@ -597,16 +604,12 @@ def _chk_character(s: Session) -> dict:
             _ensure(not sum(c * dchi[k] for k, c in line[w]),
                     pair=[alg.names[z], alg.names[w]])
     # freedom left on the Cartan: corank of the span of the Levi coroots
-    # together with the grading coroot
-    rows = []
-    for i in alg.l_indices:
-        r = alg.root_of[i]
-        if r is not None:
-            h = alg.h_of(r)
-            rows.append([h.get(alg.cartan_index[k], Q(0))
-                         for k in range(alg.rank)])
-    rows.append([alg.h_gamma.get(alg.cartan_index[k], Q(0))
-                 for k in range(alg.rank)])
+    # H_a = [X_a, X_-a] (rows that chevalley_normalizations proves equal to
+    # H_a) together with the grading coroot
+    coroots = [dict(table[i][opposite[i]]) for i in alg.l_indices
+               if opposite[i] is not None]
+    rows = [[h.get(k, 0) for k in alg.cartan_index]
+            for h in coroots + [alg.h_gamma]]
     freedom = alg.rank - rank(rows)
     expected = _expected(alg, "character_freedom")
     if expected is not None:
@@ -978,7 +981,7 @@ def _chk_first_order_formula(s: Session) -> dict:
        "multiple of the original operator")
 def _chk_quadratic_formula(s: Session) -> dict:
     sstar = s.require_sstar()
-    alg, calc, om = s.alg, s.calc, s.omega
+    alg, calc, ops = s.alg, s.calc, s.quadratic_ops
     count = 0
     for x in alg.n_indices:
         pi_x = s.pi_special(x)
@@ -986,12 +989,11 @@ def _chk_quadratic_formula(s: Session) -> dict:
         q_adinv = {i: c for i, c in adinv.items() if alg.grade[i] >= 0}
         minus_dch = -calc.dchi_ext(q_adinv)
         for w in alg.l_indices:
-            r_w2 = calc.r_op(om.omega2_basis(w))
-            lhs = pi_x.commutator(r_w2)
+            lhs = pi_x.commutator(ops[w])
             t = alg.bracket_elem(adinv, {w: 1})
-            rhs = sum_products(calc.ncoords, [(minus_dch, r_w2)] + [
-                (cz, r_z) for z, cz in t.items()
-                if alg.grade[z] == 0 and (r_z := calc.r_op(om.omega2_basis(z)))])
+            rhs = sum_products(calc.ncoords, [(minus_dch, ops[w])] + [
+                (cz, ops[z]) for z, cz in t.items()
+                if alg.grade[z] == 0 and ops[z]])
             _ensure(lhs == rhs, pair=[alg.names[x], alg.names[w]])
             count += 1
     return {"pairs": count, "at": qstr(sstar)}
@@ -1069,7 +1071,7 @@ def _chk_b_matrix(s: Session) -> dict:
             reason="grading coroot must act by -3")
     action = s.action_matrices_special
     for g in alg.q_indices:
-        dg = alg.dchi({g: Q(1)})
+        dg = alg.dchi_on_basis[g]
         expected = [[action[g][r][k] - (sstar * dg if r == k else Q(0))
                      for k in range(m)] for r in range(m)]
         _ensure(bmats[g] == expected, vector=alg.names[g],

@@ -121,11 +121,12 @@ def test_bracket_antisymmetry(alg_d4):
 
 
 def test_killing_normalization_all_root_pairs(alg_d4):
-    from confsys.omega import negate
     for i, a in enumerate(alg_d4.root_of):
+        j = alg_d4.opposite[i]
         if a is None:
+            assert j is None
             continue
-        j = alg_d4.index_of_root[negate(a)]
+        assert alg_d4.root_of[j] == tuple(-c for c in a)
         assert alg_d4.killing_elem({i: 1}, {j: 1}) == 1
         assert alg_d4.killing_elem({i: 1}, {i: 1}) == 0
 
@@ -147,20 +148,42 @@ def test_heisenberg_bracket_structure(alg_d4):
         assert len(partners) == 1
 
 
+@pytest.mark.parametrize("label", [f"A{r}" for r in range(2, 8)]
+                         + [f"D{r}" for r in range(4, 9)] + ["E6", "E7"])
+def test_partner_matches_the_root_computation(label):
+    """The pairing read from the table is X_{+-gamma - b} for X_b of grade
+    +-1, with the constant of [X_b, X_{+-gamma - b}], and None elsewhere."""
+    alg = build_lie_algebra(build_root_system(RootSystemSpec.parse(label)),
+                            check=False)
+    for space, sign, centre in ((alg.v_plus, 1, alg.x_gamma),
+                                (alg.v_minus, -1, alg.x_minus_gamma)):
+        for i in space:
+            j = alg.index_of_root[tuple(sign * g - b for g, b in
+                                        zip(alg.gamma, alg.root_of[i]))]
+            assert alg.partner[i] == (j, dict(alg.table[i][j])[centre])
+    assert all(alg.partner[i] is None
+               for i in range(alg.dim) if abs(alg.grade[i]) != 1)
+
+
+def _dchi(alg, elem):
+    return sum(c * alg.dchi_on_basis[k] for k, c in elem.items())
+
+
 def test_character_values(alg_d4):
     alg = alg_d4
-    assert alg.dchi(alg.h_gamma) == 2
-    # value 1 on each coroot of a grade +1 root
+    # the grading coroot, read from the table, is H_gamma, where dchi is 2
+    assert alg.h_gamma == {alg.cartan_index[k]: c
+                           for k, c in enumerate(alg.gamma) if c}
+    assert _dchi(alg, alg.h_gamma) == 2
+    # value 1 on each coroot [X_b, X_-b] of a grade +1 root b
     for i in alg.v_plus:
-        h = alg.h_of(alg.root_of[i])
-        assert alg.dchi(h) == 1
-    # 0 on the root vectors of q (the nilradical included), errors off q
+        assert _dchi(alg, dict(alg.table[i][alg.opposite[i]])) == 1
+    # 0 on the root vectors of q (the nilradical included), None off q
     for i in alg.q_indices:
-        if alg.root_of[i] is not None:
-            assert alg.dchi({i: Q(1)}) == 0
-    with pytest.raises(ValueError):
-        alg.dchi({alg.x_minus_gamma: Q(1)})
-    assert alg.dchi({alg.x_gamma: Q(1)}) == 0
+        if alg.opposite[i] is not None:
+            assert alg.dchi_on_basis[i] == 0
+    assert alg.dchi_on_basis[alg.x_minus_gamma] is None
+    assert alg.dchi_on_basis[alg.x_gamma] == 0
 
 
 def test_structure_constants_pm_one(alg_d4):

@@ -6,8 +6,10 @@ undecorated function or class under src/ must be referenced somewhere in
 src/ (a decorator such as @check registers what it decorates, so decorated
 definitions are exempt); and a public function or method under src/ must be
 referenced from src/ or perfbench/, not only from tests.  No module of the engine but poly.py itself
-imports confsys.poly: it is the tests' reference ring.  The scans need
-nothing beyond the standard library.
+imports confsys.poly: it is the tests' reference ring.  The operator, module
+and enveloping-algebra modules read the algebra through its bracket table
+alone: they import nothing from confsys.roots and read no root coordinates.
+The scans need nothing beyond the standard library.
 """
 
 import ast
@@ -120,27 +122,27 @@ def test_no_unreferenced_public_definitions():
     assert not found, "public definitions only tests use:\n" + "\n".join(found)
 
 
-def _imports_poly(tree: ast.Module) -> bool:
-    """Whether a module of the confsys package imports confsys.poly, as
-    `from .poly import ...`, `from . import poly`, `from confsys.poly import
-    ...`, `from confsys import poly` or `import confsys.poly`."""
+def _imports(tree: ast.Module, name: str) -> bool:
+    """Whether a module of the confsys package imports confsys.<name>, as
+    `from .<name> import ...`, `from . import <name>`, `from confsys.<name>
+    import ...`, `from confsys import <name>` or `import confsys.<name>`."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            if any(a.name == "confsys.poly" for a in node.names):
+            if any(a.name == f"confsys.{name}" for a in node.names):
                 return True
         elif isinstance(node, ast.ImportFrom):
             module = "." * node.level + (node.module or "")
-            if module in (".poly", "confsys.poly"):
+            if module in (f".{name}", f"confsys.{name}"):
                 return True
             if (module in (".", "confsys")
-                    and any(a.name == "poly" for a in node.names)):
+                    and any(a.name == name for a in node.names)):
                 return True
     return False
 
 
 def test_only_poly_uses_the_polynomial_ring():
     found = [str(path) for path, tree in _trees("src/confsys")
-             if path.name != "poly.py" and _imports_poly(tree)]
+             if path.name != "poly.py" and _imports(tree, "poly")]
     assert not found, "modules importing confsys.poly:\n" + "\n".join(found)
 
 
@@ -149,10 +151,43 @@ def test_poly_import_scan_flags_each_form():
                    "from confsys.poly import rational_roots\n",
                    "from confsys import linalg, poly\n", "import confsys.poly\n",
                    "def f():\n    from .poly import Poly\n"):
-        assert _imports_poly(ast.parse(source)), source
+        assert _imports(ast.parse(source), "poly"), source
     for source in ("from .linalg import rref\n", "from . import linalg\n",
                    "import poly\n", "from .polynomials import P\n"):
-        assert not _imports_poly(ast.parse(source)), source
+        assert not _imports(ast.parse(source), "poly"), source
+
+
+TABLE_READERS = ("omega.py", "diffops.py", "verma.py", "pbw.py")
+ROOT_DATA = {"root_of", "index_of_root", "rs"}
+
+
+def _root_reads(tree: ast.Module) -> list[str]:
+    """Where a module imports confsys.roots or reads root data: a name or an
+    attribute called root_of, index_of_root or rs."""
+    found = ["imports confsys.roots"] if _imports(tree, "roots") else []
+    for node in ast.walk(tree):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        if name in ROOT_DATA:
+            found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+def test_engine_reads_no_root_coordinates():
+    found = [f"{path} {r}" for path, tree in _trees("src/confsys")
+             if path.name in TABLE_READERS for r in _root_reads(tree)]
+    assert not found, "root data read by the engine:\n" + "\n".join(found)
+
+
+def test_root_read_scan_flags_each_form():
+    for source in ("from .roots import Root\n", "from . import roots\n",
+                   "x = alg.root_of[i]\n", "j = alg.index_of_root[a]\n",
+                   "g = alg.rs.highest\n", "rs = alg.rs\n",
+                   "def f(rs):\n    return rs\n"):
+        assert _root_reads(ast.parse(source)), source
+    for source in ("from .liealg import LieAlgebra\n", "x = alg.opposite[i]\n",
+                   "j, n = alg.partner[g]\n", "roots = 3\n"):
+        assert not _root_reads(ast.parse(source)), source
 
 
 def test_unreferenced_public_scan_flags_a_test_only_helper():

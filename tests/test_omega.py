@@ -6,16 +6,12 @@ from fractions import Fraction as Q
 import pytest
 
 from confsys.linalg import inverse
-from confsys.omega import OmegaSystem, negate
+from confsys.omega import OmegaSystem
 from confsys.pbw import Enveloping, elt_add, elt_scale, elt_sub, mono_word
 from confsys.verify import weighted_degree
 from confsys.verma import elt_subs
 
 SPECIAL = Q(-1)
-
-
-def minus_index(alg, i):
-    return alg.index_of_root[negate(alg.root_of[i])]
 
 
 def test_quadratic_vanishes_on_grading_coroot(omega_d4, alg_d4):
@@ -39,6 +35,17 @@ def test_quadratic_shape_and_linearity(omega_d4, alg_d4):
     split = elt_add(elt_scale(omega_d4.omega2_basis(z1), 2),
                     elt_scale(omega_d4.omega2_basis(z2), -3))
     assert not elt_sub(combo, split)
+
+
+def test_quadratic_rejects_every_index_outside_the_levi_factor(omega_d4,
+                                                               alg_d4):
+    # one index of each grade -2, -1, +1, +2
+    for i in (alg_d4.x_minus_gamma, alg_d4.v_minus[0], alg_d4.v_plus[0],
+              alg_d4.x_gamma):
+        with pytest.raises(ValueError, match="not in the Levi factor"):
+            omega_d4.omega2_basis(i)
+        with pytest.raises(ValueError, match="not in the Levi factor"):
+            omega_d4.omega2({i: Q(1)})
 
 
 def test_quadratic_memo_is_per_instance(alg_d4, alg_a3):
@@ -68,7 +75,7 @@ def test_quadratic_equivariance_holds_exactly_at_special(omega_d4, alg_d4,
                                                          verma_d4):
     om, vm, alg = omega_d4, verma_d4, alg_d4
     for z in alg.l_indices:
-        dz = alg.dchi({z: Q(1)})
+        dz = alg.dchi_on_basis[z]
         for w in alg.l_indices:
             w2 = om.omega2_basis(w)
             lhs = om.omega2(alg.bracket_elem({z: Q(1)}, {w: Q(1)}))
@@ -86,7 +93,7 @@ def test_quadratic_equivariance_fails_off_special(omega_d4, alg_d4, verma_d4):
     w2 = omega_d4.omega2_basis(w)
     assert not alg.bracket_elem(z, {w: Q(1)})
     rhs = elt_add(elt_subs(verma_d4.act(z, w2), Q(0)),
-                  elt_scale(w2, 2 * alg.dchi(z)))
+                  elt_scale(w2, 4))   # 2 dchi(H_gamma)
     assert rhs != {}
 
 
@@ -111,7 +118,7 @@ def test_contraction_identity_with_unique_constant(omega_d4, alg_d4):
             rhs = om.omega2(alg.bracket_elem({x: Q(1)}, {y: Q(1)}))
             lhs = {}
             for eps in alg.v_plus:
-                a = alg.bracket_elem({x: Q(1)}, {minus_index(alg, eps): Q(1)})
+                a = alg.bracket_elem({x: Q(1)}, {alg.opposite[eps]: Q(1)})
                 b = alg.bracket_elem({eps: Q(1)}, {y: Q(1)})
                 if a and b:
                     inner = alg.bracket_elem(a, b)
@@ -180,7 +187,7 @@ def test_cubic_weight_at_special(omega_d4, alg_d4, verma_d4):
 def test_cubic_equivariance_at_special(omega_d4, alg_d4, verma_d4):
     om, vm, alg = omega_d4, verma_d4, alg_d4
     for z in alg.l_indices:
-        dz = alg.dchi({z: Q(1)})
+        dz = alg.dchi_on_basis[z]
         for y in alg.v_minus:
             w3 = om.omega3({y: 1})
             br = dict(alg.table[z][y])
@@ -199,7 +206,7 @@ def _random_basis_with_dual(alg, rng):
             break
     basis = [{alg.v_plus[a]: mat[i][a] for a in range(m) if mat[i][a]}
              for i in range(m)]
-    dual = [{minus_index(alg, alg.v_plus[a]): inv[a][j] for a in range(m)
+    dual = [{alg.opposite[alg.v_plus[a]]: inv[a][j] for a in range(m)
              if inv[a][j]} for j in range(m)]
     return basis, dual
 
@@ -224,7 +231,7 @@ def test_contraction_constant_not_uniform_in_controls(alg_a3):
             rhs = om.omega2(alg.bracket_elem({x: Q(1)}, {y: Q(1)}))
             lhs = {}
             for eps in alg.v_plus:
-                a = alg.bracket_elem({x: Q(1)}, {minus_index(alg, eps): Q(1)})
+                a = alg.bracket_elem({x: Q(1)}, {alg.opposite[eps]: Q(1)})
                 b = alg.bracket_elem({eps: Q(1)}, {y: Q(1)})
                 if a and b:
                     inner = alg.bracket_elem(a, b)

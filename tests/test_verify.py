@@ -165,7 +165,7 @@ def _levi_equivariance_reference(s: Session, elements, build, s0) -> int:
     generators of l; returns the pair count."""
     alg, vm = s.alg, s.verma
     for z in alg.l_indices:
-        shift = (1 - s0) * alg.dchi({z: Q(1)})
+        shift = (1 - s0) * alg.dchi_on_basis[z]
         for w, e in elements.items():
             rhs = elt_add(elt_subs(vm.act({z: Q(1)}, e), s0),
                           elt_scale(e, shift))
@@ -401,11 +401,13 @@ def test_contraction_one_vector_path_reads_the_emptied_quadratic_element(
 
 def _first_character_failure(alg):
     """The Levi-bracket part of character_normalization through
-    LieAlgebra.bracket_elem and LieAlgebra.dchi: a reference for the check's
-    int kernel.  Returns the first Levi pair with dchi([Z, W]) != 0, or None."""
+    LieAlgebra.bracket_elem, with rational coefficients: a reference for the
+    check's int kernel.  Returns the first Levi pair with dchi([Z, W]) != 0,
+    or None."""
     for z in alg.l_indices:
         for w in alg.l_indices:
-            if alg.dchi(alg.bracket_elem({z: Q(1)}, {w: Q(1)})):
+            zw = alg.bracket_elem({z: Q(1)}, {w: Q(1)})
+            if sum(c * alg.dchi_on_basis[k] for k, c in zw.items()):
                 return [alg.names[z], alg.names[w]]
     return None
 
@@ -492,6 +494,35 @@ def test_infinitesimal_character_candidate_is_refuted_on_controls(tmp_path, labe
 
 def _d4_session(tmp_path) -> Session:
     return Session(SuiteConfig(type_label="D4", cache_dir=str(tmp_path)))
+
+
+def _with_partner_flipped(alg, i):
+    """A copy of alg whose pairing holds (j, -n) in place of partner[i] =
+    (j, n); the bracket table is the true one."""
+    partner = list(alg.partner)
+    j, n = partner[i]
+    partner[i] = (j, -n)
+    bad = dataclasses.replace(alg)
+    bad.__dict__["partner"] = tuple(partner)
+    return bad
+
+
+@pytest.mark.parametrize("space,reader,other", [
+    ("v_minus", "nbar_commutant", "quadratic_equivariance"),
+    ("v_plus", "quadratic_equivariance", "nbar_commutant")])
+def test_a_flipped_pairing_sign_fails_the_check_that_reads_it(tmp_path, space,
+                                                              reader, other):
+    # R(X_-b) reads the grade -1 constants and omega2 the grade +1 ones, so
+    # one flipped sign fails the check over that half and no other
+    alg = _d4_session(tmp_path).alg
+    i = getattr(alg, space)[0]
+    session = _d4_session(tmp_path)
+    session.alg = _with_partner_flipped(alg, i)
+    res = run_single(session, reader)
+    assert res.status == "fail"
+    if reader == "nbar_commutant":
+        assert res.witness["vector"] == alg.names[i]
+    assert run_single(session, other).status == "pass"
 
 
 def test_pi_homomorphism_catches_a_negated_non_generator(tmp_path):
@@ -665,15 +696,16 @@ def test_quadratic_commutator_formula_catches_a_perturbed_operator(tmp_path):
 
 def test_quadratic_commutator_formula_catches_a_perturbed_quadratic_element(
         tmp_path):
-    # doubling omega2(W0) changes a pair (X, W) only where W = W0 or W0 is
-    # in the Levi part of [AdInv(X), W]; the first pair to fail is one of
-    # the latter, where only the right-hand side reads omega2(W0)
+    # doubling the table entry R(omega2(W0)) changes a pair (X, W) only
+    # where W = W0 or W0 is in the Levi part of [AdInv(X), W]; the first
+    # pair to fail is one of the latter, where only the right-hand side reads
+    # the entry of W0
     session = _d4_session(tmp_path)
-    alg, calc, om = session.alg, session.calc, session.omega
+    alg, calc = session.alg, session.calc
     assert run_single(session, "quadratic_commutator_formula").status == "pass"
-    w0 = next(w for w in alg.l_indices
-              if alg.root_of[w] is not None and om.omega2_basis(w))
-    om.omega2_basis = _doubled_at(om.omega2_basis, w0)
+    ops = session.quadratic_ops
+    w0 = next(w for w in alg.l_indices if alg.root_of[w] is not None and ops[w])
+    session.quadratic_ops = {**ops, w0: ops[w0] * 2}
     res = run_single(session, "quadratic_commutator_formula")
     assert res.status == "fail"
     x, w = (alg.names.index(name) for name in res.witness["pair"])
