@@ -109,12 +109,12 @@ class LieAlgebra:
         with H_j by the Gram entry (a_i, a_j)."""
         opposite, simple, gram = self.opposite, self.simple_of, self.rs.gram
         total = sum((ca * b[j] for i, ca in a.items()
-                     if (j := opposite[i]) is not None and j in b), Q(0))
+                     if (j := opposite[i]) is not None and j in b), 0)
         ha = [(simple[i], c) for i, c in a.items() if simple[i] is not None]
         if ha:
             hb = [(simple[j], c) for j, c in b.items() if simple[j] is not None]
             total += sum(ca * cb * gram[si][sj] for si, ca in ha for sj, cb in hb)
-        return total
+        return Q(total)
 
     @cached_property
     def opposite(self) -> tuple[int | None, ...]:

@@ -8,6 +8,11 @@ contracted over a basis w of V+ and its dual basis w* of V- under the
 invariant form.  Both maps are linear and exact over Q, and their elements
 hold no zero coefficient.
 
+Arithmetic: omega2_ints memoizes each Levi basis vector's quadratic element
+as int numerators over OMEGA2_DEN = 4 (the 1/2 on the pairing times the 1/2
+twist of dchi); omega2 and omega3_from_basis sum int numerators over one lcm
+denominator and build one Fraction per coefficient they return.
+
 Normalization: the quadratic map is fixed only up to a global nonzero scalar
 by the identities it must satisfy (all of them are homogeneous in it); the
 scale chosen here is -1/2 times the double sum over root pairs, matching the
@@ -17,10 +22,13 @@ classical normalization.
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from math import lcm
 
 from .liealg import LieAlgebra
 from .memo import memo
-from .pbw import Elt, Enveloping, elt_add, elt_scale
+from .pbw import Elt, Enveloping, Mono
+
+OMEGA2_DEN = 4
 
 
 class OmegaSystem:
@@ -40,34 +48,42 @@ class OmegaSystem:
     # -- degree 2 -------------------------------------------------------------
 
     @memo
-    def omega2_basis(self, i: int) -> Elt:
-        """Quadratic element for the i-th Lie algebra basis vector; raises
-        unless it is in l."""
+    def omega2_ints(self, i: int) -> dict[Mono, int]:
+        """Numerators over OMEGA2_DEN of the quadratic element of the i-th Lie
+        algebra basis vector; raises unless it is in l."""
         env, alg = self.env, self.alg
         if alg.grade[i] != 0:
             raise ValueError(f"basis index {i} is not in the Levi factor")
-        half_dchi = Q(alg.dchi_on_basis[i], 2)
-        out: Elt = {}
+        dchi = alg.dchi_on_basis[i]
+        out: dict[Mono, int] = {}
         for mcomp_idx, mb_idx, pair_n in self._legs:
-            # twisted action of X_i on the complementary V- vector
-            t = dict(alg.table[i][mcomp_idx])
-            if half_dchi:
-                t[mcomp_idx] = t.get(mcomp_idx, 0) + half_dchi
+            # twisted action of X_i on the complementary V- vector, doubled
+            t = {j: 2 * c for j, c in alg.table[i][mcomp_idx]}
+            if dchi:
+                t[mcomp_idx] = t.get(mcomp_idx, 0) + dchi
             for j, cj in t.items():
-                if not cj:
-                    continue
-                term = env.mono_mul(((j, 1),), ((mb_idx, 1),))
-                out = elt_add(out, elt_scale(term, Q(-1, 2) * pair_n * cj))
+                _add_into(out, env.mono_mul(((j, 1),), ((mb_idx, 1),)),
+                          -pair_n * cj)
         return out
+
+    def omega2_basis(self, i: int) -> Elt:
+        """Quadratic element of basis vector i; raises unless it is in l."""
+        return {m: Q(n, OMEGA2_DEN) for m, n in self.omega2_ints(i).items()}
+
+    def _omega2_over(self, z: dict[int, Q]) -> tuple[dict[Mono, int], int]:
+        """omega2(z) as int numerators over one denominator."""
+        d = lcm(*(c.denominator for c in z.values()))
+        out: dict[Mono, int] = {}
+        for i, c in z.items():
+            w2 = self.omega2_ints(i)
+            if c:
+                _add_into(out, w2, c.numerator * (d // c.denominator))
+        return out, OMEGA2_DEN * d
 
     def omega2(self, z: dict[int, Q]) -> Elt:
         """Quadratic element for Z in l; linear in Z; rejects Z outside l."""
-        out: Elt = {}
-        for i, c in z.items():
-            w2 = self.omega2_basis(i)
-            if c:
-                out = elt_add(out, elt_scale(w2, c))
-        return out
+        nums, den = self._omega2_over(z)
+        return {m: Q(n, den) for m, n in nums.items()}
 
     # -- degree 3 -------------------------------------------------------------
 
@@ -96,23 +112,30 @@ class OmegaSystem:
         invariant form: the root vectors X_b and X_-b for omega3, random
         bases to confirm basis independence.  With w*_i = sum_c B_ic X_c the
         dual is contracted first, sum_c X_c (sum_i B_ic omega2([w_i, Y])), so
-        each basis vector X_c of V- multiplies once; on the root basis every
-        inner sum is one quadratic element, taken as it is.
+        each basis vector X_c of V- multiplies once.
         """
-        env = self.env
-        inner: dict[int, Elt] = {}
-        for w, wstar in zip(w_basis, w_dual):
-            w2 = self.omega2(self.alg.bracket_elem(w, y))
-            if not w2:
-                continue
-            for c, b in wstar.items():
-                acc = inner.get(c)
-                if acc is None:
-                    inner[c] = w2 if b == 1 else elt_scale(w2, b)
-                else:
-                    inner[c] = elt_add(acc, elt_scale(w2, b))
-        out: Elt = {}
+        quads = [(self._omega2_over(self.alg.bracket_elem(w, y)), wstar)
+                 for w, wstar in zip(w_basis, w_dual)]
+        den = (lcm(*(d for (_, d), _ in quads))
+               * lcm(*(b.denominator for _, ws in quads for b in ws.values())))
+        inner: dict[int, dict[Mono, int]] = {}
+        for (w2, d), wstar in quads:
+            if w2:
+                for c, b in wstar.items():
+                    _add_into(inner.setdefault(c, {}), w2,
+                              b.numerator * (den // (d * b.denominator)))
+        mono_mul, out = self.env.mono_mul, {}
         for c, acc in inner.items():
-            if acc:
-                out = elt_add(out, env.mul(env.gen(c), acc))
-        return out
+            for m, n in acc.items():
+                _add_into(out, mono_mul(((c, 1),), m), n)
+        return {m: Q(n, den) for m, n in out.items()}
+
+
+def _add_into(out: dict[Mono, int], terms: dict[Mono, int], k: int) -> None:
+    """out += k * terms, dropping the coefficients that cancel."""
+    for m, n in terms.items():
+        v = out.get(m, 0) + k * n
+        if v:
+            out[m] = v
+        else:
+            out.pop(m, None)

@@ -25,7 +25,7 @@ from . import cache as algcache
 from .diffops import (OperatorCalculus, PolyDiffOp, commutator_at_identity,
                       sum_products)
 from .liealg import LieAlgebra
-from .linalg import common_root, inverse, rank
+from .linalg import adjugate, common_root, rank
 from .memo import memo
 from .omega import OmegaSystem
 from .pbw import (Elt, Enveloping, elt_add, elt_scale, elt_sub, mono_degree,
@@ -257,7 +257,7 @@ def _contraction_data(s: Session):
     the bracket table rows.  When L and [X, Y] are lam and mu times one basis
     vector k, their quadratic elements are lam and mu times omega2_basis(k),
     since omega2 is linear: the pair's ratio is lam/mu, exactly, and
-    omega2_basis(k) only decides whether the pair counts.  Every other pair
+    omega2_ints(k) only decides whether the pair counts.  Every other pair
     compares omega2(L) with omega2([X, Y]).
     """
     alg, om, table = s.alg, s.omega, s.alg.table
@@ -282,7 +282,7 @@ def _contraction_data(s: Session):
             single = table[x][y]
             if len(levi) == 1 and len(single) == 1 and single[0][0] in levi:
                 k, mu = single[0]
-                if om.omega2_basis(k):
+                if om.omega2_ints(k):
                     nonzero_pairs += 1
                     ratios.add(Q(levi[k], mu))
                 continue
@@ -836,31 +836,35 @@ def _chk_cubic_equiv(s: Session) -> dict:
 def _chk_basis_independence(s: Session) -> dict:
     alg, om = s.alg, s.omega
     m = len(alg.v_plus)
-    root_tensor = {(b, alg.opposite[b]): 1 for b in alg.v_plus}
+    duals = [alg.opposite[b] for b in alg.v_plus]
     rng = s.rng("basis-independence")
     rebuilt = []
     for trial in range(5):
         while True:
-            a = [[Q(rng.randint(-3, 3)) for _ in range(m)] for _ in range(m)]
-            binv = inverse(a)
-            if binv is not None:
+            a = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)]
+            det, adj = adjugate(a)
+            if det:
                 break
+        # w_i = sum_j a_ij X_b_j and det w*_i = sum_k adj_ki X_-b_k: duality
+        # and the tensor identity are the int identities a adj = adj a = det I
         w_basis = [{alg.v_plus[j]: a[i][j] for j in range(m) if a[i][j]}
                    for i in range(m)]
-        w_dual = [{alg.opposite[alg.v_plus[k]]: binv[k][i]
-                   for k in range(m) if binv[k][i]} for i in range(m)]
+        adj_dual = [{duals[k]: adj[k][i] for k in range(m) if adj[k][i]}
+                    for i in range(m)]
         for i in range(m):
             for j in range(m):
-                got = alg.killing_elem(w_basis[i], w_dual[j])
-                _ensure(got == (1 if i == j else 0), trial=trial,
-                        pair=[i, j], value=qstr(got))
-        tensor: dict[tuple[int, int], Q] = {}
-        for w, wstar in zip(w_basis, w_dual):
+                got = alg.killing_elem(w_basis[i], adj_dual[j])
+                _ensure(got == (det if i == j else 0), trial=trial,
+                        pair=[i, j], value=qstr(Q(got, det)))
+        tensor: dict[tuple[int, int], int] = {}
+        for w, wstar in zip(w_basis, adj_dual):
             for b, cb in w.items():
                 for c, cc in wstar.items():
                     tensor[b, c] = tensor.get((b, c), 0) + cb * cc
-        _ensure({bc: v for bc, v in tensor.items() if v} == root_tensor,
+        _ensure({bc: v for bc, v in tensor.items() if v}
+                == {(b, c): det for b, c in zip(alg.v_plus, duals)},
                 trial=trial, reason="basis tensor differs from the root tensor")
+        w_dual = [{c: Q(v, det) for c, v in ws.items()} for ws in adj_dual]
         names = []
         for k in range(trial, len(alg.v_minus), 5):
             y = alg.v_minus[k]

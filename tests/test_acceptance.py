@@ -15,8 +15,9 @@ from fractions import Fraction as Q
 
 import pytest
 
+from conftest import random_dual_bases
 from confsys.diffops import PolyDiffOp
-from confsys.linalg import inverse, rank
+from confsys.linalg import rank
 from confsys.pbw import elt_add, elt_scale, elt_sub, monomials_up_to
 from confsys.verify import Session, SuiteConfig, weighted_degree
 from confsys.verma import elt_subs
@@ -211,19 +212,9 @@ def test_criterion_07_picture_consistency(ses):
 def test_criterion_08_basis_independence(ses):
     with criterion(8, "basis independence of the cubic elements", 30):
         alg, om = ses.alg, ses.omega
-        mdim = len(alg.v_plus)
         rng = random.Random("acceptance-8")
         for _ in range(5):
-            while True:
-                mat = [[Q(rng.randint(-3, 3)) for _ in range(mdim)]
-                       for _ in range(mdim)]
-                inv = inverse(mat)
-                if inv is not None:
-                    break
-            basis = [{alg.v_plus[a]: mat[i][a] for a in range(mdim)
-                      if mat[i][a]} for i in range(mdim)]
-            dual = [{alg.opposite[alg.v_plus[a]]: inv[a][j]
-                     for a in range(mdim) if inv[a][j]} for j in range(mdim)]
+            basis, dual = random_dual_bases(alg, rng)
             for k, y in enumerate(alg.v_minus):
                 redone = om.omega3_from_basis(basis, dual, {y: 1})
                 assert not elt_sub(redone, ses.omega3_gens[k])

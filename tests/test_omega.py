@@ -5,10 +5,10 @@ from fractions import Fraction as Q
 
 import pytest
 
-from confsys.linalg import inverse
+from conftest import RationalOmega, random_dual_bases
 from confsys.omega import OmegaSystem
 from confsys.pbw import Enveloping, elt_add, elt_scale, elt_sub, mono_word
-from confsys.verify import weighted_degree
+from confsys.verify import Session, SuiteConfig, weighted_degree
 from confsys.verma import elt_subs
 
 SPECIAL = Q(-1)
@@ -54,11 +54,11 @@ def test_quadratic_memo_is_per_instance(alg_d4, alg_a3):
     i = min(set(alg_d4.l_indices) & set(alg_a3.l_indices))
     for algs in ((alg_d4, alg_a3), (alg_a3, alg_d4)):
         oms = [OmegaSystem(Enveloping(alg)) for alg in algs]
-        got = [om.omega2_basis(i) for om in oms]
+        got = [om.omega2_ints(i) for om in oms]
         assert got[0] != got[1]
         for om, elt in zip(oms, got):
             assert elt and all(j < om.alg.nbar_dim for m in elt for j, _ in m)
-            assert om.omega2_basis(i) is elt
+            assert om.omega2_ints(i) is elt
 
 
 def test_quadratic_weight_is_2s_minus_2(omega_d4, alg_d4, verma_d4):
@@ -197,24 +197,10 @@ def test_cubic_equivariance_at_special(omega_d4, alg_d4, verma_d4):
             assert not elt_sub(lhs, rhs)
 
 
-def _random_basis_with_dual(alg, rng):
-    m = len(alg.v_plus)
-    while True:
-        mat = [[Q(rng.randint(-3, 3)) for _ in range(m)] for _ in range(m)]
-        inv = inverse(mat)
-        if inv is not None:
-            break
-    basis = [{alg.v_plus[a]: mat[i][a] for a in range(m) if mat[i][a]}
-             for i in range(m)]
-    dual = [{alg.opposite[alg.v_plus[a]]: inv[a][j] for a in range(m)
-             if inv[a][j]} for j in range(m)]
-    return basis, dual
-
-
 def test_cubic_is_basis_independent(omega_d4, alg_d4):
     rng = random.Random(20260825)
     for _ in range(2):
-        basis, dual = _random_basis_with_dual(alg_d4, rng)
+        basis, dual = random_dual_bases(alg_d4, rng)
         for y in alg_d4.v_minus:
             redone = omega_d4.omega3_from_basis(basis, dual, {y: 1})
             assert not elt_sub(redone, omega_d4.omega3({y: 1}))
@@ -240,3 +226,31 @@ def test_contraction_constant_not_uniform_in_controls(alg_a3):
             if elt_sub(lhs, elt_scale(rhs, 2)):
                 uniform = False
     assert not uniform
+
+
+def _random_rational(rng, indices, count):
+    return {i: Q(rng.randint(-6, 6), rng.randint(1, 6))
+            for i in rng.sample(indices, count)}
+
+
+@pytest.mark.parametrize("label", ["A3", "D4", "D5", "E6"])
+def test_int_maps_match_the_rational_oracle(tmp_path, label):
+    """omega2_basis, omega2 and omega3_from_basis equal the Fraction-per-term
+    maps on every Levi index, on random rational Levi elements and on random
+    dual bases, rational Y included."""
+    session = Session(SuiteConfig(type_label=label, cache_dir=str(tmp_path)))
+    alg, om = session.alg, session.omega
+    ref = RationalOmega(session.env)
+    for i in alg.l_indices:
+        assert om.omega2_basis(i) == ref.omega2_basis(i)
+        assert om.omega2({i: 1}) == ref.omega2_basis(i)
+    rng = random.Random(f"rational-oracle:{label}")
+    for _ in range(10):
+        z = _random_rational(rng, alg.l_indices, 4)
+        z[rng.choice(alg.l_indices)] = 0
+        assert om.omega2(z) == ref.omega2(z)
+    for trial in range(2):
+        w_basis, w_dual = random_dual_bases(alg, rng)
+        y = _random_rational(rng, alg.v_minus, 1 + trial)
+        got = om.omega3_from_basis(w_basis, w_dual, y)
+        assert got and got == ref.omega3_from_basis(w_basis, w_dual, y)

@@ -7,8 +7,9 @@ from functools import reduce
 
 import pytest
 
+from conftest import RationalOmega, inverse, random_dual_bases
 from confsys import verify
-from confsys.linalg import common_root, inverse, solve
+from confsys.linalg import adjugate, common_root, solve
 from confsys.pbw import elt_add, elt_scale, elt_sub
 from confsys.poly import Poly, poly_gcd, rational_roots
 from confsys.verify import (CHECKS, EXPECTED, CheckFailure, Session,
@@ -384,16 +385,17 @@ def test_contraction_data_matches_per_term_reference(tmp_path, label):
 def test_contraction_one_vector_path_reads_the_emptied_quadratic_element(
         tmp_path, label):
     # [X, Y] = mu X_k for a Levi root vector k puts the pair on the path that
-    # reads the ratio off the bracket table; with omega2_basis(k) emptied its
-    # pairs must stop counting, exactly as in the reference
+    # reads the ratio off the bracket table; with the memoized quadratic
+    # element of k emptied its pairs must stop counting, exactly as in the
+    # reference
     session = Session(SuiteConfig(type_label=label, cache_dir=str(tmp_path)))
     alg, om = session.alg, session.omega
     before = _contraction_data(session)
     k = next(row[0][0] for x in alg.v_plus for y in alg.v_minus
              if len(row := alg.table[x][y]) == 1
              and alg.root_of[row[0][0]] is not None)
-    omega2_basis = om.omega2_basis
-    om.omega2_basis = lambda i: {} if i == k else omega2_basis(i)
+    omega2_ints = om.omega2_ints
+    om.omega2_ints = lambda i: {} if i == k else omega2_ints(i)
     got = _contraction_data(session)
     assert got == _contraction_reference(session)
     assert got[1] < before[1]
@@ -555,27 +557,84 @@ def test_basis_independence_catches_a_diagonal_dual(tmp_path):
     assert res.witness["index"] == alg.names[alg.v_minus[0]]
 
 
-def _random_dual_bases(alg, rng):
-    """A random basis of V+ and its dual basis of V- under the form."""
-    m = len(alg.v_plus)
-    while True:
-        a = [[Q(rng.randint(-3, 3)) for _ in range(m)] for _ in range(m)]
-        binv = inverse(a)
-        if binv is not None:
-            break
-    w_basis = [{alg.v_plus[j]: a[i][j] for j in range(m) if a[i][j]}
-               for i in range(m)]
-    w_dual = [{alg.opposite[alg.v_plus[k]]: binv[k][i]
-               for k in range(m) if binv[k][i]} for i in range(m)]
-    return w_basis, w_dual
+def test_basis_independence_catches_a_doubled_dual(tmp_path, monkeypatch):
+    session = _d4_session(tmp_path)
+
+    def doubled(a):
+        det, adj = adjugate(a)
+        return det, [[2 * x for x in row] for row in adj]
+
+    monkeypatch.setattr(verify, "adjugate", doubled)
+    res = run_single(session, "basis_independence")
+    assert res.status == "fail"
+    assert res.witness == {"trial": 0, "pair": [0, 0], "value": "2"}
 
 
-def _omega3_per_dual_vector(om, w_basis, w_dual, y):
-    """sum_i w*_i omega2([w_i, Y]), each dual vector multiplied as a whole
-    onto its own quadratic element."""
-    env, out = om.env, {}
+def test_basis_independence_catches_a_wrong_adjugate_sign(tmp_path,
+                                                          monkeypatch):
+    # the mutant flips the adjugate of a matrix with negative determinant
+    session = _d4_session(tmp_path)
+    dets = []
+
+    def recorded(a):
+        det, adj = adjugate(a)
+        if det:
+            dets.append(det)
+        return det, adj
+
+    monkeypatch.setattr(verify, "adjugate", recorded)
+    assert run_single(session, "basis_independence").status == "pass"
+    first = next(t for t, det in enumerate(dets) if det < 0)
+
+    def flipped(a):
+        det, adj = adjugate(a)
+        return det, [[-x for x in row] for row in adj] if det < 0 else adj
+
+    monkeypatch.setattr(verify, "adjugate", flipped)
+    res = run_single(session, "basis_independence")
+    assert res.status == "fail"
+    assert res.witness == {"trial": first, "pair": [0, 0], "value": "-1"}
+
+
+@pytest.mark.parametrize("label", ["A3", "D4", "D5", "E6"])
+def test_basis_independence_accepts_the_matrices_the_rational_inverse_accepts(
+        tmp_path, label):
+    # the check draws from its seeded stream until a matrix is invertible;
+    # the rebuilt witness and the golden reports depend on which ones it
+    # keeps, so adjugate must reject exactly the singular ones, and its
+    # quotient is the rational inverse
+    session = Session(SuiteConfig(type_label=label, cache_dir=str(tmp_path)))
+    m = len(session.alg.v_plus)
+    rng = session.rng("basis-independence")
+    draws = [[[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)]
+             for _ in range(8)]
+    small = random.Random("singular")
+    draws += [[[small.randint(-1, 1) for _ in range(n)] for _ in range(n)]
+              for n in (1, 2, 3, 4) for _ in range(50)]
+    singular = 0
+    for a in draws:
+        det, adj = adjugate(a)
+        inv = inverse([[Q(x) for x in row] for row in a])
+        assert (det == 0) == (inv is None)
+        singular += inv is None
+        if det:
+            assert [[Q(x, det) for x in row] for row in adj] == inv
+    assert singular
+
+
+def test_basis_independence_passes_on_the_e6_system_scope(tmp_path):
+    session = Session(SuiteConfig(type_label="E6", cache_dir=str(tmp_path)))
+    res = run_single(session, "basis_independence")
+    assert res.status == "pass", res.witness
+    assert res.witness["basis_size"] == 20
+
+
+def _omega3_per_dual_vector(ref, w_basis, w_dual, y):
+    """sum_i w*_i omega2([w_i, Y]) from the rational oracle, each dual vector
+    multiplied as a whole onto its own quadratic element."""
+    env, out = ref.env, {}
     for w, wstar in zip(w_basis, w_dual):
-        w2 = om.omega2(om.alg.bracket_elem(w, y))
+        w2 = ref.omega2(ref.alg.bracket_elem(w, y))
         lie = {((c, 1),): b for c, b in wstar.items()}
         out = elt_add(out, env.mul(lie, w2))
     return out
@@ -586,12 +645,13 @@ def test_dual_first_contraction_matches_per_dual_vector_reference(tmp_path,
                                                                   label):
     session = Session(SuiteConfig(type_label=label, cache_dir=str(tmp_path)))
     alg, om = session.alg, session.omega
+    ref = RationalOmega(session.env)
     rng = random.Random(f"dual-first:{label}")
     for trial in range(5):
-        w_basis, w_dual = _random_dual_bases(alg, rng)
+        w_basis, w_dual = random_dual_bases(alg, rng)
         y = {alg.v_minus[(7 * trial) % len(alg.v_minus)]: 1}
         got = om.omega3_from_basis(w_basis, w_dual, y)
-        assert got == _omega3_per_dual_vector(om, w_basis, w_dual, y)
+        assert got == _omega3_per_dual_vector(ref, w_basis, w_dual, y)
         assert got == om.omega3(y)
 
 
@@ -668,10 +728,10 @@ def test_picture_consistency_catches_a_perturbed_quadratic_element(tmp_path):
     assert run_single(session, "picture_consistency").status == "pass"
     y0 = alg.v_minus[-1]
     w0 = next(w for e in alg.v_plus for w, _ in alg.table[e][y0]
-              if om.omega2_basis(w))
+              if om.omega2_ints(w))
     first = next(y for y in alg.v_minus
                  if any(w0 in dict(alg.table[e][y]) for e in alg.v_plus))
-    om.omega2_basis = _doubled_at(om.omega2_basis, w0)
+    om.omega2_ints = _doubled_at(om.omega2_ints, w0)
     res = run_single(session, "picture_consistency")
     assert res.status == "fail"
     assert res.witness["index"] == alg.names[first]
