@@ -4,8 +4,9 @@
 prints a deterministic text report (optionally writing the JSON form).  The
 process exits 0 exactly when every executed check passes, including the
 nonexistence checks of runs started with --expect-no-omega3, and 2 on a
-usage error.  The algebra cache fills itself on first use; --cache-dir
-moves it.
+usage error: an unknown type label, or an --emit-json path that cannot be
+written (the suite has run and its text report is printed by then).  The
+algebra cache fills itself on first use; --cache-dir moves it.
 """
 
 from __future__ import annotations
@@ -101,7 +102,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report = run_suite(config)
     print(render_text(report))
     if args.emit_json is not None:
-        Path(args.emit_json).write_text(report.dumps())
+        try:
+            Path(args.emit_json).write_text(report.dumps())
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"json report written to {args.emit_json}")
     return 0 if report.ok else 1
 

@@ -59,28 +59,6 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
     return x
 
 
-def adjugate(m: list[list[int]]) -> tuple[int, list[list[int]]]:
-    """(det m, adj m) with m @ adj = det * I, (0, []) for a singular m, by
-    fraction-free (Bareiss) Gauss-Jordan elimination on [m | I]: each division
-    is exact, and the last pivot is det(P m) for the row swaps P."""
-    n = len(m)
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    prev, sign = 1, 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if a[i][k]), None)
-        if p is None:
-            return 0, []
-        if p != k:
-            a[k], a[p], sign = a[p], a[k], -sign
-        top, pk = a[k], a[k][k]
-        for i in range(n):
-            if i != k:
-                f = a[i][k]
-                a[i] = [(pk * x - f * t) // prev for x, t in zip(a[i], top)]
-        prev = pk
-    return sign * prev, [[sign * x for x in row[n:]] for row in a]
-
-
 def common_root(pairs: Iterable[tuple[Q, Q]]) -> tuple[int, Q | None]:
     """The gcd of the affine polynomials a0 + a1*s over the pairs (a0, a1),
     as (degree, root).

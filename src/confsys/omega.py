@@ -109,8 +109,8 @@ class OmegaSystem:
         """The cubic element of Y contracted over any basis of V+ and its dual.
 
         w_basis spans V+; w_dual must be the dual basis of V- under the
-        invariant form: the root vectors X_b and X_-b for omega3, random
-        bases to confirm basis independence.  With w*_i = sum_c B_ic X_c the
+        invariant form: the root vectors X_b and X_-b for omega3, the dense
+        int pairs of the basis_independence check.  With w*_i = sum_c B_ic X_c the
         dual is contracted first, sum_c X_c (sum_i B_ic omega2([w_i, Y])), so
         each basis vector X_c of V- multiplies once.
         """

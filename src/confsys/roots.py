@@ -25,8 +25,9 @@ class RootSystemSpec:
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise ValueError(f"family must be one of {_FAMILIES}, got {self.family!r}")
-        if self.family == "A" and self.rank < 1:
-            raise ValueError("type A needs rank >= 1")
+        if self.family == "A" and self.rank < 2:
+            raise ValueError("type A needs rank >= 2: sl(2) has no grade +-1 "
+                             "space, so no Heisenberg parabolic")
         if self.family == "D" and self.rank < 3:
             raise ValueError("type D needs rank >= 3")
         if self.family == "E" and self.rank not in (6, 7, 8):

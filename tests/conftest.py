@@ -31,7 +31,7 @@ def inverse(m):
 
 def random_dual_bases(alg, rng):
     """A random basis of V+, with coefficients in [-3, 3], and its dual basis
-    of V- under the form, drawn as basis_independence draws them."""
+    of V- under the form."""
     m = len(alg.v_plus)
     while True:
         a = [[Q(rng.randint(-3, 3)) for _ in range(m)] for _ in range(m)]

@@ -78,6 +78,26 @@ def test_signed_rank_is_a_usage_error(tmp_path, capsys):
     assert "cannot parse algebra label 'D+4'" in capsys.readouterr().err
 
 
+def test_a1_is_a_usage_error(tmp_path, capsys):
+    # sl(2) has no Heisenberg parabolic: no verdict, system or control
+    for extra in ([], ["--expect-no-omega3"]):
+        code = main(["verify", "--type", "A1",
+                     "--cache-dir", str(tmp_path / "cache"), *extra])
+        assert code == 2
+        assert "type A needs rank >= 2" in capsys.readouterr().err
+
+
+def test_unwritable_json_path_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing" / "a3.json"
+    assert _verify_a3(tmp_path, "--emit-json", str(missing)) == 2
+    captured = capsys.readouterr()
+    assert "result: OK" in captured.out
+    assert "json report written" not in captured.out
+    assert captured.err.startswith("error: ")
+    assert str(missing) in captured.err
+    assert not missing.exists()
+
+
 def test_jobs_flag_is_a_usage_error(tmp_path, capsys):
     # checks always run serially in one process; there is no --jobs
     with pytest.raises(SystemExit) as exc:

@@ -9,7 +9,8 @@ referenced from src/ or perfbench/, not only from tests.  No module of the engin
 imports confsys.poly: it is the tests' reference ring.  The operator, module
 and enveloping-algebra modules read the algebra through its bracket table
 alone: they import nothing from confsys.roots and read no root coordinates.
-The scans need nothing beyond the standard library.
+Only verify.py imports random, for the one check that samples
+(verma_representation).  The scans need nothing beyond the standard library.
 """
 
 import ast
@@ -155,6 +156,34 @@ def test_poly_import_scan_flags_each_form():
     for source in ("from .linalg import rref\n", "from . import linalg\n",
                    "import poly\n", "from .polynomials import P\n"):
         assert not _imports(ast.parse(source), "poly"), source
+
+
+def _imports_random(tree: ast.Module) -> bool:
+    """Whether a module imports the standard library's random, in any form."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(a.name.split(".")[0] == "random" for a in node.names):
+                return True
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.split(".")[0] == "random"):
+            return True
+    return False
+
+
+def test_only_verify_imports_random():
+    found = [str(path) for path, tree in _trees("src/confsys")
+             if path.name != "verify.py" and _imports_random(tree)]
+    assert not found, "modules importing random:\n" + "\n".join(found)
+
+
+def test_random_import_scan_flags_each_form():
+    for source in ("import random\n", "import random as rnd\n",
+                   "from random import Random\n", "import os, random\n",
+                   "def f():\n    from random import randint\n"):
+        assert _imports_random(ast.parse(source)), source
+    for source in ("from . import random\n", "from .random import draw\n",
+                   "import randomize\n", "random = 3\n"):
+        assert not _imports_random(ast.parse(source)), source
 
 
 TABLE_READERS = ("omega.py", "diffops.py", "verma.py", "pbw.py")

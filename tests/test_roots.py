@@ -159,6 +159,9 @@ def test_spec_parse_and_validation():
         RootSystemSpec.parse("B3")
     with pytest.raises(ValueError):
         RootSystemSpec.parse("D2")
+    # sl(2) has no grade +-1 space, so no Heisenberg parabolic
+    with pytest.raises(ValueError, match=r"type A needs rank >= 2: sl\(2\)"):
+        RootSystemSpec.parse("A1")
     with pytest.raises(ValueError):
         RootSystemSpec.parse("E9")
     # the rank is plain ASCII digits: no sign, inner space or other numerals

@@ -9,9 +9,10 @@ import pytest
 
 from conftest import RationalOmega, inverse, random_dual_bases
 from confsys import verify
-from confsys.linalg import adjugate, common_root, solve
+from confsys.linalg import common_root, solve
 from confsys.pbw import elt_add, elt_scale, elt_sub
 from confsys.poly import Poly, poly_gcd, rational_roots
+from confsys.roots import RootSystemSpec, build_root_system
 from confsys.verify import (CHECKS, EXPECTED, CheckFailure, Session,
                             SuiteConfig, _contraction_data,
                             _levi_equivariance, available_checks, run_single,
@@ -559,74 +560,83 @@ def test_basis_independence_catches_a_diagonal_dual(tmp_path):
 
 def test_basis_independence_catches_a_doubled_dual(tmp_path, monkeypatch):
     session = _d4_session(tmp_path)
+    pair = verify._unimodular_pair
 
-    def doubled(a):
-        det, adj = adjugate(a)
-        return det, [[2 * x for x in row] for row in adj]
+    def doubled(m):
+        a, inv = pair(m)
+        return a, [[2 * x for x in row] for row in inv]
 
-    monkeypatch.setattr(verify, "adjugate", doubled)
+    monkeypatch.setattr(verify, "_unimodular_pair", doubled)
     res = run_single(session, "basis_independence")
     assert res.status == "fail"
     assert res.witness == {"trial": 0, "pair": [0, 0], "value": "2"}
 
 
-def test_basis_independence_catches_a_wrong_adjugate_sign(tmp_path,
-                                                          monkeypatch):
-    # the mutant flips the adjugate of a matrix with negative determinant
+def test_basis_independence_catches_a_dual_negated_on_odd_trials(
+        tmp_path, monkeypatch):
+    # odd trials take the basis from the inverse, so the mutant negates w
     session = _d4_session(tmp_path)
-    dets = []
+    pair, calls = verify._unimodular_pair, []
 
-    def recorded(a):
-        det, adj = adjugate(a)
-        if det:
-            dets.append(det)
-        return det, adj
+    def negated_on_odd_trials(m):
+        a, inv = pair(m)
+        calls.append(m)
+        if len(calls) % 2:
+            return a, inv
+        return a, [[-x for x in row] for row in inv]
 
-    monkeypatch.setattr(verify, "adjugate", recorded)
-    assert run_single(session, "basis_independence").status == "pass"
-    first = next(t for t, det in enumerate(dets) if det < 0)
-
-    def flipped(a):
-        det, adj = adjugate(a)
-        return det, [[-x for x in row] for row in adj] if det < 0 else adj
-
-    monkeypatch.setattr(verify, "adjugate", flipped)
+    monkeypatch.setattr(verify, "_unimodular_pair", negated_on_odd_trials)
     res = run_single(session, "basis_independence")
     assert res.status == "fail"
-    assert res.witness == {"trial": first, "pair": [0, 0], "value": "-1"}
+    assert res.witness == {"trial": 1, "pair": [0, 0], "value": "-1"}
 
 
-@pytest.mark.parametrize("label", ["A3", "D4", "D5", "E6"])
-def test_basis_independence_accepts_the_matrices_the_rational_inverse_accepts(
-        tmp_path, label):
-    # the check draws from its seeded stream until a matrix is invertible;
-    # the rebuilt witness and the golden reports depend on which ones it
-    # keeps, so adjugate must reject exactly the singular ones, and its
-    # quotient is the rational inverse
+@pytest.mark.parametrize("label", ["A2", "A3", "A4", "A5", "A6", "A7", "D4",
+                                   "D5", "D6", "D7", "D8", "E6", "E7", "E8"])
+def test_basis_independence_pair_is_an_exact_small_inverse_pair(label):
+    # for every size m of V+ the check meets, its fixed pair is a and its
+    # rational inverse, with no entry above m
+    rs = build_root_system(RootSystemSpec.parse(label))
+    m = sum(rs.pairing(a, rs.highest) == 1 for a in rs.roots)
+    a, inv = verify._unimodular_pair(m)
+    assert inverse([[Q(x) for x in row] for row in a]) == inv
+    assert max(abs(x) for row in a + inv for x in row) == m
+
+
+def _assert_basis_independence_passes(tmp_path, label, m):
     session = Session(SuiteConfig(type_label=label, cache_dir=str(tmp_path)))
-    m = len(session.alg.v_plus)
-    rng = session.rng("basis-independence")
-    draws = [[[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)]
-             for _ in range(8)]
-    small = random.Random("singular")
-    draws += [[[small.randint(-1, 1) for _ in range(n)] for _ in range(n)]
-              for n in (1, 2, 3, 4) for _ in range(50)]
-    singular = 0
-    for a in draws:
-        det, adj = adjugate(a)
-        inv = inverse([[Q(x) for x in row] for row in a])
-        assert (det == 0) == (inv is None)
-        singular += inv is None
-        if det:
-            assert [[Q(x, det) for x in row] for row in adj] == inv
-    assert singular
+    res = run_single(session, "basis_independence")
+    assert res.status == "pass", res.witness
+    assert res.witness["basis_size"] == m
 
 
 def test_basis_independence_passes_on_the_e6_system_scope(tmp_path):
-    session = Session(SuiteConfig(type_label="E6", cache_dir=str(tmp_path)))
-    res = run_single(session, "basis_independence")
-    assert res.status == "pass", res.witness
-    assert res.witness["basis_size"] == 20
+    _assert_basis_independence_passes(tmp_path, "E6", 20)
+
+
+def test_basis_independence_passes_on_the_e7_system_scope(tmp_path):
+    _assert_basis_independence_passes(tmp_path, "E7", 32)
+
+
+def test_basis_independence_reads_no_seed(tmp_path):
+    a, b = (run_single(Session(SuiteConfig(type_label="D4", seed=seed,
+                                           cache_dir=str(tmp_path))),
+                       "basis_independence") for seed in (212, 5))
+    assert a.status == b.status == "pass"
+    assert (a.statement, a.witness) == (b.statement, b.witness)
+
+
+def test_only_verma_representation_reads_the_seed(tmp_path, monkeypatch):
+    salts, rng = [], Session.rng
+
+    def recorded(self, salt):
+        salts.append(salt)
+        return rng(self, salt)
+
+    monkeypatch.setattr(Session, "rng", recorded)
+    report = run_suite(SuiteConfig(type_label="D4", cache_dir=str(tmp_path)))
+    assert report.ok
+    assert salts == ["verma-representation"]
 
 
 def _omega3_per_dual_vector(ref, w_basis, w_dual, y):
