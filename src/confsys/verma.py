@@ -6,11 +6,13 @@ radical nbar, realized here as PBW elements supported on the nbar prefix of
 the basis.  U(g) and every module vector the engine builds are rational; s
 enters only through the action.  A basis element acts on an nbar monomial by
 commuting past its PBW factors inside U(nbar) tensor 1
-(VermaModule._act_mono), so the image of an s-free vector is affine in s,
-held as two ints per monomial over a common denominator
-(VermaModule._act_ints).  act_basis and act return that image as a pair
-(v0, v1) of rational vectors meaning v0 + s*v1; elt_subs evaluates a pair at
-s0.  Span keeps its echelon rows once, as ints, and one int elimination
+(VermaModule._act_mono), memoized in one table per basis index,
+_act_memo[x][m], whose images are tuples of (monomial, a0, a1) int triples
+meaning sum (a0 + a1*s)*monomial, the zero image being ().  So the image of
+an s-free vector is affine in s, held as two ints per monomial over a common
+denominator (VermaModule._act_ints).  act_basis and act return that image as
+a pair (v0, v1) of rational vectors meaning v0 + s*v1; elt_subs evaluates a
+pair at s0.  Span keeps its echelon rows once, as ints, and one int elimination
 (Span.eliminate) reduces a vector (den, {monomial: (a0, a1)}) meaning
 (a0 + a1*s)/den, the form of module images and of point functionals
 (diffops.PointFunctional) alike.  The q-stability solve reads the leftover
@@ -30,6 +32,7 @@ from .pbw import Elt, Enveloping, Mono, elt_add, elt_scale, mono_degree
 
 Pair = tuple[Q, Q]        # (a0, a1), the affine a0 + a1*s
 Affine = tuple[Elt, Elt]  # (v0, v1), the module vector v0 + s*v1
+Image = tuple[tuple[Mono, int, int], ...]  # ((m, a0, a1), ...), sum (a0 + a1*s)*m
 
 
 def _accumulate(acc: dict, key, a0: int, a1: int) -> None:
@@ -77,13 +80,16 @@ class VermaModule:
     def __init__(self, env: Enveloping):
         self.env = env
         self.alg = env.alg
-        self._act_memo: dict[tuple[int, Mono], dict[Mono, tuple[int, int]]] = {}
+        self._act_memo: list[dict[Mono, Image]] = [{} for _ in range(self.alg.dim)]
 
     # -- the action ----------------------------------------------------------
 
-    def _act_mono(self, x: int, m: Mono) -> dict[Mono, tuple[int, int]]:
-        """X_x.(m tensor 1) for an nbar monomial m, as {nbar monomial: (a0, a1)}
-        with int a0, a1 meaning a0 + a1*s.  Memoized; callers must not mutate.
+    def _act_mono(self, x: int, m: Mono) -> Image:
+        """X_x.(m tensor 1) for an nbar monomial m, as a tuple of triples
+        (nbar monomial, a0, a1) with int a0, a1 meaning a0 + a1*s, not both
+        0, each monomial once; the zero image is the one empty tuple ().
+        Memoized in _act_memo[x][m], one table per basis index; the images
+        are tuples, so no caller can mutate them.
 
         The recursion never leaves U(nbar) tensor 1:
 
@@ -99,29 +105,29 @@ class VermaModule:
         (the structure constants, the PBW normal-ordering coefficients and
         dchi on the coroots are all ints).
         """
-        key = (x, m)
-        out = self._act_memo.get(key)
+        memo = self._act_memo[x]
+        out = memo.get(m)
         if out is not None:
             return out
         alg = self.alg
         if x < alg.nbar_dim:
-            out = {m2: (c, 0) for m2, c in self.env.mono_mul(((x, 1),), m).items()}
+            out = tuple((m2, c, 0) for m2, c in self.env.mono_mul(((x, 1),), m).items())
         elif not m:
             v = alg.dchi_on_basis[x]
-            out = {m: (0, v)} if v else {}
+            out = ((m, 0, v),) if v else ()
         else:
             (a, e), tail = m[0], m[1:]
             rest = ((a, e - 1),) + tail if e > 1 else tail
             acc: dict[Mono, list[int]] = {}
             # Y_a.(X.rest): left multiplication by Y_a is the nbar case
-            for m1, (b0, b1) in self._act_mono(x, rest).items():
-                for m2, (c, _) in self._act_mono(a, m1).items():
+            for m1, b0, b1 in self._act_mono(x, rest):
+                for m2, c, _ in self._act_mono(a, m1):
                     _accumulate(acc, m2, c * b0, c * b1)
             for k, n in alg.table[x][a]:
-                for m2, (b0, b1) in self._act_mono(k, rest).items():
+                for m2, b0, b1 in self._act_mono(k, rest):
                     _accumulate(acc, m2, n * b0, n * b1)
-            out = {m2: (a0, a1) for m2, (a0, a1) in acc.items() if a0 or a1}
-        self._act_memo[key] = out
+            out = tuple((m2, a0, a1) for m2, (a0, a1) in acc.items() if a0 or a1)
+        memo[m] = out
         return out
 
     def _act_ints(self, i: int, v: Elt) -> tuple[int, dict[Mono, list[int]]]:
@@ -129,14 +135,16 @@ class VermaModule:
         (den, {monomial: [a0, a1]}) with ints a0, a1 meaning (a0 + a1*s)/den.
 
         den is the lcm of the denominators of v: each coefficient is scaled
-        to an int over it, and the affine images are summed as int pairs.
+        to an int over it, and the memoized images _act_memo[i][m] of its
+        monomials, tuples of (monomial, a0, a1) triples, are summed into a
+        fresh dict of int pairs, which the caller owns.
         Pairs that cancel to [0, 0] are kept; callers skip them.
         """
         den = lcm(*(c.denominator for c in v.values()))
         acc: dict[Mono, list[int]] = {}
         for m, c in v.items():
             k = c.numerator * (den // c.denominator)
-            for m2, (a0, a1) in self._act_mono(i, m).items():
+            for m2, a0, a1 in self._act_mono(i, m):
                 _accumulate(acc, m2, k * a0, k * a1)
         return den, acc
 

@@ -514,6 +514,47 @@ def test_act_basis_results_are_not_aliased(verma_d4, omega_d4):
         assert verma_d4.act_basis(x, v) == kept
 
 
+def test_act_memo_holds_one_table_of_tuple_images_per_basis_index(alg_d4):
+    # the stability solve's memo: _act_memo[x][m] is the image of the nbar
+    # monomial m by X_x, a tuple of (monomial, a0, a1) int triples with a
+    # nonzero pair, and every zero image is the one empty tuple
+    env = Enveloping(alg_d4)
+    vm = VermaModule(env)
+    vm.stability_constraints(Span(OmegaSystem(env).omega3_system()))
+    assert type(vm._act_memo) is list and len(vm._act_memo) == alg_d4.dim
+    assert all(type(table) is dict for table in vm._act_memo)
+    images = [img for table in vm._act_memo for img in table.values()]
+    assert images and all(type(img) is tuple for img in images)
+    for img in images:
+        assert all(len(t) == 3 and type(t[0]) is tuple and type(t[1]) is int
+                   and type(t[2]) is int and (t[1] or t[2]) for t in img)
+        assert len({m for m, _, _ in img}) == len(img)
+    zeros = [img for img in images if not img]
+    empty = ()
+    assert zeros and all(img is empty for img in zeros)
+    other = VermaModule(env)
+    assert not {id(t) for t in vm._act_memo} & {id(t) for t in other._act_memo}
+
+
+def test_stability_solve_memory_e6():
+    # tracemalloc peak of the E6 cubic solve from a fresh module: 1.15 to
+    # 1.3 MiB with tuple images in per-index tables (less when freed tuples
+    # are reused), 2.7 MiB with dict images under (x, m) keys
+    import tracemalloc
+    alg = build_lie_algebra(build_root_system(RootSystemSpec.parse("E6")),
+                            check=False)
+    env = Enveloping(alg)
+    span = Span(OmegaSystem(env).omega3_system())
+    vm = VermaModule(env)
+    tracemalloc.start()
+    try:
+        vm.stability_constraints(span)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20
+
+
 @pytest.mark.parametrize("label", ["A2", "A3", "A4", "A5", "A6", "A7", "D4",
                                    "D5", "D6", "D7", "D8", "E6"])
 def test_action_on_s_free_vectors_is_affine_in_s(label):
