@@ -1,10 +1,13 @@
 """On-disk cache for constructed algebras.
 
-The bracket table is deterministic, so the cache stores it as canonical JSON
-with its integer structure constants rendered as strings, guarded by a
-SHA-256 digest.  A corrupt or stale entry, or one holding a constant that is
-not an integer, triggers a warning and a silent rebuild; hits reconstruct the
-algebra without re-running the construction or its build-time self-checks.
+An entry holds the type (family, rank), the basis names and the bracket
+table, with its integer constants rendered as strings, in canonical JSON
+guarded by a SHA-256 digest.  A hit takes the basis layout from
+liealg.basis_layout and checks the stored names against it, so an entry
+written under another layout is discarded.  An unusable entry (corrupt,
+stale, unreadable, or holding a constant that is not an integer) is rebuilt
+with a warning, and one that cannot be written only warns: the cache saves
+work and never stops a run.  Hits skip the construction and its self-checks.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from .liealg import LieAlgebra, build_lie_algebra
-from .roots import RootSystem, RootSystemSpec, build_root_system
+from .liealg import LieAlgebra, basis_layout, build_lie_algebra
+from .roots import RootSystemSpec, build_root_system
 
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 ENV_CACHE_DIR = "CONFSYS_CACHE_DIR"
 
 
@@ -40,11 +43,7 @@ def _payload_body(alg: LieAlgebra) -> dict:
         "schema": CACHE_SCHEMA,
         "family": alg.rs.spec.family,
         "rank": alg.rs.spec.rank,
-        "root_system": alg.rs.to_json(),
         "names": list(alg.names),
-        "root_of": [list(r) if r is not None else None for r in alg.root_of],
-        "cartan_index": list(alg.cartan_index),
-        "grade": list(alg.grade),
         "table": [[[[k, str(c)] for k, c in row] for row in line]
                   for line in alg.table],
     }
@@ -72,21 +71,14 @@ def dump(alg: LieAlgebra, path: Path) -> None:
 
 
 def _reconstruct(body: dict) -> LieAlgebra:
-    rs = RootSystem.from_json(body["root_system"])
-    root_of = tuple(tuple(r) if r is not None else None for r in body["root_of"])
-    index_of_root = {r: i for i, r in enumerate(root_of) if r is not None}
+    layout = basis_layout(build_root_system(
+        RootSystemSpec(body["family"], body["rank"])))
+    if list(layout["names"]) != body["names"]:
+        raise ValueError("cached basis names differ from the basis layout")
     table = tuple(
         tuple(tuple((k, int(c)) for k, c in row) for row in line)
         for line in body["table"])
-    return LieAlgebra(
-        rs=rs,
-        names=tuple(body["names"]),
-        root_of=root_of,
-        index_of_root=index_of_root,
-        cartan_index=tuple(body["cartan_index"]),
-        table=table,
-        grade=tuple(body["grade"]),
-    )
+    return LieAlgebra(table=table, **layout)
 
 
 def load(path: Path) -> LieAlgebra:
@@ -109,16 +101,20 @@ def load_or_build(spec: RootSystemSpec, cache_dir: Path | None = None, *,
         return load(path)
     except FileNotFoundError:
         pass  # a miss, also when another process deletes the entry meanwhile
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         warnings.warn(f"discarding unusable algebra cache {path}: {exc}",
                       stacklevel=2)
     alg = build_lie_algebra(build_root_system(spec), check=check)
-    dump(alg, path)
+    try:
+        dump(alg, path)
+    except OSError as exc:
+        warnings.warn(f"cannot write algebra cache {path}: {exc}", stacklevel=2)
     return alg
 
 
 def build(spec: RootSystemSpec, cache_dir: Path | None = None) -> Path:
-    """Force a rebuild of the cache entry and return its path."""
+    """Force a rebuild of the cache entry and return its path; unlike
+    load_or_build, a write error raises."""
     path = cache_path(spec, cache_dir)
     alg = build_lie_algebra(build_root_system(spec), check=True)
     dump(alg, path)

@@ -6,7 +6,8 @@ process exits 0 exactly when every executed check passes, including the
 nonexistence checks of runs started with --expect-no-omega3, and 2 on a
 usage error: an unknown type label, or an --emit-json path that cannot be
 written (the suite has run and its text report is printed by then).  The
-algebra cache fills itself on first use; --cache-dir moves it.
+algebra cache fills itself on first use; --cache-dir moves it.  A cache
+location that cannot be read or written only warns: it never sets the code.
 """
 
 from __future__ import annotations

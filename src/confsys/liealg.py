@@ -15,7 +15,7 @@ holds ints: products built from it divide nowhere, so they need no Fraction.
 The coroots H_a = [X_a, X_-a] (h_gamma among them), the Heisenberg pairing
 (partner) and the parabolic character (dchi_on_basis) are ints read off the
 table too, so the operator, module and enveloping-algebra code reads no
-root coordinates: roots stay in the construction, the cache and the checks.
+root coordinates: roots stay in the construction and the checks.
 
 verify_normalizations reads each root a as one packed int key,
 sum_i a_i * base**i with base = 4 * (largest root coefficient) + 1.  The key
@@ -384,36 +384,32 @@ def _row_dict(row: BracketRow, sign: int = 1) -> dict[int, int]:
     return {k: c for k, c in out.items() if c}
 
 
+def basis_layout(rs: RootSystem) -> dict:
+    """Every LieAlgebra field but the table, as keyword arguments: the basis
+    order (see the module docstring), its names, the root or coroot at each
+    index, and the grade.  The one place that writes the basis order; the
+    construction and the cache both take it from here."""
+    gamma = rs.highest
+    v_plus = [a for a in rs.positive if rs.pairing(a, gamma) == 1]
+    levi = [a for a in rs.positive if rs.pairing(a, gamma) == 0]
+    order = [(f"Y[{root_str(a)}]", tuple(-x for x in a)) for a in [gamma] + v_plus]
+    order += [(f"X[-{root_str(a)}]", tuple(-x for x in a)) for a in levi]
+    order += [(f"H{i + 1}", None) for i in range(rs.rank)]
+    order += [(f"X[{root_str(a)}]", a) for a in levi + v_plus + [gamma]]
+    names, root_of = zip(*order)
+    return dict(rs=rs, names=names, root_of=root_of,
+                index_of_root={a: i for i, a in enumerate(root_of) if a is not None},
+                cartan_index=tuple(i for i, a in enumerate(root_of) if a is None),
+                grade=tuple(0 if a is None else rs.pairing(a, gamma) for a in root_of))
+
+
 def build_lie_algebra(rs: RootSystem, *, check: bool = True) -> LieAlgebra:
     """Construct the algebra with its bracket table from a root system."""
-    r = rs.rank
-    gamma = rs.highest
-    zero = (0,) * r
-
-    pos_sorted = sorted(rs.positive, key=lambda t: (sum(t), t))
-    v_plus_roots = [a for a in pos_sorted if rs.pairing(a, gamma) == 1]
-    l_pos_roots = [a for a in pos_sorted if rs.pairing(a, gamma) == 0]
-
-    order: list[tuple[str, Root | None, int]] = []  # (name, root, simple-index)
-    order.append((f"Y[{root_str(gamma)}]", tuple(-x for x in gamma), -1))
-    for a in v_plus_roots:
-        order.append((f"Y[{root_str(a)}]", tuple(-x for x in a), -1))
-    for a in l_pos_roots:
-        order.append((f"X[-{root_str(a)}]", tuple(-x for x in a), -1))
-    for i in range(r):
-        order.append((f"H{i + 1}", None, i))
-    for a in l_pos_roots:
-        order.append((f"X[{root_str(a)}]", a, -1))
-    for a in v_plus_roots:
-        order.append((f"X[{root_str(a)}]", a, -1))
-    order.append((f"X[{root_str(gamma)}]", gamma, -1))
-
-    names = tuple(t[0] for t in order)
-    root_of = tuple(t[1] for t in order)
-    cartan_index = tuple(i for i, t in enumerate(order) if t[1] is None)
-    index_of_root = {t[1]: i for i, t in enumerate(order) if t[1] is not None}
-    dim = len(order)
-    grade = tuple(0 if a is None else rs.pairing(a, gamma) for a in root_of)
+    layout = basis_layout(rs)
+    root_of, index_of_root = layout["root_of"], layout["index_of_root"]
+    cartan_index = layout["cartan_index"]
+    simple_of = {h: k for k, h in enumerate(cartan_index)}
+    zero = (0,) * rs.rank
 
     def sigma(a: Root) -> int:
         return 1 if sum(a) > 0 else -1
@@ -423,7 +419,7 @@ def build_lie_algebra(rs: RootSystem, *, check: bool = True) -> LieAlgebra:
         if a is None and b is None:
             return ()
         if a is None or b is None:
-            h_simple = order[i][2] if a is None else order[j][2]
+            h_simple = simple_of[i if a is None else j]
             vec = b if a is None else a
             sign = 1 if a is None else -1
             c = rs.pairing(vec, rs.simple(h_simple)) * sign
@@ -439,8 +435,9 @@ def build_lie_algebra(rs: RootSystem, *, check: bool = True) -> LieAlgebra:
             return ((index_of_root[s], n),)
         return ()
 
+    dim = len(root_of)
     table = tuple(tuple(pair_bracket(i, j) for j in range(dim)) for i in range(dim))
-    alg = LieAlgebra(rs, names, root_of, index_of_root, cartan_index, table, grade)
+    alg = LieAlgebra(table=table, **layout)
     if check:
         alg.verify_normalizations()
         alg.verify_jacobi()

@@ -7,7 +7,6 @@ roots equals the Cartan matrix, so all pairings are exact integers.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -90,26 +89,6 @@ class RootSystem:
     def simple(self, i: int) -> Root:
         """The i-th simple root, 0-based."""
         return tuple(1 if j == i else 0 for j in range(self.rank))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "family": self.spec.family,
-                "rank": self.spec.rank,
-                "gram": [list(r) for r in self.gram],
-                "roots": [list(r) for r in self.roots],
-                "highest": list(self.highest),
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "RootSystem":
-        d = json.loads(text)
-        rebuilt = build_root_system(RootSystemSpec(d["family"], d["rank"]))
-        if [list(r) for r in rebuilt.roots] != d["roots"]:
-            raise ValueError("serialized root data disagrees with reconstruction")
-        return rebuilt
 
 
 def build_root_system(spec: RootSystemSpec) -> RootSystem:

@@ -10,28 +10,69 @@ from pathlib import Path
 import pytest
 
 from confsys import cache
-from confsys.roots import RootSystemSpec
+from confsys.liealg import build_lie_algebra
+from confsys.roots import RootSystemSpec, build_root_system
 
 A3 = RootSystemSpec.parse("A3")
+SUPPORTED = ["A2", "A3", "A4", "A5", "A6", "A7", "D4", "D5", "D6", "D7", "D8",
+             "E6", "E7", "E8"]
 
 
 def test_build_writes_deterministic_payload(tmp_path):
     p1 = cache.build(A3, tmp_path / "one")
     p2 = cache.build(A3, tmp_path / "two")
-    assert p1.name == p2.name == "algebra-A3-v1.json"
+    assert p1.name == p2.name == "algebra-A3-v2.json"
     assert p1.read_bytes() == p2.read_bytes()
+    # only what the code cannot recompute: the layout comes from basis_layout
+    assert set(json.loads(p1.read_text())) == {
+        "schema", "family", "rank", "names", "table", "digest"}
 
 
-def test_load_round_trips_the_algebra(tmp_path):
+@pytest.mark.parametrize("label", SUPPORTED)
+def test_load_round_trips_the_algebra(tmp_path, label):
+    # the construction and the cache take their layout from basis_layout;
+    # a drift between the two shows here on every supported type
+    spec = RootSystemSpec.parse(label)
+    cached = cache.load(cache.build(spec, tmp_path))
+    fresh = build_lie_algebra(build_root_system(spec), check=False)
+    for field in ("names", "root_of", "index_of_root", "cartan_index", "grade",
+                  "table"):
+        assert getattr(cached, field) == getattr(fresh, field), field
+    assert cached.rs.spec == spec
+
+
+def test_names_that_differ_from_the_layout_are_rebuilt(tmp_path):
+    # an entry written under another basis layout, with a valid digest
     path = cache.build(A3, tmp_path)
-    fresh = cache.load_or_build(A3, tmp_path, check=False)
-    cached = cache.load(path)
-    assert cached.dim == fresh.dim
-    assert cached.graded_dims == fresh.graded_dims
-    assert cached.names == fresh.names
-    for i in range(cached.dim):
-        for j in range(cached.dim):
-            assert dict(cached.table[i][j]) == dict(fresh.table[i][j])
+    good = path.read_bytes()
+    body = json.loads(good)
+    body.pop("digest")
+    body["names"].reverse()
+    body["digest"] = cache._digest(body)
+    path.write_text(json.dumps(body))
+    with pytest.raises(ValueError, match="basis layout"):
+        cache.load(path)
+    with pytest.warns(UserWarning, match="discarding unusable"):
+        alg = cache.load_or_build(A3, tmp_path, check=False)
+    assert alg.names == cache.load(path).names
+    assert path.read_bytes() == good
+
+
+def test_cache_dir_that_is_a_file_warns_and_builds(tmp_path):
+    # the read fails (not a directory), then the write does: both only warn
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    with pytest.warns(UserWarning) as record:
+        alg = cache.load_or_build(A3, blocker, check=False)
+    messages = [str(w.message) for w in record]
+    assert len(messages) == 2
+    assert messages[0].startswith("discarding unusable algebra cache")
+    assert messages[1].startswith("cannot write algebra cache")
+    assert alg.rank == 3
+    assert blocker.read_text() == ""
+    # a forced build is asked for the entry itself, so it still raises
+    with pytest.raises(OSError):
+        cache.build(A3, blocker)
 
 
 def test_load_rejects_corruption(tmp_path):

@@ -53,6 +53,18 @@ def test_reports_are_deterministic_modulo_timing(tmp_path):
     assert b1 == b2
 
 
+
+def test_cache_dir_that_is_a_file_does_not_stop_the_run(tmp_path, capsys):
+    # the cache only saves work: an unusable location warns, and the
+    # algebra is built and checked as usual
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    with pytest.warns(UserWarning, match="algebra cache"):
+        code = main(["verify", "--type", "A3", "--expect-no-omega3",
+                     "--cache-dir", str(blocker)])
+    assert code == 0
+    assert "result: OK" in capsys.readouterr().out
+
 def test_mismatched_expectation_fails(tmp_path, capsys):
     # claiming the control has a cubic system must make the run fail:
     # the system-scope checks are skipped and skipped counts as not ok

@@ -9,7 +9,7 @@ from itertools import combinations
 
 import pytest
 
-from confsys.roots import RootSystemSpec, RootSystem, build_root_system, cartan_matrix
+from confsys.roots import RootSystemSpec, build_root_system, cartan_matrix
 
 
 def euclid_simple_roots(family: str, rank: int) -> list[tuple]:
@@ -169,10 +169,3 @@ def test_spec_parse_and_validation():
         with pytest.raises(ValueError):
             RootSystemSpec.parse(label)
 
-
-def test_root_system_json_round_trip():
-    rs = build_root_system(RootSystemSpec.parse("D4"))
-    rebuilt = RootSystem.from_json(rs.to_json())
-    assert rebuilt.positive == rs.positive
-    assert rebuilt.highest == rs.highest
-    assert rebuilt.gram == rs.gram
