@@ -5,14 +5,17 @@ table, with its integer constants rendered as strings, in canonical JSON
 guarded by a SHA-256 digest.  A hit takes the basis layout from
 liealg.basis_layout and checks the stored names against it, so an entry
 written under another layout is discarded.  An unusable entry (corrupt,
-stale, unreadable, or holding a constant that is not an integer) is rebuilt
-with a warning, and one that cannot be written only warns: the cache saves
-work and never stops a run.  Hits skip the construction and its self-checks.
+stale, unreadable, filed under another type's name, or holding a constant
+that is not an integer) is rebuilt with a warning, and one that cannot be
+written only warns: the cache saves work and never stops a run.  Hits skip
+the construction and its self-checks.  The digest comes from CPython's
+built-in SHA-256 (hashlib only on a build without it), because importing
+hashlib maps OpenSSL's libcrypto, 3.5 MB of the peak memory of every short
+confsys process.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -21,6 +24,14 @@ from pathlib import Path
 
 from .liealg import LieAlgebra, basis_layout, build_lie_algebra
 from .roots import RootSystemSpec, build_root_system
+
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:  # a build without CPython's own hashes
+        from hashlib import sha256
 
 CACHE_SCHEMA = 2
 ENV_CACHE_DIR = "CONFSYS_CACHE_DIR"
@@ -51,7 +62,7 @@ def _payload_body(alg: LieAlgebra) -> dict:
 
 def _digest(body: dict) -> str:
     canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return sha256(canonical.encode()).hexdigest()
 
 
 def dump(alg: LieAlgebra, path: Path) -> None:
@@ -98,7 +109,10 @@ def load_or_build(spec: RootSystemSpec, cache_dir: Path | None = None, *,
                   check: bool = True) -> LieAlgebra:
     path = cache_path(spec, cache_dir)
     try:
-        return load(path)
+        alg = load(path)
+        if alg.rs.spec != spec:
+            raise ValueError(f"entry holds {alg.rs.spec}, not {spec}")
+        return alg
     except FileNotFoundError:
         pass  # a miss, also when another process deletes the entry meanwhile
     except (OSError, ValueError, KeyError, TypeError) as exc:

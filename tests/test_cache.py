@@ -1,7 +1,10 @@
-"""On-disk algebra cache: determinism, integrity guard, concurrent writers."""
+"""On-disk algebra cache: determinism, integrity guard, concurrent writers,
+and a digest that matches hashlib's without loading OpenSSL."""
 
+import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -56,6 +59,92 @@ def test_names_that_differ_from_the_layout_are_rebuilt(tmp_path):
         alg = cache.load_or_build(A3, tmp_path, check=False)
     assert alg.names == cache.load(path).names
     assert path.read_bytes() == good
+
+
+def test_entry_of_another_type_is_rebuilt(tmp_path):
+    # a valid D4 entry filed under A3's name
+    good = cache.build(A3, tmp_path / "good").read_bytes()
+    path = cache.cache_path(A3, tmp_path)
+    shutil.copyfile(cache.build(RootSystemSpec.parse("D4"), tmp_path / "d4"),
+                    path)
+    with pytest.warns(UserWarning, match="discarding unusable.*holds D4"):
+        alg = cache.load_or_build(A3, tmp_path, check=False)
+    assert alg.rs.spec == A3
+    assert len(alg.names) == 15
+    assert path.read_bytes() == good
+
+
+def _src_env():
+    src = str(Path(cache.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=src)
+
+
+def test_digest_is_hashlib_sha256_of_the_canonical_body(tmp_path):
+    # entries written while the digest came from hashlib stay valid
+    body = json.loads(cache.build(A3, tmp_path).read_text())
+    digest = body.pop("digest")
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    assert digest == hashlib.sha256(canonical.encode()).hexdigest()
+
+
+_WITHOUT_BUILTIN_SHA256 = """
+import sys
+from pathlib import Path
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from confsys import cache
+from confsys.roots import RootSystemSpec
+assert cache.sha256.__module__ in ("hashlib", "_hashlib"), cache.sha256
+cache.build(RootSystemSpec.parse("A3"), Path(sys.argv[1]))
+"""
+
+
+def test_hashlib_fallback_writes_the_same_entry(tmp_path):
+    expected = cache.build(A3, tmp_path / "builtin").read_bytes()
+    subprocess.run([sys.executable, "-c", _WITHOUT_BUILTIN_SHA256,
+                    str(tmp_path / "fallback")], env=_src_env(), check=True,
+                   timeout=120)
+    assert (tmp_path / "fallback" / "algebra-A3-v2.json").read_bytes() == \
+        expected
+
+
+_CLI_TWICE = """
+import json
+import sys
+if "_hashlib" in sys.modules:
+    print(json.dumps({"skip": "_hashlib was loaded before confsys"}))
+    sys.exit()
+import importlib.util
+if not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
+    print(json.dumps({"skip": "neither _sha2 nor _sha256 is built in"}))
+    sys.exit()
+import os
+import tempfile
+from pathlib import Path
+from confsys.cli import main
+with tempfile.TemporaryDirectory() as tmp:
+    entry = Path(tmp) / "algebra-A3-v2.json"
+    args = ["verify", "--type", "A3", "--expect-no-omega3", "--cache-dir", tmp]
+    codes = [main(args)]
+    written = os.stat(entry)
+    codes.append(main(args))
+    read = os.stat(entry)
+print(json.dumps({
+    "codes": codes,
+    "hit": (read.st_ino, read.st_mtime_ns)
+           == (written.st_ino, written.st_mtime_ns),
+    "hashlib_loaded": "_hashlib" in sys.modules}))
+"""
+
+
+def test_cli_process_never_loads_openssl():
+    # a miss that dumps the entry, then a hit, in one fresh interpreter
+    proc = subprocess.run([sys.executable, "-c", _CLI_TWICE],
+                          env=_src_env(), capture_output=True, text=True,
+                          check=True, timeout=120)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    if "skip" in result:
+        pytest.skip(result["skip"])
+    assert result == {"codes": [0, 0], "hit": True, "hashlib_loaded": False}
 
 
 def test_cache_dir_that_is_a_file_warns_and_builds(tmp_path):
@@ -201,10 +290,9 @@ for _ in range(200):
 def test_two_processes_dumping_one_entry(tmp_path):
     source = cache.build(A3, tmp_path / "source")
     shared = tmp_path / "shared"
-    src = str(Path(cache.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
     procs = [subprocess.Popen([sys.executable, "-c", _DUMP_LOOP, str(source),
-                               str(shared)], env=env, stderr=subprocess.PIPE,
+                               str(shared)], env=_src_env(),
+                              stderr=subprocess.PIPE,
                               text=True)
              for _ in range(2)]
     try:
