@@ -28,6 +28,7 @@ from fractions import Fraction as Q
 from math import lcm
 
 from . import linalg
+from .liealg import LieAlgebra
 from .pbw import Elt, Enveloping, Mono, elt_add, elt_scale, mono_degree
 
 Pair = tuple[Q, Q]        # (a0, a1), the affine a0 + a1*s
@@ -55,6 +56,44 @@ def _split(den: int, ints: dict[Mono, list[int]]) -> Affine:
         if a1:
             v1[m] = Q(a1, den)
     return v0, v1
+
+
+def _insert(m: Mono, g: int) -> Mono:
+    """m with one more factor g, in its sorted place: the product m * X_g
+    when X_g commutes with every factor of m."""
+    for k, (i, e) in enumerate(m):
+        if i == g:
+            return m[:k] + ((g, e + 1),) + m[k + 1:]
+        if i > g:
+            return m[:k] + ((g, 1),) + m[k:]
+    return m + ((g, 1),)
+
+
+def _heisenberg_times(alg: LieAlgebra, x: int, m: Mono) -> Image:
+    """Y_x * m in U(nbar) for an nbar generator Y_x and an nbar monomial m.
+
+    nbar is a Heisenberg algebra: Z = X_-gamma (index 0) is central, and the
+    one nonzero bracket of Y_x is [Y_x, Y_p] = n Z, (p, n) = alg.partner[x].
+    So Y_x moves to its PBW place past every factor but Y_p^e, where
+    Y_x Y_p^e = Y_p^e Y_x + e n Z Y_p^(e-1):
+
+      Y_x * m = ins(m, x) + [p < x and p in m] e n ins(m - Y_p, Z),
+
+    at most two terms, as (monomial, coefficient, 0) triples.
+    """
+    out = ((_insert(m, x), 1, 0),)
+    if x == alg.x_minus_gamma:
+        return out
+    p, n = alg.partner[x]
+    if p > x:
+        return out
+    for k, (i, e) in enumerate(m):
+        if i == p:
+            rest = m[:k] + (((p, e - 1),) if e > 1 else ()) + m[k + 1:]
+            return out + ((_insert(rest, alg.x_minus_gamma), e * n, 0),)
+        if i > p:
+            break
+    return out
 
 
 def elt_subs(v: Affine, s0: Q) -> Elt:
@@ -93,7 +132,8 @@ class VermaModule:
 
         The recursion never leaves U(nbar) tensor 1:
 
-          x in nbar:   X.m is the product in U(nbar), which nbar closes;
+          x in nbar:   X.m is the product in U(nbar), in closed form
+                       (_heisenberg_times);
           m = 1:       X.(1 tensor 1) = s*dchi(X) for a Cartan X, 0 for a
                        root vector of q;
           m = Y_a rest (Y_a the first PBW factor of m):
@@ -111,7 +151,7 @@ class VermaModule:
             return out
         alg = self.alg
         if x < alg.nbar_dim:
-            out = tuple((m2, c, 0) for m2, c in self.env.mono_mul(((x, 1),), m).items())
+            out = _heisenberg_times(alg, x, m)
         elif not m:
             v = alg.dchi_on_basis[x]
             out = ((m, 0, v),) if v else ()

@@ -19,7 +19,8 @@ from conftest import random_dual_bases
 from confsys.diffops import PolyDiffOp
 from confsys.linalg import rank
 from confsys.pbw import elt_add, elt_scale, elt_sub, monomials_up_to
-from confsys.verify import Session, SuiteConfig, weighted_degree
+from confsys.system import weighted_degree
+from confsys.verify import Session, SuiteConfig
 from confsys.verma import elt_subs
 
 SPECIAL = Q(-1)

@@ -5,10 +5,15 @@ positive run is exercised by the acceptance suite.
 """
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from confsys import cli
 from confsys.cli import main
 from confsys.report import VerificationReport
 
@@ -137,3 +142,29 @@ def test_cache_build_and_clear(tmp_path, capsys):
 def test_cache_build_requires_type(capsys):
     # without --type the deleted subcommand is rejected the same way
     _assert_usage_error(["cache", "build"], capsys)
+
+
+_OPERATOR_MODULES = """
+import json
+import sys
+from confsys.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "loaded": [
+    name for name in ("confsys.diffops", "confsys.system")
+    if name in sys.modules]}))
+"""
+
+
+@pytest.mark.parametrize("scope,loaded", [
+    (["--type", "A3", "--expect-no-omega3"], []),
+    (["--type", "D4"], ["confsys.diffops", "confsys.system"])])
+def test_only_a_system_run_loads_the_operator_code(tmp_path, scope, loaded):
+    # a fresh interpreter: a control run never imports the induced-picture
+    # operators or the system checks, and a system run imports both
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _OPERATOR_MODULES, "verify", *scope,
+         "--cache-dir", str(tmp_path)], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True, timeout=120)
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"code": 0,
+                                                        "loaded": loaded}

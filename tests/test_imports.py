@@ -10,7 +10,9 @@ imports confsys.poly: it is the tests' reference ring.  The operator, module
 and enveloping-algebra modules read the algebra through its bracket table
 alone: they import nothing from confsys.roots and read no root coordinates.
 Only verify.py imports random, for the one check that samples
-(verma_representation).  The scans need nothing beyond the standard library.
+(verma_representation).  Only system.py imports confsys.diffops when it is
+loaded, so a control run never compiles the operators.  The scans need
+nothing beyond the standard library.
 """
 
 import ast
@@ -145,6 +147,17 @@ def test_only_poly_uses_the_polynomial_ring():
     found = [str(path) for path, tree in _trees("src/confsys")
              if path.name != "poly.py" and _imports(tree, "poly")]
     assert not found, "modules importing confsys.poly:\n" + "\n".join(found)
+
+
+def test_only_the_system_scope_loads_the_operators_at_import():
+    # imports at the top level of a module run when it loads; those inside a
+    # function body or an `if TYPE_CHECKING:` block do not
+    found = [str(path) for path, tree in _trees("src/confsys")
+             if path.name != "system.py" and _imports(
+                 ast.Module([n for n in tree.body
+                             if isinstance(n, (ast.Import, ast.ImportFrom))], []),
+                 "diffops")]
+    assert not found, "modules importing confsys.diffops:\n" + "\n".join(found)
 
 
 def test_poly_import_scan_flags_each_form():

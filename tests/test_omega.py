@@ -8,7 +8,8 @@ import pytest
 from conftest import RationalOmega, random_dual_bases
 from confsys.omega import OmegaSystem
 from confsys.pbw import Enveloping, elt_add, elt_scale, elt_sub, mono_word
-from confsys.verify import Session, SuiteConfig, weighted_degree
+from confsys.system import weighted_degree
+from confsys.verify import Session, SuiteConfig
 from confsys.verma import elt_subs
 
 SPECIAL = Q(-1)

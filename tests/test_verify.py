@@ -1,14 +1,18 @@
 """Check registry, scoping, and the skip/fail paths of the suite runner."""
 
 import dataclasses
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as Q
 from functools import reduce
+from pathlib import Path
 
 import pytest
 
 from conftest import RationalOmega, inverse, random_dual_bases
-from confsys import verify
+from confsys import system, verify
 from confsys.linalg import common_root, solve
 from confsys.pbw import elt_add, elt_scale, elt_sub
 from confsys.poly import Poly, poly_gcd, rational_roots
@@ -20,21 +24,32 @@ from confsys.verify import (CHECKS, EXPECTED, CheckFailure, Session,
 from confsys.verma import elt_subs
 
 
+def _full_registry() -> dict:
+    """CHECKS with every scope registered: the system checks register when
+    a system run first asks for its checks."""
+    available_checks(True)
+    return CHECKS
+
+
 def test_registry_scopes_are_exhaustive():
-    scopes = {scope for scope, _, _ in CHECKS.values()}
-    assert scopes == {"core", "system", "control"}
-    by_scope = {s: [n for n, (sc, _, _) in CHECKS.items() if sc == s]
-                for s in scopes}
+    checks = _full_registry()
+    by_scope = {s: [n for n, (sc, _, _) in checks.items() if sc == s]
+                for s in ("core", "system", "control")}
+    assert {s: len(names) for s, names in by_scope.items()} == \
+        {"core": 12, "system": 25, "control": 2}
+    assert len(checks) == 39
     system_run = available_checks(True)
     control_run = available_checks(False)
     assert set(system_run) == set(by_scope["core"]) | set(by_scope["system"])
     assert set(control_run) == set(by_scope["core"]) | set(by_scope["control"])
     # report order matches registration order
-    assert system_run == [n for n in CHECKS if n in set(system_run)]
+    assert system_run == [n for n in checks if n in set(system_run)]
 
 
 def test_every_check_has_a_statement():
-    for name, (_, statement, fn) in CHECKS.items():
+    checks = _full_registry()
+    assert len(checks) == 39
+    for name, (_, statement, fn) in checks.items():
         assert statement and statement[0].isupper() or statement[0].isdigit()
         assert callable(fn)
 
@@ -112,6 +127,20 @@ def test_invariant_form_proof_agrees_with_every_triple(tmp_path):
             for z in basis:
                 assert (alg.killing_elem(alg.bracket_elem(x, y), z)
                         + alg.killing_elem(y, alg.bracket_elem(x, z))) == 0
+
+
+def test_run_single_registers_a_system_check_on_first_use(tmp_path):
+    # a fresh interpreter, where no system run has loaded the system checks
+    code = ("import sys\n"
+            "from confsys.verify import Session, SuiteConfig, run_single\n"
+            "session = Session(SuiteConfig(cache_dir=sys.argv[1]))\n"
+            "print(run_single(session, 'cubic_nonzero').status)\n")
+    src = str(Path(verify.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True,
+                          timeout=120)
+    assert proc.stdout.split() == ["pass"]
 
 
 def test_exceptions_become_failures_with_witness(tmp_path):
@@ -560,13 +589,13 @@ def test_basis_independence_catches_a_diagonal_dual(tmp_path):
 
 def test_basis_independence_catches_a_doubled_dual(tmp_path, monkeypatch):
     session = _d4_session(tmp_path)
-    pair = verify._unimodular_pair
+    pair = system._unimodular_pair
 
     def doubled(m):
         a, inv = pair(m)
         return a, [[2 * x for x in row] for row in inv]
 
-    monkeypatch.setattr(verify, "_unimodular_pair", doubled)
+    monkeypatch.setattr(system, "_unimodular_pair", doubled)
     res = run_single(session, "basis_independence")
     assert res.status == "fail"
     assert res.witness == {"trial": 0, "pair": [0, 0], "value": "2"}
@@ -576,7 +605,7 @@ def test_basis_independence_catches_a_dual_negated_on_odd_trials(
         tmp_path, monkeypatch):
     # odd trials take the basis from the inverse, so the mutant negates w
     session = _d4_session(tmp_path)
-    pair, calls = verify._unimodular_pair, []
+    pair, calls = system._unimodular_pair, []
 
     def negated_on_odd_trials(m):
         a, inv = pair(m)
@@ -585,7 +614,7 @@ def test_basis_independence_catches_a_dual_negated_on_odd_trials(
             return a, inv
         return a, [[-x for x in row] for row in inv]
 
-    monkeypatch.setattr(verify, "_unimodular_pair", negated_on_odd_trials)
+    monkeypatch.setattr(system, "_unimodular_pair", negated_on_odd_trials)
     res = run_single(session, "basis_independence")
     assert res.status == "fail"
     assert res.witness == {"trial": 1, "pair": [0, 0], "value": "-1"}
@@ -598,7 +627,7 @@ def test_basis_independence_pair_is_an_exact_small_inverse_pair(label):
     # rational inverse, with no entry above m
     rs = build_root_system(RootSystemSpec.parse(label))
     m = sum(rs.pairing(a, rs.highest) == 1 for a in rs.roots)
-    a, inv = verify._unimodular_pair(m)
+    a, inv = system._unimodular_pair(m)
     assert inverse([[Q(x) for x in row] for row in a]) == inv
     assert max(abs(x) for row in a + inv for x in row) == m
 

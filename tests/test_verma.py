@@ -496,6 +496,24 @@ def test_act_basis_matches_normal_ordering_reference(label):
     assert squares  # the sample reaches the s^2 coefficient
 
 
+@pytest.mark.parametrize("label", ["A3", "D4", "E6"])
+def test_nbar_action_is_the_heisenberg_product(label):
+    # the closed form of Y_x.m in _act_mono against normal ordering in U(g),
+    # term for term and in the same order, with at most two terms
+    alg = build_lie_algebra(build_root_system(RootSystemSpec.parse(label)),
+                            check=False)
+    env = Enveloping(alg)
+    vm = VermaModule(env)
+    sizes = set()
+    for x in alg.nbar_indices:
+        for m in monomials_up_to(alg.nbar_indices, 3):
+            got = vm._act_mono(x, m)
+            assert got == tuple((m2, c, 0) for m2, c
+                                in env.mono_mul(((x, 1),), m).items())
+            sizes.add(len(got))
+    assert sizes == {1, 2}   # the sample reaches the commutator term
+
+
 def test_act_basis_results_are_not_aliased(verma_d4, omega_d4):
     # act_basis builds its result from a memo; mutating one result must not
     # reach a later call with the same arguments
