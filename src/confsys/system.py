@@ -12,6 +12,8 @@ artifacts included, stays on verify.Session.
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from math import lcm
+from typing import Callable
 
 from .diffops import PolyDiffOp, sum_products
 from .liealg import LieAlgebra
@@ -484,29 +486,113 @@ def _chk_b_matrix(s: Session) -> dict:
             "coroot_scalar": "-3", "at": qstr(sstar)}
 
 
+# The generator reduction shared by the three operator identities below.
+# Each writes [pi(Y), D_i] = sum_j F(Y)_ji D_j with F(Y) = sum_g AdInv(Y)_g M_g
+# for constant matrices M_g, and checks it for Y among the Chevalley generators.
+_GENERATOR_REDUCTION = (
+    "; it is checked for Y among the Chevalley generators, which suffices: "
+    "with xi_Y the vector-field part of pi(Y), pi is a homomorphism of order "
+    "1 (pi_homomorphism, pi_first_order), so by the Leibniz rule, for Y and "
+    "Z satisfying the identity, [pi([Y, Z]), D_i] = sum_k (xi_Y F(Z) - xi_Z "
+    "F(Y) + [F(Y), F(Z)])_ki D_k, which is sum_k F([Y, Z])_ki D_k when "
+    "rho(Y) = xi_Y + F(Y) is a homomorphism; rho is the noncompact picture "
+    "of the action induced from M on q, so it is one when M is zero on the "
+    "opposite radical and a representation of q, which the check asserts "
+    "as M([g, h]) = [M(g), M(h)] for g among the generators of q and h over "
+    "q (the g for which that holds form a Lie subalgebra); so the Y for "
+    "which the identity holds form a Lie subalgebra, and the generators "
+    "generate g")
+
+
+def _require_q_representation(s: Session, mats: dict[int, list[list[Q]]],
+                              shift: Q, where: dict) -> None:
+    """Assert the hypothesis of _GENERATOR_REDUCTION on the constant
+    matrices M_g = mats[g] + shift dchi(g) 1: mats holds no nonzero matrix
+    of an opposite-radical vector, and M([g, h]) = [M(g), M(h)] for g in
+    alg.q_generators and h in alg.q_indices.  The M_g are scaled to ints
+    over the lcm den of their denominators and held sparse, as
+    {(row, column): entry} and by rows, {row: [(column, entry)]}, so the
+    test is den M([g, h]) = [den M(g), den M(h)] in ints; where joins the
+    failure witness."""
+    alg = s.alg
+    for xb in alg.nbar_indices:
+        _ensure(not any(c for row in mats.get(xb, ()) for c in row),
+                hypothesis="zero on the opposite radical",
+                vector=alg.names[xb], **where)
+    entries = {}
+    for g in alg.q_indices:
+        diag = shift * alg.dchi_on_basis[g]
+        entries[g] = {(r, k): v for r, row in enumerate(mats[g])
+                      for k, c in enumerate(row)
+                      if (v := c + diag if r == k else c)}
+    den = lcm(*(v.denominator for e in entries.values() for v in e.values()))
+    ints = {g: {rk: v.numerator * (den // v.denominator) for rk, v in e.items()}
+            for g, e in entries.items()}
+    rows: dict[int, dict[int, list[tuple[int, int]]]] = {}
+    for g, e in ints.items():
+        rows[g] = {}
+        for (r, k), v in e.items():
+            rows[g].setdefault(r, []).append((k, v))
+    for g in alg.q_generators:
+        for h in alg.q_indices:
+            want: dict[tuple[int, int], int] = {}
+            for k, n in alg.table[g][h]:
+                for rk, v in ints[k].items():
+                    want[rk] = want.get(rk, 0) + den * n * v
+            got: dict[tuple[int, int], int] = {}
+            for x, y, sign in ((g, h, 1), (h, g, -1)):
+                for (r, k), u in ints[x].items():
+                    for c, v in rows[y].get(k, ()):
+                        got[r, c] = got.get((r, c), 0) + sign * u * v
+            _ensure({rk: v for rk, v in want.items() if v}
+                    == {rk: v for rk, v in got.items() if v},
+                    hypothesis="representation of q",
+                    pair=[alg.names[g], alg.names[h]], **where)
+
+
+def _identity_on_generators(s: Session, ops: list[PolyDiffOp],
+                            mats: dict[int, list[list[Q]]], shift: Q,
+                            commutators: Callable[[int], list[PolyDiffOp]],
+                            where: dict | None = None) -> int:
+    """Check [pi(Y), D_i] = sum_j F(Y)_ji D_j, with D = ops, commutators(Y)
+    the left sides and F(Y) built from M_g = mats[g] + shift dchi(g) 1
+    (_contract, _structure_mismatches), for Y among the Chevalley
+    generators, then the hypothesis that makes them suffice
+    (_GENERATOR_REDUCTION, _require_q_representation); returns the identity
+    count.  where joins the failure witness."""
+    alg, where = s.alg, where or {}
+    contracted = _contract(s, ops, mats, shift)
+    for y in alg.chevalley_generators:
+        bad = _structure_mismatches(s, y, commutators(y), contracted)
+        _ensure(not bad, vector=alg.names[y], column=bad[0] if bad else None,
+                mismatches=len(bad), **where)
+    _require_q_representation(s, mats, shift, where)
+    return len(alg.chevalley_generators) * len(ops)
+
+
 @check("structure_operator", SCOPE,
        "The full commutator identity holds as polynomial differential "
        "operators: for every basis vector Y, the commutator with each cubic "
-       "operator equals the cubic operators weighted by the matrix-valued "
-       "structure function, the constant matrix realization composed with "
-       "the inverse adjoint transport")
+       "operator D_i equals the cubic operators weighted by the matrix-valued "
+       "structure function F(Y) = sum_g AdInv(Y)_g M_g, the constant matrix "
+       "realization M = b composed with the inverse adjoint transport"
+       + _GENERATOR_REDUCTION)
 def _chk_structure_operator(s: Session) -> dict:
     sstar = s.require_sstar()
-    alg = s.alg
     m = len(s.omega3_ops)
-    contracted = _contract(s, s.omega3_ops, s.b_matrices)
-    for y in range(alg.dim):
-        comms = [s.cubic_commutator(y, i) for i in range(m)]
-        bad = _structure_mismatches(s, y, comms, contracted)
-        _ensure(not bad, vector=alg.names[y], column=bad[0] if bad else None)
-    return {"identities": alg.dim * m, "at": qstr(sstar)}
+    return {"identities": _identity_on_generators(
+                s, s.omega3_ops, s.b_matrices, Q(0),
+                lambda y: [s.cubic_commutator(y, i) for i in range(m)]),
+            "at": qstr(sstar)}
 
 
 @check("induced_bridge_small", SCOPE,
        "The induced-picture commutator formula against the degree <= 1 "
-       "spanning set holds as an operator identity for every basis vector "
-       "at three distinct parameter values, using the module action "
-       "matrices transported by the inverse adjoint series")
+       "spanning set D_i holds as an operator identity for every basis "
+       "vector Y at three distinct parameter values s0, with F(Y) = sum_g "
+       "AdInv(Y)_g M_g for M_g the module action matrix of each parabolic "
+       "basis vector at s0 shifted by -s0 dchi(g), transported by the inverse "
+       "adjoint series" + _GENERATOR_REDUCTION)
 def _chk_bridge_small(s: Session) -> dict:
     alg, calc, vm = s.alg, s.calc, s.verma
     ops = [calc.r_gen(i) for i in alg.nbar_indices] + [calc.identity_op()]
@@ -514,33 +600,30 @@ def _chk_bridge_small(s: Session) -> dict:
     svalues = [s.require_sstar(), Q(0), Q(5, 2)]
     total = 0
     for s0 in svalues:
-        contracted = _contract(s, ops, {g: vm.module_action_matrix(span, g, s0)
-                                        for g in alg.q_indices}, -s0)
-        for y in range(alg.dim):
+        def commutators(y: int) -> list[PolyDiffOp]:
             pi_y = calc.pi_basis(y).subs_param(s0)
-            comms = [pi_y.commutator(op) for op in ops]
-            bad = len(_structure_mismatches(s, y, comms, contracted))
-            _ensure(bad == 0, vector=alg.names[y], s=qstr(s0), mismatches=bad)
-            total += len(ops)
+            return [pi_y.commutator(op) for op in ops]
+
+        total += _identity_on_generators(
+            s, ops, {g: vm.module_action_matrix(span, g, s0)
+                     for g in alg.q_indices}, -s0, commutators,
+            {"s": qstr(s0)})
     return {"identities": total, "parameter_values": [qstr(v) for v in svalues]}
 
 
 @check("induced_bridge_cubic", SCOPE,
        "The induced-picture commutator formula against the cubic span holds "
-       "as an operator identity for every basis vector at the special "
-       "parameter value")
+       "as an operator identity for every basis vector Y at the special "
+       "parameter value s*, with F(Y) = sum_g AdInv(Y)_g M_g for M_g the "
+       "action matrix of each parabolic basis vector on the cubic span "
+       "shifted by -s* dchi(g)" + _GENERATOR_REDUCTION)
 def _chk_bridge_cubic(s: Session) -> dict:
     sstar = s.require_sstar()
-    alg = s.alg
     m = len(s.omega3_ops)
-    contracted = _contract(s, s.omega3_ops, s.action_matrices_special, -sstar)
-    total = 0
-    for y in range(alg.dim):
-        comms = [s.cubic_commutator(y, i) for i in range(m)]
-        bad = len(_structure_mismatches(s, y, comms, contracted))
-        _ensure(bad == 0, vector=alg.names[y], mismatches=bad)
-        total += m
-    return {"identities": total, "at": qstr(sstar)}
+    return {"identities": _identity_on_generators(
+                s, s.omega3_ops, s.action_matrices_special, -sstar,
+                lambda y: [s.cubic_commutator(y, i) for i in range(m)]),
+            "at": qstr(sstar)}
 
 
 @check("reducibility_witness", SCOPE,

@@ -123,7 +123,7 @@ class Session:
 
     @cached_property
     def verma(self) -> VermaModule:
-        return VermaModule(self.env)
+        return VermaModule(self.alg)
 
     @cached_property
     def omega(self) -> OmegaSystem:
@@ -230,12 +230,17 @@ class Session:
     @cached_property
     def b_matrices(self) -> dict[int, list[list[Q]]]:
         """For every basis vector Y the matrix b(Y) with [pi(Y), D_i] =
-        sum_j b(Y)_{ji} D_j as point functionals at the identity."""
+        sum_j b(Y)_{ji} D_j as point functionals at the identity, at the
+        special parameter value.  Each column is read from the point
+        functional of the commutator (diffops.commutator_at_identity), so
+        no commutator is formed; the operator identity itself is the
+        structure_operator check."""
+        from .diffops import commutator_at_identity
         out = {}
         for y in range(self.alg.dim):
+            pi_y = self.pi_special(y)
             cols = [self.functional_span.coordinates(
-                *self.cubic_commutator(y, i).at_identity())
-                for i in range(len(self.omega3_ops))]
+                *commutator_at_identity(pi_y, op)) for op in self.omega3_ops]
             if None in cols:
                 raise CheckFailure({
                     "reason": "commutator functional outside the span",

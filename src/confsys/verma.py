@@ -29,7 +29,7 @@ from math import lcm
 
 from . import linalg
 from .liealg import LieAlgebra
-from .pbw import Elt, Enveloping, Mono, elt_add, elt_scale, mono_degree
+from .pbw import Elt, Mono, elt_add, elt_scale, mono_degree
 
 Pair = tuple[Q, Q]        # (a0, a1), the affine a0 + a1*s
 Affine = tuple[Elt, Elt]  # (v0, v1), the module vector v0 + s*v1
@@ -116,9 +116,8 @@ class StabilityResult:
 
 
 class VermaModule:
-    def __init__(self, env: Enveloping):
-        self.env = env
-        self.alg = env.alg
+    def __init__(self, alg: LieAlgebra):
+        self.alg = alg
         self._act_memo: list[dict[Mono, Image]] = [{} for _ in range(self.alg.dim)]
 
     # -- the action ----------------------------------------------------------

@@ -146,8 +146,8 @@ def normal_order(env_d4):
 
 
 @pytest.fixture(scope="session")
-def verma_d4(env_d4):
-    return VermaModule(env_d4)
+def verma_d4(alg_d4):
+    return VermaModule(alg_d4)
 
 
 @pytest.fixture(scope="session")

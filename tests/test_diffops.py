@@ -10,8 +10,11 @@ import pytest
 from confsys.diffops import (FIELD_BITS, OperatorCalculus, PolyDiffOp,
                              _layout, _reorderings, commutator_at_identity,
                              sum_products, unpack_key)
-from confsys.pbw import mono_word, monomials_up_to
+from confsys.liealg import build_lie_algebra
+from confsys.omega import OmegaSystem
+from confsys.pbw import Enveloping, mono_word, monomials_up_to
 from confsys.poly import Poly
+from confsys.roots import RootSystemSpec, build_root_system
 
 # -- point functionals: a rational view and a term-by-term reference ---------
 
@@ -461,6 +464,25 @@ def test_commutator_at_identity_symbolic_pairs(calc_d4, cubic_ops_d4):
             pairs += 1
             with_s += any(a1 for _, a1 in func.values())
     assert pairs == 72
+    assert with_s > 0       # the pairs carry s: the s-part is compared too
+
+
+def test_commutator_at_identity_on_every_basis_vector_e6():
+    # the b matrices read [pi(Y), D_k] through commutator_at_identity for
+    # every basis vector Y; E6 has no special value on the c = 0 slice, so
+    # the D4 dense-solve reference of the b matrices cannot reach it
+    alg = build_lie_algebra(build_root_system(RootSystemSpec.parse("E6")),
+                            check=False)
+    calc = OperatorCalculus(alg)
+    ops = [calc.r_op(g) for g in OmegaSystem(Enveloping(alg)).omega3_system()]
+    with_s = 0
+    for y in range(alg.dim):
+        pi_y = calc.pi_basis(y)
+        for op in ops:
+            func = _rational(commutator_at_identity(pi_y, op))
+            assert func == _rational(pi_y.commutator(op).at_identity()), y
+            with_s += any(a1 for _, a1 in func.values())
+    assert (alg.dim, len(ops)) == (78, 20)
     assert with_s > 0       # the pairs carry s: the s-part is compared too
 
 

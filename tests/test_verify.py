@@ -13,6 +13,7 @@ import pytest
 
 from conftest import RationalOmega, inverse, random_dual_bases
 from confsys import system, verify
+from confsys.diffops import sum_products
 from confsys.linalg import common_root, solve
 from confsys.pbw import elt_add, elt_scale, elt_sub
 from confsys.poly import Poly, poly_gcd, rational_roots
@@ -718,6 +719,159 @@ def test_induced_bridge_cubic_catches_a_perturbed_action_entry(tmp_path):
     res = run_single(session, "induced_bridge_cubic")
     assert res.status == "fail"
     assert res.witness["mismatches"] == 1
+
+
+def test_reduced_operator_identities_hold_on_every_basis_vector(tmp_path):
+    # the exhaustive sweeps that structure_operator, induced_bridge_cubic and
+    # induced_bridge_small reduce to the Chevalley generators: [pi(Y), D_i]
+    # = sum_j F(Y)_ji D_j for every basis vector Y
+    session = _d4_session(tmp_path)
+    alg, calc, vm = session.alg, session.calc, session.verma
+    sstar = session.require_sstar()
+    m = len(session.omega3_ops)
+    identities = []
+    for mats, shift in ((session.b_matrices, Q(0)),
+                        (session.action_matrices_special, -sstar)):
+        contracted = system._contract(session, session.omega3_ops, mats, shift)
+        for y in range(alg.dim):
+            comms = [session.cubic_commutator(y, i) for i in range(m)]
+            assert not system._structure_mismatches(session, y, comms,
+                                                    contracted), y
+        identities.append(alg.dim * m)
+    ops = [calc.r_gen(i) for i in alg.nbar_indices] + [calc.identity_op()]
+    for s0 in (sstar, Q(0), Q(5, 2)):
+        contracted = system._contract(
+            session, ops, {g: vm.module_action_matrix(session.first_level_span,
+                                                      g, s0)
+                           for g in alg.q_indices}, -s0)
+        for y in range(alg.dim):
+            pi_y = calc.pi_basis(y).subs_param(s0)
+            comms = [pi_y.commutator(op) for op in ops]
+            assert not system._structure_mismatches(session, y, comms,
+                                                    contracted), (y, s0)
+    identities.append(3 * alg.dim * len(ops))
+    assert identities == [224, 224, 840]
+
+
+def test_structure_functions_are_flat(tmp_path):
+    # the generator reduction's hypothesis, checked on operators: rho(Y) =
+    # xi_Y + F(Y) on C^m-valued functions, xi_Y the vector-field part of
+    # pi(Y) and F(Y) = sum_g AdInv(Y)_g M_g, satisfies [rho(Y), rho(Z)] =
+    # rho([Y, Z]) for M = b and for the action matrices at s* shifted by
+    # -s* dchi, over every (Chevalley generator, basis vector) pair.  The
+    # commutator of the two operator matrices is [xi_Y, xi_Z] on the
+    # diagonal plus the function matrix xi_Y F(Z) - xi_Z F(Y) + [F(Y), F(Z)]
+    session = _d4_session(tmp_path)
+    alg, calc = session.alg, session.calc
+    n, sstar = calc.ncoords, session.require_sstar()
+    m = len(session.omega3_ops)
+    xi = {y: -calc.r_ext({j: c for j, c in calc.ad_inverse(y).items()
+                          if j < n}) for y in range(alg.dim)}
+
+    def combine(terms):
+        return sum_products(n, [(calc.const(c), op) for c, op in terms if c])
+
+    for g in alg.chevalley_generators:
+        for z in range(alg.dim):
+            if z != g:
+                assert xi[g].commutator(xi[z]) == combine(
+                    (c, xi[k]) for k, c in alg.table[g][z]), (g, z)
+    for mats, shift in ((session.b_matrices, Q(0)),
+                        (session.action_matrices_special, -sstar)):
+        def entry(g, r, k):
+            c = mats[g][r][k]
+            return c + shift * alg.dchi_on_basis[g] if shift and r == k else c
+
+        f = {y: [[sum_products(n, [(c, calc.const(entry(g, r, k)))
+                                   for g, c in calc.ad_inverse(y).items()
+                                   if g in mats and entry(g, r, k)])
+                  for k in range(m)] for r in range(m)]
+             for y in range(alg.dim)}
+        pairs = 0
+        for g in alg.chevalley_generators:
+            for z in range(alg.dim):
+                if z == g:
+                    continue
+                for r in range(m):
+                    for k in range(m):
+                        got = (xi[g].commutator(f[z][r][k])
+                               - xi[z].commutator(f[g][r][k])
+                               + sum_products(n, [
+                                   p for j in range(m) for p in
+                                   ((f[g][r][j], f[z][j][k]),
+                                    (-f[z][r][j], f[g][j][k]))]))
+                        assert got == combine(
+                            (c, f[w][r][k]) for w, c in alg.table[g][z]), \
+                            (g, z, r, k)
+                pairs += 1
+        assert pairs == 216
+
+
+def _perturbed_off_the_generators(session):
+    """A parabolic basis vector that is no Chevalley generator: the last
+    grade +1 root vector (the Levi roots of D4 are all simple)."""
+    alg = session.alg
+    g = alg.v_plus[-1]
+    assert g not in alg.chevalley_generators and g in alg.q_indices
+    return g
+
+
+def _names_the_vector(alg, witness, g):
+    """The failing pair (x, h) of the q-representation hypothesis has g as
+    x, h or a term of [x, h]."""
+    assert witness["hypothesis"] == "representation of q"
+    x, h = (alg.names.index(name) for name in witness["pair"])
+    return g in (x, h) or g in dict(alg.table[x][h])
+
+
+def test_structure_operator_catches_a_perturbed_b_matrix_off_the_generators(
+        tmp_path):
+    # b(g) enters no F(Y) of a Chevalley generator Y, so only the asserted
+    # hypothesis (b a representation of q) sees the change
+    session = _d4_session(tmp_path)
+    g = _perturbed_off_the_generators(session)
+    bmats = {y: [list(row) for row in mat]
+             for y, mat in session.b_matrices.items()}
+    bmats[g][1][2] += 1
+    session.b_matrices = bmats
+    res = run_single(session, "structure_operator")
+    assert res.status == "fail"
+    assert _names_the_vector(session.alg, res.witness, g)
+
+
+def test_induced_bridge_cubic_catches_a_perturbed_action_off_the_generators(
+        tmp_path):
+    session = _d4_session(tmp_path)
+    g = _perturbed_off_the_generators(session)
+    action = {x: [list(row) for row in mat]
+              for x, mat in session.action_matrices_special.items()}
+    action[g][3][0] -= Q(1, 2)
+    session.action_matrices_special = action
+    res = run_single(session, "induced_bridge_cubic")
+    assert res.status == "fail"
+    assert _names_the_vector(session.alg, res.witness, g)
+
+
+def test_induced_bridge_small_catches_a_perturbed_action_off_the_generators(
+        tmp_path, monkeypatch):
+    session = _d4_session(tmp_path)
+    assert run_single(session, "induced_bridge_small").status == "pass"
+    g = _perturbed_off_the_generators(session)
+    vm = session.verma
+    matrix = vm.module_action_matrix
+
+    def perturbed(span, x, s0):
+        mat = matrix(span, x, s0)
+        if x == g and s0 == Q(5, 2):
+            mat = [list(row) for row in mat]
+            mat[0][1] += 1
+        return mat
+
+    monkeypatch.setattr(vm, "module_action_matrix", perturbed)
+    res = run_single(session, "induced_bridge_small")
+    assert res.status == "fail"
+    assert res.witness["s"] == "5/2"
+    assert _names_the_vector(session.alg, res.witness, g)
 
 
 def test_nbar_commutant_catches_a_perturbed_right_action(tmp_path):

@@ -39,9 +39,9 @@ def _same(a, b):
     return all(not elt_sub(u, v) for u, v in zip(a, b, strict=True))
 
 
-def test_highest_vector_eigenvalues(verma_d4):
-    alg = verma_d4.env.alg
-    one = verma_d4.env.one()   # the generator 1 tensor 1
+def test_highest_vector_eigenvalues(env_d4, verma_d4):
+    alg = verma_d4.alg
+    one = env_d4.one()   # the generator 1 tensor 1
     assert verma_d4.act(alg.h_gamma, one) == ({}, elt_scale(one, 2))
     # Levi root vectors and the nilradical kill the cyclic vector
     for i in alg.q_indices:
@@ -49,21 +49,20 @@ def test_highest_vector_eigenvalues(verma_d4):
             assert verma_d4.act({i: Q(1)}, one) == ({}, {})
 
 
-def test_opposite_radical_acts_freely(verma_d4):
-    env = verma_d4.env
-    alg = env.alg
-    v = verma_d4.act_basis(alg.v_minus[0], verma_d4.env.one())
+def test_opposite_radical_acts_freely(env_d4, verma_d4):
+    alg = verma_d4.alg
+    v = verma_d4.act_basis(alg.v_minus[0], env_d4.one())
     assert v == ({((alg.v_minus[0], 1),): 1}, {})
     w0, w1 = verma_d4.act_basis(alg.x_minus_gamma, v[0])
     assert list(w0) == [((alg.x_minus_gamma, 1), (alg.v_minus[0], 1))]
     assert w1 == {}
 
 
-def test_representation_property_sample(verma_d4):
+def test_representation_property_sample(env_d4, verma_d4):
     import random
-    alg = verma_d4.env.alg
+    alg = verma_d4.alg
     rng = random.Random(7)
-    v0 = verma_d4.env.gen(alg.v_minus[1])
+    v0 = env_d4.gen(alg.v_minus[1])
     for _ in range(25):
         x = rng.randrange(alg.dim)
         y = rng.randrange(alg.dim)
@@ -74,13 +73,13 @@ def test_representation_property_sample(verma_d4):
         assert _same(lhs, rhs)
 
 
-def test_act_is_linear_in_the_lie_element(verma_d4, omega_d4):
+def test_act_is_linear_in_the_lie_element(env_d4, verma_d4, omega_d4):
     # act scales the Lie element's rational coefficients to ints over their
     # lcm; the result is the combination of the basis actions
     alg = verma_d4.alg
     x = {alg.cartan_index[0]: Q(5, 7), alg.x_gamma: Q(1, 2),
          alg.v_minus[0]: Q(-2, 3), alg.l_indices[-1]: Q(3)}
-    for v in (verma_d4.env.one(), omega_d4.omega3_system()[0]):
+    for v in (env_d4.one(), omega_d4.omega3_system()[0]):
         expected = ({}, {})
         for i, c in x.items():
             expected = tuple(elt_add(e, elt_scale(part, c))
@@ -89,12 +88,12 @@ def test_act_is_linear_in_the_lie_element(verma_d4, omega_d4):
         assert any(expected)
 
 
-def test_weights_of_low_degree_vectors(verma_d4, omega_d4):
-    alg = verma_d4.env.alg
+def test_weights_of_low_degree_vectors(env_d4, verma_d4, omega_d4):
+    alg = verma_d4.alg
     # grade -1 generator: 2s - 1; lowest vector: 2s - 2; cubic: 2s - 3
     cases = [
-        (verma_d4.env.gen(alg.v_minus[0]), -1),
-        (verma_d4.env.gen(alg.x_minus_gamma), -2),
+        (env_d4.gen(alg.v_minus[0]), -1),
+        (env_d4.gen(alg.x_minus_gamma), -2),
         (omega_d4.omega3({alg.v_minus[0]: 1}), -3),
     ]
     for v, shift in cases:
@@ -102,13 +101,13 @@ def test_weights_of_low_degree_vectors(verma_d4, omega_d4):
         assert _same(verma_d4.act(alg.h_gamma, v), expected)
 
 
-def test_engine_vectors_hold_no_zero_coefficient(verma_d4, omega_d4):
+def test_engine_vectors_hold_no_zero_coefficient(env_d4, verma_d4, omega_d4):
     """Every vector the engine builds is canonical, so == is exact equality:
     on a seeded D4 sample, products in U(g), the quadratic and cubic
     elements, both parts of act_basis and act, and elt_subs values hold no
     zero coefficient, also where terms cancel (the nilradical on the cubic
     elements at s = -1)."""
-    env, alg = verma_d4.env, verma_d4.env.alg
+    env, alg = env_d4, verma_d4.alg
     rng = random.Random("canonical-d4")
     states = ([env.one()]
               + [{m: 1} for m in rng.sample(monomials_up_to(alg.nbar_indices, 2), 6)]
@@ -139,11 +138,11 @@ def test_singular_values_d4(verma_d4, omega_d4):
     assert res.constraint_count > 0
 
 
-def test_singular_values_stable_span(verma_d4):
-    alg = verma_d4.env.alg
-    gens = [verma_d4.env.gen(i)
+def test_singular_values_stable_span(env_d4, verma_d4):
+    alg = verma_d4.alg
+    gens = [env_d4.gen(i)
             for i in [alg.x_minus_gamma] + list(alg.v_minus)]
-    gens.append(verma_d4.env.one())
+    gens.append(env_d4.one())
     res = verma_d4.singular_values(Span(gens))
     assert res.all_s
     assert res.levi_stable_all_s
@@ -151,7 +150,7 @@ def test_singular_values_stable_span(verma_d4):
 
 
 def test_module_action_matrix_roundtrip(verma_d4, omega_d4):
-    alg = verma_d4.env.alg
+    alg = verma_d4.alg
     gens = omega_d4.omega3_system()
     z = alg.l_indices[0]
     a = verma_d4.module_action_matrix(Span(gens), z, Q(-1))
@@ -171,7 +170,7 @@ def test_module_action_matrix_matches_dense_solve_reference(verma_d4, omega_d4,
     """Every q basis vector on the D4 cubic span, against elt_subs(act(...))
     plus one linalg.solve per generator: equal matrices where the span is
     stable at s0, ValueError exactly where the reference has no solution."""
-    alg = verma_d4.env.alg
+    alg = verma_d4.alg
     gens = omega_d4.omega3_system()
     span = Span(gens)
     k = len(gens)
@@ -205,7 +204,7 @@ def _int_pairs(v0, v1=None):
 def test_span_coordinates_match_dense_solve_reference(verma_d4, omega_d4, s0):
     """Every q image of the D4 cubic generators at s0, against one
     linalg.solve each: equal coordinates on the span, None off it."""
-    alg = verma_d4.env.alg
+    alg = verma_d4.alg
     gens = omega_d4.omega3_system()
     span = Span(gens)
     off = 0
@@ -232,10 +231,10 @@ def test_span_coordinates_reject_off_span_and_s_parts():
     assert span.coordinates(*_int_pairs({a: Q(1), b: Q(1, 2)}, {c: Q(1)})) is None
 
 
-def test_module_action_matrix_rejects_unstable(verma_d4):
-    alg = verma_d4.env.alg
+def test_module_action_matrix_rejects_unstable(env_d4, verma_d4):
+    alg = verma_d4.alg
     a = alg.v_minus[0]
-    gens = [verma_d4.env.gen(a)]
+    gens = [env_d4.gen(a)]
     # the Killing-dual raising vector maps X_{-eps}*1 onto the cyclic vector,
     # which lies outside the one-dimensional span
     x = next(b for b in alg.v_plus if alg.killing_elem({b: 1}, {a: 1}))
@@ -243,8 +242,8 @@ def test_module_action_matrix_rejects_unstable(verma_d4):
         verma_d4.module_action_matrix(Span(gens), x, Q(-1))
 
 
-def test_module_action_matrix_rejects_residual_inside_support(verma_d4):
-    env = verma_d4.env
+def test_module_action_matrix_rejects_residual_inside_support(env_d4, verma_d4):
+    env = env_d4
     alg = env.alg
 
     def weight(h, i):
@@ -313,7 +312,7 @@ def _generators_by_grade(alg):
 @pytest.mark.parametrize("label,count", [("a3", 12), ("d4", 15), ("d5", 24)])
 def test_stability_constraints_match_complement_reference(request, label, count):
     env = Enveloping(request.getfixturevalue(f"alg_{label}"))
-    vm = VermaModule(env)
+    vm = VermaModule(env.alg)
     gens = OmegaSystem(env).omega3_system()
     levi, nil = vm.stability_constraints(Span(gens))
     ref_levi, ref_nil = _complement_constraints(vm, gens,
@@ -323,11 +322,11 @@ def test_stability_constraints_match_complement_reference(request, label, count)
     assert len(levi) + len(nil) == count
 
 
-def test_stability_constraints_match_complement_reference_inside_support(verma_d4):
+def test_stability_constraints_match_complement_reference_inside_support(env_d4, verma_d4):
     # the cubic spans above leave coefficients only off their monomials; sums
     # of grade -1 vectors keep the Levi action on their monomials, where it
     # leaves several non-pivot coefficients per acted generator
-    env = verma_d4.env
+    env = env_d4
     v = env.alg.v_minus
     gens = [elt_add(elt_add(env.gen(v[0]), elt_scale(env.gen(v[1]), Q(2))),
                     elt_scale(env.gen(v[2]), Q(5))),
@@ -345,7 +344,7 @@ def test_singular_values_match_all_of_q_reference(label):
     alg = build_lie_algebra(build_root_system(RootSystemSpec.parse(label)),
                             check=False)
     env = Enveloping(alg)
-    vm = VermaModule(env)
+    vm = VermaModule(alg)
     first_level = [env.gen(i) for i in alg.nbar_indices] + [env.one()]
     for gens in (OmegaSystem(env).omega3_system(), first_level):
         levi, nil = _complement_constraints(vm, gens)
@@ -381,7 +380,7 @@ def test_s_enters_only_through_the_module_action(request, label):
     # module gives a pair (v0, v1), v0 + s*v1, of rational vectors
     alg = request.getfixturevalue(f"alg_{label}")
     env = Enveloping(alg)
-    om, vm = OmegaSystem(env), VermaModule(env)
+    om, vm = OmegaSystem(env), VermaModule(alg)
     cubic = om.omega3_system()
     quadratic = [om.omega2_basis(i) for i in alg.l_indices]
     products = [env.mul(a, b) for a in cubic[:2] + quadratic[:2]
@@ -399,8 +398,8 @@ def test_s_enters_only_through_the_module_action(request, label):
         assert part and all(type(c) in (int, Q) for c in part)
 
 
-def test_parameter_dependent_generators_rejected(verma_d4):
-    gens = [elt_scale(verma_d4.env.gen(1), S)]
+def test_parameter_dependent_generators_rejected(env_d4, verma_d4):
+    gens = [elt_scale(env_d4.gen(1), S)]
     with pytest.raises(NotImplementedError):
         verma_d4.singular_values(Span(gens))
 
@@ -410,9 +409,8 @@ def test_generic_rank(verma_d4, omega_d4):
     assert Span(gens).rank == len(gens)
 
 
-def test_generic_rank_of_dependent_generators(verma_d4):
-    env = verma_d4.env
-    g1, g2 = (env.gen(i) for i in env.alg.v_minus[:2])
+def test_generic_rank_of_dependent_generators(env_d4):
+    g1, g2 = (env_d4.gen(i) for i in env_d4.alg.v_minus[:2])
     assert Span([g1, g2, elt_add(g1, g2)]).rank == 2
 
 
@@ -426,13 +424,13 @@ def test_control_solvers_empty():
         rs = build_root_system(RootSystemSpec.parse(label))
         env = Enveloping(build_lie_algebra(rs, check=False))
         om = OmegaSystem(env)
-        res = VermaModule(env).singular_values(Span(om.omega3_system()))
+        res = VermaModule(env.alg).singular_values(Span(om.omega3_system()))
         assert res.values == ()
         assert not res.all_s
         assert res.levi_stable_all_s
 
 
-def _act_by_normal_ordering(vm, x, v):
+def _act_by_normal_ordering(env, x, v):
     """X_x.v by the definition: a reference for VermaModule.act_basis.
 
     Normal-orders X_x v in all of U(g), drops every monomial with a root
@@ -440,7 +438,7 @@ def _act_by_normal_ordering(vm, x, v):
     (s*dchi(H))^e to the coefficient of the monomial's nbar part.  The
     coefficients of v may be rationals or Polys in s; the result's are Polys.
     """
-    alg, env = vm.alg, vm.env
+    alg = env.alg
     out = {}
     for m, c in env.mul(env.gen(x), v).items():
         coeff = c if isinstance(c, Poly) else Poly.constant(1, c)
@@ -476,12 +474,12 @@ def test_act_basis_matches_normal_ordering_reference(label):
     alg = build_lie_algebra(build_root_system(RootSystemSpec.parse(label)),
                             check=False)
     env = Enveloping(alg)
-    vm = VermaModule(env)
+    vm = VermaModule(alg)
     rng = random.Random(12)
     vectors = _oracle_vectors(env, rng)
     for x in range(alg.dim):
         for v in vectors:
-            assert _as_poly(*vm.act_basis(x, v)) == _act_by_normal_ordering(vm, x, v)
+            assert _as_poly(*vm.act_basis(x, v)) == _act_by_normal_ordering(env, x, v)
     # two actions, as verma_representation composes them: X_x on the pair
     # X_y.v = w0 + s*w1 componentwise, against the reference applied twice
     # (its second input has coefficients in Q[s])
@@ -490,7 +488,7 @@ def test_act_basis_matches_normal_ordering_reference(label):
         for x in range(alg.dim):
             y = rng.randrange(alg.dim)
             got = _act_on_affine(vm, x, vm.act_basis(y, v))
-            ref = _act_by_normal_ordering(vm, x, _act_by_normal_ordering(vm, y, v))
+            ref = _act_by_normal_ordering(env, x, _act_by_normal_ordering(env, y, v))
             assert _as_poly(*got) == ref
             squares += bool(got[2])
     assert squares  # the sample reaches the s^2 coefficient
@@ -503,7 +501,7 @@ def test_nbar_action_is_the_heisenberg_product(label):
     alg = build_lie_algebra(build_root_system(RootSystemSpec.parse(label)),
                             check=False)
     env = Enveloping(alg)
-    vm = VermaModule(env)
+    vm = VermaModule(alg)
     sizes = set()
     for x in alg.nbar_indices:
         for m in monomials_up_to(alg.nbar_indices, 3):
@@ -537,7 +535,7 @@ def test_act_memo_holds_one_table_of_tuple_images_per_basis_index(alg_d4):
     # monomial m by X_x, a tuple of (monomial, a0, a1) int triples with a
     # nonzero pair, and every zero image is the one empty tuple
     env = Enveloping(alg_d4)
-    vm = VermaModule(env)
+    vm = VermaModule(alg_d4)
     vm.stability_constraints(Span(OmegaSystem(env).omega3_system()))
     assert type(vm._act_memo) is list and len(vm._act_memo) == alg_d4.dim
     assert all(type(table) is dict for table in vm._act_memo)
@@ -550,7 +548,7 @@ def test_act_memo_holds_one_table_of_tuple_images_per_basis_index(alg_d4):
     zeros = [img for img in images if not img]
     empty = ()
     assert zeros and all(img is empty for img in zeros)
-    other = VermaModule(env)
+    other = VermaModule(alg_d4)
     assert not {id(t) for t in vm._act_memo} & {id(t) for t in other._act_memo}
 
 
@@ -563,7 +561,7 @@ def test_stability_solve_memory_e6():
                             check=False)
     env = Enveloping(alg)
     span = Span(OmegaSystem(env).omega3_system())
-    vm = VermaModule(env)
+    vm = VermaModule(alg)
     tracemalloc.start()
     try:
         vm.stability_constraints(span)
@@ -585,7 +583,7 @@ def test_action_on_s_free_vectors_is_affine_in_s(label):
     alg = build_lie_algebra(build_root_system(RootSystemSpec.parse(label)),
                             check=False)
     env = Enveloping(alg)
-    vm = VermaModule(env)
+    vm = VermaModule(alg)
     rng = random.Random(f"affine-{label}")
     pool = monomials_up_to(alg.nbar_indices, 3)
     vectors = [env.one()] + [env.gen(i) for i in alg.nbar_indices]
