@@ -63,27 +63,23 @@ def _identity_matrix(n: int, c: Q) -> list[list[Q]]:
     return [[c if i == j else Q(0) for j in range(n)] for i in range(n)]
 
 
+def _shifted(alg: LieAlgebra, mats: dict[int, list[list[Q]]],
+             shift: Q) -> dict[int, list[list[Q]]]:
+    """M_g = mats[g] + shift dchi(g) 1, for mats on q, where dchi lives."""
+    return {g: [[c + shift * alg.dchi_on_basis[g] if r == k else c
+                 for k, c in enumerate(row)] for r, row in enumerate(mat)]
+            for g, mat in mats.items()}
+
+
 def _contract(s: Session, ops: list[PolyDiffOp],
-              mats: dict[int, list[list[Q]]],
-              shift: Q = Q(0)) -> dict[int, list[PolyDiffOp]]:
-    """Each constant matrix M_g = mats[g] + shift dchi(g) 1 contracted with
-    the operators once: E[g][i] = sum_r M_g[r][i] ops[r], for every g with a
-    matrix.  With a shift, mats must hold the matrix of every basis vector
-    of the parabolic q, where dchi is defined."""
+              mats: dict[int, list[list[Q]]]) -> dict[int, list[PolyDiffOp]]:
+    """Each constant matrix M_g = mats[g] contracted with the operators once:
+    E[g][i] = sum_r M_g[r][i] ops[r], for every g with a matrix."""
     calc, n = s.calc, s.calc.ncoords
-    out = {}
-    for g, mat in mats.items():
-        diag = shift * s.alg.dchi_on_basis[g] if shift else 0
-        cols = []
-        for i in range(len(ops)):
-            pairs = []
-            for r, op in enumerate(ops):
-                c = mat[r][i] + diag if r == i else mat[r][i]
-                if c:
-                    pairs.append((calc.const(c), op))
-            cols.append(sum_products(n, pairs))
-        out[g] = cols
-    return out
+    return {g: [sum_products(n, [(calc.const(mat[r][i]), op)
+                                 for r, op in enumerate(ops) if mat[r][i]])
+                for i in range(len(ops))]
+            for g, mat in mats.items()}
 
 
 def _structure_mismatches(s: Session, y: int, comms: list[PolyDiffOp],
@@ -431,7 +427,8 @@ def _chk_center_vanishing(s: Session) -> dict:
        "the singleton found by the module-side solver")
 def _chk_operator_s_set(s: Session) -> dict:
     sstar = s.require_sstar()
-    funcs = s.symbolic_functionals.values()
+    funcs = [s.symbolic_functionals[(x, k)] for x in s.alg.n_indices
+             for k in range(len(s.omega3_ops))]
     # one affine pair per derivative with a nonzero coefficient; the root of
     # a pair does not depend on its functional's den
     pairs = [pair for _, func in funcs for pair in func.values()]
@@ -475,12 +472,9 @@ def _chk_b_matrix(s: Session) -> dict:
             for k in range(m)] for r in range(m)]
     _ensure(b_h == _identity_matrix(m, Q(-3)),
             reason="grading coroot must act by -3")
-    action = s.action_matrices_special
+    expected = _shifted(alg, s.action_matrices_special, -sstar)
     for g in alg.q_indices:
-        dg = alg.dchi_on_basis[g]
-        expected = [[action[g][r][k] - (sstar * dg if r == k else Q(0))
-                     for k in range(m)] for r in range(m)]
-        _ensure(bmats[g] == expected, vector=alg.names[g],
+        _ensure(bmats[g] == expected[g], vector=alg.names[g],
                 reason="parabolic entry mismatch against module action")
     return {"basis_vectors": alg.dim, "size": m,
             "coroot_scalar": "-3", "at": qstr(sstar)}
@@ -505,10 +499,10 @@ _GENERATOR_REDUCTION = (
 
 
 def _require_q_representation(s: Session, mats: dict[int, list[list[Q]]],
-                              shift: Q, where: dict) -> None:
+                              where: dict) -> None:
     """Assert the hypothesis of _GENERATOR_REDUCTION on the constant
-    matrices M_g = mats[g] + shift dchi(g) 1: mats holds no nonzero matrix
-    of an opposite-radical vector, and M([g, h]) = [M(g), M(h)] for g in
+    matrices M_g = mats[g]: mats holds no nonzero matrix of an
+    opposite-radical vector, and M([g, h]) = [M(g), M(h)] for g in
     alg.q_generators and h in alg.q_indices.  The M_g are scaled to ints
     over the lcm den of their denominators and held sparse, as
     {(row, column): entry} and by rows, {row: [(column, entry)]}, so the
@@ -519,18 +513,13 @@ def _require_q_representation(s: Session, mats: dict[int, list[list[Q]]],
         _ensure(not any(c for row in mats.get(xb, ()) for c in row),
                 hypothesis="zero on the opposite radical",
                 vector=alg.names[xb], **where)
-    entries = {}
-    for g in alg.q_indices:
-        diag = shift * alg.dchi_on_basis[g]
-        entries[g] = {(r, k): v for r, row in enumerate(mats[g])
-                      for k, c in enumerate(row)
-                      if (v := c + diag if r == k else c)}
-    den = lcm(*(v.denominator for e in entries.values() for v in e.values()))
-    ints = {g: {rk: v.numerator * (den // v.denominator) for rk, v in e.items()}
-            for g, e in entries.items()}
-    rows: dict[int, dict[int, list[tuple[int, int]]]] = {}
+    den = lcm(*(c.denominator for g in alg.q_indices for row in mats[g]
+                for c in row))
+    ints = {g: {(r, k): c.numerator * (den // c.denominator)
+                for r, row in enumerate(mats[g]) for k, c in enumerate(row) if c}
+            for g in alg.q_indices}
+    rows: dict[int, dict[int, list[tuple[int, int]]]] = {g: {} for g in ints}
     for g, e in ints.items():
-        rows[g] = {}
         for (r, k), v in e.items():
             rows[g].setdefault(r, []).append((k, v))
     for g in alg.q_generators:
@@ -555,18 +544,19 @@ def _identity_on_generators(s: Session, ops: list[PolyDiffOp],
                             commutators: Callable[[int], list[PolyDiffOp]],
                             where: dict | None = None) -> int:
     """Check [pi(Y), D_i] = sum_j F(Y)_ji D_j, with D = ops, commutators(Y)
-    the left sides and F(Y) built from M_g = mats[g] + shift dchi(g) 1
-    (_contract, _structure_mismatches), for Y among the Chevalley
-    generators, then the hypothesis that makes them suffice
+    the left sides and F(Y) built from M_g = mats[g] + shift dchi(g) 1,
+    shifted once (_shifted, _contract, _structure_mismatches), for Y among
+    the Chevalley generators, then the hypothesis that makes them suffice
     (_GENERATOR_REDUCTION, _require_q_representation); returns the identity
     count.  where joins the failure witness."""
     alg, where = s.alg, where or {}
-    contracted = _contract(s, ops, mats, shift)
+    mats = _shifted(alg, mats, shift) if shift else mats
+    contracted = _contract(s, ops, mats)
     for y in alg.chevalley_generators:
         bad = _structure_mismatches(s, y, commutators(y), contracted)
         _ensure(not bad, vector=alg.names[y], column=bad[0] if bad else None,
                 mismatches=len(bad), **where)
-    _require_q_representation(s, mats, shift, where)
+    _require_q_representation(s, mats, where)
     return len(alg.chevalley_generators) * len(ops)
 
 
@@ -598,16 +588,15 @@ def _chk_bridge_small(s: Session) -> dict:
     ops = [calc.r_gen(i) for i in alg.nbar_indices] + [calc.identity_op()]
     span = s.first_level_span
     svalues = [s.require_sstar(), Q(0), Q(5, 2)]
+    # [pi_s(Y), D_i] once with s symbolic, read at each s0
+    comms = {y: [calc.pi_basis(y).commutator(op) for op in ops]
+             for y in alg.chevalley_generators}
     total = 0
     for s0 in svalues:
-        def commutators(y: int) -> list[PolyDiffOp]:
-            pi_y = calc.pi_basis(y).subs_param(s0)
-            return [pi_y.commutator(op) for op in ops]
-
         total += _identity_on_generators(
             s, ops, {g: vm.module_action_matrix(span, g, s0)
-                     for g in alg.q_indices}, -s0, commutators,
-            {"s": qstr(s0)})
+                     for g in alg.q_indices}, -s0,
+            lambda y: [c.subs_param(s0) for c in comms[y]], {"s": qstr(s0)})
     return {"identities": total, "parameter_values": [qstr(v) for v in svalues]}
 
 
@@ -677,9 +666,17 @@ def _chk_reducibility(s: Session) -> dict:
     floor = min(weighted_degree(alg, mono)
                 for w3 in s.omega3_gens for mono in w3)
     _ensure(floor == 3, weighted_degree_floor=floor)
-    # the span cannot contain the cyclic vector: coroot eigenvalues differ
-    eig_span = 2 * sstar - 3
-    eig_cyclic = 2 * sstar
+    # the span cannot contain the cyclic vector: read from the module at s*,
+    # the grading coroot acts on the cubic elements by one scalar, and on 1
+    # by another
+    eigs = []
+    for v in s.omega3_gens + [env.one()]:
+        hv = elt_subs(vm.act(alg.h_gamma, v), sstar)
+        m0, c0 = next(iter(v.items()))
+        eigs.append(hv.get(m0, Q(0)) / c0)
+        _ensure(hv == elt_scale(v, eigs[-1]), eigenvector=env.format(v))
+    eig_span, eig_cyclic = eigs[0], eigs.pop()
+    _ensure(len(set(eigs)) == 1, span_eigenvalues=sorted(map(qstr, set(eigs))))
     _ensure(eig_span != eig_cyclic,
             span=qstr(eig_span), cyclic=qstr(eig_cyclic))
     return {"generators": len(alg.chevalley_generators),

@@ -180,11 +180,10 @@ class Session:
     def symbolic_functionals(self) -> dict[tuple[int, int], tuple[int, dict]]:
         """Point functionals at the identity of [pi(X), R(w3_k)], s symbolic,
         as int pairs (den, {derivative: (a0, a1)}) meaning (a0 + s*a1)/den,
-        for X over the nilradical: the grade +1 root vectors and the
-        central vector."""
+        keyed (X, k) for X over every basis vector."""
         from .diffops import commutator_at_identity
         out = {}
-        for xi in self.alg.n_indices:
+        for xi in range(self.alg.dim):
             pi_x = self.calc.pi_basis(xi)
             for k, op in enumerate(self.omega3_ops):
                 out[(xi, k)] = commutator_at_identity(pi_x, op)
@@ -231,16 +230,15 @@ class Session:
     def b_matrices(self) -> dict[int, list[list[Q]]]:
         """For every basis vector Y the matrix b(Y) with [pi(Y), D_i] =
         sum_j b(Y)_{ji} D_j as point functionals at the identity, at the
-        special parameter value.  Each column is read from the point
-        functional of the commutator (diffops.commutator_at_identity), so
-        no commutator is formed; the operator identity itself is the
-        structure_operator check."""
-        from .diffops import commutator_at_identity
-        out = {}
+        special parameter value.  Each column is the symbolic functional of
+        the commutator (symbolic_functionals), reduced against the span and
+        read at s*, so no commutator is formed; the operator identity
+        itself is the structure_operator check."""
+        sstar, span = self.require_sstar(), self.functional_span
+        funcs, out = self.symbolic_functionals, {}
         for y in range(self.alg.dim):
-            pi_y = self.pi_special(y)
-            cols = [self.functional_span.coordinates(
-                *commutator_at_identity(pi_y, op)) for op in self.omega3_ops]
+            cols = [span.coordinates(span.eliminate(*funcs[(y, k)]), sstar)
+                    for k in range(len(self.omega3_ops))]
             if None in cols:
                 raise CheckFailure({
                     "reason": "commutator functional outside the span",

@@ -17,8 +17,10 @@ pair at s0.  Span keeps its echelon rows once, as ints, and one int elimination
 (a0 + a1*s)/den, the form of module images and of point functionals
 (diffops.PointFunctional) alike.  The q-stability solve reads the leftover
 outside the span: exact rational pairs (a0, a1) meaning a0 + a1*s, off which
-the special values are read.  Span.coordinates reads the coordinates of an
-s-free vector, for the action matrices and the operator-side b matrices.
+the special values are read.  s is substituted last, exactly since the
+echelon rows are s-free: Span.coordinates reads a reduced vector at s0, so an
+action matrix eliminates each image once, read at every s0, and the b
+matrices reduce the symbolic point functionals, read at s*.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from math import lcm
 
 from . import linalg
 from .liealg import LieAlgebra
+from .memo import memo
 from .pbw import Elt, Mono, elt_add, elt_scale, mono_degree
 
 Pair = tuple[Q, Q]        # (a0, a1), the affine a0 + a1*s
@@ -144,8 +147,8 @@ class VermaModule:
         (the structure constants, the PBW normal-ordering coefficients and
         dchi on the coroots are all ints).
         """
-        memo = self._act_memo[x]
-        out = memo.get(m)
+        table = self._act_memo[x]
+        out = table.get(m)
         if out is not None:
             return out
         alg = self.alg
@@ -166,7 +169,7 @@ class VermaModule:
                 for m2, b0, b1 in self._act_mono(k, rest):
                     _accumulate(acc, m2, n * b0, n * b1)
             out = tuple((m2, a0, a1) for m2, (a0, a1) in acc.items() if a0 or a1)
-        memo[m] = out
+        table[m] = out
         return out
 
     def _act_ints(self, i: int, v: Elt) -> tuple[int, dict[Mono, list[int]]]:
@@ -257,21 +260,19 @@ class VermaModule:
         return StabilityResult(degree < 0, () if root is None else (root,),
                                not levi, len(levi) + len(nil))
 
-    def module_action_matrix(self, span: Span, x: int, s0: Q) -> list[list[Q]]:
-        """Matrix a with X_x.gens[i] = sum_j a[j][i] gens[j] at s = s0,
-        for the generators gens of span.
-
-        Each image (a0 + a1*s)/den is evaluated at s0 = p/q in ints, as
-        (q*a0 + p*a1)/(q*den), and reduced against the span.  Raises
-        ValueError when the span is not stable under X_x at s0.
-        """
-        p, q = s0.numerator, s0.denominator
-        cols = []
+    @memo
+    def _reduced_images(self, span: Span, x: int) -> list[tuple[int, dict, list]]:
+        """Span.eliminate of X_x.g for each generator g of span, s symbolic."""
         for g in span.gens:
             self._require_module(g)
-            den, ints = self._act_ints(x, g)
-            cols.append(span.coordinates(
-                q * den, {m: (q * a0 + p * a1, 0) for m, (a0, a1) in ints.items()}))
+        return [span.eliminate(*self._act_ints(x, g)) for g in span.gens]
+
+    def module_action_matrix(self, span: Span, x: int, s0: Q) -> list[list[Q]]:
+        """Matrix a with X_x.gens[i] = sum_j a[j][i] gens[j] at s = s0, for
+        the generators gens of span: the images reduced once with s symbolic
+        (_reduced_images), read at s0.  Raises ValueError when the span is
+        not stable under X_x at s0."""
+        cols = [span.coordinates(r, s0) for r in self._reduced_images(span, x)]
         if None in cols:
             raise ValueError(f"span is not stable under X_{x} at s={s0} "
                              f"(generator {cols.index(None)})")
@@ -351,13 +352,16 @@ class Span:
                 coords[f - n] = (-b0, -b1)
         return den * scale, coords, leftover
 
-    def coordinates(self, den: int, w: dict) -> list[Q] | None:
-        """The rational coefficients of gens in the vector (den, w) of
-        eliminate; None when w is off the span or carries s."""
-        d, coords, leftover = self.eliminate(den, w)
-        if leftover or any(b1 for _, b1 in coords.values()):
+    def coordinates(self, reduced: tuple[int, dict, list], s0: Q) -> list[Q] | None:
+        """The rational coefficients of gens at s = s0 = p/q of a vector
+        reduced by eliminate, (d, coords, leftover): (q*b0 + p*b1)/(q*d) per
+        pair, exact since the echelon rows are s-free; None when the
+        leftover does not vanish at s0, off the span."""
+        d, coords, leftover = reduced
+        p, q = s0.numerator, s0.denominator
+        if any(q * b0 + p * b1 for b0, b1 in leftover):
             return None
         out = [Q(0)] * len(self.gens)
-        for j, (b0, _) in coords.items():
-            out[j] = Q(b0, d)
+        for j, (b0, b1) in coords.items():
+            out[j] = Q(q * b0 + p * b1, q * d)
         return out

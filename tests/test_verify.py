@@ -302,7 +302,9 @@ def _common_root_as_reference(pairs):
 def test_common_root_matches_gcd_reference_on_symbolic_functionals(tmp_path,
                                                                    label):
     session = Session(SuiteConfig(type_label=label, cache_dir=str(tmp_path)))
-    funcs = session.symbolic_functionals.values()
+    # the nilradical rows, the ones operator_special_value_set reads
+    funcs = [session.symbolic_functionals[(x, k)] for x in session.alg.n_indices
+             for k in range(len(session.omega3_ops))]
     per_functional = [[(Q(a0, den), Q(a1, den)) for a0, a1 in func.values()]
                       for den, func in funcs]
     together = [p for pairs in per_functional for p in pairs]
@@ -730,9 +732,9 @@ def test_reduced_operator_identities_hold_on_every_basis_vector(tmp_path):
     sstar = session.require_sstar()
     m = len(session.omega3_ops)
     identities = []
-    for mats, shift in ((session.b_matrices, Q(0)),
-                        (session.action_matrices_special, -sstar)):
-        contracted = system._contract(session, session.omega3_ops, mats, shift)
+    for mats in (session.b_matrices, system._shifted(
+            alg, session.action_matrices_special, -sstar)):
+        contracted = system._contract(session, session.omega3_ops, mats)
         for y in range(alg.dim):
             comms = [session.cubic_commutator(y, i) for i in range(m)]
             assert not system._structure_mismatches(session, y, comms,
@@ -740,10 +742,9 @@ def test_reduced_operator_identities_hold_on_every_basis_vector(tmp_path):
         identities.append(alg.dim * m)
     ops = [calc.r_gen(i) for i in alg.nbar_indices] + [calc.identity_op()]
     for s0 in (sstar, Q(0), Q(5, 2)):
-        contracted = system._contract(
-            session, ops, {g: vm.module_action_matrix(session.first_level_span,
-                                                      g, s0)
-                           for g in alg.q_indices}, -s0)
+        contracted = system._contract(session, ops, system._shifted(alg, {
+            g: vm.module_action_matrix(session.first_level_span, g, s0)
+            for g in alg.q_indices}, -s0))
         for y in range(alg.dim):
             pi_y = calc.pi_basis(y).subs_param(s0)
             comms = [pi_y.commutator(op) for op in ops]
@@ -906,6 +907,77 @@ def test_reducibility_witness_catches_a_wrong_action_at_each_generator(tmp_path)
         res = run_single(session, "reducibility_witness")
         assert res.status == "fail"
         assert res.witness["vector"] == alg.names[g]
+
+
+def test_reducibility_witness_reads_the_coroot_on_the_cyclic_vector(tmp_path):
+    # h_gamma.1 perturbed to (2s - 3) 1, the span's scalar: the cyclic
+    # vector's eigenvalue at s* then equals the span's
+    session = _d4_session(tmp_path)
+    alg, env, vm = session.alg, session.env, session.verma
+    res = run_single(session, "reducibility_witness")
+    assert res.status == "pass"
+    assert (res.witness["span_eigenvalue"], res.witness["cyclic_eigenvalue"]) \
+        == ("-5", "-2")
+    act = vm.act
+
+    def perturbed(x, v):
+        v0, v1 = act(x, v)
+        if x == alg.h_gamma and v == env.one():
+            v0 = elt_add(v0, {(): Q(-3)})
+        return v0, v1
+
+    vm.act = perturbed
+    res = run_single(session, "reducibility_witness")
+    assert res.status == "fail"
+    assert res.witness == {"span": "-5", "cyclic": "-5"}
+
+
+def test_b_matrix_reads_levi_functionals_the_special_value_set_does_not(
+        tmp_path):
+    # one Levi-row functional moved off the span: b(Z) has no column k, and
+    # the nilradical rows, all operator_special_value_set reads, are intact
+    session = _d4_session(tmp_path)
+    alg = session.alg
+    z, k = alg.l_indices[0], 2
+    funcs = dict(session.symbolic_functionals)
+    den, func = funcs[(z, k)]
+    d0 = next(iter(session.functional_span.col))
+    a0, a1 = func.get(d0, (0, 0))
+    funcs[(z, k)] = (den, {**func, d0: (a0 + den, a1)})
+    session.symbolic_functionals = funcs
+    assert run_single(session, "operator_special_value_set").status == "pass"
+    res = run_single(session, "b_matrix")
+    assert res.status == "fail"
+    assert res.witness == {"reason": "commutator functional outside the span",
+                           "basis_vector": alg.names[z], "column": k}
+
+
+def test_d4_suite_work_counts(tmp_path, monkeypatch):
+    # eliminations: stability 64 (cubic span) + 80 (first-level span), action
+    # matrices 152, induced_bridge_small 190 (19 q vectors x 10 generators,
+    # read at three s0), b matrices 224 (28 x 8 functionals); commutators:
+    # induced_bridge_small 80 (8 Chevalley generators x 10, s symbolic),
+    # the cubic ones 64, pi_homomorphism 216, nbar_commutant 90 and the
+    # quadratic and first-order formulas 90 and 81; functionals 28 x 8
+    from confsys import diffops, verma
+    counts = {}
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(verma.Span, "eliminate")
+    counted(diffops.PolyDiffOp, "commutator")
+    counted(diffops, "commutator_at_identity")
+    report = verify.run_suite(SuiteConfig(type_label="D4",
+                                          cache_dir=str(tmp_path)))
+    assert all(c.status == "pass" for c in report.checks)
+    assert counts == {"eliminate": 710, "commutator": 621,
+                      "commutator_at_identity": 224}
 
 
 def _doubled_at(fn, bad):

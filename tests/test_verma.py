@@ -193,42 +193,74 @@ def test_module_action_matrix_matches_dense_solve_reference(verma_d4, omega_d4,
 
 def _int_pairs(v0, v1=None):
     """The module vector v0 + s*v1 as (den, {monomial: (a0, a1)}), the
-    int-pair form Span.coordinates reads."""
+    int-pair form Span.eliminate reads."""
     v1 = v1 or {}
     den = lcm(*(c.denominator for v in (v0, v1) for c in v.values()))
     return den, {m: (int(v0.get(m, 0) * den), int(v1.get(m, 0) * den))
                  for m in v0.keys() | v1.keys()}
 
 
+def _coordinates_evaluating_first(span, den, w, s0):
+    """The oracle of Span.coordinates: the vector (den, w) evaluated at s0
+    before it is eliminated, as ints over q*den for s0 = p/q; its
+    coefficients on gens, or None when it is off the span."""
+    p, q = s0.numerator, s0.denominator
+    d, coords, leftover = span.eliminate(
+        q * den, {m: (q * a0 + p * a1, 0) for m, (a0, a1) in w.items()})
+    if leftover:
+        return None
+    out = [Q(0)] * len(span.gens)
+    for j, (b0, _) in coords.items():
+        out[j] = Q(b0, d)
+    return out
+
+
 @pytest.mark.parametrize("s0", [Q(5, 2), Q(-1)])
 def test_span_coordinates_match_dense_solve_reference(verma_d4, omega_d4, s0):
-    """Every q image of the D4 cubic generators at s0, against one
-    linalg.solve each: equal coordinates on the span, None off it."""
+    """Every q image of the D4 cubic generators, reduced with s symbolic and
+    read at s0, against evaluating first (the oracle) and one linalg.solve
+    each: equal coordinates on the span, None off it."""
     alg = verma_d4.alg
     gens = omega_d4.omega3_system()
     span = Span(gens)
     off = 0
     for x in alg.q_indices:
         for g in gens:
-            v = elt_subs(verma_d4.act({x: Q(1)}, g), s0)
+            v0, v1 = verma_d4.act({x: Q(1)}, g)
+            v = elt_subs((v0, v1), s0)
             mons = sorted({m for u in gens + [v] for m in u})
             mat = [[u.get(m, Q(0)) for u in gens] for m in mons]
             want = solve(mat, [v.get(m, Q(0)) for m in mons])
-            assert span.coordinates(*_int_pairs(v)) == want, (x, g)
+            ints = _int_pairs(v0, v1)
+            assert _coordinates_evaluating_first(span, *ints, s0) == want
+            assert span.coordinates(span.eliminate(*ints), s0) == want, (x, g)
             off += want is None
     assert (off == 0) == (s0 == -1)
 
 
-def test_span_coordinates_reject_off_span_and_s_parts():
+def test_span_coordinates_read_at_s0_on_and_off_the_span():
     a, b, c = ((0, 1),), ((1, 1),), ((2, 1),)
     span = Span([{a: Q(1), b: Q(1, 2)}, {c: Q(3)}])
-    assert span.coordinates(*_int_pairs({a: Q(2), b: Q(1), c: Q(1)})) == \
-        [Q(2), Q(1, 3)]
-    assert span.coordinates(*_int_pairs({a: Q(1)})) is None          # off the span
-    assert span.coordinates(*_int_pairs({((3, 1),): Q(1)})) is None  # off its monomials
-    # s times a span vector: in the span over Q[s], but it carries s
-    assert span.coordinates(*_int_pairs({}, {c: Q(1)})) is None
-    assert span.coordinates(*_int_pairs({a: Q(1), b: Q(1, 2)}, {c: Q(1)})) is None
+    values = [Q(-1), Q(0), Q(5, 2), Q(-7, 3)]
+
+    def read(v0, v1, s0):
+        ints = _int_pairs(v0, v1)
+        got = span.coordinates(span.eliminate(*ints), s0)
+        assert got == _coordinates_evaluating_first(span, *ints, s0)
+        return got
+
+    # on the span at every s0: (1 + s) gens[0] + 2 gens[1]
+    for s0 in values:
+        assert read({a: Q(1), b: Q(1, 2), c: Q(6)}, {a: Q(1), b: Q(1, 2)},
+                    s0) == [1 + s0, Q(2)]
+    # off the span at every s0: off its row space, or off its monomials
+    for s0 in values:
+        assert read({a: Q(1)}, {a: Q(s0 + 1)}, s0) is None
+        assert read({((3, 1),): Q(1)}, {c: Q(1)}, s0) is None
+    # on the span only at s* = -1: gens[1] + (1 + s) X_a, which carries s
+    for s0 in values:
+        got = read({c: Q(3), a: Q(1)}, {a: Q(1)}, s0)
+        assert got == ([Q(0), Q(1)] if s0 == -1 else None)
 
 
 def test_module_action_matrix_rejects_unstable(env_d4, verma_d4):
