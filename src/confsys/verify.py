@@ -180,10 +180,11 @@ class Session:
     def symbolic_functionals(self) -> dict[tuple[int, int], tuple[int, dict]]:
         """Point functionals at the identity of [pi(X), R(w3_k)], s symbolic,
         as int pairs (den, {derivative: (a0, a1)}) meaning (a0 + s*a1)/den,
-        keyed (X, k) for X over every basis vector."""
+        keyed (X, k) for X over the parabolic q: no reader reads an
+        opposite-radical row (see the b_matrix statement)."""
         from .diffops import commutator_at_identity
         out = {}
-        for xi in range(self.alg.dim):
+        for xi in self.alg.q_indices:
             pi_x = self.calc.pi_basis(xi)
             for k, op in enumerate(self.omega3_ops):
                 out[(xi, k)] = commutator_at_identity(pi_x, op)
@@ -228,15 +229,16 @@ class Session:
 
     @cached_property
     def b_matrices(self) -> dict[int, list[list[Q]]]:
-        """For every basis vector Y the matrix b(Y) with [pi(Y), D_i] =
-        sum_j b(Y)_{ji} D_j as point functionals at the identity, at the
-        special parameter value.  Each column is the symbolic functional of
-        the commutator (symbolic_functionals), reduced against the span and
-        read at s*, so no commutator is formed; the operator identity
-        itself is the structure_operator check."""
+        """For every parabolic basis vector Y the matrix b(Y) with [pi(Y),
+        D_i] = sum_j b(Y)_{ji} D_j as point functionals at the identity, at
+        the special parameter value.  Each column is the symbolic functional
+        of the commutator (symbolic_functionals), reduced against the span
+        and read at s*, so no commutator is formed; the operator identity
+        itself is the structure_operator check, and the b_matrix statement
+        says why the opposite radical needs no matrix."""
         sstar, span = self.require_sstar(), self.functional_span
         funcs, out = self.symbolic_functionals, {}
-        for y in range(self.alg.dim):
+        for y in self.alg.q_indices:
             cols = [span.coordinates(span.eliminate(*funcs[(y, k)]), sstar)
                     for k in range(len(self.omega3_ops))]
             if None in cols:
@@ -338,19 +340,15 @@ def _levi_equivariance(s: Session, elements: dict[int, Elt],
     return {"generators": len(gens), "pairs": len(gens) * len(elements)}
 
 
-def _coroot_scalar(s: Session, elements: dict[int, Elt], degree: int,
-                   s0: Q | None = None) -> str:
+def _coroot_scalar(s: Session, elements: dict[int, Elt], degree: int) -> str:
     """Check that the grading coroot acts on every element e by 2s - degree,
-    with s symbolic (the pair (-degree*e, 2*e)) or at s0; returns that
-    scalar."""
+    with s symbolic (the pair (-degree*e, 2*e)); returns that scalar."""
     alg, vm = s.alg, s.verma
     for w, e in elements.items():
-        got = vm.act(alg.h_gamma, e)
-        want = (elt_scale(e, -degree), elt_scale(e, 2))
-        if s0 is not None:
-            got, want = elt_subs(got, s0), elt_subs(want, s0)
-        _ensure(got == want, element=alg.names[w])
-    return f"2s - {degree}" if s0 is None else qstr(2 * s0 - degree)
+        _ensure(vm.act(alg.h_gamma, e) == (elt_scale(e, -degree),
+                                           elt_scale(e, 2)),
+                element=alg.names[w])
+    return f"2s - {degree}"
 
 
 def _act_twice(vm: VermaModule, x: int, y: int, v: Elt) -> tuple[Elt, Elt, Elt]:
@@ -648,8 +646,6 @@ def _failure_mode(s: Session) -> str | None:
     res = s.stability
     if res.values or res.all_s:
         return None
-    if not all(s.omega3_gens):
-        return "omega3_degenerate"
     if not res.levi_stable_all_s:
         return "span_not_l_stable"
     return "empty_special_values"

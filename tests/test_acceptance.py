@@ -165,10 +165,12 @@ def test_criterion_06_operator_picture(ses):
         mat = [[Q(func[d][0], den) if d in func else Q(0) for den, func in funcs]
                for d in ders]
         assert rank(mat) == m
-        # a matrix realization b exists (solved uniquely from the
-        # commutators); the structure function C(Y) = b(AdInv(Y)) reproduces
-        # the full commutator identity on a seeded sample of basis vectors
+        # a matrix realization b of q exists (solved uniquely from the
+        # commutators, read on q only); the structure function C(Y) =
+        # b(AdInv(Y)_q) reproduces the full commutator identity on a seeded
+        # sample of basis vectors
         bmats = ses.b_matrices
+        assert sorted(bmats) == sorted(alg.q_indices)
         bh = [[sum(c * bmats[i][r][k] for i, c in alg.h_gamma.items())
                for k in range(m)] for r in range(m)]
         assert bh == [[Q(-3) if r == k else Q(0) for k in range(m)]
@@ -182,6 +184,8 @@ def test_criterion_06_operator_picture(ses):
                 lhs = ses.cubic_commutator(y, i)
                 rhs = PolyDiffOp(calc.ncoords)
                 for g, cg in adinv.items():
+                    if g not in bmats:
+                        continue
                     for r in range(m):
                         if bmats[g][r][i]:
                             rhs = rhs + (cg * bmats[g][r][i]

@@ -251,24 +251,28 @@ def test_levi_equivariance_catches_a_perturbed_non_generator(tmp_path, label):
 def test_b_matrices_match_dense_solve_reference(tmp_path):
     # the reference: for each basis vector Y, the dense matrix of the cubic
     # operators' point functionals over every derivative multi-index that
-    # occurs, and one linalg.solve per commutator column
+    # occurs, and one linalg.solve per commutator column.  b is read on q
+    # only; on the opposite radical the reference columns are all zero
     def s_free(op):
         den, func = op.at_identity()
         assert not any(a1 for _, a1 in func.values())
         return {d: Q(a0, den) for d, (a0, _) in func.items()}
 
     session = Session(SuiteConfig(type_label="D4", cache_dir=str(tmp_path)))
+    alg = session.alg
     funcs = [s_free(op) for op in session.omega3_ops]
     m = len(funcs)
     bmats = session.b_matrices
-    assert sorted(bmats) == list(range(session.alg.dim))
-    for y, bmat in bmats.items():
+    assert list(bmats) == list(alg.q_indices)
+    for y in range(alg.dim):
         comms = [s_free(session.cubic_commutator(y, i)) for i in range(m)]
         ders = sorted({d for f in funcs + comms for d in f})
         mat = [[f.get(d, Q(0)) for f in funcs] for d in ders]
         for i, comm in enumerate(comms):
             vec = [comm.get(d, Q(0)) for d in ders]
-            assert [bmat[j][i] for j in range(m)] == solve(mat, vec), (y, i)
+            want = ([bmats[y][j][i] for j in range(m)] if y in bmats
+                    else [Q(0)] * m)
+            assert want == solve(mat, vec), (y, i)
     assert any(c for bmat in bmats.values() for row in bmat for c in row)
 
 
@@ -888,6 +892,28 @@ def test_nbar_commutant_catches_a_perturbed_right_action(tmp_path):
     assert res.witness["monomial"] == env.format({((bad, 1),): 1})
 
 
+def test_nbar_checks_catch_a_perturbed_operator_off_the_generators(tmp_path):
+    # b is read on q only: an opposite-radical operator that is no Chevalley
+    # generator, pi(X_-gamma), is covered by nbar_commutant and
+    # pi_homomorphism, which both see a coordinate added to it
+    session = _d4_session(tmp_path)
+    alg, calc = session.alg, session.calc
+    bad = alg.x_minus_gamma
+    assert bad in alg.nbar_indices and bad not in alg.chevalley_generators
+    for name in ("nbar_commutant", "pi_homomorphism"):
+        assert run_single(session, name).status == "pass"
+    pi_basis = calc.pi_basis
+    calc.pi_basis = (lambda i: pi_basis(i) + calc.var(bad) if i == bad
+                     else pi_basis(i))
+    res = run_single(session, "nbar_commutant")
+    assert res.status == "fail"
+    assert res.witness["vector"] == alg.names[bad]
+    res = run_single(session, "pi_homomorphism")
+    assert res.status == "fail"
+    g, y = (alg.names.index(name) for name in res.witness["pair"])
+    assert bad == y or bad in dict(alg.table[g][y])
+
+
 def test_reducibility_witness_catches_a_wrong_action_at_each_generator(tmp_path):
     session = _d4_session(tmp_path)
     alg, vm = session.alg, session.verma
@@ -929,7 +955,7 @@ def test_reducibility_witness_reads_the_coroot_on_the_cyclic_vector(tmp_path):
     vm.act = perturbed
     res = run_single(session, "reducibility_witness")
     assert res.status == "fail"
-    assert res.witness == {"span": "-5", "cyclic": "-5"}
+    assert res.witness == {"element": "1", "scalar": "2s"}
 
 
 def test_b_matrix_reads_levi_functionals_the_special_value_set_does_not(
@@ -955,10 +981,11 @@ def test_b_matrix_reads_levi_functionals_the_special_value_set_does_not(
 def test_d4_suite_work_counts(tmp_path, monkeypatch):
     # eliminations: stability 64 (cubic span) + 80 (first-level span), action
     # matrices 152, induced_bridge_small 190 (19 q vectors x 10 generators,
-    # read at three s0), b matrices 224 (28 x 8 functionals); commutators:
-    # induced_bridge_small 80 (8 Chevalley generators x 10, s symbolic),
-    # the cubic ones 64, pi_homomorphism 216, nbar_commutant 90 and the
-    # quadratic and first-order formulas 90 and 81; functionals 28 x 8
+    # read at three s0), b matrices 152 (19 q vectors x 8 functionals: b is
+    # read on q only); commutators: induced_bridge_small 80 (8 Chevalley
+    # generators x 10, s symbolic), the cubic ones 64, pi_homomorphism 216,
+    # nbar_commutant 90 and the quadratic and first-order formulas 90 and 81;
+    # functionals 19 x 8
     from confsys import diffops, verma
     counts = {}
 
@@ -976,8 +1003,8 @@ def test_d4_suite_work_counts(tmp_path, monkeypatch):
     report = verify.run_suite(SuiteConfig(type_label="D4",
                                           cache_dir=str(tmp_path)))
     assert all(c.status == "pass" for c in report.checks)
-    assert counts == {"eliminate": 710, "commutator": 621,
-                      "commutator_at_identity": 224}
+    assert counts == {"eliminate": 638, "commutator": 621,
+                      "commutator_at_identity": 152}
 
 
 def _doubled_at(fn, bad):
