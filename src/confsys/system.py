@@ -18,10 +18,10 @@ from typing import Callable
 from .diffops import PolyDiffOp, sum_products
 from .liealg import LieAlgebra
 from .linalg import common_root
-from .pbw import Elt, elt_add, elt_scale, mono_degree, monomials_up_to
+from .pbw import Elt, elt_add, elt_scale, monomials_up_to
 from .report import qstr
-from .verify import (CheckFailure, Session, _contraction_data, _coroot_scalar,
-                     _ensure, _expected, _levi_equivariance, check)
+from .verify import (CheckFailure, Session, _contraction_data, _ensure,
+                     _expected, _levi_action, check)
 from .verma import elt_subs
 
 SCOPE = "system"
@@ -131,7 +131,8 @@ def _chk_cubic_nonzero(s: Session) -> dict:
         _ensure(bool(w3), index=alg.names[alg.v_minus[k]])
         for m in w3:
             _ensure(weighted_degree(alg, m) == 3,
-                    index=alg.names[alg.v_minus[k]], monomial_degree=mono_degree(m))
+                    index=alg.names[alg.v_minus[k]],
+                    weighted_degree=weighted_degree(alg, m))
     r = s.cubic_span.rank
     _ensure(r == len(alg.v_minus), rank=r, expected=len(alg.v_minus))
     return {"count": len(s.omega3_gens), "rank": r,
@@ -170,7 +171,7 @@ def _chk_quad_nil(s: Session) -> dict:
        "quadratic elements by the scalar 2s* - 2 (-4 for D4)")
 def _chk_quad_weight_special(s: Session) -> dict:
     sstar = s.require_sstar()
-    _coroot_scalar(s, s.quadratic_elements, 2)
+    _levi_action(s, s.quadratic_elements, {"h_gamma": s.alg.h_gamma})
     return {"eigenvalue": qstr(2 * sstar - 2)}
 
 
@@ -183,9 +184,7 @@ def _chk_quad_weight_special(s: Session) -> dict:
        "character vanishes on [l, l]")
 def _chk_quad_equiv_special(s: Session) -> dict:
     sstar = s.require_sstar()
-    return {**_levi_equivariance(s, s.quadratic_elements, s.omega.omega2,
-                                 sstar),
-            "at": qstr(sstar)}
+    return {**_levi_action(s, s.quadratic_elements), "at": qstr(sstar)}
 
 
 @check("cubic_nilradical_annihilation", SCOPE,
@@ -203,8 +202,8 @@ def _chk_cubic_nil(s: Session) -> dict:
        "(-5 for D4)")
 def _chk_cubic_weight(s: Session) -> dict:
     sstar = s.require_sstar()
-    return {"eigenvalue": _coroot_scalar(s, s.cubic_elements, 3),
-            "at_special": qstr(2 * sstar - 3)}
+    _levi_action(s, s.cubic_elements, {"h_gamma": s.alg.h_gamma})
+    return {"eigenvalue": "2s - 3", "at_special": qstr(2 * sstar - 3)}
 
 
 @check("cubic_equivariance_at_special", SCOPE,
@@ -216,8 +215,7 @@ def _chk_cubic_weight(s: Session) -> dict:
        "subalgebra, because the character vanishes on [l, l]")
 def _chk_cubic_equiv(s: Session) -> dict:
     sstar = s.require_sstar()
-    return {**_levi_equivariance(s, s.cubic_elements, s.omega.omega3, sstar),
-            "at": qstr(sstar)}
+    return {**_levi_action(s, s.cubic_elements), "at": qstr(sstar)}
 
 
 def _unimodular_pair(m: int) -> tuple[list[list[int]], list[list[int]]]:
@@ -648,25 +646,25 @@ def _chk_reducibility(s: Session) -> dict:
                 expected = env.mul(env.gen(y), s.omega3_gens[k])
             _ensure(got == expected, vector=alg.names[y], column=k)
             checked += 1
-    # multiplying by opposite-radical generators raises weighted degree by
-    # exactly the generator weight, so the submodule keeps degree >= 3 and
-    # misses the cyclic vector: the submodule is proper and nonzero
-    monos = monomials_up_to(alg.nbar_indices, 3)
-    for g in alg.nbar_indices:
-        wg = 2 if g == alg.x_minus_gamma else 1
-        for mono in monos:
-            prod = env.mono_times_gen(mono, g)
-            for m2 in prod:
-                _ensure(weighted_degree(alg, m2)
-                        == weighted_degree(alg, mono) + wg,
-                        generator=alg.names[g])
+    # every bracket of two opposite-radical generators lies in nbar with the
+    # sum of their weights, so nbar is graded by weight, and by PBW so is
+    # U(nbar): multiplying by a generator raises weighted degree by exactly
+    # its weight, in every degree.  The submodule, U(nbar) times the
+    # parabolic-stable span, keeps degree >= 3 and misses the cyclic vector:
+    # it is proper and nonzero
+    weight = {g: weighted_degree(alg, ((g, 1),)) for g in alg.nbar_indices}
+    for x in alg.nbar_indices:
+        for y in alg.nbar_indices:
+            _ensure(all(weight.get(k) == weight[x] + weight[y]
+                        for k, _ in alg.table[x][y]),
+                    pair=[alg.names[x], alg.names[y]])
     floor = min(weighted_degree(alg, mono)
                 for w3 in s.omega3_gens for mono in w3)
     _ensure(floor == 3, weighted_degree_floor=floor)
     # the span cannot contain the cyclic vector: the grading coroot acts on
     # the cubic elements by 2s - 3 and on 1 by 2s, scalars that differ at
     # every s
-    _coroot_scalar(s, s.cubic_elements, 3)
+    _levi_action(s, s.cubic_elements, {"h_gamma": alg.h_gamma})
     one = env.one()
     _ensure(vm.act(alg.h_gamma, one) == ({}, elt_scale(one, 2)),
             element="1", scalar="2s")

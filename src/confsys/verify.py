@@ -35,7 +35,7 @@ from .pbw import Elt, Enveloping, elt_add, elt_scale, elt_sub, monomials_up_to
 from .report import (SCHEMA_VERSION, CheckResult, SpecialValueFindings,
                      VerificationReport, qstr)
 from .roots import RootSystemSpec
-from .verma import Span, StabilityResult, VermaModule, elt_subs
+from .verma import Span, StabilityResult, VermaModule
 
 if TYPE_CHECKING:
     from .diffops import OperatorCalculus, PolyDiffOp
@@ -315,40 +315,36 @@ def _contraction_data(s: Session):
     return ratios, nonzero_pairs, zero_anomalies, proportional
 
 
-def _levi_equivariance(s: Session, elements: dict[int, Elt],
-                       build: Callable[[dict], Elt], s0: Q) -> dict:
-    """Check build([Z, w]) = Z.e at s0 + (1 - s0) dchi(Z) e for every
-    generator Z of l and every e = elements[w]; returns the size of the
-    acting set and the pair count.
+def _levi_action(s: Session, elements: dict[int, Elt],
+                 acting: dict[str, dict[int, int]] | None = None) -> dict:
+    """Check Z.e_w = e_[Z,w] - dchi(Z) e_w + s dchi(Z) e_w, with s symbolic,
+    for every Z in acting, by name (default: the generators of l, the grade-0
+    entries of LieAlgebra.q_generators), and every e_w = elements[w], where
+    e_[Z,w] is the linear extension of elements to the bracket; returns the
+    size of the acting set and the pair count.
 
-    The generators are the grade-0 entries of LieAlgebra.q_generators.  They
-    suffice: rho(Z) = (Z at s0) + (1 - s0) dchi(Z) is a representation of l,
-    because dchi vanishes on [l, l].  build is linear with build(w) =
-    elements[w], and the w span an ad(l)-stable space, so the Z with
-    build([Z, w]) = rho(Z) build(w) for every w form a Lie subalgebra:
-    holding on generators of l means holding on all of l.
+    Over the generators of l this is equivariance on all of l:
+    rho(Z) = Z. - s dchi(Z) is a representation of l at every s, because
+    dchi vanishes on [l, l], and the elements span an ad(l)-stable space, so
+    the Z with e_[Z,w] = rho(Z) e_w + dchi(Z) e_w for every w form a Lie
+    subalgebra.  For Z the grading coroot h_gamma, [h_gamma, w] is grade(w)
+    w and dchi(h_gamma) = 2, so it states that h_gamma acts on each element
+    by the scalar 2s - 2 + grade(w).
     """
     alg, vm = s.alg, s.verma
-    gens = [z for z in alg.q_generators if alg.grade[z] == 0]
-    for z in gens:
-        shift = (1 - s0) * alg.dchi_on_basis[z]
+    if acting is None:
+        acting = {alg.names[z]: {z: 1} for z in alg.q_generators
+                  if alg.grade[z] == 0}
+    for name, z in acting.items():
+        dchi = sum(c * alg.dchi_on_basis[i] for i, c in z.items())
         for w, e in elements.items():
-            rhs = elt_add(elt_subs(vm.act_basis(z, e), s0),
-                          elt_scale(e, shift))
-            _ensure(build(dict(alg.table[z][w])) == rhs,
-                    pair=[alg.names[z], alg.names[w]])
-    return {"generators": len(gens), "pairs": len(gens) * len(elements)}
-
-
-def _coroot_scalar(s: Session, elements: dict[int, Elt], degree: int) -> str:
-    """Check that the grading coroot acts on every element e by 2s - degree,
-    with s symbolic (the pair (-degree*e, 2*e)); returns that scalar."""
-    alg, vm = s.alg, s.verma
-    for w, e in elements.items():
-        _ensure(vm.act(alg.h_gamma, e) == (elt_scale(e, -degree),
-                                           elt_scale(e, 2)),
-                element=alg.names[w])
-    return f"2s - {degree}"
+            image: Elt = {}
+            for k, c in alg.bracket_elem(z, {w: 1}).items():
+                image = elt_add(image, elt_scale(elements[k], c))
+            _ensure(vm.act(z, e) == (elt_sub(image, elt_scale(e, dchi)),
+                                     elt_scale(e, dchi)),
+                    pair=[name, alg.names[w]])
+    return {"generators": len(acting), "pairs": len(acting) * len(elements)}
 
 
 def _act_twice(vm: VermaModule, x: int, y: int, v: Elt) -> tuple[Elt, Elt, Elt]:
@@ -624,7 +620,8 @@ def _chk_quadratic_center(s: Session) -> dict:
        "The grading coroot acts on every quadratic element by the scalar "
        "2s - 2, with s symbolic")
 def _chk_quadratic_weight(s: Session) -> dict:
-    return {"eigenvalue": _coroot_scalar(s, s.quadratic_elements, 2)}
+    _levi_action(s, s.quadratic_elements, {"h_gamma": s.alg.h_gamma})
+    return {"eigenvalue": "2s - 2"}
 
 
 @check("quadratic_equivariance", "core",
@@ -635,7 +632,7 @@ def _chk_quadratic_weight(s: Session) -> dict:
        "of l, which suffices: the Z for which it holds form a Lie subalgebra, "
        "because the character vanishes on [l, l]")
 def _chk_quadratic_equivariance(s: Session) -> dict:
-    return _levi_equivariance(s, s.quadratic_elements, s.omega.omega2, Q(0))
+    return _levi_action(s, s.quadratic_elements)
 
 
 # --------------------------------------------------------------- control scope

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction as Q
 from functools import reduce
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -19,9 +20,8 @@ from confsys.pbw import elt_add, elt_scale, elt_sub
 from confsys.poly import Poly, poly_gcd, rational_roots
 from confsys.roots import RootSystemSpec, build_root_system
 from confsys.verify import (CHECKS, EXPECTED, CheckFailure, Session,
-                            SuiteConfig, _contraction_data,
-                            _levi_equivariance, available_checks, run_single,
-                            run_suite)
+                            SuiteConfig, _contraction_data, _levi_action,
+                            available_checks, run_single, run_suite)
 from confsys.verma import elt_subs
 
 
@@ -171,21 +171,27 @@ def test_special_value_is_checked_against_the_frozen_column(tmp_path,
     assert res.witness == {"values": ["-1"], "expected": ["-2"]}
 
 
-@pytest.mark.parametrize("label", ["D4", "A3"])
+@pytest.mark.parametrize("label", ["D4", "A2", "A3", "D5", "E6"])
 def test_levi_equivariance_holds_off_the_special_value(tmp_path, label):
-    # Z.e at s0 plus (1 - s0) dchi(Z) e is s0-independent, so the identity
-    # holds at a value that is special for neither element family
+    # the identity is checked with s symbolic, so it holds at every s,
+    # special or not: the quadratic and cubic elements of types whose
+    # at-special checks skip (no unique special value) are covered too, and
+    # the pointwise reference agrees at a value special for no type
     session = Session(SuiteConfig(type_label=label, cache_dir=str(tmp_path)))
     alg, om, s0 = session.alg, session.omega, Q(5, 2)
     n_levi, n_gens = len(alg.l_indices), len(_levi_generators(alg))
-    assert _levi_equivariance(session, session.quadratic_elements,
-                              om.omega2, s0) == {"generators": n_gens,
-                                                 "pairs": n_gens * n_levi}
-    assert _levi_equivariance(session, session.cubic_elements,
-                              om.omega3, s0) == {
+    quadratic, cubic = session.quadratic_elements, session.cubic_elements
+    assert _levi_action(session, quadratic) == {"generators": n_gens,
+                                                "pairs": n_gens * n_levi}
+    assert _levi_action(session, cubic) == {
         "generators": n_gens, "pairs": n_gens * len(alg.v_minus)}
-    assert _levi_equivariance_reference(session, session.quadratic_elements,
-                                        om.omega2, s0) == n_levi * n_levi
+    for elements in (quadratic, cubic):
+        assert _levi_action(session, elements, {"h_gamma": alg.h_gamma}) == {
+            "generators": 1, "pairs": len(elements)}
+    assert _levi_equivariance_reference(session, quadratic, om.omega2,
+                                        s0) == n_levi * n_levi
+    assert _levi_equivariance_reference(session, cubic, om.omega3,
+                                        s0) == n_levi * len(alg.v_minus)
 
 
 def _levi_generators(alg) -> list[int]:
@@ -193,8 +199,9 @@ def _levi_generators(alg) -> list[int]:
 
 
 def _levi_equivariance_reference(s: Session, elements, build, s0) -> int:
-    """_levi_equivariance acting by every Levi basis vector, not only by the
-    generators of l; returns the pair count."""
+    """The Levi identity at s0, build([Z, w]) = Z.e at s0 + (1 - s0) dchi(Z)
+    e, acting by every Levi basis vector, not only by the generators of l;
+    returns the pair count."""
     alg, vm = s.alg, s.verma
     for z in alg.l_indices:
         shift = (1 - s0) * alg.dchi_on_basis[z]
@@ -214,9 +221,8 @@ def test_levi_equivariance_agrees_with_all_pairs_reference(tmp_path, label):
     assert n_gens < n_levi
     assert _levi_equivariance_reference(session, elements, session.omega.omega2,
                                         Q(0)) == n_levi * n_levi
-    assert _levi_equivariance(session, elements, session.omega.omega2,
-                              Q(0)) == {"generators": n_gens,
-                                        "pairs": n_gens * n_levi}
+    assert _levi_action(session, elements) == {"generators": n_gens,
+                                               "pairs": n_gens * n_levi}
 
 
 def test_cubic_levi_equivariance_agrees_with_all_pairs_reference(tmp_path):
@@ -226,15 +232,16 @@ def test_cubic_levi_equivariance_agrees_with_all_pairs_reference(tmp_path):
     n_gens = len(_levi_generators(alg))
     assert _levi_equivariance_reference(session, elements, session.omega.omega3,
                                         sstar) == 10 * 8
-    assert _levi_equivariance(session, elements, session.omega.omega3,
-                              sstar) == {"generators": n_gens,
-                                         "pairs": n_gens * 8}
+    assert _levi_action(session, elements) == {"generators": n_gens,
+                                               "pairs": n_gens * 8}
 
 
 @pytest.mark.parametrize("label", ["A3", "D4"])
 def test_levi_equivariance_catches_a_perturbed_non_generator(tmp_path, label):
     # the generators act on every element, so a wrong element at a Levi
-    # vector outside the acting set is still caught
+    # vector outside the acting set is still caught: at a pair (Z, W) with
+    # W = w, or with w in [Z, W], since the identity extends the elements
+    # themselves linearly to the bracket
     session = Session(SuiteConfig(type_label=label, cache_dir=str(tmp_path)))
     alg, om = session.alg, session.omega
     gens = _levi_generators(alg)
@@ -244,8 +251,40 @@ def test_levi_equivariance_catches_a_perturbed_non_generator(tmp_path, label):
     with pytest.raises(CheckFailure):
         _levi_equivariance_reference(session, elements, om.omega2, Q(0))
     with pytest.raises(CheckFailure) as failure:
-        _levi_equivariance(session, elements, om.omega2, Q(0))
-    assert failure.value.witness["pair"][1] == alg.names[w]
+        _levi_action(session, elements)
+    z, w2 = (alg.names.index(name) for name in failure.value.witness["pair"])
+    assert w2 == w or w in alg.bracket_elem({z: 1}, {w2: 1})
+
+
+def test_cubic_equivariance_catches_an_action_wrong_off_the_special_value(
+        tmp_path):
+    # X[1000] on a monomial that only Y[0100]'s cubic element e holds gets
+    # (s + 1) k e added, k clearing e's denominators: the image stays in the
+    # cubic span and is right at s* = -1, so every check that reads the
+    # action at s* alone passes, and only the symbolic Levi identity fails
+    session = _d4_session(tmp_path)
+    alg, vm = session.alg, session.verma
+    x, y = alg.names.index("X[1000]"), alg.names.index("Y[0100]")
+    e = session.cubic_elements[y]
+    others = {m for w, el in session.cubic_elements.items() if w != y
+              for m in el}
+    m = next(m for m in e if m not in others)
+    k = lcm(*(c.denominator for c in e.values()))
+    before = vm.act_basis(x, e)
+    image = {m2: [a0, a1] for m2, a0, a1 in vm._act_memo[x][m]}
+    for m2, c in e.items():
+        a0, a1 = image.setdefault(m2, [0, 0])
+        image[m2] = [a0 + int(k * c), a1 + int(k * c)]
+    vm._act_memo[x][m] = tuple((m2, a0, a1) for m2, (a0, a1) in image.items()
+                               if a0 or a1)
+    after = vm.act_basis(x, e)
+    assert elt_subs(after, Q(-1)) == elt_subs(before, Q(-1))
+    assert after != before
+    results = [run_single(session, name) for name in available_checks(True)]
+    assert [r.name for r in results if r.status != "pass"] == \
+        ["cubic_equivariance_at_special"]
+    failed = next(r for r in results if r.status == "fail")
+    assert failed.witness == {"pair": ["X[1000]", "Y[0100]"]}
 
 
 def test_b_matrices_match_dense_solve_reference(tmp_path):
@@ -958,6 +997,41 @@ def test_reducibility_witness_reads_the_coroot_on_the_cyclic_vector(tmp_path):
     assert res.witness == {"element": "1", "scalar": "2s"}
 
 
+@pytest.mark.parametrize("target", ["grade -1", "Levi"])
+def test_reducibility_witness_proves_the_degree_floor_on_the_nbar_bracket(
+        tmp_path, target):
+    # one entry [Y_x, Y_y] of a copy of the table, zero in the true one, set
+    # to a grade -1 vector (weight 1, not 2) or to a Levi vector (outside
+    # nbar): U(nbar) is then not graded by weight, and the check names the
+    # pair
+    session = _d4_session(tmp_path)
+    alg = session.alg
+    assert run_single(session, "reducibility_witness").status == "pass"
+    x, y = next((x, y) for x in alg.v_minus for y in alg.v_minus
+                if x != y and not alg.table[x][y])
+    k = alg.v_minus[0] if target == "grade -1" else alg.l_indices[0]
+    session.alg = _with_rows(alg, {(x, y): ((k, 1),)})
+    res = run_single(session, "reducibility_witness")
+    assert res.status == "fail"
+    assert res.witness == {"pair": [alg.names[x], alg.names[y]]}
+
+
+def test_cubic_nonzero_reports_the_weighted_degree(tmp_path):
+    # Z Y Y has PBW degree 3 but weighted degree 4: the witness shows the
+    # degree the check tested
+    session = _d4_session(tmp_path)
+    alg = session.alg
+    assert run_single(session, "cubic_nonzero").status == "pass"
+    y = alg.v_minus[0]
+    gens = list(session.omega3_gens)
+    gens[0] = {**gens[0], ((alg.x_minus_gamma, 1), (y, 2)): Q(1)}
+    session.omega3_gens = gens
+    res = run_single(session, "cubic_nonzero")
+    assert res.status == "fail"
+    assert res.witness == {"index": alg.names[alg.v_minus[0]],
+                           "weighted_degree": 4}
+
+
 def test_b_matrix_reads_levi_functionals_the_special_value_set_does_not(
         tmp_path):
     # one Levi-row functional moved off the span: b(Z) has no column k, and
@@ -985,8 +1059,9 @@ def test_d4_suite_work_counts(tmp_path, monkeypatch):
     # read on q only); commutators: induced_bridge_small 80 (8 Chevalley
     # generators x 10, s symbolic), the cubic ones 64, pi_homomorphism 216,
     # nbar_commutant 90 and the quadratic and first-order formulas 90 and 81;
-    # functionals 19 x 8
-    from confsys import diffops, verma
+    # functionals 19 x 8; PBW products 673, with the recursion: the degree
+    # floor reads the nbar bracket table, not products of nbar monomials
+    from confsys import diffops, pbw, verma
     counts = {}
 
     def counted(owner, name):
@@ -1000,11 +1075,12 @@ def test_d4_suite_work_counts(tmp_path, monkeypatch):
     counted(verma.Span, "eliminate")
     counted(diffops.PolyDiffOp, "commutator")
     counted(diffops, "commutator_at_identity")
+    counted(pbw.Enveloping, "mono_times_gen")
     report = verify.run_suite(SuiteConfig(type_label="D4",
                                           cache_dir=str(tmp_path)))
     assert all(c.status == "pass" for c in report.checks)
     assert counts == {"eliminate": 638, "commutator": 621,
-                      "commutator_at_identity": 152}
+                      "commutator_at_identity": 152, "mono_times_gen": 673}
 
 
 def _doubled_at(fn, bad):
