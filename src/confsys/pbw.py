@@ -57,8 +57,6 @@ def elt_add(a: Elt, b: Elt) -> Elt:
 def elt_scale(a: Elt, c: Coeff) -> Elt:
     if not c:
         return {}
-    if c == 1:
-        return dict(a)
     return {m: v * c for m, v in a.items()}
 
 

@@ -167,8 +167,9 @@ def _chk_quad_nil(s: Session) -> dict:
 
 
 @check("quadratic_weight_at_special", SCOPE,
-       "At the special parameter value s* the grading coroot acts on the "
-       "quadratic elements by the scalar 2s* - 2 (-4 for D4)")
+       "The grading coroot acts on every quadratic element by 2s - 2 "
+       "symbolically, hence by 2s* - 2 at the special parameter value s* "
+       "(-4 for D4)")
 def _chk_quad_weight_special(s: Session) -> dict:
     sstar = s.require_sstar()
     _levi_action(s, s.quadratic_elements, {"h_gamma": s.alg.h_gamma})
@@ -176,12 +177,12 @@ def _chk_quad_weight_special(s: Session) -> dict:
 
 
 @check("quadratic_equivariance_at_special", SCOPE,
-       "At the special parameter value s* the quadratic element of a Levi "
-       "bracket equals the module action plus (1 - s*) times the character "
-       "multiple (twice it for D4), for all Levi pairs; it is checked for "
-       "the acting Levi vector among the generators of l, which suffices: the "
-       "vectors for which it holds form a Lie subalgebra, because the "
-       "character vanishes on [l, l]")
+       "With s symbolic, hence at the special parameter value s*, the "
+       "quadratic element of a Levi bracket equals the module action plus "
+       "(1 - s) times the character multiple (twice it at s* for D4), for "
+       "all Levi pairs; it is checked for the acting Levi vector among the "
+       "generators of l, which suffices: the vectors for which it holds form "
+       "a Lie subalgebra, because the character vanishes on [l, l]")
 def _chk_quad_equiv_special(s: Session) -> dict:
     sstar = s.require_sstar()
     return {**_levi_action(s, s.quadratic_elements), "at": qstr(sstar)}
@@ -207,12 +208,13 @@ def _chk_cubic_weight(s: Session) -> dict:
 
 
 @check("cubic_equivariance_at_special", SCOPE,
-       "At the special parameter value s* the cubic element of a Levi bracket "
-       "equals the module action plus (1 - s*) times the character multiple "
-       "(twice it for D4), for every Levi vector against every grade -1 "
-       "basis vector; it is checked for the Levi vector among the generators "
-       "of l, which suffices: the vectors for which it holds form a Lie "
-       "subalgebra, because the character vanishes on [l, l]")
+       "With s symbolic, hence at the special parameter value s*, the cubic "
+       "element of a Levi bracket equals the module action plus (1 - s) "
+       "times the character multiple (twice it at s* for D4), for every "
+       "Levi vector against every grade -1 basis vector; it is checked for "
+       "the Levi vector among the generators of l, which suffices: the "
+       "vectors for which it holds form a Lie subalgebra, because the "
+       "character vanishes on [l, l]")
 def _chk_cubic_equiv(s: Session) -> dict:
     sstar = s.require_sstar()
     return {**_levi_action(s, s.cubic_elements), "at": qstr(sstar)}

@@ -204,8 +204,6 @@ class VermaModule:
         The images by the X_i share the denominator of v; the rational x[i]
         are scaled to ints over the lcm of their denominators.
         """
-        if len(x) == 1 and 1 in x.values():
-            return self.act_basis(*x, v)
         self._require_module(v)
         dx = lcm(*(c.denominator for c in x.values()))
         den, acc = 1, {}
