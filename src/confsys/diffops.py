@@ -31,7 +31,7 @@ mutated, so they stay valid.  The k >= 1 terms of an overlapping pair are
 read from a per-coordinate-count table with one dict lookup.  One kernel,
 sum_products, accumulates a sum of products sum_j a_j o b_j into one term
 map over one common denominator; compose is its one-pair case, and the
-right actions and the character extension are single calls of it.  The
+right actions and the induced operators are single calls of it.  The
 k = 0 term of a pair is the same in both orders, so a commutator forms only
 the k >= 1 reordering corrections of each order, with opposite signs; point
 functionals at the identity of a commutator are read off a truncated
@@ -425,17 +425,6 @@ class OperatorCalculus:
             raise AssertionError("adjoint series failed to terminate")
         return out
 
-    def dchi_ext(self, y: dict[int, PolyDiffOp]) -> PolyDiffOp:
-        """Function-linear extension of the character derivative to q."""
-        pairs = []
-        for i, c in y.items():
-            v = self.alg.dchi_on_basis[i]
-            if v is None:
-                raise ValueError(f"basis index {i} is outside the parabolic")
-            if v:
-                pairs.append((c, self.const(v)))
-        return sum_products(self.ncoords, pairs)
-
     # -- the right regular action ---------------------------------------------
 
     @memo
@@ -465,19 +454,14 @@ class OperatorCalculus:
         return sum_products(self.ncoords, ((self.const(c), self.r_mono(m))
                                            for m, c in u.items()))
 
-    def r_ext(self, y: dict[int, PolyDiffOp]) -> PolyDiffOp:
-        """Function-linear extension of R to nilradical-valued functions."""
-        return sum_products(self.ncoords,
-                            ((c, self.r_gen(i)) for i, c in y.items()))
-
     # -- the induced family ----------------------------------------------------
 
     @memo
     def pi_basis(self, i: int) -> PolyDiffOp:
-        """pi_s(X_i) = -s dchi((Ad(nbar^{-1})X_i)_q) - R((Ad(nbar^{-1})X_i)_nbar)."""
-        nbar_part: dict[int, PolyDiffOp] = {}
-        q_part: dict[int, PolyDiffOp] = {}
-        for j, c in self.ad_inverse(i).items():
-            (nbar_part if j < self.ncoords else q_part)[j] = c
-        return (-(self.var(self.s_var) * self.dchi_ext(q_part))
-                - self.r_ext(nbar_part))
+        """pi_s(X_i) = -s dchi(A_q) - R(A_nbar) for A = Ad(nbar^{-1}) X_i,
+        both extended linearly over A's coefficient functions: one sum of
+        products."""
+        n, s, dchi = self.ncoords, self.var(self.s_var), self.alg.dchi_on_basis
+        return -sum_products(n, [
+            (c, self.r_gen(j) if j < n else s * dchi[j])
+            for j, c in self.ad_inverse(i).items() if j < n or dchi[j]])

@@ -347,59 +347,130 @@ def _chk_picture_consistency(s: Session) -> dict:
     return {"elements": len(alg.v_minus)}
 
 
+# The generator reduction shared by the five operator identities below.
+# Each writes [pi(Y), D_i] = sum_j F(Y)_ji D_j with F(Y) = sum_g AdInv(Y)_g M_g
+# for constant matrices M_g, and checks it for Y among the Chevalley generators.
+_GENERATOR_REDUCTION = (
+    "; it is checked for Y among the Chevalley generators, which suffices: "
+    "with xi_Y the vector-field part of pi(Y), pi is a homomorphism of order "
+    "1 (pi_homomorphism, pi_first_order), so by the Leibniz rule, for Y and "
+    "Z satisfying the identity, [pi([Y, Z]), D_i] = sum_k (xi_Y F(Z) - xi_Z "
+    "F(Y) + [F(Y), F(Z)])_ki D_k, which is sum_k F([Y, Z])_ki D_k when "
+    "rho(Y) = xi_Y + F(Y) is a homomorphism; rho is the noncompact picture "
+    "of the action induced from M on q, with M given on q only, so it is one "
+    "when M is a representation of q, which the check asserts "
+    "as M([g, h]) = [M(g), M(h)] for g among the generators of q and h over "
+    "q (the g for which that holds form a Lie subalgebra); so the Y for "
+    "which the identity holds form a Lie subalgebra, and the generators "
+    "generate g")
+
+
+def _require_q_representation(s: Session, mats: dict[int, list[list[Q]]],
+                              where: dict) -> None:
+    """Assert the hypothesis of _GENERATOR_REDUCTION on the constant
+    matrices M_g = mats[g], keyed over alg.q_indices: M([g, h]) = [M(g),
+    M(h)] for g in alg.q_generators and h in alg.q_indices.  The M_g are
+    scaled to ints over the lcm den of their denominators and held sparse, as
+    {(row, column): entry} and by rows, {row: [(column, entry)]}, so the
+    test is den M([g, h]) = [den M(g), den M(h)] in ints; where joins the
+    failure witness."""
+    alg = s.alg
+    den = lcm(*(c.denominator for g in alg.q_indices for row in mats[g]
+                for c in row))
+    ints = {g: {(r, k): c.numerator * (den // c.denominator)
+                for r, row in enumerate(mats[g]) for k, c in enumerate(row) if c}
+            for g in alg.q_indices}
+    rows: dict[int, dict[int, list[tuple[int, int]]]] = {g: {} for g in ints}
+    for g, e in ints.items():
+        for (r, k), v in e.items():
+            rows[g].setdefault(r, []).append((k, v))
+    for g in alg.q_generators:
+        for h in alg.q_indices:
+            want: dict[tuple[int, int], int] = {}
+            for k, n in alg.table[g][h]:
+                for rk, v in ints[k].items():
+                    want[rk] = want.get(rk, 0) + den * n * v
+            got: dict[tuple[int, int], int] = {}
+            for x, y, sign in ((g, h, 1), (h, g, -1)):
+                for (r, k), u in ints[x].items():
+                    for c, v in rows[y].get(k, ()):
+                        got[r, c] = got.get((r, c), 0) + sign * u * v
+            _ensure({rk: v for rk, v in want.items() if v}
+                    == {rk: v for rk, v in got.items() if v},
+                    hypothesis="representation of q",
+                    pair=[alg.names[g], alg.names[h]], **where)
+
+
+def _identity_on_generators(s: Session, ops: list[PolyDiffOp],
+                            mats: dict[int, list[list[Q]]],
+                            commutators: Callable[[int], list[PolyDiffOp]],
+                            where: dict | None = None) -> int:
+    """Check [pi(Y), D_i] = sum_j F(Y)_ji D_j, with D = ops, commutators(Y)
+    the left sides and F(Y) built from the constant matrices M_g = mats[g]
+    on q (_contract, _structure_mismatches), for Y among the Chevalley
+    generators, then the hypothesis that makes them suffice
+    (_GENERATOR_REDUCTION, _require_q_representation); returns the identity
+    count.  where joins the failure witness."""
+    alg, where = s.alg, where or {}
+    contracted = _contract(s, ops, mats)
+    for y in alg.chevalley_generators:
+        bad = _structure_mismatches(s, y, commutators(y), contracted)
+        _ensure(not bad, vector=alg.names[y], column=bad[0] if bad else None,
+                mismatches=len(bad), **where)
+    _require_q_representation(s, mats, where)
+    return len(alg.chevalley_generators) * len(ops)
+
+
 @check("first_order_commutator_formula", SCOPE,
-       "At the special parameter value, the commutator of an induced-picture "
-       "operator of a grade >= 1 vector with a first-order right action "
-       "reduces to a right action of the adjoint-transported bracket minus "
-       "its Levi character multiple: for grade -1 right factors only the "
-       "grade -1 projection contributes (the central component cancels), "
-       "while for the central right factor the full opposite-radical "
-       "projection contributes")
+       "At the special parameter value, the commutator of the induced-picture "
+       "operator of every basis vector Y with each first-order right action "
+       "D_b = R(X_b), b over the opposite radical, and with D = 1 is sum_j "
+       "F(Y)_jb D_j, F(Y) = sum_g AdInv(Y)_g M_g, where column b of M_g reads "
+       "the bracket [X_g, X_b]: its opposite-radical part at the rows of the "
+       "right actions, s* times the character of its parabolic part at the "
+       "row of 1, and the column of 1 is zero (the first-level action "
+       "matrices at s* shifted by -s* dchi(g))" + _GENERATOR_REDUCTION)
 def _chk_first_order_formula(s: Session) -> dict:
     sstar = s.require_sstar()
-    alg, calc = s.alg, s.calc
-    count = 0
-    for x in alg.n_indices:
-        pi_x = s.pi_special(x)
-        adinv = calc.ad_inverse(x)
-        for yb in alg.nbar_indices:
-            lhs = pi_x.commutator(calc.r_gen(yb))
-            t = alg.bracket_elem(adinv, {yb: 1})
-            q_part = {i: c for i, c in t.items() if alg.grade[i] >= 0}
-            if yb == alg.x_minus_gamma:
-                low_part = {i: c for i, c in t.items() if alg.grade[i] < 0}
-            else:
-                low_part = {i: c for i, c in t.items() if alg.grade[i] == -1}
-            rhs = calc.r_ext(low_part) + calc.dchi_ext(q_part) * sstar
-            _ensure(lhs == rhs, pair=[alg.names[x], alg.names[yb]])
-            count += 1
-    return {"pairs": count, "at": qstr(sstar)}
+    alg, calc, n = s.alg, s.calc, s.calc.ncoords
+    # coordinate b is basis index b, so R(X_b) is row b and 1 is row n
+    ops = [calc.r_gen(b) for b in alg.nbar_indices] + [calc.identity_op()]
+    mats = {g: _identity_matrix(n + 1, Q(0)) for g in alg.q_indices}
+    for g, mat in mats.items():
+        for b in alg.nbar_indices:
+            for k, c in alg.table[g][b]:
+                if alg.grade[k] < 0:
+                    mat[k][b] += c
+                else:
+                    mat[n][b] += sstar * c * alg.dchi_on_basis[k]
+    return {"identities": _identity_on_generators(
+                s, ops, mats,
+                lambda y: [s.pi_special(y).commutator(op) for op in ops]),
+            "at": qstr(sstar)}
 
 
 @check("quadratic_commutator_formula", SCOPE,
-       "A D4 identity: at the special parameter value, the commutator of an "
-       "induced-picture operator of a grade >= 1 vector with a quadratic right "
-       "action equals the coefficient-extended quadratic right action of the "
-       "adjoint-transported Levi bracket minus the transported character "
-       "multiple of the original operator")
+       "A D4 identity, the bridge for the quadratic span, which holds where "
+       "the nilradical annihilates the quadratic elements at the special "
+       "parameter value s*: there the commutator of the induced-picture "
+       "operator of every basis vector Y with each quadratic right action "
+       "D_w = R(omega2(X_w)), w over the Levi basis, is sum_z F(Y)_zw D_z, "
+       "F(Y) = sum_g AdInv(Y)_g M_g, where M_g is the Levi bracket [X_g, .] "
+       "on l minus dchi(g) on the diagonal, and zero for g in the "
+       "nilradical" + _GENERATOR_REDUCTION)
 def _chk_quadratic_formula(s: Session) -> dict:
     sstar = s.require_sstar()
-    alg, calc, ops = s.alg, s.calc, s.quadratic_ops
-    count = 0
-    for x in alg.n_indices:
-        pi_x = s.pi_special(x)
-        adinv = calc.ad_inverse(x)
-        q_adinv = {i: c for i, c in adinv.items() if alg.grade[i] >= 0}
-        minus_dch = -calc.dchi_ext(q_adinv)
-        for w in alg.l_indices:
-            lhs = pi_x.commutator(ops[w])
-            t = alg.bracket_elem(adinv, {w: 1})
-            rhs = sum_products(calc.ncoords, [(minus_dch, ops[w])] + [
-                (cz, ops[z]) for z, cz in t.items()
-                if alg.grade[z] == 0 and ops[z]])
-            _ensure(lhs == rhs, pair=[alg.names[x], alg.names[w]])
-            count += 1
-    return {"pairs": count, "at": qstr(sstar)}
+    alg, levi = s.alg, s.alg.l_indices
+    ops = [s.quadratic_ops[w] for w in levi]
+    mats = {g: _identity_matrix(len(levi), Q(0)) for g in alg.q_indices}
+    for g in levi:
+        for i, w in enumerate(levi):
+            for z, c in alg.table[g][w]:
+                mats[g][levi.index(z)][i] += c
+    return {"identities": _identity_on_generators(
+                s, ops, _shifted(alg, mats, Q(-1)),
+                lambda y: [s.pi_special(y).commutator(op) for op in ops]),
+            "at": qstr(sstar)}
 
 
 @check("main_vanishing", SCOPE,
@@ -480,80 +551,6 @@ def _chk_b_matrix(s: Session) -> dict:
                 reason="parabolic entry mismatch against module action")
     return {"basis_vectors": len(bmats), "size": m,
             "coroot_scalar": "-3", "at": qstr(sstar)}
-
-
-# The generator reduction shared by the three operator identities below.
-# Each writes [pi(Y), D_i] = sum_j F(Y)_ji D_j with F(Y) = sum_g AdInv(Y)_g M_g
-# for constant matrices M_g, and checks it for Y among the Chevalley generators.
-_GENERATOR_REDUCTION = (
-    "; it is checked for Y among the Chevalley generators, which suffices: "
-    "with xi_Y the vector-field part of pi(Y), pi is a homomorphism of order "
-    "1 (pi_homomorphism, pi_first_order), so by the Leibniz rule, for Y and "
-    "Z satisfying the identity, [pi([Y, Z]), D_i] = sum_k (xi_Y F(Z) - xi_Z "
-    "F(Y) + [F(Y), F(Z)])_ki D_k, which is sum_k F([Y, Z])_ki D_k when "
-    "rho(Y) = xi_Y + F(Y) is a homomorphism; rho is the noncompact picture "
-    "of the action induced from M on q, with M given on q only, so it is one "
-    "when M is a representation of q, which the check asserts "
-    "as M([g, h]) = [M(g), M(h)] for g among the generators of q and h over "
-    "q (the g for which that holds form a Lie subalgebra); so the Y for "
-    "which the identity holds form a Lie subalgebra, and the generators "
-    "generate g")
-
-
-def _require_q_representation(s: Session, mats: dict[int, list[list[Q]]],
-                              where: dict) -> None:
-    """Assert the hypothesis of _GENERATOR_REDUCTION on the constant
-    matrices M_g = mats[g], keyed over alg.q_indices: M([g, h]) = [M(g),
-    M(h)] for g in alg.q_generators and h in alg.q_indices.  The M_g are
-    scaled to ints over the lcm den of their denominators and held sparse, as
-    {(row, column): entry} and by rows, {row: [(column, entry)]}, so the
-    test is den M([g, h]) = [den M(g), den M(h)] in ints; where joins the
-    failure witness."""
-    alg = s.alg
-    den = lcm(*(c.denominator for g in alg.q_indices for row in mats[g]
-                for c in row))
-    ints = {g: {(r, k): c.numerator * (den // c.denominator)
-                for r, row in enumerate(mats[g]) for k, c in enumerate(row) if c}
-            for g in alg.q_indices}
-    rows: dict[int, dict[int, list[tuple[int, int]]]] = {g: {} for g in ints}
-    for g, e in ints.items():
-        for (r, k), v in e.items():
-            rows[g].setdefault(r, []).append((k, v))
-    for g in alg.q_generators:
-        for h in alg.q_indices:
-            want: dict[tuple[int, int], int] = {}
-            for k, n in alg.table[g][h]:
-                for rk, v in ints[k].items():
-                    want[rk] = want.get(rk, 0) + den * n * v
-            got: dict[tuple[int, int], int] = {}
-            for x, y, sign in ((g, h, 1), (h, g, -1)):
-                for (r, k), u in ints[x].items():
-                    for c, v in rows[y].get(k, ()):
-                        got[r, c] = got.get((r, c), 0) + sign * u * v
-            _ensure({rk: v for rk, v in want.items() if v}
-                    == {rk: v for rk, v in got.items() if v},
-                    hypothesis="representation of q",
-                    pair=[alg.names[g], alg.names[h]], **where)
-
-
-def _identity_on_generators(s: Session, ops: list[PolyDiffOp],
-                            mats: dict[int, list[list[Q]]],
-                            commutators: Callable[[int], list[PolyDiffOp]],
-                            where: dict | None = None) -> int:
-    """Check [pi(Y), D_i] = sum_j F(Y)_ji D_j, with D = ops, commutators(Y)
-    the left sides and F(Y) built from the constant matrices M_g = mats[g]
-    on q (_contract, _structure_mismatches), for Y among the Chevalley
-    generators, then the hypothesis that makes them suffice
-    (_GENERATOR_REDUCTION, _require_q_representation); returns the identity
-    count.  where joins the failure witness."""
-    alg, where = s.alg, where or {}
-    contracted = _contract(s, ops, mats)
-    for y in alg.chevalley_generators:
-        bad = _structure_mismatches(s, y, commutators(y), contracted)
-        _ensure(not bad, vector=alg.names[y], column=bad[0] if bad else None,
-                mismatches=len(bad), **where)
-    _require_q_representation(s, mats, where)
-    return len(alg.chevalley_generators) * len(ops)
 
 
 @check("structure_operator", SCOPE,

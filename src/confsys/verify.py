@@ -22,6 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
+from math import lcm
 from pathlib import Path
 from time import perf_counter
 from typing import TYPE_CHECKING, Callable
@@ -330,8 +331,14 @@ def _levi_action(s: Session, elements: dict[int, Elt],
     subalgebra.  For Z the grading coroot h_gamma, [h_gamma, w] is grade(w)
     w and dchi(h_gamma) = 2, so it states that h_gamma acts on each element
     by the scalar 2s - 2 + grade(w).
+
+    The identity is linear in the elements, so it is checked on them scaled
+    once to ints over the lcm of their denominators.
     """
     alg, vm = s.alg, s.verma
+    den = lcm(*(c.denominator for e in elements.values() for c in e.values()))
+    elements = {w: {m: c.numerator * (den // c.denominator)
+                    for m, c in e.items()} for w, e in elements.items()}
     if acting is None:
         acting = {alg.names[z]: {z: 1} for z in alg.q_generators
                   if alg.grade[z] == 0}

@@ -766,10 +766,31 @@ def test_induced_bridge_cubic_catches_a_perturbed_action_entry(tmp_path):
     assert res.witness["mismatches"] == 1
 
 
-def test_reduced_operator_identities_hold_on_every_basis_vector(tmp_path):
-    # the exhaustive sweeps that structure_operator, induced_bridge_cubic and
-    # induced_bridge_small reduce to the Chevalley generators: [pi(Y), D_i]
-    # = sum_j F(Y)_ji D_j for every basis vector Y
+_FORMULAS = ("first_order_commutator_formula", "quadratic_commutator_formula")
+
+
+def _formula_identities(session, monkeypatch, perturb=None):
+    """Run the two commutator formulas, each passing (ops, mats, commutators)
+    to system._identity_on_generators, through perturb(name, mats) when
+    given; returns the results and the recorded arguments, by name."""
+    identity, recorded, results = system._identity_on_generators, {}, {}
+    for name in _FORMULAS:
+        def wrapper(s, ops, mats, commutators, where=None):
+            mats = perturb(name, mats) if perturb else mats
+            recorded[name] = ops, mats, commutators
+            return identity(s, ops, mats, commutators, where)
+        monkeypatch.setattr(system, "_identity_on_generators", wrapper)
+        results[name] = run_single(session, name)
+    monkeypatch.setattr(system, "_identity_on_generators", identity)
+    return results, recorded
+
+
+def test_reduced_operator_identities_hold_on_every_basis_vector(tmp_path,
+                                                                monkeypatch):
+    # the exhaustive sweeps that structure_operator, induced_bridge_cubic,
+    # induced_bridge_small and the first-order and quadratic commutator
+    # formulas reduce to the Chevalley generators: [pi(Y), D_i] = sum_j
+    # F(Y)_ji D_j for every basis vector Y
     session = _d4_session(tmp_path)
     alg, calc, vm = session.alg, session.calc, session.verma
     sstar = session.require_sstar()
@@ -794,7 +815,51 @@ def test_reduced_operator_identities_hold_on_every_basis_vector(tmp_path):
             assert not system._structure_mismatches(session, y, comms,
                                                     contracted), (y, s0)
     identities.append(3 * alg.dim * len(ops))
-    assert identities == [224, 224, 840]
+    results, recorded = _formula_identities(session, monkeypatch)
+    for name in _FORMULAS:
+        assert results[name].status == "pass"
+        ops, mats, commutators = recorded[name]
+        contracted = system._contract(session, ops, mats)
+        for y in range(alg.dim):
+            assert not system._structure_mismatches(session, y, commutators(y),
+                                                    contracted), (name, y)
+        identities.append(alg.dim * len(ops))
+    assert identities == [224, 224, 840, 280, 280]
+
+
+def test_commutator_formulas_match_the_explicit_nilradical_formulas(tmp_path):
+    # an oracle independent of the bracket-read matrices, for X in the
+    # nilradical at s*: [pi(X), R(Y_b)] is R of the grade -1 part of [A, Y_b]
+    # (its whole opposite-radical part for Y_b = X_-gamma) plus s* dchi of
+    # its parabolic part, and [pi(X), R(omega2(W))] is R(omega2) of the Levi
+    # part of [A, W] minus dchi(A_q) R(omega2(W)), for A = AdInv(X)
+    session = _d4_session(tmp_path)
+    alg, calc, ops = session.alg, session.calc, session.quadratic_ops
+    n, sstar, dchi = calc.ncoords, session.require_sstar(), alg.dchi_on_basis
+
+    def char(t, scale):
+        return [(c, calc.const(scale * dchi[i])) for i, c in t.items()
+                if alg.grade[i] >= 0 and dchi[i]]
+
+    pairs = [0, 0]
+    for x in alg.n_indices:
+        pi_x, adinv = session.pi_special(x), calc.ad_inverse(x)
+        for yb in alg.nbar_indices:
+            low = -2 if yb == alg.x_minus_gamma else -1
+            t = alg.bracket_elem(adinv, {yb: 1})
+            rhs = sum_products(n, [(c, calc.r_gen(i)) for i, c in t.items()
+                                   if low <= alg.grade[i] < 0]
+                               + char(t, sstar))
+            assert pi_x.commutator(calc.r_gen(yb)) == rhs, (x, yb)
+            pairs[0] += 1
+        minus_dchi = -sum_products(n, char(adinv, 1))
+        for w in alg.l_indices:
+            t = alg.bracket_elem(adinv, {w: 1})
+            rhs = sum_products(n, [(minus_dchi, ops[w])] + [
+                (c, ops[z]) for z, c in t.items() if alg.grade[z] == 0])
+            assert pi_x.commutator(ops[w]) == rhs, (x, w)
+            pairs[1] += 1
+    assert pairs == [81, 90]
 
 
 def test_structure_functions_are_flat(tmp_path):
@@ -809,8 +874,9 @@ def test_structure_functions_are_flat(tmp_path):
     alg, calc = session.alg, session.calc
     n, sstar = calc.ncoords, session.require_sstar()
     m = len(session.omega3_ops)
-    xi = {y: -calc.r_ext({j: c for j, c in calc.ad_inverse(y).items()
-                          if j < n}) for y in range(alg.dim)}
+    xi = {y: -sum_products(n, [(c, calc.r_gen(j))
+                               for j, c in calc.ad_inverse(y).items() if j < n])
+          for y in range(alg.dim)}
 
     def combine(terms):
         return sum_products(n, [(calc.const(c), op) for c, op in terms if c])
@@ -916,6 +982,57 @@ def test_induced_bridge_small_catches_a_perturbed_action_off_the_generators(
     assert res.status == "fail"
     assert res.witness["s"] == "5/2"
     assert _names_the_vector(session.alg, res.witness, g)
+
+
+def test_quadratic_commutator_formula_catches_a_perturbed_matrix_off_the_generators(
+        tmp_path, monkeypatch):
+    # M(X[1111]) enters no F(Y) of a Chevalley generator Y (AdInv(Y) has no
+    # component above Y's grade), so only the asserted hypothesis sees it
+    session = _d4_session(tmp_path)
+    alg = session.alg
+    g = alg.names.index("X[1111]")
+    assert g in alg.n_indices and g not in alg.chevalley_generators
+
+    def perturb(name, mats):
+        if name != "quadratic_commutator_formula":
+            return mats
+        mat = [list(row) for row in mats[g]]
+        mat[0][1] += 1
+        return {**mats, g: mat}
+
+    res = _formula_identities(session, monkeypatch, perturb)[0][
+        "quadratic_commutator_formula"]
+    assert res.status == "fail"
+    assert _names_the_vector(alg, res.witness, g)
+
+
+def test_pi_homomorphism_catches_a_perturbed_operator_the_formulas_do_not_read(
+        tmp_path):
+    # pi(X[1100]) + z in the symbolic memo: X[1100] is no Chevalley
+    # generator, so the two commutator formulas, reduced to the generators,
+    # never read it; the reduction's hypothesis pi_homomorphism does, first
+    # at the pair whose bracket is X[1100]
+    session = _d4_session(tmp_path)
+    alg, calc = session.alg, session.calc
+    bad = alg.names.index("X[1100]")
+    assert bad not in alg.chevalley_generators
+    calc._memo_pi_basis[(bad,)] = (calc.pi_basis(bad)
+                                   + calc.var(alg.x_minus_gamma))
+    for name in _FORMULAS:
+        assert run_single(session, name).status == "pass"
+    res = run_single(session, "pi_homomorphism")
+    assert res.status == "fail"
+    assert res.witness == {"pair": ["X[1000]", "X[0100]"]}
+
+
+@pytest.mark.parametrize("label", ["A2", "E6"])
+def test_system_scope_off_d4_raises_no_engine_error(tmp_path, label):
+    # a check that raises is reported as a failure with an "error" witness;
+    # on the system scopes without a unique special value every check must
+    # pass, fail or skip on its own terms
+    report = run_suite(SuiteConfig(type_label=label, expect_system=True,
+                                   cache_dir=str(tmp_path)))
+    assert [c.name for c in report.checks if "error" in c.witness] == []
 
 
 def test_nbar_commutant_catches_a_perturbed_right_action(tmp_path):
@@ -1058,7 +1175,8 @@ def test_d4_suite_work_counts(tmp_path, monkeypatch):
     # read at three s0), b matrices 152 (19 q vectors x 8 functionals: b is
     # read on q only); commutators: induced_bridge_small 80 (8 Chevalley
     # generators x 10, s symbolic), the cubic ones 64, pi_homomorphism 216,
-    # nbar_commutant 90 and the quadratic and first-order formulas 90 and 81;
+    # nbar_commutant 90 and the first-order and quadratic formulas 80 each (8
+    # Chevalley generators x 10 operators);
     # functionals 19 x 8; PBW products 673, with the recursion: the degree
     # floor reads the nbar bracket table, not products of nbar monomials
     from confsys import diffops, pbw, verma
@@ -1079,7 +1197,7 @@ def test_d4_suite_work_counts(tmp_path, monkeypatch):
     report = verify.run_suite(SuiteConfig(type_label="D4",
                                           cache_dir=str(tmp_path)))
     assert all(c.status == "pass" for c in report.checks)
-    assert counts == {"eliminate": 638, "commutator": 621,
+    assert counts == {"eliminate": 638, "commutator": 610,
                       "commutator_at_identity": 152, "mono_times_gen": 673}
 
 
@@ -1106,28 +1224,31 @@ def test_picture_consistency_catches_a_perturbed_quadratic_element(tmp_path):
 
 
 def test_quadratic_commutator_formula_catches_a_perturbed_operator(tmp_path):
-    # pi_special(x0) + z: only the pairs (x0, W) change, and among them
-    # first the one whose quadratic right action does not commute with z
+    # pi_special(x0) + z at the grade +1 Chevalley generator x0 fails both
+    # formulas at x0: z commutes with the operator 1 only, among the first-
+    # order right actions, and with no quadratic one
     session = _d4_session(tmp_path)
-    alg, calc, om = session.alg, session.calc, session.omega
-    assert run_single(session, "quadratic_commutator_formula").status == "pass"
-    x0 = alg.v_plus[3]
+    alg, calc = session.alg, session.calc
+    names = ("first_order_commutator_formula", "quadratic_commutator_formula")
+    assert all(run_single(session, name).status == "pass" for name in names)
+    x0 = alg.names.index("X[0100]")
+    assert x0 in alg.chevalley_generators and alg.grade[x0] == 1
     z = calc.var(alg.x_minus_gamma)
-    w = next(w for w in alg.l_indices
-             if z.commutator(calc.r_op(om.omega2_basis(w))))
     pi_special = session.pi_special
     session.pi_special = lambda i: pi_special(i) + z if i == x0 else pi_special(i)
-    res = run_single(session, "quadratic_commutator_formula")
-    assert res.status == "fail"
-    assert res.witness["pair"] == [alg.names[x0], alg.names[w]]
+    for name, mismatches in zip(names, (9, 10)):
+        res = run_single(session, name)
+        assert res.status == "fail"
+        assert (res.witness["vector"], res.witness["mismatches"]) \
+            == ("X[0100]", mismatches), name
 
 
 def test_quadratic_commutator_formula_catches_a_perturbed_quadratic_element(
         tmp_path):
-    # doubling the table entry R(omega2(W0)) changes a pair (X, W) only
-    # where W = W0 or W0 is in the Levi part of [AdInv(X), W]; the first
-    # pair to fail is one of the latter, where only the right-hand side reads
-    # the entry of W0
+    # doubling the table entry R(omega2(W0)) changes the column W of a
+    # Chevalley generator Y only where W = W0 or W0 is in the Levi part of
+    # [AdInv(Y), W]; the first column to fail is one of the latter, where
+    # only the right-hand side reads the entry of W0
     session = _d4_session(tmp_path)
     alg, calc = session.alg, session.calc
     assert run_single(session, "quadratic_commutator_formula").status == "pass"
@@ -1136,5 +1257,6 @@ def test_quadratic_commutator_formula_catches_a_perturbed_quadratic_element(
     session.quadratic_ops = {**ops, w0: ops[w0] * 2}
     res = run_single(session, "quadratic_commutator_formula")
     assert res.status == "fail"
-    x, w = (alg.names.index(name) for name in res.witness["pair"])
-    assert w != w0 and w0 in alg.bracket_elem(calc.ad_inverse(x), {w: 1})
+    y = alg.names.index(res.witness["vector"])
+    w = alg.l_indices[res.witness["column"]]
+    assert w != w0 and w0 in alg.bracket_elem(calc.ad_inverse(y), {w: 1})
