@@ -59,8 +59,8 @@ def _vanishing_at(s: Session, vectors, sstar: Q) -> int:
     return len(vectors) * m
 
 
-def _identity_matrix(n: int, c: Q) -> list[list[Q]]:
-    return [[c if i == j else Q(0) for j in range(n)] for i in range(n)]
+def _zero_matrix(n: int) -> list[list[Q]]:
+    return [[Q(0)] * n for _ in range(n)]
 
 
 def _shifted(alg: LieAlgebra, mats: dict[int, list[list[Q]]],
@@ -92,10 +92,7 @@ def _structure_mismatches(s: Session, y: int, comms: list[PolyDiffOp],
     extended linearly over the coefficient functions of the inverse adjoint
     series AdInv(Y) = Ad(nbar^{-1}) Y (only basis vectors with a matrix
     contribute), each given contracted with the D_r as E[g] (_contract), so
-    a column is one sum of products.  The b matrices without a shift give
-    the structure identity; the parabolic action matrices with shift -s,
-    the character term on the diagonal, give the induced-picture commutator
-    formula."""
+    a column is one sum of products."""
     n = s.calc.ncoords
     terms = [(cg, contracted[g]) for g, cg in s.calc.ad_inverse(y).items()
              if g in contracted]
@@ -435,7 +432,7 @@ def _chk_first_order_formula(s: Session) -> dict:
     alg, calc, n = s.alg, s.calc, s.calc.ncoords
     # coordinate b is basis index b, so R(X_b) is row b and 1 is row n
     ops = [calc.r_gen(b) for b in alg.nbar_indices] + [calc.identity_op()]
-    mats = {g: _identity_matrix(n + 1, Q(0)) for g in alg.q_indices}
+    mats = {g: _zero_matrix(n + 1) for g in alg.q_indices}
     for g, mat in mats.items():
         for b in alg.nbar_indices:
             for k, c in alg.table[g][b]:
@@ -462,7 +459,7 @@ def _chk_quadratic_formula(s: Session) -> dict:
     sstar = s.require_sstar()
     alg, levi = s.alg, s.alg.l_indices
     ops = [s.quadratic_ops[w] for w in levi]
-    mats = {g: _identity_matrix(len(levi), Q(0)) for g in alg.q_indices}
+    mats = {g: _zero_matrix(len(levi)) for g in alg.q_indices}
     for g in levi:
         for i, w in enumerate(levi):
             for z, c in alg.table[g][w]:
@@ -522,34 +519,41 @@ def _chk_pointwise_independence(s: Session) -> dict:
     return {"rank": span.rank, "support": len(span.col)}
 
 
-@check("b_matrix", SCOPE,
-       "At the special parameter value there is a matrix realization of the "
-       "parabolic on the cubic span: commutators of parabolic operators with "
-       "cubic operators close at the identity, the nilradical maps to zero, "
-       "the grading coroot maps to -3 times the identity, and parabolic "
-       "entries match the module action matrices shifted by the character; "
-       "the opposite radical needs no reading: its operators commute with "
-       "every right-action operator (nbar_commutant), so b is zero there, as "
-       "the operator identities also give at the identity, where F(Y) = "
-       "M(Y_q)")
-def _chk_b_matrix(s: Session) -> dict:
-    sstar = s.require_sstar()
-    alg = s.alg
-    m = len(s.omega3_ops)
-    bmats = s.b_matrices
-    zero = _identity_matrix(m, Q(0))
-    for u in alg.n_indices:
-        _ensure(bmats[u] == zero, vector=alg.names[u],
-                reason="nilradical must act by zero")
-    b_h = [[sum(c * bmats[i][r][k] for i, c in alg.h_gamma.items())
-            for k in range(m)] for r in range(m)]
-    _ensure(b_h == _identity_matrix(m, Q(-3)),
-            reason="grading coroot must act by -3")
-    expected = _shifted(alg, s.action_matrices_special, -sstar)
-    for g in alg.q_indices:
+def _b_is_shifted_action(s: Session) -> int:
+    """Check b(g) = M(g) for g among the generators of q, b read off the
+    point functionals and M the action matrices on the cubic span shifted by
+    -s* dchi; returns the generator count."""
+    alg, bmats = s.alg, s.b_matrices
+    expected = _shifted(alg, s.action_matrices_special, -s.require_sstar())
+    for g in alg.q_generators:
         _ensure(bmats[g] == expected[g], vector=alg.names[g],
                 reason="parabolic entry mismatch against module action")
-    return {"basis_vectors": len(bmats), "size": m,
+    return len(alg.q_generators)
+
+
+def _cubic_identity(s: Session) -> int:
+    """induced_bridge_cubic's identity; returns the identity count."""
+    m = len(s.omega3_ops)
+    return _identity_on_generators(
+        s, s.omega3_ops,
+        _shifted(s.alg, s.action_matrices_special, -s.require_sstar()),
+        lambda y: [s.cubic_commutator(y, i) for i in range(m)])
+
+
+@check("b_matrix", SCOPE,
+       "At the special parameter value there is a matrix realization b of "
+       "the parabolic on the cubic span: for each generator g of q the "
+       "commutators of its operator with the cubic operators close on them "
+       "at the identity, by b(g), and b(g) is M(g), the module action matrix "
+       "shifted by -s* dchi(g); b(Y) = M(Y_q) for every other basis vector Y "
+       "is a corollary of induced_bridge_cubic read at the identity, where "
+       "AdInv(Y) = Y, and pointwise_independence: so the nilradical maps to "
+       "zero, as M does (reducibility_witness), the grading coroot to -3 "
+       "times the identity, 2s* - 3 (cubic_weight_at_special) shifted by "
+       "-2s*, and the opposite radical to zero")
+def _chk_b_matrix(s: Session) -> dict:
+    sstar = s.require_sstar()
+    return {"generators": _b_is_shifted_action(s), "size": len(s.omega3_ops),
             "coroot_scalar": "-3", "at": qstr(sstar)}
 
 
@@ -557,16 +561,15 @@ def _chk_b_matrix(s: Session) -> dict:
        "The full commutator identity holds as polynomial differential "
        "operators: for every basis vector Y, the commutator with each cubic "
        "operator D_i equals the cubic operators weighted by the matrix-valued "
-       "structure function F(Y) = sum_g AdInv(Y)_g M_g, the constant matrix "
-       "realization M = b composed with the inverse adjoint transport"
-       + _GENERATOR_REDUCTION)
+       "structure function F(Y) = sum_g AdInv(Y)_g b(g), the matrix "
+       "realization b composed with the inverse adjoint transport; it "
+       "restates induced_bridge_cubic, whose identity it runs: b is that "
+       "check's M on the generators of q, as the check asserts, and on the "
+       "rest of q, as the b_matrix statement derives" + _GENERATOR_REDUCTION)
 def _chk_structure_operator(s: Session) -> dict:
     sstar = s.require_sstar()
-    m = len(s.omega3_ops)
-    return {"identities": _identity_on_generators(
-                s, s.omega3_ops, s.b_matrices,
-                lambda y: [s.cubic_commutator(y, i) for i in range(m)]),
-            "at": qstr(sstar)}
+    _b_is_shifted_action(s)
+    return {"identities": _cubic_identity(s), "at": qstr(sstar)}
 
 
 @check("induced_bridge_small", SCOPE,
@@ -601,12 +604,7 @@ def _chk_bridge_small(s: Session) -> dict:
        "shifted by -s* dchi(g)" + _GENERATOR_REDUCTION)
 def _chk_bridge_cubic(s: Session) -> dict:
     sstar = s.require_sstar()
-    m = len(s.omega3_ops)
-    return {"identities": _identity_on_generators(
-                s, s.omega3_ops, _shifted(s.alg, s.action_matrices_special,
-                                          -sstar),
-                lambda y: [s.cubic_commutator(y, i) for i in range(m)]),
-            "at": qstr(sstar)}
+    return {"identities": _cubic_identity(s), "at": qstr(sstar)}
 
 
 @check("reducibility_witness", SCOPE,

@@ -181,11 +181,13 @@ class Session:
     def symbolic_functionals(self) -> dict[tuple[int, int], tuple[int, dict]]:
         """Point functionals at the identity of [pi(X), R(w3_k)], s symbolic,
         as int pairs (den, {derivative: (a0, a1)}) meaning (a0 + s*a1)/den,
-        keyed (X, k) for X over the parabolic q: no reader reads an
-        opposite-radical row (see the b_matrix statement)."""
+        keyed (X, k) for X over the nilradical, the rows main_vanishing,
+        center_vanishing and operator_special_value_set read, then the
+        generators of q, the rows b_matrices reads: b on the rest of g is a
+        corollary (see the b_matrix statement)."""
         from .diffops import commutator_at_identity
         out = {}
-        for xi in self.alg.q_indices:
+        for xi in dict.fromkeys(self.alg.n_indices + self.alg.q_generators):
             pi_x = self.calc.pi_basis(xi)
             for k, op in enumerate(self.omega3_ops):
                 out[(xi, k)] = commutator_at_identity(pi_x, op)
@@ -230,16 +232,15 @@ class Session:
 
     @cached_property
     def b_matrices(self) -> dict[int, list[list[Q]]]:
-        """For every parabolic basis vector Y the matrix b(Y) with [pi(Y),
-        D_i] = sum_j b(Y)_{ji} D_j as point functionals at the identity, at
-        the special parameter value.  Each column is the symbolic functional
-        of the commutator (symbolic_functionals), reduced against the span
-        and read at s*, so no commutator is formed; the operator identity
-        itself is the structure_operator check, and the b_matrix statement
-        says why the opposite radical needs no matrix."""
+        """For every generator Y of q the matrix b(Y) with [pi(Y), D_i] =
+        sum_j b(Y)_{ji} D_j as point functionals at the identity, at the
+        special parameter value.  Each column is the symbolic functional of
+        the commutator (symbolic_functionals), reduced against the span and
+        read at s*, so no commutator is formed; the b_matrix statement says
+        why b on the rest of g needs no reading."""
         sstar, span = self.require_sstar(), self.functional_span
         funcs, out = self.symbolic_functionals, {}
-        for y in self.alg.q_indices:
+        for y in self.alg.q_generators:
             cols = [span.coordinates(span.eliminate(*funcs[(y, k)]), sstar)
                     for k in range(len(self.omega3_ops))]
             if None in cols:

@@ -17,7 +17,7 @@ import pytest
 
 from conftest import random_dual_bases
 from confsys.diffops import PolyDiffOp
-from confsys.linalg import rank
+from confsys.linalg import rank, solve
 from confsys.pbw import elt_add, elt_scale, elt_sub, monomials_up_to
 from confsys.system import weighted_degree
 from confsys.verify import Session, SuiteConfig
@@ -159,18 +159,30 @@ def test_criterion_06_operator_picture(ses):
             for op in ses.omega3_ops:
                 assert not pi_x.commutator(op)
         # the eight cubic operators are linearly independent at the identity
-        funcs = [op.at_identity() for op in ses.omega3_ops]
-        assert not any(a1 for _, func in funcs for _, a1 in func.values())
-        ders = sorted({d for _, func in funcs for d in func})
-        mat = [[Q(func[d][0], den) if d in func else Q(0) for den, func in funcs]
-               for d in ders]
-        assert rank(mat) == m
-        # a matrix realization b of q exists (solved uniquely from the
-        # commutators, read on q only); the structure function C(Y) =
-        # b(AdInv(Y)_q) reproduces the full commutator identity on a seeded
-        # sample of basis vectors
-        bmats = ses.b_matrices
-        assert sorted(bmats) == sorted(alg.q_indices)
+        def s_free(op):
+            den, func = op.at_identity()
+            assert not any(a1 for _, a1 in func.values())
+            return {d: Q(a0, den) for d, (a0, _) in func.items()}
+
+        op_funcs = [s_free(op) for op in ses.omega3_ops]
+        ders = sorted({d for f in op_funcs for d in f})
+        assert rank([[f.get(d, Q(0)) for f in op_funcs] for d in ders]) == m
+        # a matrix realization b of q exists: for every q basis vector Y the
+        # point functionals of the commutators at s* solve (uniquely, by the
+        # rank above) against the cubic operators' ones; b(h_gamma) = -3 and
+        # the structure function C(Y) = b(AdInv(Y)_q) reproduces the full
+        # commutator identity on a seeded sample of basis vectors
+        bmats = {}
+        for y in alg.q_indices:
+            cols = []
+            for i in range(m):
+                comm = s_free(ses.cubic_commutator(y, i))
+                keys = sorted(set(ders) | set(comm))
+                col = solve([[f.get(d, Q(0)) for f in op_funcs] for d in keys],
+                            [comm.get(d, Q(0)) for d in keys])
+                assert col is not None, (y, i)
+                cols.append(col)
+            bmats[y] = [list(row) for row in zip(*cols)]
         bh = [[sum(c * bmats[i][r][k] for i, c in alg.h_gamma.items())
                for k in range(m)] for r in range(m)]
         assert bh == [[Q(-3) if r == k else Q(0) for k in range(m)]

@@ -288,10 +288,12 @@ def test_cubic_equivariance_catches_an_action_wrong_off_the_special_value(
 
 
 def test_b_matrices_match_dense_solve_reference(tmp_path):
-    # the reference: for each basis vector Y, the dense matrix of the cubic
-    # operators' point functionals over every derivative multi-index that
-    # occurs, and one linalg.solve per commutator column.  b is read on q
-    # only; on the opposite radical the reference columns are all zero
+    # the corollary b(Y) = M(Y_q) that the b_matrix statement derives, on
+    # every basis vector Y: the dense matrix of the cubic operators' point
+    # functionals over every derivative multi-index that occurs, and one
+    # linalg.solve per commutator column, give the action matrices at s*
+    # shifted by -s* dchi on q and zero on the opposite radical.  Session
+    # reads b on the generators of q only, and there it is that solve
     def s_free(op):
         den, func = op.at_identity()
         assert not any(a1 for _, a1 in func.values())
@@ -301,17 +303,19 @@ def test_b_matrices_match_dense_solve_reference(tmp_path):
     alg = session.alg
     funcs = [s_free(op) for op in session.omega3_ops]
     m = len(funcs)
+    shifted = system._shifted(alg, session.action_matrices_special,
+                              -session.require_sstar())
     bmats = session.b_matrices
-    assert list(bmats) == list(alg.q_indices)
+    assert list(bmats) == list(alg.q_generators)
     for y in range(alg.dim):
         comms = [s_free(session.cubic_commutator(y, i)) for i in range(m)]
         ders = sorted({d for f in funcs + comms for d in f})
         mat = [[f.get(d, Q(0)) for f in funcs] for d in ders]
-        for i, comm in enumerate(comms):
-            vec = [comm.get(d, Q(0)) for d in ders]
-            want = ([bmats[y][j][i] for j in range(m)] if y in bmats
-                    else [Q(0)] * m)
-            assert want == solve(mat, vec), (y, i)
+        cols = [solve(mat, [comm.get(d, Q(0)) for d in ders]) for comm in comms]
+        b = [list(row) for row in zip(*cols)]
+        assert b == shifted.get(y, [[Q(0)] * m for _ in range(m)]), y
+        if y in bmats:
+            assert bmats[y] == b, y
     assert any(c for bmat in bmats.values() for row in bmat for c in row)
 
 
@@ -741,16 +745,21 @@ def test_dual_first_contraction_matches_per_dual_vector_reference(tmp_path,
 
 
 def test_structure_operator_catches_a_perturbed_b_matrix_entry(tmp_path):
+    # b at a generator of q is read, and compared with the shifted action,
+    # by both checks
     session = _d4_session(tmp_path)
-    assert run_single(session, "structure_operator").status == "pass"
+    names = ("b_matrix", "structure_operator")
+    assert all(run_single(session, name).status == "pass" for name in names)
     g = session.alg.v_plus[0]
+    assert g in session.alg.q_generators
     bmats = {y: [list(row) for row in mat]
              for y, mat in session.b_matrices.items()}
     bmats[g][1][2] += 1
     session.b_matrices = bmats
-    res = run_single(session, "structure_operator")
-    assert res.status == "fail"
-    assert res.witness["column"] == 2
+    for name in names:
+        res = run_single(session, name)
+        assert res.status == "fail", name
+        assert res.witness["vector"] == session.alg.names[g], name
 
 
 def test_induced_bridge_cubic_catches_a_perturbed_action_entry(tmp_path):
@@ -787,23 +796,22 @@ def _formula_identities(session, monkeypatch, perturb=None):
 
 def test_reduced_operator_identities_hold_on_every_basis_vector(tmp_path,
                                                                 monkeypatch):
-    # the exhaustive sweeps that structure_operator, induced_bridge_cubic,
-    # induced_bridge_small and the first-order and quadratic commutator
-    # formulas reduce to the Chevalley generators: [pi(Y), D_i] = sum_j
-    # F(Y)_ji D_j for every basis vector Y
+    # the exhaustive sweeps that induced_bridge_cubic (which
+    # structure_operator restates: b is the shifted action matrices, as the
+    # dense-solve oracle shows), induced_bridge_small and the first-order and
+    # quadratic commutator formulas reduce to the Chevalley generators:
+    # [pi(Y), D_i] = sum_j F(Y)_ji D_j for every basis vector Y
     session = _d4_session(tmp_path)
     alg, calc, vm = session.alg, session.calc, session.verma
     sstar = session.require_sstar()
     m = len(session.omega3_ops)
-    identities = []
-    for mats in (session.b_matrices, system._shifted(
-            alg, session.action_matrices_special, -sstar)):
-        contracted = system._contract(session, session.omega3_ops, mats)
-        for y in range(alg.dim):
-            comms = [session.cubic_commutator(y, i) for i in range(m)]
-            assert not system._structure_mismatches(session, y, comms,
-                                                    contracted), y
-        identities.append(alg.dim * m)
+    contracted = system._contract(session, session.omega3_ops, system._shifted(
+        alg, session.action_matrices_special, -sstar))
+    for y in range(alg.dim):
+        comms = [session.cubic_commutator(y, i) for i in range(m)]
+        assert not system._structure_mismatches(session, y, comms,
+                                                contracted), y
+    identities = [alg.dim * m]
     ops = [calc.r_gen(i) for i in alg.nbar_indices] + [calc.identity_op()]
     for s0 in (sstar, Q(0), Q(5, 2)):
         contracted = system._contract(session, ops, system._shifted(alg, {
@@ -824,7 +832,7 @@ def test_reduced_operator_identities_hold_on_every_basis_vector(tmp_path,
             assert not system._structure_mismatches(session, y, commutators(y),
                                                     contracted), (name, y)
         identities.append(alg.dim * len(ops))
-    assert identities == [224, 224, 840, 280, 280]
+    assert identities == [224, 840, 280, 280]
 
 
 def test_commutator_formulas_match_the_explicit_nilradical_formulas(tmp_path):
@@ -866,8 +874,9 @@ def test_structure_functions_are_flat(tmp_path):
     # the generator reduction's hypothesis, checked on operators: rho(Y) =
     # xi_Y + F(Y) on C^m-valued functions, xi_Y the vector-field part of
     # pi(Y) and F(Y) = sum_g AdInv(Y)_g M_g, satisfies [rho(Y), rho(Z)] =
-    # rho([Y, Z]) for M = b and for the action matrices at s* shifted by
-    # -s* dchi, over every (Chevalley generator, basis vector) pair.  The
+    # rho([Y, Z]) for M the action matrices at s* shifted by -s* dchi, which
+    # b equals (the dense-solve oracle), over every (Chevalley generator,
+    # basis vector) pair.  The
     # commutator of the two operator matrices is [xi_Y, xi_Z] on the
     # diagonal plus the function matrix xi_Y F(Z) - xi_Z F(Y) + [F(Y), F(Z)]
     session = _d4_session(tmp_path)
@@ -886,35 +895,30 @@ def test_structure_functions_are_flat(tmp_path):
             if z != g:
                 assert xi[g].commutator(xi[z]) == combine(
                     (c, xi[k]) for k, c in alg.table[g][z]), (g, z)
-    for mats, shift in ((session.b_matrices, Q(0)),
-                        (session.action_matrices_special, -sstar)):
-        def entry(g, r, k):
-            c = mats[g][r][k]
-            return c + shift * alg.dchi_on_basis[g] if shift and r == k else c
-
-        f = {y: [[sum_products(n, [(c, calc.const(entry(g, r, k)))
-                                   for g, c in calc.ad_inverse(y).items()
-                                   if g in mats and entry(g, r, k)])
-                  for k in range(m)] for r in range(m)]
-             for y in range(alg.dim)}
-        pairs = 0
-        for g in alg.chevalley_generators:
-            for z in range(alg.dim):
-                if z == g:
-                    continue
-                for r in range(m):
-                    for k in range(m):
-                        got = (xi[g].commutator(f[z][r][k])
-                               - xi[z].commutator(f[g][r][k])
-                               + sum_products(n, [
-                                   p for j in range(m) for p in
-                                   ((f[g][r][j], f[z][j][k]),
-                                    (-f[z][r][j], f[g][j][k]))]))
-                        assert got == combine(
-                            (c, f[w][r][k]) for w, c in alg.table[g][z]), \
-                            (g, z, r, k)
-                pairs += 1
-        assert pairs == 216
+    mats = system._shifted(alg, session.action_matrices_special, -sstar)
+    f = {y: [[sum_products(n, [(c, calc.const(mats[g][r][k]))
+                               for g, c in calc.ad_inverse(y).items()
+                               if g in mats and mats[g][r][k]])
+              for k in range(m)] for r in range(m)]
+         for y in range(alg.dim)}
+    pairs = 0
+    for g in alg.chevalley_generators:
+        for z in range(alg.dim):
+            if z == g:
+                continue
+            for r in range(m):
+                for k in range(m):
+                    got = (xi[g].commutator(f[z][r][k])
+                           - xi[z].commutator(f[g][r][k])
+                           + sum_products(n, [
+                               p for j in range(m) for p in
+                               ((f[g][r][j], f[z][j][k]),
+                                (-f[z][r][j], f[g][j][k]))]))
+                    assert got == combine(
+                        (c, f[w][r][k]) for w, c in alg.table[g][z]), \
+                        (g, z, r, k)
+            pairs += 1
+    assert pairs == 216
 
 
 def _perturbed_off_the_generators(session):
@@ -934,21 +938,6 @@ def _names_the_vector(alg, witness, g):
     return g in (x, h) or g in dict(alg.table[x][h])
 
 
-def test_structure_operator_catches_a_perturbed_b_matrix_off_the_generators(
-        tmp_path):
-    # b(g) enters no F(Y) of a Chevalley generator Y, so only the asserted
-    # hypothesis (b a representation of q) sees the change
-    session = _d4_session(tmp_path)
-    g = _perturbed_off_the_generators(session)
-    bmats = {y: [list(row) for row in mat]
-             for y, mat in session.b_matrices.items()}
-    bmats[g][1][2] += 1
-    session.b_matrices = bmats
-    res = run_single(session, "structure_operator")
-    assert res.status == "fail"
-    assert _names_the_vector(session.alg, res.witness, g)
-
-
 def test_induced_bridge_cubic_catches_a_perturbed_action_off_the_generators(
         tmp_path):
     session = _d4_session(tmp_path)
@@ -957,9 +946,13 @@ def test_induced_bridge_cubic_catches_a_perturbed_action_off_the_generators(
               for x, mat in session.action_matrices_special.items()}
     action[g][3][0] -= Q(1, 2)
     session.action_matrices_special = action
-    res = run_single(session, "induced_bridge_cubic")
-    assert res.status == "fail"
-    assert _names_the_vector(session.alg, res.witness, g)
+    # M(g) enters no F(Y) of a Chevalley generator Y, and b is not read at
+    # g, so only the asserted hypothesis (M a representation of q) sees the
+    # change, in both checks that run the cubic identity
+    for name in ("induced_bridge_cubic", "structure_operator"):
+        res = run_single(session, name)
+        assert res.status == "fail", name
+        assert _names_the_vector(session.alg, res.witness, g), name
 
 
 def test_induced_bridge_small_catches_a_perturbed_action_off_the_generators(
@@ -1156,6 +1149,7 @@ def test_b_matrix_reads_levi_functionals_the_special_value_set_does_not(
     session = _d4_session(tmp_path)
     alg = session.alg
     z, k = alg.l_indices[0], 2
+    assert z in alg.q_generators
     funcs = dict(session.symbolic_functionals)
     den, func = funcs[(z, k)]
     d0 = next(iter(session.functional_span.col))
@@ -1172,13 +1166,15 @@ def test_b_matrix_reads_levi_functionals_the_special_value_set_does_not(
 def test_d4_suite_work_counts(tmp_path, monkeypatch):
     # eliminations: stability 64 (cubic span) + 80 (first-level span), action
     # matrices 152, induced_bridge_small 190 (19 q vectors x 10 generators,
-    # read at three s0), b matrices 152 (19 q vectors x 8 functionals: b is
-    # read on q only); commutators: induced_bridge_small 80 (8 Chevalley
-    # generators x 10, s symbolic), the cubic ones 64, pi_homomorphism 216,
-    # nbar_commutant 90 and the first-order and quadratic formulas 80 each (8
-    # Chevalley generators x 10 operators);
-    # functionals 19 x 8; PBW products 673, with the recursion: the degree
-    # floor reads the nbar bracket table, not products of nbar monomials
+    # read at three s0), b matrices 64 (8 q generators x 8 functionals: b is
+    # read on the generators of q only); commutators: induced_bridge_small 80
+    # (8 Chevalley generators x 10, s symbolic), the cubic ones 64, formed
+    # once for induced_bridge_cubic and structure_operator, pi_homomorphism
+    # 216, nbar_commutant 90 and the first-order and quadratic formulas 80
+    # each (8 Chevalley generators x 10 operators); functionals 16 x 8 (the 9
+    # nilradical rows and the 8 generators of q share one); PBW products 673,
+    # with the recursion: the degree floor reads the nbar bracket table, not
+    # products of nbar monomials
     from confsys import diffops, pbw, verma
     counts = {}
 
@@ -1197,8 +1193,8 @@ def test_d4_suite_work_counts(tmp_path, monkeypatch):
     report = verify.run_suite(SuiteConfig(type_label="D4",
                                           cache_dir=str(tmp_path)))
     assert all(c.status == "pass" for c in report.checks)
-    assert counts == {"eliminate": 638, "commutator": 610,
-                      "commutator_at_identity": 152, "mono_times_gen": 673}
+    assert counts == {"eliminate": 550, "commutator": 610,
+                      "commutator_at_identity": 128, "mono_times_gen": 673}
 
 
 def _doubled_at(fn, bad):
