@@ -60,18 +60,20 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
 
 
 def common_root(pairs: Iterable[tuple[Q, Q]]) -> tuple[int, Q | None]:
-    """The gcd of the affine polynomials a0 + a1*s over the pairs (a0, a1),
-    as (degree, root).
+    """The gcd of the affine polynomials a0 + a1*s over the pairs (a0, a1)
+    of ints or rationals, as (degree, root).
 
     With no nonzero pair the gcd is zero: (-1, None), every s is a root.
-    Otherwise the only candidate root is -a0/a1 of the first pair with
-    a1 != 0; if every pair vanishes there the gcd is s - s0: (1, s0), and
-    else (also when every pair is a nonzero constant) it is 1: (0, None).
+    Otherwise the only candidate root is s0 = p/q = -a0/a1 of the first pair
+    with a1 != 0, the one Fraction formed; if q*a0 + p*a1 vanishes for every
+    pair the gcd is s - s0: (1, s0), and else (also when every pair is a
+    nonzero constant) it is 1: (0, None).
     """
     pairs = [(a0, a1) for a0, a1 in pairs if a0 or a1]
     if not pairs:
         return -1, None
-    s0 = next((-Q(a0) / a1 for a0, a1 in pairs if a1), None)
-    if s0 is not None and all(a0 + a1 * s0 == 0 for a0, a1 in pairs):
+    s0 = next((Q(-a0, a1) for a0, a1 in pairs if a1), None)
+    if s0 is not None and all(s0.denominator * a0 + s0.numerator * a1 == 0
+                              for a0, a1 in pairs):
         return 1, s0
     return 0, None

@@ -8,10 +8,12 @@ contracted over a basis w of V+ and its dual basis w* of V- under the
 invariant form.  Both maps are linear and exact over Q, and their elements
 hold no zero coefficient.
 
-Arithmetic: omega2_ints memoizes each Levi basis vector's quadratic element
-as int numerators over OMEGA2_DEN = 4 (the 1/2 on the pairing times the 1/2
-twist of dchi); omega2 and omega3_from_basis sum int numerators over one lcm
-denominator and build one Fraction per coefficient they return.
+Arithmetic: every factor lies in U(nbar), so the maps multiply by its
+closed-form product pbw.heisenberg_times.  omega2_ints memoizes each Levi
+basis vector's quadratic element as int numerators over OMEGA2_DEN = 4 (the
+1/2 on the pairing times the 1/2 twist of dchi); omega2 and
+omega3_from_basis sum int numerators over one lcm denominator and build one
+Fraction per coefficient they return.
 
 Normalization: the quadratic map is fixed only up to a global nonzero scalar
 by the identities it must satisfy (all of them are homogeneous in it); the
@@ -26,7 +28,7 @@ from math import lcm
 
 from .liealg import LieAlgebra
 from .memo import memo
-from .pbw import Elt, Enveloping, Mono
+from .pbw import Elt, Mono, heisenberg_times
 
 OMEGA2_DEN = 4
 
@@ -34,9 +36,8 @@ OMEGA2_DEN = 4
 class OmegaSystem:
     """The quadratic and cubic maps for one algebra, Verma-module side."""
 
-    def __init__(self, env: Enveloping):
-        self.env = env
-        self.alg: LieAlgebra = env.alg
+    def __init__(self, alg: LieAlgebra):
+        self.alg = alg
         # For each X_b of V+ with partner X_c, [X_b, X_c] = N X_gamma:
         # (index of X_-c, index of X_-b, N).
         opposite = self.alg.opposite
@@ -51,7 +52,7 @@ class OmegaSystem:
     def omega2_ints(self, i: int) -> dict[Mono, int]:
         """Numerators over OMEGA2_DEN of the quadratic element of the i-th Lie
         algebra basis vector; raises unless it is in l."""
-        env, alg = self.env, self.alg
+        alg = self.alg
         if alg.grade[i] != 0:
             raise ValueError(f"basis index {i} is not in the Levi factor")
         dchi = alg.dchi_on_basis[i]
@@ -62,7 +63,7 @@ class OmegaSystem:
             if dchi:
                 t[mcomp_idx] = t.get(mcomp_idx, 0) + dchi
             for j, cj in t.items():
-                _add_into(out, env.mono_mul(((j, 1),), ((mb_idx, 1),)),
+                _add_into(out, heisenberg_times(alg, j, ((mb_idx, 1),)),
                           -pair_n * cj)
         return out
 
@@ -124,10 +125,10 @@ class OmegaSystem:
                 for c, b in wstar.items():
                     _add_into(inner.setdefault(c, {}), w2,
                               b.numerator * (den // (d * b.denominator)))
-        mono_mul, out = self.env.mono_mul, {}
+        out: dict[Mono, int] = {}
         for c, acc in inner.items():
             for m, n in acc.items():
-                _add_into(out, mono_mul(((c, 1),), m), n)
+                _add_into(out, heisenberg_times(self.alg, c, m), n)
         return {m: Q(n, den) for m, n in out.items()}
 
 

@@ -7,7 +7,8 @@ pair of them).
 Products are normal ordered with the rewriting rule  x y = y x + [x, y]  and
 never increase the filtration degree.  The rule never divides, so with the
 integer structure constants of the Chevalley basis every normal-ordering
-coefficient is an int.
+coefficient is an int.  Inside U(nbar), a Heisenberg algebra, the product
+of a generator and a monomial has a closed form (heisenberg_times).
 """
 
 from __future__ import annotations
@@ -35,11 +36,42 @@ def mono_word(m: Mono) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _mono_append(m: Mono, g: int) -> Mono:
-    """Append generator g to a monomial whose largest index is <= g."""
-    if m and m[-1][0] == g:
-        return m[:-1] + ((g, m[-1][1] + 1),)
+def _insert(m: Mono, g: int) -> Mono:
+    """m with one more factor g, in its sorted place: the product m * X_g
+    when X_g commutes with every factor of m."""
+    for k, (i, e) in enumerate(m):
+        if i == g:
+            return m[:k] + ((g, e + 1),) + m[k + 1:]
+        if i > g:
+            return m[:k] + ((g, 1),) + m[k:]
     return m + ((g, 1),)
+
+
+def heisenberg_times(alg: LieAlgebra, x: int, m: Mono) -> dict[Mono, int]:
+    """Y_x * m in U(nbar) for an nbar generator Y_x and an nbar monomial m.
+
+    nbar is a Heisenberg algebra: Z = X_-gamma (index 0) is central, and the
+    one nonzero bracket of Y_x is [Y_x, Y_p] = n Z, (p, n) = alg.partner[x].
+    So Y_x moves to its PBW place past every factor but Y_p^e, where
+    Y_x Y_p^e = Y_p^e Y_x + e n Z Y_p^(e-1):
+
+      Y_x * m = ins(m, x) + [p < x and p in m] e n ins(m - Y_p, Z),
+
+    at most two terms, with int coefficients, like Enveloping.mono_mul.
+    """
+    out = {_insert(m, x): 1}
+    if x == alg.x_minus_gamma:
+        return out
+    p, n = alg.partner[x]
+    if p > x:
+        return out
+    for k, (i, e) in enumerate(m):
+        if i == p:
+            rest = m[:k] + (((p, e - 1),) if e > 1 else ()) + m[k + 1:]
+            out[_insert(rest, alg.x_minus_gamma)] = e * n
+        if i >= p:
+            break
+    return out
 
 
 def elt_add(a: Elt, b: Elt) -> Elt:
@@ -84,7 +116,7 @@ class Enveloping:
     def mono_times_gen(self, m: Mono, g: int) -> dict[Mono, int]:
         """Normal-ordered product (monomial) * X_g with integer coefficients."""
         if not m or m[-1][0] <= g:
-            return {_mono_append(m, g): 1}
+            return {_insert(m, g): 1}
         key = (m, g)
         cached = self._rmul_memo.get(key)
         if cached is not None:
@@ -159,6 +191,6 @@ def monomials_up_to(indices: tuple[int, ...], degree: int) -> list[Mono]:
         for combo in combinations_with_replacement(sorted(indices), d):
             mono: Mono = ()
             for g in combo:
-                mono = _mono_append(mono, g)
+                mono = _insert(mono, g)
             out.append(mono)
     return out

@@ -20,8 +20,8 @@ from .liealg import LieAlgebra
 from .linalg import common_root
 from .pbw import Elt, elt_add, elt_scale, monomials_up_to
 from .report import qstr
-from .verify import (CheckFailure, Session, _contraction_data, _ensure,
-                     _expected, _levi_action, check)
+from .verify import (CheckFailure, Session, _as_ints, _contraction_data,
+                     _ensure, _expected, _levi_action, check)
 from .verma import elt_subs
 
 SCOPE = "system"
@@ -35,8 +35,8 @@ def weighted_degree(alg: LieAlgebra, m) -> int:
 
 def _nil_annihilation(s: Session, elements: dict[int, Elt], s0: Q) -> int:
     """Check that every nilradical basis vector annihilates every element at
-    s0; returns the pair count."""
-    alg, vm = s.alg, s.verma
+    s0, in ints (_as_ints); returns the pair count."""
+    alg, vm, elements = s.alg, s.verma, _as_ints(elements)
     for u in alg.n_indices:
         for w, e in elements.items():
             _ensure(not elt_subs(vm.act_basis(u, e), s0),
@@ -552,9 +552,16 @@ def _cubic_identity(s: Session) -> int:
        "times the identity, 2s* - 3 (cubic_weight_at_special) shifted by "
        "-2s*, and the opposite radical to zero")
 def _chk_b_matrix(s: Session) -> dict:
-    sstar = s.require_sstar()
-    return {"generators": _b_is_shifted_action(s), "size": len(s.omega3_ops),
-            "coroot_scalar": "-3", "at": qstr(sstar)}
+    sstar, alg, n = s.require_sstar(), s.alg, len(s.omega3_ops)
+    generators = _b_is_shifted_action(s)
+    mats = _shifted(alg, s.action_matrices_special, -sstar)
+    coroot = [[sum(c * mats[k][r][i] for k, c in alg.h_gamma.items())
+               for i in range(n)] for r in range(n)]
+    scalar = coroot[0][0]
+    _ensure(coroot == [[scalar * (r == i) for i in range(n)] for r in range(n)],
+            vector="h_gamma", reason="the grading coroot is not a scalar")
+    return {"generators": generators, "size": n,
+            "coroot_scalar": qstr(scalar), "at": qstr(sstar)}
 
 
 @check("structure_operator", SCOPE,
@@ -628,19 +635,18 @@ def _chk_reducibility(s: Session) -> dict:
     # equivariance of u tensor f -> u . f on the Chevalley generators:
     # parabolic vectors act through the action matrices, opposite-radical
     # vectors act by left multiplication
-    checked = 0
+    checked, gens = 0, list(_as_ints(s.cubic_elements).values())
     for y in alg.chevalley_generators:
         for k in range(m):
-            got = elt_subs(vm.act_basis(y, s.omega3_gens[k]), sstar)
+            got = elt_subs(vm.act_basis(y, gens[k]), sstar)
             if alg.grade[y] >= 0:
                 expected: Elt = {}
                 for r in range(m):
                     c = action[y][r][k]
                     if c:
-                        expected = elt_add(expected,
-                                           elt_scale(s.omega3_gens[r], c))
+                        expected = elt_add(expected, elt_scale(gens[r], c))
             else:
-                expected = env.mul(env.gen(y), s.omega3_gens[k])
+                expected = env.mul(env.gen(y), gens[k])
             _ensure(got == expected, vector=alg.names[y], column=k)
             checked += 1
     # every bracket of two opposite-radical generators lies in nbar with the

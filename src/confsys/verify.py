@@ -128,7 +128,7 @@ class Session:
 
     @cached_property
     def omega(self) -> OmegaSystem:
-        return OmegaSystem(self.env)
+        return OmegaSystem(self.alg)
 
     @cached_property
     def calc(self) -> OperatorCalculus:
@@ -317,6 +317,14 @@ def _contraction_data(s: Session):
     return ratios, nonzero_pairs, zero_anomalies, proportional
 
 
+def _as_ints(elements: dict[int, Elt]) -> dict[int, Elt]:
+    """The elements scaled once to ints over the lcm of their denominators,
+    so that the module action on them runs in ints."""
+    den = lcm(*(c.denominator for e in elements.values() for c in e.values()))
+    return {w: {m: c.numerator * (den // c.denominator) for m, c in e.items()}
+            for w, e in elements.items()}
+
+
 def _levi_action(s: Session, elements: dict[int, Elt],
                  acting: dict[str, dict[int, int]] | None = None) -> dict:
     """Check Z.e_w = e_[Z,w] - dchi(Z) e_w + s dchi(Z) e_w, with s symbolic,
@@ -333,13 +341,9 @@ def _levi_action(s: Session, elements: dict[int, Elt],
     w and dchi(h_gamma) = 2, so it states that h_gamma acts on each element
     by the scalar 2s - 2 + grade(w).
 
-    The identity is linear in the elements, so it is checked on them scaled
-    once to ints over the lcm of their denominators.
+    The identity is linear in the elements, so it is checked on _as_ints.
     """
-    alg, vm = s.alg, s.verma
-    den = lcm(*(c.denominator for e in elements.values() for c in e.values()))
-    elements = {w: {m: c.numerator * (den // c.denominator)
-                    for m, c in e.items()} for w, e in elements.items()}
+    alg, vm, elements = s.alg, s.verma, _as_ints(elements)
     if acting is None:
         acting = {alg.names[z]: {z: 1} for z in alg.q_generators
                   if alg.grade[z] == 0}

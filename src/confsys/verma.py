@@ -3,21 +3,21 @@
 The module is U(g) tensored over the parabolic with the one-dimensional
 character s*dchi; as a vector space it is U(nbar) for the opposite Heisenberg
 radical nbar, realized here as PBW elements supported on the nbar prefix of
-the basis.  U(g) and every module vector the engine builds are rational; s
-enters only through the action.  A basis element acts on an nbar monomial by
-commuting past its PBW factors inside U(nbar) tensor 1
+the basis, and s enters only through the action.  A basis element acts on an
+nbar monomial by commuting past its PBW factors inside U(nbar) tensor 1
 (VermaModule._act_mono), memoized in one table per basis index,
 _act_memo[x][m], whose images are tuples of (monomial, a0, a1) int triples
-meaning sum (a0 + a1*s)*monomial, the zero image being ().  So the image of
-an s-free vector is affine in s, held as two ints per monomial over a common
-denominator (VermaModule._act_ints).  act_basis and act return that image as
-a pair (v0, v1) of rational vectors meaning v0 + s*v1; elt_subs evaluates a
-pair at s0.  Span keeps its echelon rows once, as ints, and one int elimination
-(Span.eliminate) reduces a vector (den, {monomial: (a0, a1)}) meaning
-(a0 + a1*s)/den, the form of module images and of point functionals
-(diffops.PointFunctional) alike.  The q-stability solve reads the leftover
-outside the span: exact rational pairs (a0, a1) meaning a0 + a1*s, off which
-the special values are read.  s is substituted last, exactly since the
+meaning sum (a0 + a1*s)*monomial, the zero image being ().  The action is
+int-linear: act and act_basis return the image of an s-free vector as a pair
+(v0, v1) meaning v0 + s*v1, int vectors for an int vector and Lie element,
+so the module side holds ints end to end; elt_subs evaluates a pair at s0.
+Span row-reduces its generators in ints and keeps its echelon rows once, as
+ints; one int elimination (Span.eliminate) reduces a vector
+(den, {monomial: (a0, a1)}) meaning (a0 + a1*s)/den, the form of module
+images and of point functionals (diffops.PointFunctional) alike.  The
+q-stability solve reads the leftover outside the span as int pairs (a0, a1),
+positive multiples of its constraints a0 + a1*s = 0; linalg.common_root
+forms the one Fraction, the root.  s is substituted last, exactly since the
 echelon rows are s-free: Span.coordinates reads a reduced vector at s0, so an
 action matrix eliminates each image once, read at every s0, and the b
 matrices reduce the symbolic point functionals, read at s*.
@@ -27,14 +27,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import lcm
+from math import gcd, lcm
 
 from . import linalg
 from .liealg import LieAlgebra
 from .memo import memo
-from .pbw import Elt, Mono, elt_add, elt_scale, mono_degree
+from .pbw import Elt, Mono, elt_add, elt_scale, heisenberg_times, mono_degree
 
-Pair = tuple[Q, Q]        # (a0, a1), the affine a0 + a1*s
+Pair = tuple[int, int]    # (a0, a1), a positive multiple of the affine a0 + a1*s
 Affine = tuple[Elt, Elt]  # (v0, v1), the module vector v0 + s*v1
 Image = tuple[tuple[Mono, int, int], ...]  # ((m, a0, a1), ...), sum (a0 + a1*s)*m
 
@@ -49,59 +49,28 @@ def _accumulate(acc: dict, key, a0: int, a1: int) -> None:
         v[1] += a1
 
 
-def _split(den: int, ints: dict[Mono, list[int]]) -> Affine:
-    """The int pairs (a0 + a1*s)/den of ints as rational vectors (v0, v1)."""
-    v0: Elt = {}
-    v1: Elt = {}
-    for m, (a0, a1) in ints.items():
-        if a0:
-            v0[m] = Q(a0, den)
-        if a1:
-            v1[m] = Q(a1, den)
-    return v0, v1
-
-
-def _insert(m: Mono, g: int) -> Mono:
-    """m with one more factor g, in its sorted place: the product m * X_g
-    when X_g commutes with every factor of m."""
-    for k, (i, e) in enumerate(m):
-        if i == g:
-            return m[:k] + ((g, e + 1),) + m[k + 1:]
-        if i > g:
-            return m[:k] + ((g, 1),) + m[k:]
-    return m + ((g, 1),)
-
-
-def _heisenberg_times(alg: LieAlgebra, x: int, m: Mono) -> Image:
-    """Y_x * m in U(nbar) for an nbar generator Y_x and an nbar monomial m.
-
-    nbar is a Heisenberg algebra: Z = X_-gamma (index 0) is central, and the
-    one nonzero bracket of Y_x is [Y_x, Y_p] = n Z, (p, n) = alg.partner[x].
-    So Y_x moves to its PBW place past every factor but Y_p^e, where
-    Y_x Y_p^e = Y_p^e Y_x + e n Z Y_p^(e-1):
-
-      Y_x * m = ins(m, x) + [p < x and p in m] e n ins(m - Y_p, Z),
-
-    at most two terms, as (monomial, coefficient, 0) triples.
-    """
-    out = ((_insert(m, x), 1, 0),)
-    if x == alg.x_minus_gamma:
-        return out
-    p, n = alg.partner[x]
-    if p > x:
-        return out
-    for k, (i, e) in enumerate(m):
-        if i == p:
-            rest = m[:k] + (((p, e - 1),) if e > 1 else ()) + m[k + 1:]
-            return out + ((_insert(rest, alg.x_minus_gamma), e * n, 0),)
-        if i > p:
-            break
-    return out
+def _combine(row: dict[int, int], pivot_row: dict[int, int],
+             p: int) -> dict[int, int]:
+    """The primitive int multiple of row - (row[p]/pivot_row[p]) * pivot_row,
+    zero at column p."""
+    a, b = pivot_row[p], row[p]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    out = {f: a * c for f, c in row.items()}
+    for f, c in pivot_row.items():
+        v = out.get(f, 0) - b * c
+        if v:
+            out[f] = v
+        else:
+            del out[f]
+    k = gcd(*out.values())
+    return {f: c // k for f, c in out.items()} if k > 1 else out
 
 
 def elt_subs(v: Affine, s0: Q) -> Elt:
-    """The module vector v0 + s*v1 at s = s0, with rational coefficients."""
-    return elt_add(v[0], elt_scale(v[1], s0))
+    """The module vector v0 + s*v1 at s = s0, in ints at an integral s0."""
+    t = s0.numerator if s0.denominator == 1 else s0
+    return elt_add(v[0], elt_scale(v[1], t))
 
 
 @dataclass(frozen=True)
@@ -135,7 +104,7 @@ class VermaModule:
         The recursion never leaves U(nbar) tensor 1:
 
           x in nbar:   X.m is the product in U(nbar), in closed form
-                       (_heisenberg_times);
+                       (pbw.heisenberg_times);
           m = 1:       X.(1 tensor 1) = s*dchi(X) for a Cartan X, 0 for a
                        root vector of q;
           m = Y_a rest (Y_a the first PBW factor of m):
@@ -153,7 +122,8 @@ class VermaModule:
             return out
         alg = self.alg
         if x < alg.nbar_dim:
-            out = _heisenberg_times(alg, x, m)
+            out = tuple((m2, c, 0)
+                        for m2, c in heisenberg_times(alg, x, m).items())
         elif not m:
             v = alg.dchi_on_basis[x]
             out = ((m, 0, v),) if v else ()
@@ -168,51 +138,40 @@ class VermaModule:
             for k, n in alg.table[x][a]:
                 for m2, b0, b1 in self._act_mono(k, rest):
                     _accumulate(acc, m2, n * b0, n * b1)
-            out = tuple((m2, a0, a1) for m2, (a0, a1) in acc.items() if a0 or a1)
+            # "or ()": Python 3.10 builds a fresh empty tuple here
+            out = tuple((m2, a0, a1) for m2, (a0, a1) in acc.items()
+                        if a0 or a1) or ()
         table[m] = out
         return out
 
-    def _act_ints(self, i: int, v: Elt) -> tuple[int, dict[Mono, list[int]]]:
-        """X_i.v for a module vector v with rational coefficients, as
-        (den, {monomial: [a0, a1]}) with ints a0, a1 meaning (a0 + a1*s)/den.
-
-        den is the lcm of the denominators of v: each coefficient is scaled
-        to an int over it, and the memoized images _act_memo[i][m] of its
-        monomials, tuples of (monomial, a0, a1) triples, are summed into a
-        fresh dict of int pairs, which the caller owns.
-        Pairs that cancel to [0, 0] are kept; callers skip them.
-        """
-        den = lcm(*(c.denominator for c in v.values()))
+    def _act_ints(self, x: dict[int, int], v: Elt) -> dict[Mono, list[int]]:
+        """X.v for X = sum_i x[i] X_i and a module vector v, as a fresh dict
+        {monomial: [a0, a1]} meaning a0 + a1*s (ints for int x and v) summed
+        from the memoized images _act_memo[i][m]; pairs that cancel to
+        [0, 0] are kept, and callers skip them."""
         acc: dict[Mono, list[int]] = {}
-        for m, c in v.items():
-            k = c.numerator * (den // c.denominator)
-            for m2, a0, a1 in self._act_mono(i, m):
-                _accumulate(acc, m2, k * a0, k * a1)
-        return den, acc
+        for i, c in x.items():
+            for m, b in v.items():
+                k = c * b
+                for m2, a0, a1 in self._act_mono(i, m):
+                    _accumulate(acc, m2, k * a0, k * a1)
+        return acc
 
     def act_basis(self, i: int, v: Elt) -> Affine:
-        """X_i.v = v0 + s*v1 for an s-free module vector v, as (v0, v1).
+        """X_i.v = v0 + s*v1 for an s-free module vector v, as (v0, v1)."""
+        return self.act({i: 1}, v)
 
-        Fractions are built only for the nonzero output coefficients.
-        """
-        self._require_module(v)
-        return _split(*self._act_ints(i, v))
-
-    def act(self, x: dict[int, Q], v: Elt) -> Affine:
+    def act(self, x: dict[int, int], v: Elt) -> Affine:
         """X.v = v0 + s*v1 for X = sum_i x[i] X_i and an s-free v, as (v0, v1).
 
-        The images by the X_i share the denominator of v; the rational x[i]
-        are scaled to ints over the lcm of their denominators.
+        The action is int-linear, so int x and v give int vectors; the
+        checks scale their elements to ints once and compare ints.  Other
+        rational coefficients act too, in Fraction arithmetic.
         """
         self._require_module(v)
-        dx = lcm(*(c.denominator for c in x.values()))
-        den, acc = 1, {}
-        for i, c in x.items():
-            den, ints = self._act_ints(i, v)
-            k = c.numerator * (dx // c.denominator)
-            for m, (a0, a1) in ints.items():
-                _accumulate(acc, m, k * a0, k * a1)
-        return _split(den * dx, acc)
+        acc = self._act_ints(x, v)
+        return ({m: a0 for m, (a0, _) in acc.items() if a0},
+                {m: a1 for m, (_, a1) in acc.items() if a1})
 
     def _require_module(self, v: Elt) -> None:
         cut = self.alg.nbar_dim
@@ -225,13 +184,14 @@ class VermaModule:
     def stability_constraints(self, span: Span) -> tuple[list[Pair], list[Pair]]:
         """Affine conditions a0 + a1*s = 0 for q-stability of the span W.
 
-        Returns (levi_constraints, nilradical_constraints) as exact rational
-        pairs (a0, a1): the constraints from acting by each generator x of q
+        Returns (levi_constraints, nilradical_constraints) as int pairs
+        (a0, a1): the constraints from acting by each generator x of q
         (LieAlgebra.q_generators), filed by the grade of x.  The constraints
-        from x are the coefficients each acted generator of W (span.gens)
-        leaves outside W (the leftover of Span.eliminate), so W is stable
-        under x at s = s0 iff they all vanish at s0.  They are affine by the
-        lemma in _act_mono, since the generators of W are s-free.
+        from x are the coefficients each acted generator of W (span.int_gens)
+        leaves outside W, the leftover of Span.eliminate as int numerators,
+        positive multiples of the coefficients, so W is stable under x at
+        s = s0 iff they all vanish at s0.  They are affine by the lemma in
+        _act_mono, since the generators of W are s-free.
 
         Acting by generators suffices: at a fixed s0 the x in q with
         x.W in W form a Lie subalgebra, since [x, y].w = x.(y.w) - y.(x.w),
@@ -246,9 +206,8 @@ class VermaModule:
         nil: list[Pair] = []
         for x in self.alg.q_generators:
             out = levi if self.alg.grade[x] == 0 else nil
-            for g in span.gens:
-                d, _, left = span.eliminate(*self._act_ints(x, g))
-                out.extend((Q(b0, d), Q(b1, d)) for b0, b1 in left)
+            for den, g in span.int_gens:
+                out += span.eliminate(den, self._act_ints({x: 1}, g))[2]
         return levi, nil
 
     def singular_values(self, span: Span) -> StabilityResult:
@@ -265,7 +224,8 @@ class VermaModule:
         """Span.eliminate of X_x.g for each generator g of span, s symbolic."""
         for g in span.gens:
             self._require_module(g)
-        return [span.eliminate(*self._act_ints(x, g)) for g in span.gens]
+        return [span.eliminate(den, self._act_ints({x: 1}, g))
+                for den, g in span.int_gens]
 
     def module_action_matrix(self, span: Span, x: int, s0: Q) -> list[list[Q]]:
         """Matrix a with X_x.gens[i] = sum_j a[j][i] gens[j] at s = s0, for
@@ -286,31 +246,43 @@ class Span:
     rationals) are the rows of one matrix over their n monomials, in
     (degree, monomial) order, each augmented with a unit vector, so that
     every echelon row of its rref also records its combination of the
-    generators.  The echelon rows are kept once, as ints scaled by the lcm
-    of all their denominators: per pivot, the entries on the non-pivot
-    monomial columns f < n and on the combination columns n + j.
+    generators.  Generator j is the int row int_gens[j] = (den, ints),
+    gens[j] = ints/den, reduced by fraction-free Gauss-Jordan elimination on
+    sparse int rows, each kept primitive.  The rref is unique: its rows are
+    these over their pivots, kept once as ints scaled by the lcm of all their
+    denominators: per pivot, the entries on the non-pivot monomial columns
+    f < n and on the combination columns n + j.
     """
 
     def __init__(self, gens: list[Elt]):
         self.gens = gens
         mons = sorted({m for g in gens for m in g}, key=lambda t: (mono_degree(t), t))
-        self.col = {m: k for k, m in enumerate(mons)}
-        n, k = len(mons), len(gens)
-        mat = [[Q(0)] * n + [Q(int(i == j)) for i in range(k)] for j in range(k)]
+        self.col = col = {m: k for k, m in enumerate(mons)}
+        self.n = n = len(mons)
+        self.int_gens: list[tuple[int, dict[Mono, int]]] = []
+        red: dict[int, dict[int, int]] = {}   # pivot column -> int row
         for j, g in enumerate(gens):
-            for m, c in g.items():
-                if not isinstance(c, (int, Q)):
-                    raise NotImplementedError("span generators must not depend on s")
-                mat[j][self.col[m]] = Q(c)
-        red, pivots = linalg.rref(mat)
-        self.rank = sum(p < n for p in pivots)
-        self.n = n
-        tails = {p: [(f, a) for f, a in enumerate(red[r]) if a and f != p]
-                 for r, p in enumerate(pivots[:self.rank])}
-        self.scale = lcm(*(a.denominator for tail in tails.values() for _, a in tail))
-        self._rows = {p: [(f, a.numerator * (self.scale // a.denominator))
-                          for f, a in tail]
-                      for p, tail in tails.items()}
+            if not all(isinstance(c, (int, Q)) for c in g.values()):
+                raise NotImplementedError("span generators must not depend on s")
+            den = lcm(*(c.denominator for c in g.values()))
+            ints = {m: c.numerator * (den // c.denominator) for m, c in g.items() if c}
+            self.int_gens.append((den, ints))
+            row = {col[m]: c for m, c in ints.items()}
+            row[n + j] = den
+            # the rows are zero on each other's pivots, so the order is free
+            for p in [f for f in row if f in red]:
+                row = _combine(row, red[p], p)
+            p = min(row)
+            for q in [q for q, other in red.items() if p in other]:
+                red[q] = _combine(red[q], row, p)
+            red[p] = row
+        pivots = sorted(p for p in red if p < n)
+        self.rank = len(pivots)
+        self.scale = lcm(*(red[p][p] // gcd(a, red[p][p])
+                           for p in pivots for a in red[p].values()))
+        self._rows = {p: [(f, a * self.scale // red[p][p])
+                          for f, a in sorted(red[p].items()) if f != p]
+                      for p in pivots}
 
     def eliminate(self, den: int, w: dict) -> tuple[int, dict, list]:
         """Reduce the vector sum (a0 + a1*s)/den * m over the items

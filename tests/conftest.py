@@ -152,7 +152,7 @@ def verma_d4(alg_d4):
 
 @pytest.fixture(scope="session")
 def omega_d4(env_d4):
-    return OmegaSystem(env_d4)
+    return OmegaSystem(env_d4.alg)
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ from confsys.diffops import (FIELD_BITS, OperatorCalculus, PolyDiffOp,
                              sum_products, unpack_key)
 from confsys.liealg import build_lie_algebra
 from confsys.omega import OmegaSystem
-from confsys.pbw import Enveloping, mono_word, monomials_up_to
+from confsys.pbw import mono_word, monomials_up_to
 from confsys.poly import Poly
 from confsys.roots import RootSystemSpec, build_root_system
 
@@ -474,7 +474,7 @@ def test_commutator_at_identity_on_every_basis_vector_e6():
     alg = build_lie_algebra(build_root_system(RootSystemSpec.parse("E6")),
                             check=False)
     calc = OperatorCalculus(alg)
-    ops = [calc.r_op(g) for g in OmegaSystem(Enveloping(alg)).omega3_system()]
+    ops = [calc.r_op(g) for g in OmegaSystem(alg).omega3_system()]
     with_s = 0
     for y in range(alg.dim):
         pi_y = calc.pi_basis(y)

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import RationalOmega, random_dual_bases
 from confsys.omega import OmegaSystem
-from confsys.pbw import Enveloping, elt_add, elt_scale, elt_sub, mono_word
+from confsys.pbw import elt_add, elt_scale, elt_sub, mono_word
 from confsys.system import weighted_degree
 from confsys.verify import Session, SuiteConfig
 from confsys.verma import elt_subs
@@ -54,7 +54,7 @@ def test_quadratic_memo_is_per_instance(alg_d4, alg_a3):
     separate memo tables, in either order of first use."""
     i = min(set(alg_d4.l_indices) & set(alg_a3.l_indices))
     for algs in ((alg_d4, alg_a3), (alg_a3, alg_d4)):
-        oms = [OmegaSystem(Enveloping(alg)) for alg in algs]
+        oms = [OmegaSystem(alg) for alg in algs]
         got = [om.omega2_ints(i) for om in oms]
         assert got[0] != got[1]
         for om, elt in zip(oms, got):
@@ -210,7 +210,7 @@ def test_cubic_is_basis_independent(omega_d4, alg_d4):
 def test_contraction_constant_not_uniform_in_controls(alg_a3):
     """In the rank-3 control the double-bracket contraction is not a uniform
     multiple of the single-bracket quadratic element."""
-    om = OmegaSystem(Enveloping(alg_a3))
+    om = OmegaSystem(alg_a3)
     alg = alg_a3
     uniform = True
     for x in alg.v_plus:

@@ -1,10 +1,12 @@
 """Check registry, scoping, and the skip/fail paths of the suite runner."""
 
 import dataclasses
+import fractions
 import os
 import random
 import subprocess
 import sys
+import traceback
 from fractions import Fraction as Q
 from functools import reduce
 from math import lcm
@@ -955,6 +957,26 @@ def test_induced_bridge_cubic_catches_a_perturbed_action_off_the_generators(
         assert _names_the_vector(session.alg, res.witness, g), name
 
 
+def test_b_matrix_reads_the_coroot_scalar_off_the_action_matrices(tmp_path):
+    # the witness's coroot scalar is M(h_gamma) = sum_k c_k M(H_k), read off
+    # the shifted action matrices at coroots that are not generators of q:
+    # one entry moved there makes M(h_gamma) no scalar
+    session = _d4_session(tmp_path)
+    alg = session.alg
+    res = run_single(session, "b_matrix")
+    assert res.status == "pass" and res.witness["coroot_scalar"] == "-3"
+    k = next(k for k in alg.h_gamma if k not in alg.q_generators)
+    assert k in alg.cartan_index and alg.grade[k] == 0
+    action = {x: [list(row) for row in mat]
+              for x, mat in session.action_matrices_special.items()}
+    action[k][0][0] += 1
+    session.action_matrices_special = action
+    res = run_single(session, "b_matrix")
+    assert res.status == "fail"
+    assert res.witness == {"vector": "h_gamma",
+                           "reason": "the grading coroot is not a scalar"}
+
+
 def test_induced_bridge_small_catches_a_perturbed_action_off_the_generators(
         tmp_path, monkeypatch):
     session = _d4_session(tmp_path)
@@ -1163,6 +1185,32 @@ def test_b_matrix_reads_levi_functionals_the_special_value_set_does_not(
                            "basis_vector": alg.names[z], "column": k}
 
 
+def test_module_checks_build_no_fraction_but_the_candidate_root(tmp_path,
+                                                                monkeypatch):
+    # the module side holds ints end to end: with the cubic and quadratic
+    # elements built, the five module-side checks of a D5 control run build
+    # one Fraction, the candidate root linalg.common_root forms from the
+    # stability constraints, where the rational action built 1841
+    session = Session(SuiteConfig(type_label="D5", expect_system=False,
+                                  cache_dir=str(tmp_path)))
+    session.omega3_gens, session.quadratic_elements
+    built = []
+    new = fractions.Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append([frame.name for frame in traceback.extract_stack()])
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", counted)
+    names = ("verma_representation", "first_level_action", "quadratic_weight",
+             "quadratic_equivariance", "no_special_value")
+    results = [run_single(session, name) for name in names]
+    monkeypatch.undo()
+    assert [r.status for r in results] == ["pass"] * 5
+    assert results[-1].witness["constraints"] > 0
+    assert len(built) == 1 and "common_root" in built[0]
+
+
 def test_d4_suite_work_counts(tmp_path, monkeypatch):
     # eliminations: stability 64 (cubic span) + 80 (first-level span), action
     # matrices 152, induced_bridge_small 190 (19 q vectors x 10 generators,
@@ -1172,9 +1220,12 @@ def test_d4_suite_work_counts(tmp_path, monkeypatch):
     # once for induced_bridge_cubic and structure_operator, pi_homomorphism
     # 216, nbar_commutant 90 and the first-order and quadratic formulas 80
     # each (8 Chevalley generators x 10 operators); functionals 16 x 8 (the 9
-    # nilradical rows and the 8 generators of q share one); PBW products 673,
-    # with the recursion: the degree floor reads the nbar bracket table, not
-    # products of nbar monomials
+    # nilradical rows and the 8 generators of q share one); PBW products 138,
+    # with the recursion, all in reducibility_witness's reference products
+    # X_y * w3 (4 opposite-radical Chevalley generators x 8 cubic elements):
+    # the quadratic and cubic maps multiply in U(nbar) in closed form
+    # (pbw.heisenberg_times), and the degree floor reads the nbar bracket
+    # table, not products of nbar monomials
     from confsys import diffops, pbw, verma
     counts = {}
 
@@ -1194,7 +1245,7 @@ def test_d4_suite_work_counts(tmp_path, monkeypatch):
                                           cache_dir=str(tmp_path)))
     assert all(c.status == "pass" for c in report.checks)
     assert counts == {"eliminate": 550, "commutator": 610,
-                      "commutator_at_identity": 128, "mono_times_gen": 673}
+                      "commutator_at_identity": 128, "mono_times_gen": 138}
 
 
 def _doubled_at(fn, bad):
