@@ -429,9 +429,8 @@ def _identity_on_generators(s: Session, ops: list[PolyDiffOp],
        "matrices at s* shifted by -s* dchi(g))" + _GENERATOR_REDUCTION)
 def _chk_first_order_formula(s: Session) -> dict:
     sstar = s.require_sstar()
-    alg, calc, n = s.alg, s.calc, s.calc.ncoords
+    alg, n = s.alg, s.calc.ncoords
     # coordinate b is basis index b, so R(X_b) is row b and 1 is row n
-    ops = [calc.r_gen(b) for b in alg.nbar_indices] + [calc.identity_op()]
     mats = {g: _zero_matrix(n + 1) for g in alg.q_indices}
     for g, mat in mats.items():
         for b in alg.nbar_indices:
@@ -441,8 +440,8 @@ def _chk_first_order_formula(s: Session) -> dict:
                 else:
                     mat[n][b] += sstar * c * alg.dchi_on_basis[k]
     return {"identities": _identity_on_generators(
-                s, ops, mats,
-                lambda y: [s.pi_special(y).commutator(op) for op in ops]),
+                s, s.first_level_ops, mats, lambda y: [
+                    c.subs_param(sstar) for c in s.first_level_commutator(y)]),
             "at": qstr(sstar)}
 
 
@@ -531,6 +530,18 @@ def _b_is_shifted_action(s: Session) -> int:
     return len(alg.q_generators)
 
 
+def _coroot_scalar(s: Session, mats: dict[int, list[list[Q]]]) -> Q:
+    """The scalar by which M(h_gamma) = sum_k c_k M(H_k) acts, for matrices
+    M = mats on q; fails when it is no scalar."""
+    h, n = s.alg.h_gamma, len(mats[s.alg.x_gamma])
+    coroot = [[sum(c * mats[k][r][i] for k, c in h.items()) for i in range(n)]
+              for r in range(n)]
+    scalar = coroot[0][0]
+    _ensure(coroot == [[scalar * (r == i) for i in range(n)] for r in range(n)],
+            vector="h_gamma", reason="the grading coroot is not a scalar")
+    return scalar
+
+
 def _cubic_identity(s: Session) -> int:
     """induced_bridge_cubic's identity; returns the identity count."""
     m = len(s.omega3_ops)
@@ -552,15 +563,10 @@ def _cubic_identity(s: Session) -> int:
        "times the identity, 2s* - 3 (cubic_weight_at_special) shifted by "
        "-2s*, and the opposite radical to zero")
 def _chk_b_matrix(s: Session) -> dict:
-    sstar, alg, n = s.require_sstar(), s.alg, len(s.omega3_ops)
+    sstar = s.require_sstar()
     generators = _b_is_shifted_action(s)
-    mats = _shifted(alg, s.action_matrices_special, -sstar)
-    coroot = [[sum(c * mats[k][r][i] for k, c in alg.h_gamma.items())
-               for i in range(n)] for r in range(n)]
-    scalar = coroot[0][0]
-    _ensure(coroot == [[scalar * (r == i) for i in range(n)] for r in range(n)],
-            vector="h_gamma", reason="the grading coroot is not a scalar")
-    return {"generators": generators, "size": n,
+    scalar = _coroot_scalar(s, _shifted(s.alg, s.action_matrices_special, -sstar))
+    return {"generators": generators, "size": len(s.omega3_ops),
             "coroot_scalar": qstr(scalar), "at": qstr(sstar)}
 
 
@@ -587,19 +593,13 @@ def _chk_structure_operator(s: Session) -> dict:
        "basis vector at s0 shifted by -s0 dchi(g), transported by the inverse "
        "adjoint series" + _GENERATOR_REDUCTION)
 def _chk_bridge_small(s: Session) -> dict:
-    alg, calc, vm = s.alg, s.calc, s.verma
-    ops = [calc.r_gen(i) for i in alg.nbar_indices] + [calc.identity_op()]
-    span = s.first_level_span
+    alg, vm, span = s.alg, s.verma, s.first_level_span
     svalues = [s.require_sstar(), Q(0), Q(5, 2)]
-    # [pi_s(Y), D_i] once with s symbolic, read at each s0
-    comms = {y: [calc.pi_basis(y).commutator(op) for op in ops]
-             for y in alg.chevalley_generators}
-    total = 0
-    for s0 in svalues:
-        total += _identity_on_generators(
-            s, ops, _shifted(alg, {g: vm.module_action_matrix(span, g, s0)
-                                   for g in alg.q_indices}, -s0),
-            lambda y: [c.subs_param(s0) for c in comms[y]], {"s": qstr(s0)})
+    total = sum(_identity_on_generators(
+        s, s.first_level_ops, _shifted(alg, {g: vm.module_action_matrix(
+            span, g, s0) for g in alg.q_indices}, -s0),
+        lambda y: [c.subs_param(s0) for c in s.first_level_commutator(y)],
+        {"s": qstr(s0)}) for s0 in svalues)
     return {"identities": total, "parameter_values": [qstr(v) for v in svalues]}
 
 
@@ -664,15 +664,15 @@ def _chk_reducibility(s: Session) -> dict:
     floor = min(weighted_degree(alg, mono)
                 for w3 in s.omega3_gens for mono in w3)
     _ensure(floor == 3, weighted_degree_floor=floor)
-    # the span cannot contain the cyclic vector: the grading coroot acts on
-    # the cubic elements by 2s - 3 and on 1 by 2s, scalars that differ at
-    # every s
-    _levi_action(s, s.cubic_elements, {"h_gamma": alg.h_gamma})
+    # the span cannot contain the cyclic vector: at s* the grading coroot
+    # acts on the span by the scalar its action matrices give, and on 1 by 2s*
+    scalar = _coroot_scalar(s, action)
     one = env.one()
     _ensure(vm.act(alg.h_gamma, one) == ({}, elt_scale(one, 2)),
             element="1", scalar="2s")
+    _ensure(scalar != 2 * sstar, span_eigenvalue=qstr(scalar))
     return {"generators": len(alg.chevalley_generators),
             "equivariance_identities": checked,
             "weighted_degree_floor": floor,
-            "span_eigenvalue": qstr(2 * sstar - 3),
+            "span_eigenvalue": qstr(scalar),
             "cyclic_eigenvalue": qstr(2 * sstar)}

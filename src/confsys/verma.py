@@ -14,13 +14,13 @@ so the module side holds ints end to end; elt_subs evaluates a pair at s0.
 Span row-reduces its generators in ints and keeps its echelon rows once, as
 ints; one int elimination (Span.eliminate) reduces a vector
 (den, {monomial: (a0, a1)}) meaning (a0 + a1*s)/den, the form of module
-images and of point functionals (diffops.PointFunctional) alike.  The
-q-stability solve reads the leftover outside the span as int pairs (a0, a1),
-positive multiples of its constraints a0 + a1*s = 0; linalg.common_root
-forms the one Fraction, the root.  s is substituted last, exactly since the
-echelon rows are s-free: Span.coordinates reads a reduced vector at s0, so an
-action matrix eliminates each image once, read at every s0, and the b
-matrices reduce the symbolic point functionals, read at s*.
+images and of point functionals (diffops.PointFunctional) alike.  Each image
+by q is eliminated once, s symbolic (VermaModule._reduced_images): the
+stability solve reads its leftover as int pairs (a0, a1), multiples of its
+constraints a0 + a1*s = 0 whose root linalg.common_root forms, the one
+Fraction.  s is substituted last, exactly since the echelon rows are s-free:
+Span.coordinates reads a reduced image at each s0 for the action matrices,
+and the b matrices reduce the symbolic point functionals, read at s*.
 """
 
 from __future__ import annotations
@@ -188,10 +188,10 @@ class VermaModule:
         (a0, a1): the constraints from acting by each generator x of q
         (LieAlgebra.q_generators), filed by the grade of x.  The constraints
         from x are the coefficients each acted generator of W (span.int_gens)
-        leaves outside W, the leftover of Span.eliminate as int numerators,
-        positive multiples of the coefficients, so W is stable under x at
-        s = s0 iff they all vanish at s0.  They are affine by the lemma in
-        _act_mono, since the generators of W are s-free.
+        leaves outside W, the leftover of the elimination module_action_matrix
+        reads (_reduced_images) as int numerators, positive multiples of the
+        coefficients, so W is stable under x at s = s0 iff they all vanish at
+        s0.  They are affine by the lemma in _act_mono, W being s-free.
 
         Acting by generators suffices: at a fixed s0 the x in q with
         x.W in W form a Lie subalgebra, since [x, y].w = x.(y.w) - y.(x.w),
@@ -205,9 +205,8 @@ class VermaModule:
         levi: list[Pair] = []
         nil: list[Pair] = []
         for x in self.alg.q_generators:
-            out = levi if self.alg.grade[x] == 0 else nil
-            for den, g in span.int_gens:
-                out += span.eliminate(den, self._act_ints({x: 1}, g))[2]
+            (levi if self.alg.grade[x] == 0 else nil).extend(
+                c for _, _, left in self._reduced_images(span, x) for c in left)
         return levi, nil
 
     def singular_values(self, span: Span) -> StabilityResult:
@@ -221,17 +220,16 @@ class VermaModule:
 
     @memo
     def _reduced_images(self, span: Span, x: int) -> list[tuple[int, dict, list]]:
-        """Span.eliminate of X_x.g for each generator g of span, s symbolic."""
-        for g in span.gens:
-            self._require_module(g)
+        """Span.eliminate of X_x.g for each generator g of span, s symbolic,
+        for module vectors g (stability_constraints checks them)."""
         return [span.eliminate(den, self._act_ints({x: 1}, g))
                 for den, g in span.int_gens]
 
     def module_action_matrix(self, span: Span, x: int, s0: Q) -> list[list[Q]]:
         """Matrix a with X_x.gens[i] = sum_j a[j][i] gens[j] at s = s0, for
-        the generators gens of span: the images reduced once with s symbolic
-        (_reduced_images), read at s0.  Raises ValueError when the span is
-        not stable under X_x at s0."""
+        the generators gens of span, module vectors: the images reduced once
+        with s symbolic (_reduced_images), read at s0.  Raises ValueError
+        when the span is not stable under X_x at s0."""
         cols = [span.coordinates(r, s0) for r in self._reduced_images(span, x)]
         if None in cols:
             raise ValueError(f"span is not stable under X_{x} at s={s0} "

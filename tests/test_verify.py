@@ -536,6 +536,28 @@ def test_first_level_action_catches_a_perturbed_levi_character_entry(
         assert res.witness["levi"] == alg.names[z]
 
 
+@pytest.mark.parametrize("label", ["A3", "D4"])
+def test_first_level_action_reads_the_parabolic_on_the_cyclic_vector(
+        tmp_path, label):
+    # X.1 = s dchi(X) 1 perturbed at one Levi coroot with dchi != 0, on the
+    # vector 1 alone: the span still holds the image, but the formula fails
+    session = Session(SuiteConfig(type_label=label, expect_system=False,
+                                  cache_dir=str(tmp_path)))
+    alg, vm = session.alg, session.verma
+    assert run_single(session, "first_level_action").status == "pass"
+    h = next(i for i in alg.cartan_index if alg.dchi_on_basis[i])
+    act_basis = vm.act_basis
+
+    def perturbed(i, v):
+        v0, v1 = act_basis(i, v)
+        return (v0, elt_scale(v1, 2)) if i == h and v == {(): 1} else (v0, v1)
+
+    vm.act_basis = perturbed
+    res = run_single(session, "first_level_action")
+    assert res.status == "fail"
+    assert res.witness == {"levi": alg.names[h], "generator": "1"}
+
+
 def _infinitesimal_character_candidates(rs):
     """The parameter values the infinitesimal character allows for the cubic
     span: for a grade 1 simple root alpha and nu = gamma + alpha,
@@ -802,9 +824,10 @@ def test_reduced_operator_identities_hold_on_every_basis_vector(tmp_path,
     # structure_operator restates: b is the shifted action matrices, as the
     # dense-solve oracle shows), induced_bridge_small and the first-order and
     # quadratic commutator formulas reduce to the Chevalley generators:
-    # [pi(Y), D_i] = sum_j F(Y)_ji D_j for every basis vector Y
+    # [pi(Y), D_i] = sum_j F(Y)_ji D_j for every basis vector Y, read off
+    # the same memoized commutator tables, keyed by Y
     session = _d4_session(tmp_path)
-    alg, calc, vm = session.alg, session.calc, session.verma
+    alg, vm = session.alg, session.verma
     sstar = session.require_sstar()
     m = len(session.omega3_ops)
     contracted = system._contract(session, session.omega3_ops, system._shifted(
@@ -814,14 +837,14 @@ def test_reduced_operator_identities_hold_on_every_basis_vector(tmp_path,
         assert not system._structure_mismatches(session, y, comms,
                                                 contracted), y
     identities = [alg.dim * m]
-    ops = [calc.r_gen(i) for i in alg.nbar_indices] + [calc.identity_op()]
+    ops = session.first_level_ops
     for s0 in (sstar, Q(0), Q(5, 2)):
         contracted = system._contract(session, ops, system._shifted(alg, {
             g: vm.module_action_matrix(session.first_level_span, g, s0)
             for g in alg.q_indices}, -s0))
         for y in range(alg.dim):
-            pi_y = calc.pi_basis(y).subs_param(s0)
-            comms = [pi_y.commutator(op) for op in ops]
+            comms = [c.subs_param(s0)
+                     for c in session.first_level_commutator(y)]
             assert not system._structure_mismatches(session, y, comms,
                                                     contracted), (y, s0)
     identities.append(3 * alg.dim * len(ops))
@@ -957,21 +980,27 @@ def test_induced_bridge_cubic_catches_a_perturbed_action_off_the_generators(
         assert _names_the_vector(session.alg, res.witness, g), name
 
 
-def test_b_matrix_reads_the_coroot_scalar_off_the_action_matrices(tmp_path):
+@pytest.mark.parametrize("name, field, scalar", [
+    ("b_matrix", "coroot_scalar", "-3"),
+    ("reducibility_witness", "span_eigenvalue", "-5")])
+def test_b_matrix_reads_the_coroot_scalar_off_the_action_matrices(
+        tmp_path, name, field, scalar):
     # the witness's coroot scalar is M(h_gamma) = sum_k c_k M(H_k), read off
-    # the shifted action matrices at coroots that are not generators of q:
-    # one entry moved there makes M(h_gamma) no scalar
+    # the action matrices (b_matrix shifts them by -s* dchi, so 2s* - 3
+    # reads -3) at coroots that are not generators of q: one entry moved
+    # there makes M(h_gamma) no scalar
     session = _d4_session(tmp_path)
     alg = session.alg
-    res = run_single(session, "b_matrix")
-    assert res.status == "pass" and res.witness["coroot_scalar"] == "-3"
+    res = run_single(session, name)
+    assert res.status == "pass" and res.witness[field] == scalar
     k = next(k for k in alg.h_gamma if k not in alg.q_generators)
     assert k in alg.cartan_index and alg.grade[k] == 0
+    assert k not in alg.chevalley_generators
     action = {x: [list(row) for row in mat]
               for x, mat in session.action_matrices_special.items()}
     action[k][0][0] += 1
     session.action_matrices_special = action
-    res = run_single(session, "b_matrix")
+    res = run_single(session, name)
     assert res.status == "fail"
     assert res.witness == {"vector": "h_gamma",
                            "reason": "the grading coroot is not a scalar"}
@@ -1211,21 +1240,9 @@ def test_module_checks_build_no_fraction_but_the_candidate_root(tmp_path,
     assert len(built) == 1 and "common_root" in built[0]
 
 
-def test_d4_suite_work_counts(tmp_path, monkeypatch):
-    # eliminations: stability 64 (cubic span) + 80 (first-level span), action
-    # matrices 152, induced_bridge_small 190 (19 q vectors x 10 generators,
-    # read at three s0), b matrices 64 (8 q generators x 8 functionals: b is
-    # read on the generators of q only); commutators: induced_bridge_small 80
-    # (8 Chevalley generators x 10, s symbolic), the cubic ones 64, formed
-    # once for induced_bridge_cubic and structure_operator, pi_homomorphism
-    # 216, nbar_commutant 90 and the first-order and quadratic formulas 80
-    # each (8 Chevalley generators x 10 operators); functionals 16 x 8 (the 9
-    # nilradical rows and the 8 generators of q share one); PBW products 138,
-    # with the recursion, all in reducibility_witness's reference products
-    # X_y * w3 (4 opposite-radical Chevalley generators x 8 cubic elements):
-    # the quadratic and cubic maps multiply in U(nbar) in closed form
-    # (pbw.heisenberg_times), and the degree floor reads the nbar bracket
-    # table, not products of nbar monomials
+def _suite_work_counts(monkeypatch, config):
+    """Calls of the counted engine functions over one run_suite, whose
+    checks must all pass; a function never called is absent."""
     from confsys import diffops, pbw, verma
     counts = {}
 
@@ -1241,11 +1258,42 @@ def test_d4_suite_work_counts(tmp_path, monkeypatch):
     counted(diffops.PolyDiffOp, "commutator")
     counted(diffops, "commutator_at_identity")
     counted(pbw.Enveloping, "mono_times_gen")
-    report = verify.run_suite(SuiteConfig(type_label="D4",
-                                          cache_dir=str(tmp_path)))
+    report = verify.run_suite(config)
     assert all(c.status == "pass" for c in report.checks)
-    assert counts == {"eliminate": 550, "commutator": 610,
+    return counts
+
+
+def test_d4_suite_work_counts(tmp_path, monkeypatch):
+    # eliminations: action matrices 152 (19 q vectors x 8 cubic elements, of
+    # which the stability solve reads the 64 under the 8 generators of q),
+    # induced_bridge_small 190 (19 q vectors x 10 generators, read at three
+    # s0), b matrices 64 (8 q generators x 8 functionals: b is read on the
+    # generators of q only); first_level_action reads its explicit images
+    # and eliminates nothing; commutators: the first-level table 80 (8
+    # Chevalley generators x 10 operators, s symbolic), read by
+    # induced_bridge_small and the first-order formula, the cubic ones 64,
+    # formed once for induced_bridge_cubic and structure_operator,
+    # pi_homomorphism 216, nbar_commutant 90 and the quadratic formula 80;
+    # functionals 16 x 8 (the 9 nilradical rows and the 8 generators of q
+    # share one); PBW products 138, with the recursion, all in
+    # reducibility_witness's reference products X_y * w3 (4 opposite-radical
+    # Chevalley generators x 8 cubic elements): the quadratic and cubic maps
+    # multiply in U(nbar) in closed form (pbw.heisenberg_times), and the
+    # degree floor reads the nbar bracket table, not products of nbar
+    # monomials
+    counts = _suite_work_counts(monkeypatch, SuiteConfig(
+        type_label="D4", cache_dir=str(tmp_path)))
+    assert counts == {"eliminate": 406, "commutator": 530,
                       "commutator_at_identity": 128, "mono_times_gen": 138}
+
+
+def test_a3_control_work_counts(tmp_path, monkeypatch):
+    # a control run eliminates only in the stability solve: 6 generators of
+    # q x 4 cubic elements; first_level_action, which solved its span too
+    # (6 x 6 more), now reads its explicit images, and no operator is formed
+    counts = _suite_work_counts(monkeypatch, SuiteConfig(
+        type_label="A3", expect_system=False, cache_dir=str(tmp_path)))
+    assert counts == {"eliminate": 24}
 
 
 def _doubled_at(fn, bad):
@@ -1271,9 +1319,11 @@ def test_picture_consistency_catches_a_perturbed_quadratic_element(tmp_path):
 
 
 def test_quadratic_commutator_formula_catches_a_perturbed_operator(tmp_path):
-    # pi_special(x0) + z at the grade +1 Chevalley generator x0 fails both
-    # formulas at x0: z commutes with the operator 1 only, among the first-
-    # order right actions, and with no quadratic one
+    # pi(x0) + z at the grade +1 Chevalley generator x0 fails both formulas
+    # at x0: z commutes with the operator 1 only, among the first-order right
+    # actions, and with no quadratic one.  The first-order formula reads the
+    # first-level commutator table, s symbolic, so z enters there as [z, D];
+    # the quadratic formula reads pi_special
     session = _d4_session(tmp_path)
     alg, calc = session.alg, session.calc
     names = ("first_order_commutator_formula", "quadratic_commutator_formula")
@@ -1281,7 +1331,10 @@ def test_quadratic_commutator_formula_catches_a_perturbed_operator(tmp_path):
     x0 = alg.names.index("X[0100]")
     assert x0 in alg.chevalley_generators and alg.grade[x0] == 1
     z = calc.var(alg.x_minus_gamma)
-    pi_special = session.pi_special
+    table, pi_special = session.first_level_commutator, session.pi_special
+    session.first_level_commutator = lambda i: [
+        c + z.commutator(op) for c, op in zip(table(i), session.first_level_ops)
+    ] if i == x0 else table(i)
     session.pi_special = lambda i: pi_special(i) + z if i == x0 else pi_special(i)
     for name, mismatches in zip(names, (9, 10)):
         res = run_single(session, name)

@@ -417,6 +417,28 @@ def test_stability_constraints_act_by_generators_only(verma_d4, omega_d4,
     assert set(calls) == set(verma_d4.alg.q_generators)
 
 
+def test_action_matrices_share_the_stability_solve_eliminations(
+        alg_d4, omega_d4, monkeypatch):
+    # the stability solve eliminates each image under a generator of q once,
+    # in the memo the action matrices read: on a fresh module, the matrices
+    # of the generators of q at s* = -1 then eliminate nothing more (the 64
+    # images of 8 generators x 8 cubic elements)
+    vm, span = VermaModule(alg_d4), Span(omega_d4.omega3_system())
+    calls = []
+    eliminate = Span.eliminate
+
+    def counted(self, den, w):
+        calls.append(den)
+        return eliminate(self, den, w)
+
+    monkeypatch.setattr(Span, "eliminate", counted)
+    assert vm.singular_values(span).values == (Q(-1),)
+    assert len(calls) == 64
+    for x in alg_d4.q_generators:
+        vm.module_action_matrix(span, x, Q(-1))
+    assert len(calls) == 64
+
+
 @pytest.mark.parametrize("label", ["d4", "a3"])
 def test_s_enters_only_through_the_module_action(request, label):
     # U(g) and the quadratic and cubic elements hold rationals; acting on the
