@@ -226,9 +226,8 @@ class PolyDiffOp:
                  k >> ds) for k, v in self.terms.items()]
         return rows
 
-    def subs_param(self, value: Q) -> "PolyDiffOp":
-        """Substitute a rational for the parameter s."""
-        value = Q(value)
+    def subs_param(self, value: Q | int) -> "PolyDiffOp":
+        """Substitute a rational, an int or a Fraction, for the parameter s."""
         p, q = value.numerator, value.denominator
         shift = FIELD_BITS * self.ncoords
         clear = ~(_FIELD << shift)

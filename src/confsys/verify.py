@@ -216,13 +216,6 @@ class Session:
         return [pi_y.commutator(op) for op in self.first_level_ops]
 
     @cached_property
-    def first_level_span(self) -> Span:
-        """The span of the generators in filtration degree <= 1: the nbar
-        generators and 1."""
-        env = self.env
-        return Span([env.gen(i) for i in self.alg.nbar_indices] + [env.one()])
-
-    @cached_property
     def cubic_span(self) -> Span:
         """The span of the cubic elements in the module."""
         return Span(self.omega3_gens)
@@ -380,6 +373,18 @@ def _act_twice(vm: VermaModule, x: int, y: int, v: Elt) -> tuple[Elt, Elt, Elt]:
     b0, b1 = vm.act_basis(x, w1)
     return a0, elt_add(a1, b0), b1
 
+
+def _first_level_image(alg: LieAlgebra, x: int,
+                       gi: int | None) -> tuple[dict[int, int], int]:
+    """([X_x, w]_nbar, dchi([X_x, w]_q)) in ints for x in q and w = X_gi over
+    nbar or 1 (gi None): the closed form of X_x.w that first_level_action proves."""
+    low, value = {}, 0
+    for k, c in alg.table[x][gi] if gi is not None else ():
+        if alg.grade[k] < 0:
+            low[k] = c
+        else:
+            value += c * alg.dchi_on_basis[k]
+    return low, value
 
 
 # ------------------------------------------------------------- check registry
@@ -604,24 +609,15 @@ def _chk_verma_rep(s: Session) -> dict:
        "U.Y = [U, Y]_nbar + s dchi([U, Y]_q) for U in the nilradical and X.1 = "
        "s dchi(X) 1 for X in the parabolic, all in the span")
 def _chk_first_level(s: Session) -> dict:
-    alg, vm = s.alg, s.verma
-    # X.w = [X, w]_nbar + s dchi([X, w]_q) + s dchi(X) w for X in q, one
-    # formula for the three above, in ints from the bracket table and dchi
-    table, dchi, grade = alg.table, alg.dchi_on_basis, alg.grade
+    alg, vm, dchi = s.alg, s.verma, s.alg.dchi_on_basis
     for gi in alg.nbar_indices + (None,):
         mono = ((gi, 1),) if gi is not None else ()
         for x in alg.q_indices:
-            low, value = {}, 0
-            for k, c in table[x][gi] if gi is not None else ():
-                if grade[k] < 0:
-                    low[((k, 1),)] = c
-                else:
-                    value += c * dchi[k]
-            high = {(): value} if value else {}
-            if dchi[x]:
-                high[mono] = dchi[x]
-            _ensure(vm.act_basis(x, {mono: 1}) == (low, high),
-                    **{"levi" if grade[x] == 0 else "nil": alg.names[x]},
+            low, value = _first_level_image(alg, x, gi)
+            high = {m: c for m, c in (((), value), (mono, dchi[x])) if c}
+            _ensure(vm.act_basis(x, {mono: 1})
+                    == ({((k, 1),): c for k, c in low.items()}, high),
+                    **{"levi" if alg.grade[x] == 0 else "nil": alg.names[x]},
                     generator=alg.names[gi] if gi is not None else "1")
     return {"explicit_formulas": len(alg.q_indices) * (alg.nbar_dim + 1),
             "stable_for_all_s": True}

@@ -1,5 +1,6 @@
 """Polynomial differential operators and the induced-picture calculus."""
 
+import fractions
 import inspect
 import random
 from fractions import Fraction as Q
@@ -251,6 +252,26 @@ def test_subs_param_freezes_s(calc_d4):
     frozen = op.subs_param(Q(-1))
     refrozen = frozen.subs_param(Q(17))
     assert frozen == refrozen  # no s left after the first substitution
+
+
+def test_subs_param_builds_no_fraction(calc_d4, monkeypatch):
+    # the value's numerator and denominator are read straight off an int or
+    # a Fraction, so substituting builds no Fraction
+    op = calc_d4.pi_basis(calc_d4.alg.v_plus[0])
+    values = [-1, Q(5, 2)]
+    built = []
+    new = fractions.Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", counted)
+    got = [op.subs_param(v) for v in values]
+    monkeypatch.undo()
+    assert built == []
+    assert got == [op.subs_param(Q(v)) for v in values]
+    assert got[0] != got[1]
 
 
 # -- oracles for the flat Weyl-algebra kernel ---------------------------------

@@ -24,7 +24,7 @@ from confsys.roots import RootSystemSpec, build_root_system
 from confsys.verify import (CHECKS, EXPECTED, CheckFailure, Session,
                             SuiteConfig, _contraction_data, _levi_action,
                             available_checks, run_single, run_suite)
-from confsys.verma import elt_subs
+from confsys.verma import Span, elt_subs
 
 
 def _full_registry() -> dict:
@@ -536,6 +536,38 @@ def test_first_level_action_catches_a_perturbed_levi_character_entry(
         assert res.witness["levi"] == alg.names[z]
 
 
+def test_first_level_checks_share_one_perturbed_closed_form_image(
+        tmp_path, monkeypatch):
+    # one image of verify._first_level_image gains the generator itself, at a
+    # Levi Chevalley generator z and a grade -1 generator y: the module
+    # action disagrees with it (first_level_action), and M(z) of both
+    # first-level identities reads it at every s0
+    session = _d4_session(tmp_path)
+    alg = session.alg
+    names = ("first_level_action", "first_order_commutator_formula",
+             "induced_bridge_small")
+    assert all(run_single(session, name).status == "pass" for name in names)
+    z = next(z for z in alg.chevalley_generators if alg.grade[z] == 0)
+    y = alg.v_minus[0]
+    image = verify._first_level_image
+
+    def perturbed(algebra, x, gi):
+        low, value = image(algebra, x, gi)
+        return ({**low, gi: low.get(gi, 0) + 1}, value) if (x, gi) == (z, y) \
+            else (low, value)
+
+    monkeypatch.setattr(verify, "_first_level_image", perturbed)
+    monkeypatch.setattr(system, "_first_level_image", perturbed)
+    res = run_single(session, "first_level_action")
+    assert res.status == "fail"
+    assert res.witness == {"levi": alg.names[z], "generator": alg.names[y]}
+    for name in names[1:]:
+        res = run_single(session, name)
+        assert res.status == "fail", name
+        assert res.witness["vector"] == alg.names[z], name
+    assert res.witness["s"] == "-1"
+
+
 @pytest.mark.parametrize("label", ["A3", "D4"])
 def test_first_level_action_reads_the_parabolic_on_the_cyclic_vector(
         tmp_path, label):
@@ -818,6 +850,45 @@ def _formula_identities(session, monkeypatch, perturb=None):
     return results, recorded
 
 
+def _first_level_span(session):
+    """A test-local Span of the first-level generators: the nbar generators,
+    then 1."""
+    env = session.env
+    return Span([env.gen(i) for i in session.alg.nbar_indices] + [env.one()])
+
+
+def _solved_first_level_matrices(session, span, s0):
+    """The module route to the first-level M_g at s0: the action matrices
+    solved on span (_first_level_span), shifted by -s0 dchi(g)."""
+    alg, vm = session.alg, session.verma
+    return system._shifted(alg, {g: vm.module_action_matrix(span, g, s0)
+                                 for g in alg.q_indices}, -s0)
+
+
+def _closed_form_first_level_matrices(session, monkeypatch, s0):
+    """The M_g that system._first_level_identity builds at s0, recorded at
+    its call of _identity_on_generators, which does not run."""
+    recorded = {}
+    monkeypatch.setattr(system, "_identity_on_generators",
+                        lambda s, ops, mats, *_: recorded.update(mats) or 0)
+    system._first_level_identity(session, s0)
+    monkeypatch.undo()
+    return recorded
+
+
+@pytest.mark.parametrize("label", ["D4", "E6"])
+def test_first_level_matrices_match_the_module_action_on_a_span(
+        tmp_path, monkeypatch, label):
+    # the module route is the oracle of the closed form that
+    # first_order_commutator_formula and induced_bridge_small read
+    session = Session(SuiteConfig(type_label=label, cache_dir=str(tmp_path)))
+    span = _first_level_span(session)
+    for s0 in (Q(-1), Q(0), Q(5, 2)):
+        got = _closed_form_first_level_matrices(session, monkeypatch, s0)
+        assert list(got) == list(session.alg.q_indices)
+        assert got == _solved_first_level_matrices(session, span, s0), s0
+
+
 def test_reduced_operator_identities_hold_on_every_basis_vector(tmp_path,
                                                                 monkeypatch):
     # the exhaustive sweeps that induced_bridge_cubic (which
@@ -825,9 +896,11 @@ def test_reduced_operator_identities_hold_on_every_basis_vector(tmp_path,
     # dense-solve oracle shows), induced_bridge_small and the first-order and
     # quadratic commutator formulas reduce to the Chevalley generators:
     # [pi(Y), D_i] = sum_j F(Y)_ji D_j for every basis vector Y, read off
-    # the same memoized commutator tables, keyed by Y
+    # the same memoized commutator tables, keyed by Y.  The first-level
+    # sweep solves M on a test-local span, apart from the closed form the
+    # checks read
     session = _d4_session(tmp_path)
-    alg, vm = session.alg, session.verma
+    alg = session.alg
     sstar = session.require_sstar()
     m = len(session.omega3_ops)
     contracted = system._contract(session, session.omega3_ops, system._shifted(
@@ -837,11 +910,10 @@ def test_reduced_operator_identities_hold_on_every_basis_vector(tmp_path,
         assert not system._structure_mismatches(session, y, comms,
                                                 contracted), y
     identities = [alg.dim * m]
-    ops = session.first_level_ops
+    ops, span = session.first_level_ops, _first_level_span(session)
     for s0 in (sstar, Q(0), Q(5, 2)):
-        contracted = system._contract(session, ops, system._shifted(alg, {
-            g: vm.module_action_matrix(session.first_level_span, g, s0)
-            for g in alg.q_indices}, -s0))
+        contracted = system._contract(
+            session, ops, _solved_first_level_matrices(session, span, s0))
         for y in range(alg.dim):
             comms = [c.subs_param(s0)
                      for c in session.first_level_commutator(y)]
@@ -1008,20 +1080,19 @@ def test_b_matrix_reads_the_coroot_scalar_off_the_action_matrices(
 
 def test_induced_bridge_small_catches_a_perturbed_action_off_the_generators(
         tmp_path, monkeypatch):
+    # the closed-form M(g) moved at s0 = 5/2 only
     session = _d4_session(tmp_path)
     assert run_single(session, "induced_bridge_small").status == "pass"
     g = _perturbed_off_the_generators(session)
-    vm = session.verma
-    matrix = vm.module_action_matrix
+    identity = system._identity_on_generators
 
-    def perturbed(span, x, s0):
-        mat = matrix(span, x, s0)
-        if x == g and s0 == Q(5, 2):
-            mat = [list(row) for row in mat]
-            mat[0][1] += 1
-        return mat
+    def perturbed(s, ops, mats, commutators, where=None):
+        if where == {"s": "5/2"}:
+            mats = {**mats, g: [list(row) for row in mats[g]]}
+            mats[g][0][1] += 1
+        return identity(s, ops, mats, commutators, where)
 
-    monkeypatch.setattr(vm, "module_action_matrix", perturbed)
+    monkeypatch.setattr(system, "_identity_on_generators", perturbed)
     res = run_single(session, "induced_bridge_small")
     assert res.status == "fail"
     assert res.witness["s"] == "5/2"
@@ -1266,10 +1337,11 @@ def _suite_work_counts(monkeypatch, config):
 def test_d4_suite_work_counts(tmp_path, monkeypatch):
     # eliminations: action matrices 152 (19 q vectors x 8 cubic elements, of
     # which the stability solve reads the 64 under the 8 generators of q),
-    # induced_bridge_small 190 (19 q vectors x 10 generators, read at three
-    # s0), b matrices 64 (8 q generators x 8 functionals: b is read on the
-    # generators of q only); first_level_action reads its explicit images
-    # and eliminates nothing; commutators: the first-level table 80 (8
+    # b matrices 64 (8 q generators x 8 functionals: b is read on the
+    # generators of q only); first_level_action, the first-order formula and
+    # induced_bridge_small read the closed-form first-level images
+    # (verify._first_level_image) and eliminate nothing; commutators: the
+    # first-level table 80 (8
     # Chevalley generators x 10 operators, s symbolic), read by
     # induced_bridge_small and the first-order formula, the cubic ones 64,
     # formed once for induced_bridge_cubic and structure_operator,
@@ -1283,7 +1355,7 @@ def test_d4_suite_work_counts(tmp_path, monkeypatch):
     # monomials
     counts = _suite_work_counts(monkeypatch, SuiteConfig(
         type_label="D4", cache_dir=str(tmp_path)))
-    assert counts == {"eliminate": 406, "commutator": 530,
+    assert counts == {"eliminate": 216, "commutator": 530,
                       "commutator_at_identity": 128, "mono_times_gen": 138}
 
 
