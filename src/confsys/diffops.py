@@ -171,10 +171,9 @@ class PolyDiffOp:
         """The product with an operator (self o other), or with a scalar."""
         if isinstance(other, PolyDiffOp):
             return self.compose(other)
-        c = Q(other)
+        p, q = other.numerator, other.denominator     # an int or a Fraction
         return PolyDiffOp._packed(
-            self.ncoords, {k: v * c.numerator for k, v in self.terms.items()},
-            self.den * c.denominator)
+            self.ncoords, {k: v * p for k, v in self.terms.items()}, self.den * q)
 
     __rmul__ = __mul__      # reached only for a scalar on the left
 
@@ -381,9 +380,7 @@ class OperatorCalculus:
         return PolyDiffOp._packed(self.ncoords, {1 << FIELD_BITS * pos: 1})
 
     def const(self, c: Q | int) -> PolyDiffOp:
-        c = Q(c)
-        return PolyDiffOp._packed(self.ncoords, {0: c.numerator},
-                                  c.denominator)
+        return PolyDiffOp._packed(self.ncoords, {0: c.numerator}, c.denominator)
 
     def var(self, i: int) -> PolyDiffOp:
         """Multiplication by coefficient variable i (a coordinate, or s)."""

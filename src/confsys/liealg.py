@@ -17,18 +17,21 @@ The coroots H_a = [X_a, X_-a] (h_gamma among them), the Heisenberg pairing
 table too, so the operator, module and enveloping-algebra code reads no
 root coordinates: roots stay in the construction and the checks.
 
-verify_normalizations reads each root a as one packed int key,
-sum_i a_i * base**i with base = 4 * (largest root coefficient) + 1.  The key
-is additive, key(a + b) = key(a) + key(b), and injective on every vector
-whose coefficients are below base/2 in absolute value, which covers all
-roots and all sums of two roots; the zero vector alone has key 0.  So
+The construction and verify_normalizations read each root a as one packed
+int key, sum_i a_i * base**i with base = 4 * (largest root coefficient) + 1.
+The key is additive, key(a + b) = key(a) + key(b), and injective on every
+vector whose coefficients are below base/2 in absolute value, which covers
+all roots and all sums of two roots; the zero vector alone has key 0.  So
 "is a + b a root, and which" is one int addition and one dict lookup.
 
 Signs come from a bimultiplicative +-1 two-cocycle on the root lattice
-("asymmetry function"), gauged so that [X_a, X_{-a}] = +H_a; the build then
-re-verifies the normalizations and the Jacobi identity (on the Chevalley
-generators, which suffices; see LieAlgebra.verify_jacobi) rather than
-trusting the construction.
+("asymmetry function", Kac, Infinite-Dimensional Lie Algebras, 7.8),
+eps(a_i, a_i) = -1, eps(a_i, a_j) = (-1)^(a_i, a_j) for i < j and +1 for
+i > j, gauged so that [X_a, X_{-a}] = +H_a.  Its exponent is a bilinear
+form over F_2, so eps(a, b) is the parity of a popcount of two bit masks.
+The build then re-verifies the normalizations, from root arithmetic alone,
+and the Jacobi identity (on the Chevalley generators, which suffices; see
+LieAlgebra.verify_jacobi) rather than trusting the construction.
 
 The basis is ordered so that the centrally-extended abelian radical opposite
 to the Heisenberg parabolic (X_{-gamma} and the grade -1 root vectors) forms
@@ -40,30 +43,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import xor
 
 from .roots import Root, RootSystem, root_str
 
 BracketRow = tuple[tuple[int, int], ...]   # (basis index, int constant)
-
-
-def _eps_exponent(gram: tuple[tuple[int, ...], ...], x: Root, y: Root) -> int:
-    """Exponent of -1 in the asymmetry cocycle eps(x, y).
-
-    eps is bimultiplicative with eps(a_i, a_i) = -1, eps(a_i, a_j) = (-1)^(a_i, a_j)
-    for i < j and +1 for i > j; then eps(x, y) eps(y, x) = (-1)^(x, y) and
-    eps(x, x) = (-1)^((x, x)/2).
-    """
-    total = 0
-    r = len(x)
-    for i in range(r):
-        if not x[i]:
-            continue
-        total += x[i] * y[i]  # diagonal: eps(a_i, a_i) = -1
-        for j in range(i + 1, r):
-            if y[j] and gram[i][j] % 2:
-                total += x[i] * y[j]
-    return total
 
 
 @dataclass(frozen=True)
@@ -271,9 +256,7 @@ class LieAlgebra:
             for h2 in cartan:
                 if table[h][h2]:
                     raise AssertionError(f"[H, H] != 0 at {self.names[h]},{self.names[h2]}")
-        base = 4 * max(abs(c) for a in self.rs.roots for c in a) + 1
-        key = {i: sum(c * base ** k for k, c in enumerate(a))
-               for i, a in enumerate(self.root_of) if a is not None}
+        key = _root_keys(self.root_of)
         index_of_key = {ka: i for i, ka in key.items()}
         for i, ka in key.items():
             a, line = self.root_of[i], table[i]
@@ -390,8 +373,14 @@ def basis_layout(rs: RootSystem) -> dict:
     index, and the grade.  The one place that writes the basis order; the
     construction and the cache both take it from here."""
     gamma = rs.highest
-    v_plus = [a for a in rs.positive if rs.pairing(a, gamma) == 1]
-    levi = [a for a in rs.positive if rs.pairing(a, gamma) == 0]
+    to_gamma = [sum(g * c for g, c in zip(row, gamma)) for row in rs.gram]
+
+    def grade(a: Root) -> int:
+        """(a, gamma), one dot product with the row of (a_i, gamma)."""
+        return sum(x * y for x, y in zip(a, to_gamma))
+
+    v_plus = [a for a in rs.positive if grade(a) == 1]
+    levi = [a for a in rs.positive if grade(a) == 0]
     order = [(f"Y[{root_str(a)}]", tuple(-x for x in a)) for a in [gamma] + v_plus]
     order += [(f"X[-{root_str(a)}]", tuple(-x for x in a)) for a in levi]
     order += [(f"H{i + 1}", None) for i in range(rs.rank)]
@@ -400,44 +389,59 @@ def basis_layout(rs: RootSystem) -> dict:
     return dict(rs=rs, names=names, root_of=root_of,
                 index_of_root={a: i for i, a in enumerate(root_of) if a is not None},
                 cartan_index=tuple(i for i, a in enumerate(root_of) if a is None),
-                grade=tuple(0 if a is None else rs.pairing(a, gamma) for a in root_of))
+                grade=tuple(0 if a is None else grade(a) for a in root_of))
+
+
+def _root_keys(root_of: tuple[Root | None, ...]) -> dict[int, int]:
+    """The packed int key of each root, by the basis index of its root
+    vector (see the module docstring)."""
+    base = 4 * max(abs(c) for a in root_of if a is not None for c in a) + 1
+    return {i: sum(c * base ** k for k, c in enumerate(a))
+            for i, a in enumerate(root_of) if a is not None}
+
+
+def _cocycle_rows(gram: tuple[tuple[int, ...], ...]) -> list[int]:
+    """Row i of I + U as a bit mask, U the odd Gram entries above the diagonal."""
+    return [sum(1 << j for j in range(i, len(gram)) if j == i or gram[i][j] % 2)
+            for i in range(len(gram))]
 
 
 def build_lie_algebra(rs: RootSystem, *, check: bool = True) -> LieAlgebra:
-    """Construct the algebra with its bracket table from a root system."""
+    """Construct the algebra with its bracket table from a root system:
+    [H_k, X_a] = (a, a_k) X_a, [X_a, X_-a] = H_a, and
+    [X_a, X_b] = sigma(a) sigma(b) sigma(a + b) eps(a, b) X_{a+b} when a + b
+    is a root, sigma the sign of the height and eps the asymmetry cocycle."""
     layout = basis_layout(rs)
-    root_of, index_of_root = layout["root_of"], layout["index_of_root"]
-    cartan_index = layout["cartan_index"]
-    simple_of = {h: k for k, h in enumerate(cartan_index)}
-    zero = (0,) * rs.rank
-
-    def sigma(a: Root) -> int:
-        return 1 if sum(a) > 0 else -1
-
-    def pair_bracket(i: int, j: int) -> BracketRow:
-        a, b = root_of[i], root_of[j]
-        if a is None and b is None:
-            return ()
-        if a is None or b is None:
-            h_simple = simple_of[i if a is None else j]
-            vec = b if a is None else a
-            sign = 1 if a is None else -1
-            c = rs.pairing(vec, rs.simple(h_simple)) * sign
-            target = j if a is None else i
-            return ((target, c),) if c else ()
-        s = tuple(x + y for x, y in zip(a, b))
-        if s == zero:
-            return tuple(sorted({cartan_index[k]: c for k, c in enumerate(a) if c}.items()))
-        if rs.is_root(s):
-            # the exponent can be negative, and (-1) ** -1 is the float -1.0
-            n = sigma(a) * sigma(b) * sigma(s) * (-1) ** (_eps_exponent(rs.gram, a, b) % 2)
-            # pre-gauge cocycle bracket [x_a, x_b] = eps(a,b) x_{a+b}
-            return ((index_of_root[s], n),)
-        return ()
-
+    root_of, cartan = layout["root_of"], layout["cartan_index"]
     dim = len(root_of)
-    table = tuple(tuple(pair_bracket(i, j) for j in range(dim)) for i in range(dim))
-    alg = LieAlgebra(table=table, **layout)
+    key = _root_keys(root_of)
+    index_of_key = {k: i for i, k in key.items()}
+    # eps(a, b) = (-1)^(a^T (I + U) b) over F_2: u_a is a^T (I + U) as a bit
+    # mask, bits b mod 2
+    upper = _cocycle_rows(rs.gram)
+    lines = [[()] * dim for _ in range(dim)]
+    roots, sign = [], {}
+    for i, a in enumerate(root_of):
+        if a is None:
+            continue
+        for k, h in enumerate(cartan):
+            c = sum(x * row[k] for x, row in zip(a, rs.gram))    # (a, a_k)
+            if c:
+                lines[h][i], lines[i][h] = ((i, c),), ((i, -c),)
+        lines[i][index_of_key[-key[i]]] = tuple(
+            (cartan[k], c) for k, c in enumerate(a) if c)
+        sign[i] = 1 if sum(a) > 0 else -1
+        odd = [k for k, c in enumerate(a) if c % 2]
+        roots.append((i, key[i], reduce(xor, (upper[k] for k in odd), 0),
+                      sum(1 << k for k in odd)))
+    for i, ka, u_a, _ in roots:
+        line, sigma = lines[i], sign[i]
+        for j, kb, _, bits in roots:
+            t = index_of_key.get(ka + kb)
+            if t is not None:
+                n = sigma * sign[j] * sign[t]
+                line[j] = ((t, -n if (u_a & bits).bit_count() & 1 else n),)
+    alg = LieAlgebra(table=tuple(map(tuple, lines)), **layout)
     if check:
         alg.verify_normalizations()
         alg.verify_jacobi()

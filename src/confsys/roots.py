@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 
 Root = tuple[int, ...]
 
@@ -78,13 +77,6 @@ class RootSystem:
             raise ValueError("coordinate length does not match rank")
         return sum(a[i] * self.gram[i][j] * b[j]
                    for i in range(self.rank) for j in range(self.rank) if a[i] and b[j])
-
-    def is_root(self, a: Root) -> bool:
-        return a in self._root_set
-
-    @cached_property
-    def _root_set(self) -> frozenset[Root]:
-        return frozenset(self.roots)
 
     def simple(self, i: int) -> Root:
         """The i-th simple root, 0-based."""

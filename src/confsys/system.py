@@ -524,12 +524,13 @@ def _chk_pointwise_independence(s: Session) -> dict:
     return {"rank": span.rank, "support": len(span.col)}
 
 
-def _b_is_shifted_action(s: Session) -> int:
+def _b_is_shifted_action(s: Session, expected: dict[int, list[list[Q]]]) -> int:
     """Check b(g) = M(g) for g among the generators of q, b read off the
-    point functionals and M the action matrices on the cubic span shifted by
-    -s* dchi; returns the generator count."""
+    point functionals and M = expected the action matrices on the cubic span
+    shifted by -s* dchi, which each check computes once (not on the Session,
+    so a replaced action_matrices_special reaches the check); returns the
+    generator count."""
     alg, bmats = s.alg, s.b_matrices
-    expected = _shifted(alg, s.action_matrices_special, -s.require_sstar())
     for g in alg.q_generators:
         _ensure(bmats[g] == expected[g], vector=alg.names[g],
                 reason="parabolic entry mismatch against module action")
@@ -548,12 +549,12 @@ def _coroot_scalar(s: Session, mats: dict[int, list[list[Q]]]) -> Q:
     return scalar
 
 
-def _cubic_identity(s: Session) -> int:
-    """induced_bridge_cubic's identity; returns the identity count."""
+def _cubic_identity(s: Session, mats: dict[int, list[list[Q]]]) -> int:
+    """induced_bridge_cubic's identity, M_g = mats[g]; returns the identity
+    count."""
     m = len(s.omega3_ops)
     return _identity_on_generators(
-        s, s.omega3_ops,
-        _shifted(s.alg, s.action_matrices_special, -s.require_sstar()),
+        s, s.omega3_ops, mats,
         lambda y: [s.cubic_commutator(y, i) for i in range(m)])
 
 
@@ -570,8 +571,9 @@ def _cubic_identity(s: Session) -> int:
        "-2s*, and the opposite radical to zero")
 def _chk_b_matrix(s: Session) -> dict:
     sstar = s.require_sstar()
-    generators = _b_is_shifted_action(s)
-    scalar = _coroot_scalar(s, _shifted(s.alg, s.action_matrices_special, -sstar))
+    mats = _shifted(s.alg, s.action_matrices_special, -sstar)
+    generators = _b_is_shifted_action(s, mats)
+    scalar = _coroot_scalar(s, mats)
     return {"generators": generators, "size": len(s.omega3_ops),
             "coroot_scalar": qstr(scalar), "at": qstr(sstar)}
 
@@ -587,8 +589,9 @@ def _chk_b_matrix(s: Session) -> dict:
        "rest of q, as the b_matrix statement derives" + _GENERATOR_REDUCTION)
 def _chk_structure_operator(s: Session) -> dict:
     sstar = s.require_sstar()
-    _b_is_shifted_action(s)
-    return {"identities": _cubic_identity(s), "at": qstr(sstar)}
+    mats = _shifted(s.alg, s.action_matrices_special, -sstar)
+    _b_is_shifted_action(s, mats)
+    return {"identities": _cubic_identity(s, mats), "at": qstr(sstar)}
 
 
 @check("induced_bridge_small", SCOPE,
@@ -615,7 +618,8 @@ def _chk_bridge_small(s: Session) -> dict:
        "shifted by -s* dchi(g)" + _GENERATOR_REDUCTION)
 def _chk_bridge_cubic(s: Session) -> dict:
     sstar = s.require_sstar()
-    return {"identities": _cubic_identity(s), "at": qstr(sstar)}
+    mats = _shifted(s.alg, s.action_matrices_special, -sstar)
+    return {"identities": _cubic_identity(s, mats), "at": qstr(sstar)}
 
 
 @check("reducibility_witness", SCOPE,

@@ -7,7 +7,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from confsys.liealg import build_lie_algebra
+from confsys import cache, liealg
+from confsys.liealg import basis_layout, build_lie_algebra
 from confsys.pbw import Enveloping
 from confsys.roots import RootSystemSpec, build_root_system, root_str
 
@@ -188,7 +189,7 @@ def test_character_values(alg_d4):
 
 def test_structure_constants_pm_one(alg_d4):
     alg = alg_d4
-    zero = (0,) * alg.rank
+    zero, roots = (0,) * alg.rank, set(alg.rs.roots)
     for i, a in enumerate(alg.root_of):
         if a is None:
             continue
@@ -196,10 +197,101 @@ def test_structure_constants_pm_one(alg_d4):
             if b is None:
                 continue
             s = tuple(x + y for x, y in zip(a, b))
-            if s != zero and alg.rs.is_root(s):
+            if s != zero and s in roots:
                 row = dict(alg.table[i][j])
                 assert set(row) == {alg.index_of_root[s]}
                 assert abs(next(iter(row.values()))) == 1
+
+
+def _eps_exponent(gram, x, y):
+    """Exponent of -1 in the asymmetry cocycle eps(x, y), from its values on
+    the simple roots: eps(a_i, a_i) = -1, eps(a_i, a_j) = (-1)^(a_i, a_j) for
+    i < j and +1 for i > j, extended bimultiplicatively."""
+    total = 0
+    r = len(x)
+    for i in range(r):
+        if not x[i]:
+            continue
+        total += x[i] * y[i]
+        for j in range(i + 1, r):
+            if y[j] and gram[i][j] % 2:
+                total += x[i] * y[j]
+    return total
+
+
+def _tuple_arithmetic_table(rs):
+    """The bracket table with tuple root sums, pairings and the cocycle
+    exponent as an int: the reference for the packed-key construction."""
+    layout = basis_layout(rs)
+    root_of, index_of_root = layout["root_of"], layout["index_of_root"]
+    cartan_index = layout["cartan_index"]
+    simple_of = {h: k for k, h in enumerate(cartan_index)}
+    zero, roots = (0,) * rs.rank, set(rs.roots)
+
+    def sigma(a):
+        return 1 if sum(a) > 0 else -1
+
+    def pair_bracket(i, j):
+        a, b = root_of[i], root_of[j]
+        if a is None and b is None:
+            return ()
+        if a is None or b is None:
+            h_simple = simple_of[i if a is None else j]
+            vec = b if a is None else a
+            sign = 1 if a is None else -1
+            c = rs.pairing(vec, rs.simple(h_simple)) * sign
+            target = j if a is None else i
+            return ((target, c),) if c else ()
+        s = tuple(x + y for x, y in zip(a, b))
+        if s == zero:
+            return tuple(sorted({cartan_index[k]: c
+                                 for k, c in enumerate(a) if c}.items()))
+        if s in roots:
+            # the exponent can be negative, and (-1) ** -1 is the float -1.0
+            n = (sigma(a) * sigma(b) * sigma(s)
+                 * (-1) ** (_eps_exponent(rs.gram, a, b) % 2))
+            return ((index_of_root[s], n),)
+        return ()
+
+    dim = len(root_of)
+    return tuple(tuple(pair_bracket(i, j) for j in range(dim)) for i in range(dim))
+
+
+@pytest.mark.parametrize("label", [f"A{r}" for r in range(2, 8)]
+                         + [f"D{r}" for r in range(4, 9)] + ["E6", "E7", "E8"])
+def test_table_matches_the_tuple_arithmetic_construction(label):
+    rs = build_root_system(RootSystemSpec.parse(label))
+    assert build_lie_algebra(rs, check=False).table == _tuple_arithmetic_table(rs)
+
+
+@pytest.mark.parametrize("label,digest", [
+    ("A3", "635e34aa955956d4f18dc7d314e5a89b9dbffc5cfd20cc177822f60c2387465c"),
+    ("D4", "c1564c2ecf25b8dc6a88a436aea50f8b2e448d9f4e244dc15f491651cb4dc6d1"),
+    ("D5", "a1adc3c2d1e0dba089674178c21dd94675a9bcdf2c0384f892a3d04245d529c7"),
+    ("D6", "7ad3453fd6fc98e4d08d95dc2e074c76f4899359d0743d035c3ea16cab471e41"),
+    ("E6", "08f4ffff72ee8120262f2453c3b7d2364d7132bfd878dab3a9d62b25649d7573"),
+    ("E7", "5daf85a93dff7c8df7b38c947ed85c9b4f131543b94633d21d8bfc74476361d0"),
+])
+def test_table_digest_frozen(label, digest):
+    # the digest a cache entry stores: a changed table invalidates every
+    # entry already on disk, so it must come with a reviewed digest change
+    alg = build_lie_algebra(build_root_system(RootSystemSpec.parse(label)),
+                            check=False)
+    assert cache._digest(cache._payload_body(alg)) == digest
+
+
+@pytest.mark.parametrize("label", ["A3", "D4", "E6"])
+def test_build_rejects_a_cocycle_without_its_diagonal(label, monkeypatch):
+    # without eps(a_i, a_i) = -1 the cocycle is still bimultiplicative and
+    # eps(a, b) eps(b, a) = (-1)^(a, b), so the table stays antisymmetric
+    # with +-1 constants; the Jacobi check sees the wrong signs
+    rs = build_root_system(RootSystemSpec.parse(label))
+    rows = liealg._cocycle_rows
+    monkeypatch.setattr(liealg, "_cocycle_rows", lambda gram: [
+        row & ~(1 << i) for i, row in enumerate(rows(gram))])
+    assert build_lie_algebra(rs, check=False).table != _tuple_arithmetic_table(rs)
+    with pytest.raises(AssertionError, match="Jacobi fails"):
+        build_lie_algebra(rs, check=True)
 
 
 def test_jacobi_holds_for_controls(alg_a3):
@@ -367,10 +459,11 @@ def test_normalizations_reject_a_float_constant(alg_a3):
 
 def _first_root_root_failure(alg):
     """The root-root part of LieAlgebra.verify_normalizations with tuple root
-    sums and RootSystem.is_root: a reference for its packed-key loop.
-    Returns the first pair (i, j) whose bracket is not +-X_{a+b} when a + b
-    is a root, or not zero when a + b is neither a root nor 0; else None."""
-    zero = (0,) * alg.rank
+    sums and membership in the root set: a reference for its packed-key
+    loop.  Returns the first pair (i, j) whose bracket is not +-X_{a+b} when
+    a + b is a root, or not zero when a + b is neither a root nor 0; else
+    None."""
+    zero, roots = (0,) * alg.rank, set(alg.rs.roots)
     for i, a in enumerate(alg.root_of):
         for j, b in enumerate(alg.root_of):
             if a is None or b is None:
@@ -379,7 +472,7 @@ def _first_root_root_failure(alg):
             row = alg.table[i][j]
             if s == zero:
                 continue
-            if alg.rs.is_root(s):
+            if s in roots:
                 if (len(row) != 1 or row[0][0] != alg.index_of_root[s]
                         or abs(row[0][1]) != 1):
                     return i, j
@@ -418,7 +511,7 @@ def test_normalizations_reject_a_bracket_at_a_non_root_sum(fix, request):
     i, j = next((i, j) for i in range(alg.dim) for j in range(i + 1, alg.dim)
                 if alg.root_of[i] is not None and alg.root_of[j] is not None
                 and (s := tuple(map(sum, zip(alg.root_of[i], alg.root_of[j]))))
-                != zero and not alg.rs.is_root(s))
+                != zero and s not in alg.rs.roots)
     assert not alg.table[i][j]
     bad = _with_rows(alg, {(i, j): ((i, 1),), (j, i): ((i, -1),)})
     assert _first_root_root_failure(bad) == (i, j)

@@ -274,6 +274,29 @@ def test_subs_param_builds_no_fraction(calc_d4, monkeypatch):
     assert got[0] != got[1]
 
 
+def test_const_and_scalar_product_build_no_fraction(calc_d4, monkeypatch):
+    # const and the scalar product read numerator and denominator off an int
+    # or a Fraction, as subs_param does
+    op = calc_d4.pi_basis(calc_d4.alg.v_plus[0])
+    c = Q(3, 4)
+    built = []
+    new = fractions.Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", counted)
+    got = [calc_d4.const(3), calc_d4.const(c), op * 2, 2 * op, op * c]
+    monkeypatch.undo()
+    assert built == []
+    n = calc_d4.ncoords
+    assert got[0] == PolyDiffOp._packed(n, {0: 3})
+    assert got[1] == PolyDiffOp._packed(n, {0: 3}, 4)
+    assert got[2] == got[3] == op + op
+    assert got[4] == op.compose(got[1]) != op
+
+
 # -- oracles for the flat Weyl-algebra kernel ---------------------------------
 
 

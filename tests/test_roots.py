@@ -144,9 +144,10 @@ def test_reflections_permute_roots(alg_d4):
 
 def test_is_root_and_height():
     rs = build_root_system(RootSystemSpec.parse("D4"))
-    assert rs.is_root((1, 2, 1, 1))
-    assert not rs.is_root((2, 2, 1, 1))
-    assert not rs.is_root((0, 0, 0, 0))
+    roots = set(rs.roots)
+    assert (1, 2, 1, 1) in roots
+    assert (2, 2, 1, 1) not in roots
+    assert (0, 0, 0, 0) not in roots
     # the highest root (1, 2, 1, 1) has height 5
     assert (1, 2, 1, 1) in rs.positive
     assert max(sum(a) for a in rs.positive) == 5
